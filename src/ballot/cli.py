@@ -11,11 +11,9 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from ._version import __version__
 from .config import AppConfig, config_from_dict, load_config
-from .data import DatasetSpec, Split, gen_synthetic, make_dataset, save_csv
+from .data import Split, gen_synthetic, load_csv, make_dataset, save_csv
 from .errors import (
     BallotError,
     ConfigurationError,
@@ -104,13 +102,7 @@ def _cmd_evaluate(args) -> int:
         data = make_dataset(app.dataset)
         split = data.test
     else:
-        spec = DatasetSpec(csv_path=args.data, label_column=args.label_column,
-                           split=0.5)
-        ds = make_dataset(spec)
-        split = Split(
-            X=np.concatenate([ds.train.X, ds.test.X]),
-            y=np.concatenate([ds.train.y, ds.test.y]),
-        )
+        split = Split(*load_csv(args.data, args.label_column))
     if ck.specs[0].d_in != split.X.shape[1]:
         raise ConfigurationError(
             f"checkpoint expects {ck.specs[0].d_in} features, "

@@ -1,9 +1,14 @@
-"""Fully connected network: parameters, forward passes, SGD, checkpoints.
+"""Fully connected network: parameters, the training step, SGD,
+checkpoints.
 
 A network is a list of ``LayerSpec`` entries applied in order.  Every
 layer except the last feeds a ReLU (or, if configured, no activation);
 the last layer always emits raw logits.  Units of all non-final layers
 are the "hidden neurons" that pruning may remove.
+
+Training runs one forward pass per batch, then one fused backward pass
+that carries the gradients of one or two weighted cross-entropies
+through the shared ReLU gates.
 
 Masking is value-level: a masked weight or bias behaves as exactly 0 in
 every forward pass, and ``sgd_step`` re-zeroes masked entries after each
@@ -19,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tape, Tensor
-from .errors import ConfigurationError, NumericalFailure, PersistenceError
+from .errors import ConfigurationError, DataError, NumericalFailure, PersistenceError
+from .fileio import atomic_open
 
 _MAGIC = b"BLTC"
 _VERSION = 1
@@ -89,27 +94,6 @@ class ParamGrads:
     biases: list[np.ndarray]
 
 
-@dataclass
-class ForwardPass:
-    """Taped forward pass: logits plus the hooks training needs."""
-
-    tape: Tape
-    logits: Tensor
-    preacts: list[Tensor]
-    weight_tensors: list[Tensor]
-    bias_tensors: list[Tensor]
-
-    def param_grads(self, grads) -> ParamGrads:
-        return ParamGrads(
-            [grads.wrt(t) for t in self.weight_tensors],
-            [grads.wrt(t) for t in self.bias_tensors],
-        )
-
-    def preact_means(self, grads) -> list[np.ndarray]:
-        """Batch-mean gradient per hidden unit, one vector per hidden layer."""
-        return [grads.wrt(t).mean(axis=0) for t in self.preacts]
-
-
 def init_network(specs: list[LayerSpec], seed: int) -> NetworkParams:
     """He-style uniform init, U(-sqrt(6/d_in), +sqrt(6/d_in)), zero biases.
 
@@ -142,13 +126,18 @@ def _masked_values(params: NetworkParams, mask):
     return ws, bs
 
 
-def forward(params: NetworkParams, mask, x: np.ndarray, specs: list[LayerSpec]) -> np.ndarray:
-    """Inference pass, returns logits of shape [n, C]."""
+def _check_input(x, specs: list[LayerSpec]) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != specs[0].d_in:
         raise ConfigurationError(
             f"input shape {x.shape} does not match d_in {specs[0].d_in}"
         )
+    return x
+
+
+def forward(params: NetworkParams, mask, x: np.ndarray, specs: list[LayerSpec]) -> np.ndarray:
+    """Inference pass, returns logits of shape [n, C]."""
+    x = _check_input(x, specs)
     ws, bs = _masked_values(params, mask)
     h = x
     for spec, w, b in zip(specs, ws, bs):
@@ -159,32 +148,93 @@ def forward(params: NetworkParams, mask, x: np.ndarray, specs: list[LayerSpec]) 
     return h
 
 
-def forward_training(
-    params: NetworkParams, mask, x: np.ndarray, specs: list[LayerSpec]
-) -> ForwardPass:
-    """Taped pass that retains every hidden pre-activation for gradient
-    readout.  Masked values enter the tape already zeroed, so gradients
-    flow through exactly the network that inference sees."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != specs[0].d_in:
+def weighted_cross_entropy(logits, onehot, class_weights):
+    """Mean over the batch of per-sample weighted cross-entropy, and its
+    gradient with respect to the logits.
+
+    ``onehot`` must be exactly one-hot rows, ``class_weights`` a
+    strictly positive vector of length C.  With all weights equal to 1
+    this is the plain softmax cross-entropy, bit for bit, because
+    multiplying by 1.0 is exact.  The log-sum-exp uses max subtraction,
+    so extreme but finite logits stay finite.
+    """
+    z = np.asarray(logits, dtype=np.float64)
+    if z.ndim != 2:
+        raise ConfigurationError("logits must have shape [n, C]")
+    if not np.isfinite(z).all():
+        raise NumericalFailure("non-finite values in logits")
+    y = np.asarray(onehot, dtype=np.float64)
+    if y.shape != z.shape:
         raise ConfigurationError(
-            f"input shape {x.shape} does not match d_in {specs[0].d_in}"
+            f"targets shape {y.shape} does not match logits {z.shape}"
         )
+    if not ((y == 0.0) | (y == 1.0)).all() or not (y.sum(axis=1) == 1.0).all():
+        raise DataError("targets must be exactly one-hot rows")
+    w = np.asarray(class_weights, dtype=np.float64)
+    if w.shape != (z.shape[1],):
+        raise ConfigurationError(
+            f"class_weights must have shape ({z.shape[1]},), got {w.shape}"
+        )
+    if not np.isfinite(w).all() or (w <= 0.0).any():
+        raise ConfigurationError("class_weights must be finite and positive")
+
+    n = z.shape[0]
+    if n == 0:
+        raise DataError("empty batch")
+    zmax = z.max(axis=1, keepdims=True)
+    shifted = z - zmax
+    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True)) + zmax
+    logp = z - lse
+    sample_w = y @ w
+    loss = float((-(sample_w * (y * logp).sum(axis=1))).mean())
+    if not math.isfinite(loss):
+        raise NumericalFailure("non-finite cross-entropy loss")
+    dlogits = (sample_w[:, None] * (np.exp(logp) - y)) / n
+    return loss, dlogits
+
+
+def train_step(params: NetworkParams, mask, x, onehot, specs: list[LayerSpec],
+               class_weights) -> tuple[ParamGrads, list[list[np.ndarray]]]:
+    """Gradients of one batch under one or more weighted cross-entropies.
+
+    ``class_weights`` holds one class-weight vector per loss.  Returns
+    the parameter gradients of the first loss and, for every loss, the
+    batch-mean gradient of each hidden pre-activation (one vector per
+    hidden layer).  Masked values enter already zeroed, so gradients
+    flow through exactly the network that inference sees.
+    """
+    x = _check_input(x, specs)
     ws, bs = _masked_values(params, mask)
-    tape = Tape()
-    h = tape.leaf(x)
-    wt, bt, preacts = [], [], []
-    last = len(specs) - 1
-    for i, spec in enumerate(specs):
-        w = tape.leaf(ws[i])
-        b = tape.leaf(bs[i])
-        wt.append(w)
-        bt.append(b)
-        z = tape.affine(h, w, b)
-        if i < last:
-            preacts.append(z)
-        h = tape.relu(z) if spec.activation == "relu" else z
-    return ForwardPass(tape, h, preacts, wt, bt)
+    inputs, gates = [], []
+    h = x
+    for spec, w, b in zip(specs, ws, bs):
+        inputs.append(h)
+        z = h @ w + b
+        if not np.isfinite(z).all():
+            raise NumericalFailure("non-finite layer output in training pass")
+        relu = spec.activation == "relu"
+        gates.append(z > 0.0 if relu else None)
+        h = np.maximum(z, 0.0) if relu else z
+
+    upstream = [weighted_cross_entropy(h, onehot, cw)[1] for cw in class_weights]
+    n_layers = len(specs)
+    grads = ParamGrads([None] * n_layers, [None] * n_layers)
+    preact_means = []
+    for k, g in enumerate(upstream):
+        means = []
+        for i in range(n_layers - 1, -1, -1):
+            if k == 0:
+                grads.weights[i] = inputs[i].T @ g
+                grads.biases[i] = g.sum(axis=0)
+            if i > 0:
+                g = g @ ws[i].T
+                if gates[i - 1] is not None:
+                    g = g * gates[i - 1]
+                if not np.isfinite(g).all():
+                    raise NumericalFailure("non-finite pre-activation gradient")
+                means.insert(0, g.mean(axis=0))
+        preact_means.append(means)
+    return grads, preact_means
 
 
 def sgd_step(
@@ -252,7 +302,7 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
         chunks.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
         chunks.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
     try:
-        with open(path, "wb") as fh:
+        with atomic_open(path, "wb") as fh:
             fh.write(b"".join(chunks))
     except OSError as exc:
         raise PersistenceError(f"cannot write checkpoint {path}: {exc}") from exc

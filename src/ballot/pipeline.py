@@ -1,12 +1,13 @@
 """Train, prune, refine: the full pipeline and the three baselines.
 
-Dense training optimizes the plain cross-entropy.  Alongside each SGD
-step a second backward pass measures the weighted fairness loss, and the
-per-unit pre-activation gradients of both losses are accumulated into
-the conflict ledger, one record per epoch.  The fairness loss reweights
-classes by the inverse of their previous-epoch accuracy, so it only
-starts to differ from the accuracy loss once per-class accuracies
-diverge.
+Dense training optimizes the plain cross-entropy.  Each batch runs one
+forward pass and one fused backward pass that serves two losses: the
+plain loss drives the SGD step, and the weighted fairness loss only
+supplies per-unit pre-activation gradients.  Those gradients of both
+losses are accumulated into the conflict ledger, one record per epoch.
+The fairness loss reweights classes by the inverse of their
+previous-epoch accuracy, so it only starts to differ from the accuracy
+loss once per-class accuracies diverge.
 
 Pruning then builds a mask (conflict votes, weight magnitude, or
 random), rewinds, and retrains.  The refinement loop accepts the
@@ -50,10 +51,10 @@ from .model import (
     LayerSpec,
     NetworkParams,
     apply_mask,
-    forward_training,
     hidden_sizes,
     init_network,
     sgd_step,
+    train_step,
 )
 
 METHODS = ("ballot", "lth", "magnitude", "random")
@@ -210,21 +211,14 @@ def train_dense(config: TrainConfig, data: Dataset) -> RunArtifacts:
         acc_f = [np.zeros(h) for h in hidden]
         try:
             for idx in _batches(order, config.batch_size):
-                fp = forward_training(params, None, x[idx], specs)
-                loss_a = fp.tape.weighted_softmax_cross_entropy(
-                    fp.logits, onehot[idx], plain
+                grads, (means_a, means_f) = train_step(
+                    params, None, x[idx], onehot[idx], specs,
+                    (plain, weights.as_array()),
                 )
-                grads_a = fp.tape.backward(loss_a)
-                loss_f = fp.tape.weighted_softmax_cross_entropy(
-                    fp.logits, onehot[idx], weights.as_array()
-                )
-                grads_f = fp.tape.backward(loss_f)
-                for i, (ma, mf) in enumerate(
-                    zip(fp.preact_means(grads_a), fp.preact_means(grads_f))
-                ):
+                for i, (ma, mf) in enumerate(zip(means_a, means_f)):
                     acc_a[i] += ma
                     acc_f[i] += mf
-                sgd_step(params, fp.param_grads(grads_a), lr, None)
+                sgd_step(params, grads, lr, None)
         except NumericalFailure as exc:
             raise NumericalFailure(f"dense training epoch {epoch}: {exc}") from exc
 
@@ -272,12 +266,10 @@ def _retrain(
         order = _shuffle(stream_seed, epoch_offset + epoch, x.shape[0])
         try:
             for idx in _batches(order, config.batch_size):
-                fp = forward_training(params, mask, x[idx], specs)
-                loss = fp.tape.weighted_softmax_cross_entropy(
-                    fp.logits, onehot[idx], plain
+                grads, _ = train_step(
+                    params, mask, x[idx], onehot[idx], specs, (plain,)
                 )
-                grads = fp.tape.backward(loss)
-                sgd_step(params, fp.param_grads(grads), lr, mask)
+                sgd_step(params, grads, lr, mask)
         except NumericalFailure as exc:
             raise NumericalFailure(f"retraining epoch {epoch}: {exc}") from exc
         params.epoch_tag += 1

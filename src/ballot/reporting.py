@@ -17,6 +17,7 @@ from ._version import __version__
 from .config import AppConfig, effective_dict
 from .data import Dataset, make_dataset
 from .errors import ConfigurationError, PersistenceError
+from .fileio import atomic_open
 from .masks import serialize_mask
 from .metrics import EvalReport
 from .model import LayerSpec
@@ -90,7 +91,7 @@ def write_report(path, payload: dict) -> None:
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as fh:
+        with atomic_open(path) as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
     except OSError as exc:
@@ -138,7 +139,7 @@ def write_aggregate_csv(path, rows: list[dict]) -> None:
     for row in ordered:
         lines.append(",".join(_csv_cell(row[k]) for k in CSV_HEADER.split(",")))
     try:
-        with open(path, "w") as fh:
+        with atomic_open(path) as fh:
             fh.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise PersistenceError(f"cannot write {path}: {exc}") from exc

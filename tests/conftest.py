@@ -59,7 +59,7 @@ def random_net(rng, **kwargs):
 
 def reference_loss(weights, biases, specs, x, onehot, class_w):
     """Plain-numpy forward plus weighted cross-entropy, written
-    independently of the tape: the finite-difference oracle."""
+    independently of the training kernel: the finite-difference oracle."""
     h = x
     for spec, w, b in zip(specs, weights, biases):
         z = h @ w + b

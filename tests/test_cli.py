@@ -141,6 +141,25 @@ class TestEvaluate:
         payload = load_report(out)
         assert sum(payload["report"]["class_counts"]) == 54  # 30 + 12 + 12
 
+    def test_csv_with_single_sample_class(self, tmp_path, config_path, pruned,
+                                          capsys):
+        # a held-out file is evaluated as is, never split, so a class
+        # with one row is fine
+        full = tmp_path / "d.csv"
+        assert main(["gen-data", "--config", config_path,
+                     "--out", str(full)]) == 0
+        header, *rows = full.read_text().splitlines()
+        ones = [r for r in rows if r.endswith(",1")]
+        kept = [r for r in rows if not r.endswith(",1")] + ones[:1]
+        one = tmp_path / "one.csv"
+        one.write_text("\n".join([header, *kept]) + "\n")
+        out = tmp_path / "eval.json"
+        code = main(["evaluate",
+                     "--checkpoint", str(pruned / "checkpoints" / "final.ckpt"),
+                     "--data", str(one), "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        assert load_report(out)["report"]["class_counts"] == [30, 1, 12]
+
     def test_feature_mismatch(self, tmp_path, config_path, pruned, capsys):
         wide = dict(SMALL, data={"synthetic": {"counts": [30, 12, 12],
                                                "dim": 9, "std": 0.8,

@@ -1,0 +1,59 @@
+"""Every file writer replaces its target atomically."""
+
+import pytest
+
+from ballot import fileio
+from ballot.errors import PersistenceError
+from ballot.model import Checkpoint, LayerSpec, init_network, save_checkpoint
+from ballot.reporting import write_aggregate_csv, write_report
+
+SPECS = [LayerSpec(3, 4, "relu"), LayerSpec(4, 2, "none")]
+
+WRITERS = {
+    "report": lambda path, v: write_report(path, {"value": v}),
+    "checkpoint": lambda path, v: save_checkpoint(
+        Checkpoint(init_network(SPECS, v), SPECS, seed=v), path
+    ),
+    "aggregate": lambda path, v: write_aggregate_csv(path, [{
+        "method": "dense", "seed": v, "accuracy": 0.5, "precision": 0.5,
+        "recall": 0.5, "cwv": 0.0, "mcd": 0.0, "retention": 1.0,
+        "rounds": 0, "wall_time_s": 0.1,
+    }]),
+}
+
+
+class _DiskFull:
+    """A file that takes half of the first write, then fails like a
+    full disk."""
+
+    def __init__(self, path, mode):
+        self.fh = open(path, mode)
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_failed_write_keeps_previous_file(name, tmp_path, monkeypatch):
+    write = WRITERS[name]
+    target = tmp_path / "out"
+    write(target, 1)
+    before = target.read_bytes()
+
+    monkeypatch.setattr(fileio, "open", _DiskFull, raising=False)
+    with pytest.raises(PersistenceError, match="No space left"):
+        write(target, 2)
+    assert target.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    monkeypatch.undo()
+    write(target, 2)
+    assert target.read_bytes() != before
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
