@@ -23,7 +23,6 @@ from .errors import (
 from .masks import (
     ConflictLedger,
     Mask,
-    NeuronId,
     build_ballot_mask,
     build_magnitude_mask,
     build_random_mask,

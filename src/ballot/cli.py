@@ -123,7 +123,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_experiment(args) -> int:
     app = _load(args.config)
-    csv_path = run_experiment(app, args.seeds, args.out, threads=args.threads)
+    csv_path = run_experiment(app, args.seeds, args.out)
     print(f"wrote {csv_path}")
     return 0
 
@@ -172,8 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="dense + all methods over many seeds")
     p.add_argument("--seeds", type=int, default=1,
                    help="number of consecutive seeds, starting at config seed")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker cap (default: BALLOT_THREADS or 1)")
     p.add_argument("--config")
     p.add_argument("--out", default="out")
     p.set_defaults(func=_cmd_experiment)

@@ -10,17 +10,23 @@ score for the epoch is |g_a| + gamma * |g_f|, and units whose score
 reaches the eta-quantile of the strictly positive scores get one vote
 (count) and the score added to a running total (cum_score).
 
+A mask is one flat boolean keep vector in the checkpoint's byte layout:
+per layer the weights row-major, then the bias, layers in order.  The
+per-layer ``weight_keep``/``bias_keep`` arrays are reshaped views into
+it, and the entries tied to hidden unit u of layer i are three strided
+slices of it: the incoming column, the bias, and the outgoing row.
+
 Mask building removes whole hidden units worst-first and then trims
 individual weights so every method lands on exactly floor(omega * n)
 kept parameters out of n.  Output units are never removed and the output
-bias is never masked; no builder ever empties a hidden layer.
+bias, the last entries of the vector, is never masked; no builder ever
+empties a hidden layer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from numbers import Real
 
 import numpy as np
 
@@ -31,11 +37,6 @@ from .errors import (
     UsageError,
 )
 from .model import LayerSpec, NetworkParams, param_count, hidden_sizes, validate_specs
-
-
-class NeuronId(NamedTuple):
-    layer: int
-    unit: int
 
 
 def conflict_scores(g_a, g_f, gamma: float) -> np.ndarray:
@@ -76,17 +77,11 @@ class ConflictLedger:
         self.sizes = [int(s) for s in sizes]
         self.counts = [np.zeros(s, dtype=np.int64) for s in self.sizes]
         self.cum_scores = [np.zeros(s) for s in self.sizes]
-        self._epochs: dict[int, tuple] = {}
+        self._epochs: set[int] = set()
 
     @property
     def epochs(self) -> list[int]:
         return sorted(self._epochs)
-
-    def gradients(self, epoch: int) -> tuple:
-        """The (g_a, g_f) pair stored for one recorded epoch."""
-        if epoch not in self._epochs:
-            raise UsageError(f"epoch {epoch} was never recorded")
-        return self._epochs[epoch]
 
     def _check_layers(self, vecs, name: str) -> list[np.ndarray]:
         if len(vecs) != len(self.sizes):
@@ -98,7 +93,7 @@ class ConflictLedger:
                 raise ConfigurationError(
                     f"{name} layer {i} has shape {arr.shape}, expected ({size},)"
                 )
-            out.append(arr.copy())
+            out.append(arr)
         return out
 
     def record_epoch(self, epoch: int, g_a, g_f, gamma: float, eta: float) -> None:
@@ -126,34 +121,43 @@ class ConflictLedger:
                 hit = (s > 0.0) & (s >= threshold)
                 self.counts[i][hit] += 1
                 self.cum_scores[i][hit] += s[hit]
-        self._epochs[epoch] = (ga, gf)
+        self._epochs.add(epoch)
 
 
-@dataclass
+def _bases(specs: list[LayerSpec]) -> list[int]:
+    """Flat offset of every layer's block, then the total count."""
+    bases = [0]
+    for s in specs:
+        bases.append(bases[-1] + s.d_in * s.d_out + s.d_out)
+    return bases
+
+
 class Mask:
     """Keep/remove decisions: per hidden unit and per parameter entry.
 
-    ``weight_keep[i]`` matches the shape of layer i's weight matrix and
-    ``bias_keep[i]`` its bias; ``neuron_keep`` covers hidden layers only.
-    A removed unit always has every incoming weight, outgoing weight,
-    and its bias marked removed.
+    ``keep`` holds one flag per parameter in the flat layout above;
+    ``weight_keep[i]`` and ``bias_keep[i]`` are views into it shaped
+    like layer i's weight matrix and bias.  ``neuron_keep`` covers
+    hidden layers only.  A removed unit always has every incoming
+    weight, outgoing weight, and its bias marked removed.  A new mask
+    keeps everything.
     """
 
-    neuron_keep: list[np.ndarray]
-    weight_keep: list[np.ndarray]
-    bias_keep: list[np.ndarray]
-    omega: float
+    def __init__(self, specs: list[LayerSpec], omega: float):
+        self.omega = float(omega)
+        self.keep = np.ones(param_count(specs), dtype=bool)
+        self.neuron_keep = [np.ones(s.d_out, dtype=bool) for s in specs[:-1]]
+        self.weight_keep, self.bias_keep = [], []
+        for s, base in zip(specs, _bases(specs)):
+            w_end = base + s.d_in * s.d_out
+            self.weight_keep.append(self.keep[base:w_end].reshape(s.d_in, s.d_out))
+            self.bias_keep.append(self.keep[w_end : w_end + s.d_out])
 
     def kept_count(self) -> int:
-        return int(
-            sum(int(w.sum()) for w in self.weight_keep)
-            + sum(int(b.sum()) for b in self.bias_keep)
-        )
+        return int(self.keep.sum())
 
     def total_count(self) -> int:
-        return int(
-            sum(w.size for w in self.weight_keep) + sum(b.size for b in self.bias_keep)
-        )
+        return int(self.keep.size)
 
     def retention(self) -> float:
         return self.kept_count() / self.total_count()
@@ -170,111 +174,39 @@ def sparsity(mask: Mask, specs: list[LayerSpec] | None = None) -> float:
     return mask.retention()
 
 
-class _Layout:
-    """Flat parameter indexing: per layer the weights row-major, then
-    the bias, layers in order.  Matches the checkpoint byte layout."""
-
-    def __init__(self, specs: list[LayerSpec]):
-        self.specs = specs
-        self.base = []
-        offset = 0
-        for s in specs:
-            self.base.append(offset)
-            offset += s.d_in * s.d_out + s.d_out
-        self.total = offset
-
-    def flat(self, entry) -> int:
-        kind, layer, idx = entry
-        s = self.specs[layer]
-        if kind == "w":
-            r, c = idx
-            return self.base[layer] + r * s.d_out + c
-        return self.base[layer] + s.d_in * s.d_out + idx
-
-    def entry(self, flat: int):
-        if not (0 <= flat < self.total):
-            raise ConfigurationError(f"flat index {flat} out of range")
-        layer = max(i for i, b in enumerate(self.base) if b <= flat)
-        s = self.specs[layer]
-        offset = flat - self.base[layer]
-        if offset < s.d_in * s.d_out:
-            return ("w", layer, (offset // s.d_out, offset % s.d_out))
-        return ("b", layer, offset - s.d_in * s.d_out)
+def _unit_ids(sizes: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Layer and in-layer index of every hidden unit, layer by layer."""
+    layers = np.repeat(np.arange(len(sizes)), sizes)
+    units = np.concatenate([np.arange(n) for n in sizes])
+    return layers, units
 
 
-def _entry_value(entry, params: NetworkParams) -> float:
-    kind, layer, idx = entry
-    if kind == "w":
-        return float(params.weights[layer][idx])
-    return float(params.biases[layer][idx])
+def _unit_slices(specs: list[LayerSpec], bases: list[int], layer: int, unit: int):
+    """Flat slices of every entry tied to a hidden unit: its incoming
+    column, its bias, and its outgoing row, in ascending flat order."""
+    s, nxt = specs[layer], specs[layer + 1]
+    bias = bases[layer] + s.d_in * s.d_out + unit
+    row = bases[layer + 1] + unit * nxt.d_out
+    return (
+        slice(bases[layer] + unit, bias - unit, s.d_out),
+        slice(bias, bias + 1, 1),
+        slice(row, row + nxt.d_out, 1),
+    )
 
 
-class _MaskState:
-    def __init__(self, specs: list[LayerSpec]):
-        validate_specs(specs)
-        self.specs = specs
-        self.layout = _Layout(specs)
-        self.weight_keep = [np.ones((s.d_in, s.d_out), dtype=bool) for s in specs]
-        self.bias_keep = [np.ones(s.d_out, dtype=bool) for s in specs]
-        self.neuron_keep = [np.ones(s.d_out, dtype=bool) for s in specs[:-1]]
-        self.kept = param_count(specs)
-        self.units_left = [s.d_out for s in specs[:-1]]
+def _drop_units(mask: Mask) -> None:
+    """Mark removed every entry tied to a unit ``neuron_keep`` removes."""
+    for i, units in enumerate(mask.neuron_keep):
+        gone = ~units
+        mask.weight_keep[i][:, gone] = False
+        mask.bias_keep[i][gone] = False
+        mask.weight_keep[i + 1][gone, :] = False
 
-    def entries_of(self, nid: NeuronId):
-        """Every parameter entry tied to a hidden unit: its incoming
-        column, its bias, and its outgoing row."""
-        layer, unit = nid
-        for r in range(self.specs[layer].d_in):
-            yield ("w", layer, (r, unit))
-        yield ("b", layer, unit)
-        for c in range(self.specs[layer + 1].d_out):
-            yield ("w", layer + 1, (unit, c))
 
-    def _keep_array(self, entry):
-        kind, layer, idx = entry
-        return (self.weight_keep if kind == "w" else self.bias_keep)[layer], idx
-
-    def remove_neuron(self, nid: NeuronId) -> list:
-        flipped = []
-        for entry in self.entries_of(nid):
-            arr, idx = self._keep_array(entry)
-            if arr[idx]:
-                arr[idx] = False
-                flipped.append(entry)
-        self.kept -= len(flipped)
-        self.neuron_keep[nid.layer][nid.unit] = False
-        self.units_left[nid.layer] -= 1
-        return flipped
-
-    def undo_neuron(self, nid: NeuronId, flipped: list) -> None:
-        for entry in flipped:
-            arr, idx = self._keep_array(entry)
-            arr[idx] = True
-        self.kept += len(flipped)
-        self.neuron_keep[nid.layer][nid.unit] = True
-        self.units_left[nid.layer] += 1
-
-    def trim(self, entries) -> None:
-        for entry in entries:
-            arr, idx = self._keep_array(entry)
-            if arr[idx]:
-                arr[idx] = False
-                self.kept -= 1
-
-    def kept_entries_no_output_bias(self) -> list:
-        out = []
-        last = len(self.specs) - 1
-        for layer, s in enumerate(self.specs):
-            wk = self.weight_keep[layer]
-            for r, c in zip(*np.nonzero(wk)):
-                out.append(("w", layer, (int(r), int(c))))
-            if layer != last:
-                for j in np.nonzero(self.bias_keep[layer])[0]:
-                    out.append(("b", layer, int(j)))
-        return out
-
-    def to_mask(self, omega: float) -> Mask:
-        return Mask(self.neuron_keep, self.weight_keep, self.bias_keep, float(omega))
+def _flat_values(params: NetworkParams) -> np.ndarray:
+    return np.concatenate(
+        [np.concatenate([w.reshape(-1), b]) for w, b in zip(params.weights, params.biases)]
+    )
 
 
 def _target_kept(specs: list[LayerSpec], omega: float) -> int:
@@ -293,34 +225,54 @@ def _target_kept(specs: list[LayerSpec], omega: float) -> int:
     return k
 
 
-def _removal_mask(specs, order, omega, value_key) -> Mask:
-    """Shared driver: remove whole units in ``order`` until the kept
-    count first reaches floor(omega * n) or below, skip any removal that
-    would empty a hidden layer, then repair overshoot by trimming single
-    entries (cheapest first per ``value_key``) so the count is exact."""
+def _removal_mask(specs, order, omega, magnitudes) -> Mask:
+    """Removal loop shared by the unit-ranking builders: remove whole
+    units in ``order`` (flat unit indices, layer by layer) until the
+    kept count first reaches floor(omega * n) or below, skip any
+    removal that would empty a hidden layer, then repair overshoot by
+    trimming single entries so the count is exact.
+    Trimming takes the smallest ``magnitudes`` first, ties and a None
+    ``magnitudes`` going by ascending flat index."""
     k = _target_kept(specs, omega)
-    state = _MaskState(specs)
-    if k == state.kept:
-        return state.to_mask(omega)
+    mask = Mask(specs, omega)
+    kept = mask.total_count()
+    if k == kept:
+        return mask
 
+    def cheapest(idx: np.ndarray, need: int) -> np.ndarray:
+        if magnitudes is not None:
+            idx = idx[np.argsort(magnitudes[idx], kind="stable")]
+        return idx[:need]
+
+    bases = _bases(specs)
+    units_left = hidden_sizes(specs)
+    layers, units = _unit_ids(units_left)
     last = None
-    for nid in order:
-        if state.kept <= k:
+    for layer, unit in zip(layers[order].tolist(), units[order].tolist()):
+        if kept <= k:
             break
-        if state.units_left[nid.layer] <= 1:
+        if units_left[layer] <= 1:
             continue
-        last = (nid, state.remove_neuron(nid))
+        slices = _unit_slices(specs, bases, layer, unit)
+        was = [mask.keep[s].copy() for s in slices]
+        for s in slices:
+            mask.keep[s] = False
+        kept -= sum(int(w.sum()) for w in was)
+        mask.neuron_keep[layer][unit] = False
+        units_left[layer] -= 1
+        last = (layer, unit, slices, was)
 
-    if state.kept < k:
-        nid, flipped = last
-        state.undo_neuron(nid, flipped)
-        need = state.kept - k
-        state.trim(sorted(flipped, key=value_key)[:need])
-    elif state.kept > k:
-        need = state.kept - k
-        candidates = sorted(state.kept_entries_no_output_bias(), key=value_key)
-        state.trim(candidates[:need])
-    return state.to_mask(omega)
+    if kept < k:
+        layer, unit, slices, was = last
+        for s, w in zip(slices, was):
+            mask.keep[s] = w
+        mask.neuron_keep[layer][unit] = True
+        flipped = np.r_[slices][np.concatenate(was)]
+        mask.keep[cheapest(flipped, kept + flipped.size - k)] = False
+    elif kept > k:
+        candidates = np.flatnonzero(mask.keep[: -specs[-1].d_out])
+        mask.keep[cheapest(candidates, kept - k)] = False
+    return mask
 
 
 def build_ballot_mask(
@@ -345,22 +297,11 @@ def build_ballot_mask(
     if len(final_params.weights) != len(specs):
         raise ConfigurationError("final_params does not match the layer specs")
 
-    ids = [NeuronId(i, u) for i, n in enumerate(ledger.sizes) for u in range(n)]
-    order = sorted(
-        ids,
-        key=lambda nid: (
-            -int(ledger.counts[nid.layer][nid.unit]),
-            -float(ledger.cum_scores[nid.layer][nid.unit]),
-            nid.layer,
-            nid.unit,
-        ),
+    layers, units = _unit_ids(ledger.sizes)
+    order = np.lexsort(
+        (units, layers, -np.concatenate(ledger.cum_scores), -np.concatenate(ledger.counts))
     )
-    layout = _Layout(specs)
-
-    def key(entry):
-        return (abs(_entry_value(entry, final_params)), layout.flat(entry))
-
-    return _removal_mask(specs, order, omega, key)
+    return _removal_mask(specs, order, omega, np.abs(_flat_values(final_params)))
 
 
 def build_random_mask(specs: list[LayerSpec], omega: float, seed: int) -> Mask:
@@ -368,63 +309,46 @@ def build_random_mask(specs: list[LayerSpec], omega: float, seed: int) -> Mask:
     overshoot is trimmed in ascending flat-index order."""
     validate_specs(specs)
     rng = np.random.default_rng(seed)
-    ids = [
-        NeuronId(i, u) for i, n in enumerate(hidden_sizes(specs)) for u in range(n)
-    ]
-    order = [ids[i] for i in rng.permutation(len(ids))]
-    layout = _Layout(specs)
-    return _removal_mask(specs, order, omega, layout.flat)
+    order = rng.permutation(sum(hidden_sizes(specs)))
+    return _removal_mask(specs, order, omega, None)
 
 
-def _hidden_entry_spans(specs: list[LayerSpec], layout: _Layout) -> list[range]:
-    """Flat-index span of every entry tied to hidden layer i's units:
-    its weights and bias plus the next layer's weights.  The block is
-    contiguous, and adjacent layers share the connecting weights."""
-    spans = []
-    for i in range(len(specs) - 1):
-        w_next = specs[i + 1].d_in * specs[i + 1].d_out
-        spans.append(range(layout.base[i], layout.base[i + 1] + w_next))
-    return spans
-
-
-def _repair_dead_layers(keep_flat, flat, ranked, specs, layout, omega, k) -> None:
+def _repair_dead_layers(keep, flat, ranked, specs, omega, k) -> None:
     """Swap entries until every hidden layer has at least one kept
     entry.  Forced additions take the strongest excluded entry of the
     dead layer; the matching eviction takes the weakest kept entry that
-    is not itself keeping some layer alive, so the total stays at k."""
-    spans = _hidden_entry_spans(specs, layout)
-    if all(keep_flat[s.start : s.stop].any() for s in spans):
-        return
-    forced = set()
+    is not itself keeping some layer alive, so the total stays at k.
+
+    The entries tied to hidden layer i's units, its weights and bias
+    plus the next layer's weights, form one contiguous span; adjacent
+    spans share the connecting weights."""
+    bases = _bases(specs)
+    spans = [
+        slice(bases[i], bases[i + 1] + specs[i + 1].d_in * specs[i + 1].d_out)
+        for i in range(len(specs) - 1)
+    ]
+    forced = np.zeros(keep.size, dtype=bool)
     for span in spans:
-        if keep_flat[span.start : span.stop].any():
+        if keep[span].any():
             continue
-        add = min(
-            (j for j in span if not keep_flat[j]),
-            key=lambda j: (-abs(flat[j]), j),
-        )
-        keep_flat[add] = True
-        forced.add(add)
-        for j in reversed(ranked):
-            j = int(j)
-            if not keep_flat[j] or j in forced:
-                continue
-            if all(
-                int(keep_flat[s.start : s.stop].sum()) >= 2
-                for s in spans
-                if s.start <= j < s.stop
-            ):
-                keep_flat[j] = False
-                break
-        else:
+        add = span.start + int(np.argmax(np.abs(flat[span])))
+        keep[add] = True
+        forced[add] = True
+        blocked = forced.copy()
+        for s in spans:
+            if int(keep[s].sum()) < 2:
+                blocked[s] = True
+        evictable = np.flatnonzero((keep & ~blocked)[ranked])
+        if evictable.size == 0:
             n_out = specs[-1].d_out
-            floor = (n_out + len(spans)) / layout.total
+            floor = (n_out + len(spans)) / keep.size
             raise InfeasibleMaskError(
-                f"retention {omega} keeps {k} of {layout.total} parameters, "
+                f"retention {omega} keeps {k} of {keep.size} parameters, "
                 f"too few to keep every hidden layer alive; retention "
                 f"{floor} is always feasible",
                 min_retention=floor,
             )
+        keep[ranked[evictable[-1]]] = False
 
 
 def build_magnitude_mask(
@@ -445,100 +369,91 @@ def build_magnitude_mask(
     if len(params.weights) != len(specs):
         raise ConfigurationError("params do not match the layer specs")
     k = _target_kept(specs, omega)
-    state = _MaskState(specs)
-    if k == state.kept:
-        return state.to_mask(omega)
+    mask = Mask(specs, omega)
+    if k == mask.total_count():
+        return mask
 
-    layout = _Layout(specs)
-    flat = np.empty(layout.total)
-    last = len(specs) - 1
-    maskable = np.ones(layout.total, dtype=bool)
-    for i, s in enumerate(specs):
-        w0 = layout.base[i]
-        flat[w0 : w0 + s.d_in * s.d_out] = params.weights[i].reshape(-1)
-        b0 = w0 + s.d_in * s.d_out
-        flat[b0 : b0 + s.d_out] = params.biases[i]
-        if i == last:
-            maskable[b0 : b0 + s.d_out] = False
-
+    flat = _flat_values(params)
     if not np.isfinite(flat).all():
         raise NumericalFailure("non-finite parameter values")
 
-    ranked = np.argsort(-np.abs(flat), kind="stable")
-    ranked = ranked[maskable[ranked]]
-    keep_flat = ~maskable
-    keep_flat[ranked[: k - int((~maskable).sum())]] = True
-    _repair_dead_layers(keep_flat, flat, ranked, specs, layout, omega, k)
+    n_out = specs[-1].d_out
+    ranked = np.argsort(-np.abs(flat[:-n_out]), kind="stable")
+    mask.keep[:-n_out] = False
+    mask.keep[ranked[: k - n_out]] = True
+    _repair_dead_layers(mask.keep, flat, ranked, specs, omega, k)
 
-    for i, s in enumerate(specs):
-        w0 = layout.base[i]
-        state.weight_keep[i][:] = keep_flat[w0 : w0 + s.d_in * s.d_out].reshape(
-            s.d_in, s.d_out
+    for i, units in enumerate(mask.neuron_keep):
+        units[:] = (
+            mask.weight_keep[i].any(axis=0)
+            | mask.bias_keep[i]
+            | mask.weight_keep[i + 1].any(axis=1)
         )
-        b0 = w0 + s.d_in * s.d_out
-        state.bias_keep[i][:] = keep_flat[b0 : b0 + s.d_out]
-    state.kept = int(keep_flat.sum())
-
-    for i in range(len(specs) - 1):
-        for u in range(specs[i].d_out):
-            alive = any(
-                state._keep_array(e)[0][e[2]]
-                for e in state.entries_of(NeuronId(i, u))
-            )
-            state.neuron_keep[i][u] = alive
-    return state.to_mask(omega)
+    return mask
 
 
 def identity_mask(specs: list[LayerSpec], omega: float = 1.0) -> Mask:
     """A mask that keeps every parameter."""
     validate_specs(specs)
-    return _MaskState(specs).to_mask(omega)
+    return Mask(specs, omega)
 
 
 def serialize_mask(mask: Mask, specs: list[LayerSpec]) -> dict:
     """JSON form: a flat 0/1 keep flag per hidden unit per layer, plus
     the flat indices of entries trimmed beyond whole-unit removal."""
-    if len(mask.weight_keep) != len(specs):
+    if len(mask.weight_keep) != len(specs) or mask.keep.size != param_count(specs):
         raise ConfigurationError("mask does not match the layer specs")
-    state = _MaskState(specs)
-    layout = state.layout
-    implied = np.zeros(layout.total, dtype=bool)
-    for i, keep in enumerate(mask.neuron_keep):
-        for u in np.nonzero(~keep)[0]:
-            for entry in state.entries_of(NeuronId(i, int(u))):
-                implied[layout.flat(entry)] = True
-    trimmed = []
-    for layer, s in enumerate(specs):
-        for r, c in zip(*np.nonzero(~mask.weight_keep[layer])):
-            trimmed.append(layout.flat(("w", layer, (int(r), int(c)))))
-        for j in np.nonzero(~mask.bias_keep[layer])[0]:
-            trimmed.append(layout.flat(("b", layer, int(j))))
-    trimmed = sorted(int(f) for f in trimmed if not implied[f])
+    by_units = Mask(specs, mask.omega)
+    for flags, keep in zip(by_units.neuron_keep, mask.neuron_keep):
+        flags[:] = keep
+    _drop_units(by_units)
     return {
         "omega": float(mask.omega),
-        "neuron_keep": [[int(v) for v in keep] for keep in mask.neuron_keep],
-        "trimmed": trimmed,
+        "neuron_keep": [keep.astype(int).tolist() for keep in mask.neuron_keep],
+        "trimmed": np.flatnonzero(~mask.keep & by_units.keep).tolist(),
     }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def deserialize_mask(obj: dict, specs: list[LayerSpec]) -> Mask:
-    """Inverse of ``serialize_mask``; validates shape against the specs."""
+    """Inverse of ``serialize_mask``; validates everything it reads
+    against the specs and raises ConfigurationError on any mismatch."""
     validate_specs(specs)
-    state = _MaskState(specs)
+    if not isinstance(obj, dict):
+        raise ConfigurationError("a mask must be a JSON object")
+    omega = obj.get("omega", 1.0)
+    if not (
+        isinstance(omega, Real)
+        and not isinstance(omega, bool)
+        and 0.0 < omega <= 1.0
+    ):
+        raise ConfigurationError(f"mask omega must be a number in (0, 1], got {omega!r}")
+    mask = Mask(specs, omega)
+
     flags = obj.get("neuron_keep")
     sizes = hidden_sizes(specs)
     if not isinstance(flags, list) or len(flags) != len(sizes) or any(
-        len(layer) != n for layer, n in zip(flags, sizes)
+        not isinstance(layer, list) or len(layer) != n
+        for layer, n in zip(flags, sizes)
     ):
         raise ConfigurationError("neuron_keep does not match the layer specs")
-    for i, layer in enumerate(flags):
-        for u, flag in enumerate(layer):
-            if flag not in (0, 1):
-                raise ConfigurationError("neuron_keep flags must be 0 or 1")
-            if flag == 0:
-                state.remove_neuron(NeuronId(i, u))
+    for units, layer in zip(mask.neuron_keep, flags):
+        if not all(_is_int(flag) and flag in (0, 1) for flag in layer):
+            raise ConfigurationError("neuron_keep flags must be 0 or 1")
+        units[:] = layer
+    _drop_units(mask)
+
     trimmed = obj.get("trimmed", [])
-    if not isinstance(trimmed, list):
+    if not isinstance(trimmed, list) or not all(_is_int(f) for f in trimmed):
         raise ConfigurationError("trimmed must be a list of flat indices")
-    state.trim(state.layout.entry(int(f)) for f in trimmed)
-    return state.to_mask(float(obj.get("omega", 1.0)))
+    maskable = mask.total_count() - specs[-1].d_out
+    bad = [f for f in trimmed if not 0 <= f < maskable]
+    if bad:
+        raise ConfigurationError(
+            f"trimmed index {bad[0]} is out of range or an output bias"
+        )
+    mask.keep[trimmed] = False
+    return mask

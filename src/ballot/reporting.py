@@ -8,8 +8,6 @@ wall-clock times is a pure function of config, data, and seed.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -108,25 +106,6 @@ def load_report(path) -> dict:
         raise PersistenceError(f"report {path} is not valid JSON: {exc}") from exc
 
 
-def thread_budget(override: int | None = None) -> int:
-    """Worker cap for the experiment grid, from BALLOT_THREADS."""
-    if override is not None:
-        value = override
-    else:
-        raw = os.environ.get("BALLOT_THREADS", "1")
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"BALLOT_THREADS must be a positive integer, got {raw!r}"
-            ) from None
-    if value < 1:
-        raise ConfigurationError(
-            f"BALLOT_THREADS must be a positive integer, got {value}"
-        )
-    return value
-
-
 def _csv_cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -168,28 +147,18 @@ def _run_seed(app: AppConfig, data: Dataset, seed: int):
     return artifacts, results
 
 
-def run_experiment(
-    app: AppConfig, n_seeds: int, out_dir, threads: int | None = None
-) -> Path:
+def run_experiment(app: AppConfig, n_seeds: int, out_dir) -> Path:
     """Dense plus all four pruners for seeds base..base+n-1.
 
     Writes one report per (method, seed) run under runs/, the dense
-    reports alongside them, and the sorted aggregate CSV.  Runs share
-    nothing mutable, so the thread cap only changes the schedule, never
-    the bytes written.
+    reports alongside them, and the sorted aggregate CSV.
     """
     if n_seeds < 1:
         raise ConfigurationError("experiment needs at least one seed")
-    workers = thread_budget(threads)
     out_dir = Path(out_dir)
     data = make_dataset(app.dataset)
     seeds = [app.train.seed + i for i in range(n_seeds)]
-
-    if workers == 1:
-        outcomes = [_run_seed(app, data, s) for s in seeds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda s: _run_seed(app, data, s), seeds))
+    outcomes = [_run_seed(app, data, s) for s in seeds]
 
     rows = []
     for seed, (artifacts, results) in zip(seeds, outcomes):

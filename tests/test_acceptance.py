@@ -420,9 +420,8 @@ def test_criterion_6_refinement_semantics():
 WALL_LINE = re.compile(r'^\s*"wall_time_s": [^,\n]*,?$\n?', re.MULTILINE)
 
 
-def test_criterion_7_experiment_determinism(tmp_path, monkeypatch):
+def test_criterion_7_experiment_determinism(tmp_path):
     start = time.perf_counter()
-    monkeypatch.delenv("BALLOT_THREADS", raising=False)
     raw = {
         "model": {"hidden": [16, 16]},
         "train": {"epochs": 10, "batch": 32},

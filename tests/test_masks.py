@@ -1,5 +1,7 @@
 """Conflict scoring, vote bookkeeping, and the four mask builders."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -33,6 +35,18 @@ SPECS_232 = [LayerSpec(2, 3, "relu"), LayerSpec(3, 2, "none")]
 
 def params_for(specs, seed=0):
     return init_network(specs, seed)
+
+
+def roundtrip(mask, specs):
+    back = deserialize_mask(serialize_mask(mask, specs), specs)
+    assert back.omega == mask.omega
+    for a, b in zip(back.neuron_keep, mask.neuron_keep):
+        assert np.array_equal(a, b)
+    for a, b in zip(back.weight_keep, mask.weight_keep):
+        assert np.array_equal(a, b)
+    for a, b in zip(back.bias_keep, mask.bias_keep):
+        assert np.array_equal(a, b)
+    return back
 
 
 def ledger_with_votes(per_epoch_units, sizes=(3,), eta=0.5):
@@ -132,16 +146,6 @@ class TestLedger:
                 e, [rng.normal(size=6)], [rng.normal(size=6)], 2.0, 0.6
             )
         assert (led.counts[0] <= 7).all()
-
-    def test_gradients_returns_recorded_pair(self):
-        led = ConflictLedger([2])
-        ga, gf = [np.array([0.5, -0.5])], [np.array([-1.0, 1.0])]
-        led.record_epoch(3, ga, gf, 1.0, 0.5)
-        stored_a, stored_f = led.gradients(3)
-        np.testing.assert_array_equal(stored_a[0], ga[0])
-        np.testing.assert_array_equal(stored_f[0], gf[0])
-        with pytest.raises(UsageError):
-            led.gradients(9)
 
     def test_layer_shape_mismatch_rejected(self):
         led = ConflictLedger([3])
@@ -434,32 +438,26 @@ class TestSparsityAndFeasibility:
                     10.0,
                     0.95,
                 )
-            kept = {
-                build_ballot_mask(led, specs, omega, params).kept_count(),
-                build_magnitude_mask(params, specs, omega).kept_count(),
-                build_random_mask(specs, omega, trial).kept_count(),
-            }
-            assert kept == {math.floor(omega * total)}
+            masks = [
+                build_ballot_mask(led, specs, omega, params),
+                build_magnitude_mask(params, specs, omega),
+                build_random_mask(specs, omega, trial),
+            ]
+            assert {m.kept_count() for m in masks} == {math.floor(omega * total)}
+            for mask in masks:
+                assert mask.bias_keep[-1].all()
+                back = roundtrip(mask, specs)
+                assert back.bias_keep[-1].all()
 
 
 class TestMaskSerialization:
-    def _roundtrip(self, mask, specs):
-        back = deserialize_mask(serialize_mask(mask, specs), specs)
-        assert back.omega == mask.omega
-        for a, b in zip(back.neuron_keep, mask.neuron_keep):
-            assert np.array_equal(a, b)
-        for a, b in zip(back.weight_keep, mask.weight_keep):
-            assert np.array_equal(a, b)
-        for a, b in zip(back.bias_keep, mask.bias_keep):
-            assert np.array_equal(a, b)
-
     def test_round_trip_all_builders(self, rng):
         params = params_for(SPECS_232)
         led = ledger_with_votes([{0: 1.0}, {1: 2.0}, {1: 1.0}])
-        self._roundtrip(build_ballot_mask(led, SPECS_232, 0.6, params), SPECS_232)
-        self._roundtrip(build_magnitude_mask(params, SPECS_232, 0.6), SPECS_232)
-        self._roundtrip(build_random_mask(SPECS_232, 0.6, 9), SPECS_232)
-        self._roundtrip(identity_mask(SPECS_232), SPECS_232)
+        roundtrip(build_ballot_mask(led, SPECS_232, 0.6, params), SPECS_232)
+        roundtrip(build_magnitude_mask(params, SPECS_232, 0.6), SPECS_232)
+        roundtrip(build_random_mask(SPECS_232, 0.6, 9), SPECS_232)
+        roundtrip(identity_mask(SPECS_232), SPECS_232)
 
     def test_trim_list_excludes_unit_implied_entries(self):
         led = ledger_with_votes(
@@ -471,12 +469,73 @@ class TestMaskSerialization:
         assert obj["trimmed"] == []  # unit removal landed exactly on k
 
     def test_bad_flags_rejected(self):
-        with pytest.raises(ConfigurationError):
-            deserialize_mask(
-                {"omega": 0.5, "neuron_keep": [[2, 1, 1]], "trimmed": []},
-                SPECS_232,
-            )
-        with pytest.raises(ConfigurationError):
-            deserialize_mask(
-                {"omega": 0.5, "neuron_keep": [[1, 1]], "trimmed": []}, SPECS_232
-            )
+        # SPECS_232 has 17 entries; flat 15 and 16 are the output biases
+        good = {"omega": 0.5, "neuron_keep": [[1, 1, 1]], "trimmed": []}
+        bad_inputs = [
+            {"neuron_keep": [[2, 1, 1]]},
+            {"neuron_keep": [[1, 1]]},
+            {"neuron_keep": [[True, 1, 1]]},
+            {"neuron_keep": [[1.0, 1, 1]]},
+            {"neuron_keep": [5]},
+            {"trimmed": [15]},
+            {"trimmed": [17]},
+            {"trimmed": [-1]},
+            {"trimmed": [1.7]},
+            {"trimmed": ["x"]},
+            {"trimmed": [None]},
+            {"trimmed": [True]},
+            {"trimmed": 3},
+            {"omega": "abc"},
+            {"omega": True},
+            {"omega": 0.0},
+        ]
+        for bad in bad_inputs:
+            with pytest.raises(ConfigurationError):
+                deserialize_mask({**good, **bad}, SPECS_232)
+        deserialize_mask(good, SPECS_232)
+
+
+# sha256 of json.dumps(serialize_mask(...), sort_keys=True) for a 10-48-48-4
+# net; the cases run the ballot overshoot trim (0.006), the ballot undo and
+# trim (0.2), the magnitude dead-layer repair (0.006, 0.05), and the random
+# overshoot trim (0.006) and undo and trim (0.05, 0.2)
+PINNED_DIGESTS = {
+    ("ballot", 0.006): "7b9578a9d84e37e00e96ebf6e56ed8dfb59fb91cf506f2c226cad3ac306a6763",
+    ("magnitude", 0.006): "9a59d5969058d9c611bf055ae7e1cca0edef70435f97eb376e9429e90a5947a4",
+    ("random", 0.006): "d674f977fd319e318098690ba8e2fb33d38619ab97da4fd19ffbbe20c032cbf7",
+    ("ballot", 0.05): "0d240e9f32dc0aa6d7a6a774817681c4dcdaae23b71cc2fe7c30e19ed49917ae",
+    ("magnitude", 0.05): "eb2df4325cccab36e68dc4c9fc54e4ec4386a38177ef9a74ecea24c56b3eb481",
+    ("random", 0.05): "2d4f78e337751b32b4486e1ddcb0f1212cbbb295ada62599d8289cde83ba2772",
+    ("ballot", 0.2): "28b96f3102d6b991ff5828d6e79e42ec92ac7a880a2176884cf1ea00338221d9",
+    ("magnitude", 0.2): "d05d8530b31db2cfa476a22bc7f67eb5482e6076867a2da413ef153f3673ec83",
+    ("random", 0.2): "78851af2b1e61faf20c3497e3adaa2865205df10d4f5f51262be6486124a4bad",
+}
+
+
+def test_serialized_masks_match_pinned_digests():
+    specs = [
+        LayerSpec(10, 48, "relu"),
+        LayerSpec(48, 48, "relu"),
+        LayerSpec(48, 4, "none"),
+    ]
+    params = init_network(specs, 3)
+    rng = np.random.default_rng(11)
+    led = ConflictLedger([48, 48])
+    for e in range(4):
+        led.record_epoch(
+            e,
+            [rng.normal(size=48) for _ in range(2)],
+            [rng.normal(size=48) for _ in range(2)],
+            10.0,
+            0.95,
+        )
+    builders = {
+        "ballot": lambda omega: build_ballot_mask(led, specs, omega, params),
+        "magnitude": lambda omega: build_magnitude_mask(params, specs, omega),
+        "random": lambda omega: build_random_mask(specs, omega, 5),
+    }
+    got = {}
+    for (name, omega) in PINNED_DIGESTS:
+        text = json.dumps(serialize_mask(builders[name](omega), specs), sort_keys=True)
+        got[name, omega] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == PINNED_DIGESTS

@@ -10,7 +10,6 @@ from ballot.reporting import (
     CSV_HEADER,
     load_report,
     run_experiment,
-    thread_budget,
     write_aggregate_csv,
     write_report,
 )
@@ -53,30 +52,6 @@ def strip_wall_time_json(obj):
     if isinstance(obj, list):
         return [strip_wall_time_json(v) for v in obj]
     return obj
-
-
-class TestThreadBudget:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("BALLOT_THREADS", raising=False)
-        assert thread_budget() == 1
-
-    def test_env_var(self, monkeypatch):
-        monkeypatch.setenv("BALLOT_THREADS", "4")
-        assert thread_budget() == 4
-
-    def test_override_wins(self, monkeypatch):
-        monkeypatch.setenv("BALLOT_THREADS", "7")
-        assert thread_budget(3) == 3
-
-    def test_invalid_values(self, monkeypatch):
-        monkeypatch.setenv("BALLOT_THREADS", "many")
-        with pytest.raises(ConfigurationError, match="BALLOT_THREADS"):
-            thread_budget()
-        monkeypatch.setenv("BALLOT_THREADS", "0")
-        with pytest.raises(ConfigurationError, match="BALLOT_THREADS"):
-            thread_budget()
-        with pytest.raises(ConfigurationError, match="BALLOT_THREADS"):
-            thread_budget(-1)
 
 
 class TestReportFiles:
@@ -208,15 +183,6 @@ class TestRunExperiment:
             a = load_report(run_dir / "report.json")
             b = load_report(again / "runs" / run_dir.name / "report.json")
             assert strip_wall_time_json(a) == strip_wall_time_json(b)
-
-    def test_thread_count_does_not_change_bytes(self, outcome, tmp_path):
-        out, csv_path = outcome
-        threaded = tmp_path / "threaded"
-        csv_threaded = run_experiment(config_from_dict(APP_RAW), 2, threaded,
-                                      threads=2)
-        assert strip_wall_time_csv(csv_threaded.read_text()) == strip_wall_time_csv(
-            csv_path.read_text()
-        )
 
     def test_zero_seeds_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError, match="at least one seed"):
