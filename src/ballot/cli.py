@@ -64,7 +64,7 @@ def _write_checkpoints(out_dir: Path, artifacts, final=None) -> None:
 def _cmd_train(args) -> int:
     app = _load(args.config)
     data = make_dataset(app.dataset)
-    artifacts = train_dense(app.train, data)
+    (artifacts,) = train_dense(app.train, data, [app.train.seed])
     out = Path(args.out)
     write_report(
         out / "report.json",
@@ -80,8 +80,8 @@ def _cmd_prune(args) -> int:
     app = _load(args.config)
     method = args.method or app.method
     data = make_dataset(app.dataset)
-    artifacts = train_dense(app.train, data)
-    result = run_baseline(method, app.train, data, artifacts)
+    (artifacts,) = train_dense(app.train, data, [app.train.seed])
+    (result,) = run_baseline(method, app.train, data, [artifacts])
     out = Path(args.out)
     write_report(
         out / "report.json",

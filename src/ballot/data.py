@@ -4,7 +4,9 @@ both feeding the same stratified train/test split."""
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -76,6 +78,11 @@ class Dataset:
     n_classes: int
     dim: int
 
+    @cached_property
+    def train_onehot(self) -> np.ndarray:
+        """One-hot targets of the training split, built once per dataset."""
+        return np.eye(self.n_classes)[self.train.y]
+
 
 def gen_synthetic(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
     """Samples grouped by class, class 0 first.  The same seed always
@@ -109,59 +116,61 @@ def load_csv(path, label_column: str = "label") -> tuple[np.ndarray, np.ndarray]
 
     Labels must be exactly 0..C-1 where C is the number of distinct
     label values; the first row violating that (or any non-numeric
-    cell) is reported with its 1-based file line number.
+    cell) is reported with its 1-based file line number.  Rows are
+    parsed one at a time straight into packed float64 and int64 buffers.
     """
+    feats, labels = array("d"), array("q")
     try:
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path} is empty")
+            if label_column not in header:
+                raise DataError(f"label column '{label_column}' not found in header")
+            label_idx = header.index(label_column)
+            if len(header) < 2:
+                raise DataError("no feature columns besides the label")
+            for line_no, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise DataError(f"row at line {line_no} has {len(row)} cells, "
+                                    f"expected {len(header)}")
+                raw = row.pop(label_idx)
+                try:
+                    feats.extend(map(float, row))
+                except ValueError:
+                    row.insert(label_idx, raw)
+                    bad = next(i for i in range(len(row))
+                               if i != label_idx and not _is_float(row[i]))
+                    raise DataError(
+                        f"non-numeric value '{row[bad]}' in column "
+                        f"'{header[bad]}' at line {line_no}"
+                    ) from None
+                try:
+                    as_float = float(raw)
+                except ValueError:
+                    raise DataError(f"non-numeric label '{raw}' at line {line_no}") from None
+                label = int(as_float)
+                if label != as_float or label < 0:
+                    raise DataError(f"label '{raw}' at line {line_no} is not a "
+                                    "non-negative integer")
+                labels.append(label)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise DataError(f"{path} is empty")
-    header = rows[0]
-    if label_column not in header:
-        raise DataError(f"label column '{label_column}' not found in header")
-    label_idx = header.index(label_column)
-    feature_idx = [i for i in range(len(header)) if i != label_idx]
-    if not feature_idx:
-        raise DataError("no feature columns besides the label")
-
-    feats, labels, lines = [], [], []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise DataError(f"row at line {line_no} has {len(row)} cells, "
-                            f"expected {len(header)}")
-        try:
-            feats.append([float(row[i]) for i in feature_idx])
-        except ValueError:
-            bad = next(i for i in feature_idx if not _is_float(row[i]))
-            raise DataError(
-                f"non-numeric value '{row[bad]}' in column "
-                f"'{header[bad]}' at line {line_no}"
-            ) from None
-        raw = row[label_idx]
-        try:
-            as_float = float(raw)
-        except ValueError:
-            raise DataError(f"non-numeric label '{raw}' at line {line_no}") from None
-        label = int(as_float)
-        if label != as_float or label < 0:
-            raise DataError(f"label '{raw}' at line {line_no} is not a "
-                            "non-negative integer")
-        labels.append(label)
-        lines.append(line_no)
     if not labels:
         raise DataError(f"{path} has no data rows")
 
-    y = np.asarray(labels, dtype=np.int64)
-    n_classes = len(set(labels))
-    for label, line_no in zip(labels, lines):
-        if label >= n_classes:
-            raise DataError(
-                f"label {label} at line {line_no} is outside 0..{n_classes - 1} "
-                f"(the file has {n_classes} distinct labels)"
-            )
-    x = np.asarray(feats, dtype=np.float64)
+    y = np.frombuffer(labels, dtype=np.int64)
+    n_classes = np.unique(y).size
+    outside = np.flatnonzero(y >= n_classes)
+    if outside.size:
+        # data row i sits on file line i + 2, after the header
+        first = int(outside[0])
+        raise DataError(
+            f"label {int(y[first])} at line {first + 2} is outside 0..{n_classes - 1} "
+            f"(the file has {n_classes} distinct labels)"
+        )
+    x = np.frombuffer(feats, dtype=np.float64).reshape(y.size, len(header) - 1)
     if not np.isfinite(x).all():
         raise DataError("non-finite feature value in CSV")
     return x, y

@@ -20,7 +20,15 @@ class DataError(BallotError):
 
 
 class NumericalFailure(BallotError):
-    """A NaN or infinity appeared where a finite value is required."""
+    """A NaN or infinity appeared where a finite value is required.
+
+    ``index`` is the slot, on the leading seed axis, of the network that
+    failed when the computation ran on a stack of networks.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class UsageError(BallotError):

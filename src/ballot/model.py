@@ -6,9 +6,14 @@ layer except the last feeds a ReLU (or, if configured, no activation);
 the last layer always emits raw logits.  Units of all non-final layers
 are the "hidden neurons" that pruning may remove.
 
-Training runs one forward pass per batch, then one fused backward pass
-that carries the gradients of one or two weighted cross-entropies
-through the shared ReLU gates.
+Training steps R networks of one architecture at once, stacked on a
+leading seed axis (``ParamStack``, ``MaskStack``): weights [R, d_in,
+d_out], biases [R, d_out], inputs [R, n, d_in].  Each batch runs one
+forward pass, then one fused backward pass that carries the gradients
+of one or two weighted cross-entropies through the shared ReLU gates.
+Every matmul runs slot by slot with the shapes of a single network, so
+a network's bytes do not depend on what it is stacked with; a single
+network is a stack of one.  Inference (``forward``) runs one network.
 
 Masking is value-level: a masked weight or bias behaves as exactly 0 in
 every forward pass, and ``sgd_step`` re-zeroes masked entries after each
@@ -110,7 +115,47 @@ def init_network(specs: list[LayerSpec], seed: int) -> NetworkParams:
     return NetworkParams(weights, biases, seed=seed, epoch_tag=0)
 
 
-def _masked_values(params: NetworkParams, mask):
+@dataclass
+class ParamStack:
+    """R networks of one architecture on a leading seed axis:
+    ``weights[i]`` is [R, d_in, d_out] and ``biases[i]`` is [R, d_out]."""
+
+    weights: list[np.ndarray]
+    biases: list[np.ndarray]
+
+
+def stack_params(nets: list[NetworkParams]) -> ParamStack:
+    """Stack ``nets`` in order and rebind each network's arrays to views
+    of its slot, so a step on the stack trains every network in place."""
+    stack = ParamStack(
+        [np.stack(ws) for ws in zip(*(net.weights for net in nets))],
+        [np.stack(bs) for bs in zip(*(net.biases for net in nets))],
+    )
+    for r, net in enumerate(nets):
+        net.weights = [w[r] for w in stack.weights]
+        net.biases = [b[r] for b in stack.biases]
+    return stack
+
+
+@dataclass
+class MaskStack:
+    """Keep flags of R masks shaped like a ``ParamStack``, plus their
+    negations, computed once for the re-zeroing after every step."""
+
+    weight_keep: list[np.ndarray]
+    bias_keep: list[np.ndarray]
+    weight_drop: list[np.ndarray]
+    bias_drop: list[np.ndarray]
+
+
+def stack_masks(masks) -> MaskStack:
+    """Stack the per-layer keep flags of ``masks`` in order."""
+    wk = [np.stack(keeps) for keeps in zip(*(m.weight_keep for m in masks))]
+    bk = [np.stack(keeps) for keeps in zip(*(m.bias_keep for m in masks))]
+    return MaskStack(wk, bk, [~k for k in wk], [~k for k in bk])
+
+
+def _masked_values(params, mask):
     if mask is None:
         return params.weights, params.biases
     if len(mask.weight_keep) != len(params.weights):
@@ -126,19 +171,30 @@ def _masked_values(params: NetworkParams, mask):
     return ws, bs
 
 
-def _check_input(x, specs: list[LayerSpec]) -> np.ndarray:
+def _check_input(x, specs: list[LayerSpec], lead: tuple = ()) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != specs[0].d_in:
+    if x.ndim != len(lead) + 2 or x.shape[:-2] != lead or x.shape[-1] != specs[0].d_in:
+        stacked = f" for {lead[0]} stacked networks" if lead else ""
         raise ConfigurationError(
-            f"input shape {x.shape} does not match d_in {specs[0].d_in}"
+            f"input shape {x.shape} does not match d_in {specs[0].d_in}{stacked}"
         )
     return x
 
 
-def forward(params: NetworkParams, mask, x: np.ndarray, specs: list[LayerSpec]) -> np.ndarray:
-    """Inference pass, returns logits of shape [n, C]."""
-    x = _check_input(x, specs)
-    ws, bs = _masked_values(params, mask)
+def _require_finite(a: np.ndarray, what: str) -> None:
+    """Raise NumericalFailure if ``a`` holds a NaN or infinity, naming
+    the first slot of its leading seed axis that does."""
+    if not np.isfinite(a).all():
+        bad = ~np.isfinite(a.reshape(a.shape[0], -1)).all(axis=1)
+        raise NumericalFailure(what, index=int(np.argmax(bad)))
+
+
+# Rows per block of an inference pass.  A larger input runs block by
+# block, so its hidden activations never exceed this many rows.
+FORWARD_BLOCK_ROWS = 1024
+
+
+def _forward_rows(x, ws, bs, specs: list[LayerSpec]) -> np.ndarray:
     h = x
     for spec, w, b in zip(specs, ws, bs):
         z = h @ w + b
@@ -148,75 +204,103 @@ def forward(params: NetworkParams, mask, x: np.ndarray, specs: list[LayerSpec]) 
     return h
 
 
-def weighted_cross_entropy(logits, onehot, class_weights):
-    """Mean over the batch of per-sample weighted cross-entropy, and its
-    gradient with respect to the logits.
+def forward(params: NetworkParams, mask, x: np.ndarray, specs: list[LayerSpec]) -> np.ndarray:
+    """Inference pass of one network, returns logits of shape [n, C].
 
-    ``onehot`` must be exactly one-hot rows, ``class_weights`` a
-    strictly positive vector of length C.  With all weights equal to 1
-    this is the plain softmax cross-entropy, bit for bit, because
-    multiplying by 1.0 is exact.  The log-sum-exp uses max subtraction,
-    so extreme but finite logits stay finite.
+    Inputs longer than ``FORWARD_BLOCK_ROWS`` rows run in blocks of that
+    many rows; every row's logits are the same either way."""
+    x = _check_input(x, specs)
+    ws, bs = _masked_values(params, mask)
+    n = x.shape[0]
+    if n <= FORWARD_BLOCK_ROWS:
+        return _forward_rows(x, ws, bs, specs)
+    return np.concatenate([
+        _forward_rows(x[start : start + FORWARD_BLOCK_ROWS], ws, bs, specs)
+        for start in range(0, n, FORWARD_BLOCK_ROWS)
+    ])
+
+
+def weighted_cross_entropy(logits, onehot, class_weights):
+    """Batch-mean weighted cross-entropy of R networks under one or more
+    class weightings, and its gradient with respect to the logits.
+
+    ``logits`` and ``onehot`` are [R, n, C]; ``onehot`` must be exactly
+    one-hot rows.  ``class_weights`` holds one [R, C] array of strictly
+    positive weights per loss.  Returns one ``(loss, dlogits)`` pair per
+    loss, the loss of shape [R] and dlogits [R, n, C]; the losses share
+    one softmax.  With all weights equal to 1 this is the plain softmax
+    cross-entropy, bit for bit, because multiplying by 1.0 is exact.
+    The log-sum-exp uses max subtraction, so extreme but finite logits
+    stay finite.
     """
     z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 2:
-        raise ConfigurationError("logits must have shape [n, C]")
-    if not np.isfinite(z).all():
-        raise NumericalFailure("non-finite values in logits")
+    if z.ndim != 3:
+        raise ConfigurationError("logits must have shape [R, n, C]")
+    _require_finite(z, "non-finite values in logits")
     y = np.asarray(onehot, dtype=np.float64)
     if y.shape != z.shape:
         raise ConfigurationError(
             f"targets shape {y.shape} does not match logits {z.shape}"
         )
-    if not ((y == 0.0) | (y == 1.0)).all() or not (y.sum(axis=1) == 1.0).all():
+    if not ((y == 0.0) | (y == 1.0)).all() or not (y.sum(axis=2) == 1.0).all():
         raise DataError("targets must be exactly one-hot rows")
-    w = np.asarray(class_weights, dtype=np.float64)
-    if w.shape != (z.shape[1],):
-        raise ConfigurationError(
-            f"class_weights must have shape ({z.shape[1]},), got {w.shape}"
-        )
-    if not np.isfinite(w).all() or (w <= 0.0).any():
-        raise ConfigurationError("class_weights must be finite and positive")
+    weightings = [np.asarray(w, dtype=np.float64) for w in class_weights]
+    for w in weightings:
+        if w.shape != (z.shape[0], z.shape[2]):
+            raise ConfigurationError(
+                f"class_weights must have shape {(z.shape[0], z.shape[2])}, "
+                f"got {w.shape}"
+            )
+        if not np.isfinite(w).all() or (w <= 0.0).any():
+            raise ConfigurationError("class_weights must be finite and positive")
 
-    n = z.shape[0]
+    n = z.shape[1]
     if n == 0:
         raise DataError("empty batch")
-    zmax = z.max(axis=1, keepdims=True)
+    zmax = z.max(axis=2, keepdims=True)
     shifted = z - zmax
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True)) + zmax
+    lse = np.log(np.exp(shifted).sum(axis=2, keepdims=True)) + zmax
     logp = z - lse
-    sample_w = y @ w
-    loss = float((-(sample_w * (y * logp).sum(axis=1))).mean())
-    if not math.isfinite(loss):
-        raise NumericalFailure("non-finite cross-entropy loss")
-    dlogits = (sample_w[:, None] * (np.exp(logp) - y)) / n
-    return loss, dlogits
+    picked = (y * logp).sum(axis=2)
+    residual = np.exp(logp) - y
+    out = []
+    for w in weightings:
+        # exact: every row of y has a single 1 and zeros elsewhere
+        sample_w = (y * w[:, None, :]).sum(axis=2)
+        loss = (-(sample_w * picked)).mean(axis=1)
+        _require_finite(loss, "non-finite cross-entropy loss")
+        out.append((loss, (sample_w[:, :, None] * residual) / n))
+    return out
 
 
-def train_step(params: NetworkParams, mask, x, onehot, specs: list[LayerSpec],
+def train_step(params: ParamStack, mask: MaskStack | None, x, onehot,
+               specs: list[LayerSpec],
                class_weights) -> tuple[ParamGrads, list[list[np.ndarray]]]:
-    """Gradients of one batch under one or more weighted cross-entropies.
+    """Gradients of one batch per network under one or more weighted
+    cross-entropies, for R networks at once.
 
-    ``class_weights`` holds one class-weight vector per loss.  Returns
-    the parameter gradients of the first loss and, for every loss, the
-    batch-mean gradient of each hidden pre-activation (one vector per
-    hidden layer).  Masked values enter already zeroed, so gradients
-    flow through exactly the network that inference sees.
+    ``x`` is [R, n, d_in] and ``onehot`` [R, n, C]; slot r of every
+    array belongs to network r, and ``class_weights`` holds one [R, C]
+    array per loss.  Returns the parameter gradients of the first loss,
+    shaped like the stack, and, for every loss, the batch-mean gradient
+    of each hidden pre-activation ([R, units] per hidden layer).  Masked
+    values enter already zeroed, so gradients flow through exactly the
+    network that inference sees.  Each slot's arithmetic is that of a
+    stack of one, so stacking never changes a network's result.
     """
-    x = _check_input(x, specs)
+    x = _check_input(x, specs, (params.weights[0].shape[0],))
     ws, bs = _masked_values(params, mask)
     inputs, gates = [], []
     h = x
     for spec, w, b in zip(specs, ws, bs):
         inputs.append(h)
-        z = h @ w + b
-        if not np.isfinite(z).all():
-            raise NumericalFailure("non-finite layer output in training pass")
+        z = h @ w + b[:, None, :]
+        _require_finite(z, "non-finite layer output in training pass")
         relu = spec.activation == "relu"
         gates.append(z > 0.0 if relu else None)
         h = np.maximum(z, 0.0) if relu else z
 
-    upstream = [weighted_cross_entropy(h, onehot, cw)[1] for cw in class_weights]
+    upstream = [g for _, g in weighted_cross_entropy(h, onehot, class_weights)]
     n_layers = len(specs)
     grads = ParamGrads([None] * n_layers, [None] * n_layers)
     preact_means = []
@@ -224,39 +308,38 @@ def train_step(params: NetworkParams, mask, x, onehot, specs: list[LayerSpec],
         means = []
         for i in range(n_layers - 1, -1, -1):
             if k == 0:
-                grads.weights[i] = inputs[i].T @ g
-                grads.biases[i] = g.sum(axis=0)
+                grads.weights[i] = np.swapaxes(inputs[i], 1, 2) @ g
+                grads.biases[i] = g.sum(axis=1)
             if i > 0:
-                g = g @ ws[i].T
+                g = g @ np.swapaxes(ws[i], 1, 2)
                 if gates[i - 1] is not None:
                     g = g * gates[i - 1]
-                if not np.isfinite(g).all():
-                    raise NumericalFailure("non-finite pre-activation gradient")
-                means.insert(0, g.mean(axis=0))
+                _require_finite(g, "non-finite pre-activation gradient")
+                means.insert(0, g.mean(axis=1))
         preact_means.append(means)
     return grads, preact_means
 
 
 def sgd_step(
-    params: NetworkParams, grads: ParamGrads, lr: float, mask=None
-) -> NetworkParams:
-    """In-place step theta <- theta - lr * g, then re-zero masked entries."""
+    params: ParamStack, grads: ParamGrads, lr: float, mask: MaskStack | None = None
+) -> ParamStack:
+    """In-place step theta <- theta - lr * g on every network of the
+    stack, then re-zero masked entries."""
     if len(grads.weights) != len(params.weights):
         raise ConfigurationError("gradient layer count does not match network")
     for g in grads.weights + grads.biases:
-        if not np.isfinite(g).all():
-            raise NumericalFailure("non-finite gradient in sgd_step")
+        _require_finite(g, "non-finite gradient in sgd_step")
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         if grads.weights[i].shape != w.shape or grads.biases[i].shape != b.shape:
             raise ConfigurationError(f"gradient shape mismatch at layer {i}")
         w -= lr * grads.weights[i]
         b -= lr * grads.biases[i]
     if mask is not None:
-        for w, b, wk, bk in zip(
-            params.weights, params.biases, mask.weight_keep, mask.bias_keep
+        for w, b, wd, bd in zip(
+            params.weights, params.biases, mask.weight_drop, mask.bias_drop
         ):
-            w[~wk] = 0.0
-            b[~bk] = 0.0
+            np.putmask(w, wd, 0.0)
+            np.putmask(b, bd, 0.0)
     return params
 
 

@@ -16,6 +16,13 @@ accurate as the dense one; otherwise it retries from the early-epoch
 snapshot with fresh batch orders and keeps the fairest acceptable
 candidate.
 
+Every phase takes a list of seeds and trains one network per seed in
+lockstep: the networks are stacked on a leading seed axis and stepped
+together, one epoch and one batch at a time, each seed with its own
+batch order, ledger, class weights and refinement decisions.  Stacking
+never changes a seed's arithmetic, so a seed's results are the same
+bytes whatever seeds it runs with; a single run is a list of one.
+
 Every source of randomness is keyed by (seed, stream, epoch), so any
 run is bit-reproducible and a retrained identity-masked network follows
 the exact arithmetic of a fresh dense training.
@@ -39,7 +46,6 @@ from .masks import (
     build_random_mask,
 )
 from .metrics import (
-    ClassWeights,
     EvalReport,
     bias_delta,
     evaluate,
@@ -54,6 +60,8 @@ from .model import (
     hidden_sizes,
     init_network,
     sgd_step,
+    stack_masks,
+    stack_params,
     train_step,
 )
 
@@ -146,6 +154,10 @@ class RunArtifacts:
     specs: list[LayerSpec]
     wall_time_s: float
 
+    @property
+    def seed(self) -> int:
+        return self.theta0.seed
+
 
 @dataclass
 class RoundCandidate:
@@ -160,6 +172,7 @@ class RefineOutcome:
     report: EvalReport
     rounds_used: int
     candidates: list
+    wall_time_s: float
 
 
 @dataclass
@@ -175,155 +188,198 @@ class PruneResult:
     candidates: list = field(default_factory=list)
 
 
-def _shuffle(stream_seed: int, epoch: int, n: int) -> np.ndarray:
-    rng = np.random.default_rng((int(stream_seed), 0, int(epoch)))
-    return rng.permutation(n)
+def _shuffle(stream_seeds: list[int], epoch: int, n: int) -> np.ndarray:
+    """One batch order per stream seed, stacked: [R, n]."""
+    return np.stack([
+        np.random.default_rng((int(s), 0, int(epoch))).permutation(n)
+        for s in stream_seeds
+    ])
 
 
-def _batches(order: np.ndarray, batch_size: int):
-    for start in range(0, order.size, batch_size):
-        yield order[start : start + batch_size]
+def _batches(orders: np.ndarray, batch_size: int):
+    for start in range(0, orders.shape[1], batch_size):
+        yield orders[:, start : start + batch_size]
 
 
-def train_dense(config: TrainConfig, data: Dataset) -> RunArtifacts:
-    """Train from scratch for the full epoch budget, recording the
-    conflict ledger and snapshotting the initial, rewind-epoch, and
-    final weights."""
+def _failure(phase: str, epoch: int, seeds: list[int], exc: NumericalFailure):
+    """The kernel's failure, naming the phase, the epoch and the seed."""
+    return NumericalFailure(f"{phase} epoch {epoch}, seed {seeds[exc.index]}: {exc}")
+
+
+def train_dense(
+    config: TrainConfig, data: Dataset, seeds: list[int]
+) -> list[RunArtifacts]:
+    """Train one freshly initialized network per seed for the full epoch
+    budget, all seeds in lockstep, recording each seed's conflict ledger
+    and snapshotting its initial, rewind-epoch, and final weights.  Each
+    seed's ``wall_time_s`` is an equal share of the whole run."""
     config.validate()
     t0 = time.perf_counter()
     specs = config.specs_for(data)
-    params = init_network(specs, config.seed)
-    theta0 = Checkpoint(params.copy(), specs, epoch=0, seed=config.seed)
-    theta_k = theta0 if config.rewind_epoch == 0 else None
+    nets = [init_network(specs, s) for s in seeds]
+    theta0 = [Checkpoint(p.copy(), specs, epoch=0, seed=s) for p, s in zip(nets, seeds)]
+    theta_k = list(theta0) if config.rewind_epoch == 0 else [None] * len(seeds)
+    stack = stack_params(nets)
 
-    n_classes = data.n_classes
-    x, y = data.train.X, data.train.y
-    onehot = np.eye(n_classes)[y]
-    plain = np.ones(n_classes)
-    weights: ClassWeights = uniform_class_weights(n_classes)
+    x, onehot = data.train.X, data.train_onehot
+    plain = np.ones((len(seeds), data.n_classes))
+    fair = np.stack([uniform_class_weights(data.n_classes).as_array()] * len(seeds))
     hidden = hidden_sizes(specs)
-    ledger = ConflictLedger(hidden)
+    ledgers = [ConflictLedger(hidden) for _ in seeds]
 
     for epoch in range(config.epochs):
         lr = lr_at(epoch, config)
-        order = _shuffle(config.seed, epoch, x.shape[0])
-        acc_a = [np.zeros(h) for h in hidden]
-        acc_f = [np.zeros(h) for h in hidden]
+        acc_a = [np.zeros((len(seeds), h)) for h in hidden]
+        acc_f = [np.zeros((len(seeds), h)) for h in hidden]
         try:
-            for idx in _batches(order, config.batch_size):
+            for idx in _batches(_shuffle(seeds, epoch, x.shape[0]), config.batch_size):
                 grads, (means_a, means_f) = train_step(
-                    params, None, x[idx], onehot[idx], specs,
-                    (plain, weights.as_array()),
+                    stack, None, x[idx], onehot[idx], specs, (plain, fair)
                 )
                 for i, (ma, mf) in enumerate(zip(means_a, means_f)):
                     acc_a[i] += ma
                     acc_f[i] += mf
-                sgd_step(params, grads, lr, None)
+                sgd_step(stack, grads, lr)
         except NumericalFailure as exc:
-            raise NumericalFailure(f"dense training epoch {epoch}: {exc}") from exc
+            raise _failure("dense training", epoch, seeds, exc) from exc
 
-        params.epoch_tag = epoch + 1
-        ledger.record_epoch(epoch, acc_a, acc_f, config.gamma, config.eta)
-        train_report = evaluate(params, None, data.train, specs)
-        weights = update_class_weights(train_report, epoch)
-        if epoch + 1 == config.rewind_epoch:
-            theta_k = Checkpoint(
-                params.copy(), specs, epoch=epoch + 1, seed=config.seed
+        fair_rows = []
+        for r, (params, ledger) in enumerate(zip(nets, ledgers)):
+            params.epoch_tag = epoch + 1
+            ledger.record_epoch(
+                epoch, [a[r] for a in acc_a], [f[r] for f in acc_f],
+                config.gamma, config.eta,
             )
+            train_report = evaluate(params, None, data.train, specs)
+            fair_rows.append(update_class_weights(train_report, epoch).as_array())
+            if epoch + 1 == config.rewind_epoch:
+                theta_k[r] = Checkpoint(
+                    params.copy(), specs, epoch=epoch + 1, seed=seeds[r]
+                )
+        fair = np.stack(fair_rows)
 
-    theta_e = Checkpoint(params.copy(), specs, epoch=config.epochs, seed=config.seed)
-    dense_report = evaluate(params, None, data.test, specs)
-    return RunArtifacts(
-        theta0=theta0,
-        theta_k=theta_k,
-        theta_e=theta_e,
-        ledger=ledger,
-        dense_report=dense_report,
-        specs=specs,
-        wall_time_s=time.perf_counter() - t0,
-    )
+    dense_reports = [evaluate(p, None, data.test, specs) for p in nets]
+    share = (time.perf_counter() - t0) / len(seeds)
+    return [
+        RunArtifacts(
+            theta0=theta0[r],
+            theta_k=theta_k[r],
+            theta_e=Checkpoint(p.copy(), specs, epoch=config.epochs, seed=seeds[r]),
+            ledger=ledgers[r],
+            dense_report=dense_reports[r],
+            specs=specs,
+            wall_time_s=share,
+        )
+        for r, p in enumerate(nets)
+    ]
 
 
 def _retrain(
-    params: NetworkParams,
-    mask,
+    nets: list[NetworkParams],
+    masks: list[Mask],
     config: TrainConfig,
     data: Dataset,
     specs: list[LayerSpec],
-    stream_seed: int,
+    seeds: list[int],
     epochs: int,
     lr_fn,
+    stream_offset: int = 0,
     epoch_offset: int = 0,
     on_epoch_end=None,
-) -> NetworkParams:
-    """Masked training on the accuracy loss only; batch order comes from
-    (stream_seed, epoch_offset + epoch)."""
-    x, y = data.train.X, data.train.y
-    onehot = np.eye(data.n_classes)[y]
-    plain = np.ones(data.n_classes)
+) -> list[NetworkParams]:
+    """Masked training of ``nets`` in lockstep, in place, on the accuracy
+    loss only; network r's batch order comes from (seeds[r] +
+    stream_offset, epoch_offset + epoch)."""
+    stack = stack_params(nets)
+    mask = stack_masks(masks)
+    x, onehot = data.train.X, data.train_onehot
+    plain = np.ones((len(nets), data.n_classes))
+    streams = [s + stream_offset for s in seeds]
     for epoch in range(epochs):
         lr = lr_fn(epoch)
-        order = _shuffle(stream_seed, epoch_offset + epoch, x.shape[0])
+        orders = _shuffle(streams, epoch_offset + epoch, x.shape[0])
         try:
-            for idx in _batches(order, config.batch_size):
+            for idx in _batches(orders, config.batch_size):
                 grads, _ = train_step(
-                    params, mask, x[idx], onehot[idx], specs, (plain,)
+                    stack, mask, x[idx], onehot[idx], specs, (plain,)
                 )
-                sgd_step(params, grads, lr, mask)
+                sgd_step(stack, grads, lr, mask)
         except NumericalFailure as exc:
-            raise NumericalFailure(f"retraining epoch {epoch}: {exc}") from exc
-        params.epoch_tag += 1
+            raise _failure("retraining", epoch, seeds, exc) from exc
+        for params in nets:
+            params.epoch_tag += 1
         if on_epoch_end is not None:
-            on_epoch_end(epoch, params)
-    return params
+            on_epoch_end(epoch, nets)
+    return nets
 
 
 def refine(
-    mask: Mask, artifacts: RunArtifacts, config: TrainConfig, data: Dataset
-) -> RefineOutcome:
-    """Round 0 retrains the masked initial weights for the full budget.
+    masks: list[Mask], artifacts: list[RunArtifacts], config: TrainConfig,
+    data: Dataset,
+) -> list[RefineOutcome]:
+    """Refine one mask per seed, all seeds in lockstep.
+
+    Round 0 retrains the masked initial weights for the full budget.
     If the result is within delta of dense fairness and epsilon of dense
     accuracy it is accepted as-is.  Otherwise up to max_rounds retries
     restart from the rewind-epoch weights with fresh batch orders,
     stopping early once a round stops improving the best CWV, and the
     fairest candidate that keeps the accuracy bound wins (falling back
-    to the most accurate candidate when none does)."""
+    to the most accurate candidate when none does).  Round r trains only
+    the seeds still refining; each seed's ``wall_time_s`` is its share of
+    every round it took part in."""
     config.validate()
-    specs = artifacts.specs
-    dense = artifacts.dense_report
+    specs = artifacts[0].specs
+    seeds = [a.seed for a in artifacts]
     schedule = lambda e: lr_at(e, config)
+    spent = [0.0] * len(artifacts)
+    clock = time.perf_counter()
 
-    params0 = apply_mask(artifacts.theta0.params, mask)
-    _retrain(params0, mask, config, data, specs, config.seed, config.epochs, schedule)
-    report0 = evaluate(params0, mask, data.test, specs)
-    candidates = [RoundCandidate(0, params0, report0)]
-
-    fair_enough = bias_delta(report0, dense, "cwv") <= config.delta
-    accurate_enough = dense.accuracy - report0.accuracy <= config.epsilon
-    if fair_enough and accurate_enough:
-        return RefineOutcome(params0, report0, 0, candidates)
-
-    best_cwv = report0.cwv
-    rounds_used = 0
-    for r in range(1, config.max_rounds + 1):
-        p = apply_mask(artifacts.theta_k.params, mask)
-        _retrain(p, mask, config, data, specs, config.seed + r, config.epochs, schedule)
-        rep = evaluate(p, mask, data.test, specs)
-        candidates.append(RoundCandidate(r, p, rep))
-        rounds_used = r
-        if rep.cwv < best_cwv:
-            best_cwv = rep.cwv
-        else:
+    refining = list(range(len(artifacts)))
+    candidates = [[] for _ in artifacts]
+    for r_index in range(config.max_rounds + 1):
+        if not refining:
             break
+        starts = [
+            artifacts[r].theta0 if r_index == 0 else artifacts[r].theta_k
+            for r in refining
+        ]
+        nets = _retrain(
+            [apply_mask(ck.params, masks[r]) for ck, r in zip(starts, refining)],
+            [masks[r] for r in refining], config, data, specs,
+            [seeds[r] for r in refining], config.epochs, schedule,
+            stream_offset=r_index,
+        )
+        still = []
+        for r, params in zip(refining, nets):
+            report = evaluate(params, masks[r], data.test, specs)
+            if r_index == 0:
+                dense = artifacts[r].dense_report
+                fair_enough = bias_delta(report, dense, "cwv") <= config.delta
+                accurate_enough = dense.accuracy - report.accuracy <= config.epsilon
+                keep_going = not (fair_enough and accurate_enough)
+            else:
+                keep_going = report.cwv < candidates[r][-1].report.cwv
+            candidates[r].append(RoundCandidate(r_index, params, report))
+            if keep_going:
+                still.append(r)
+        now = time.perf_counter()
+        for r in refining:
+            spent[r] += (now - clock) / len(refining)
+        clock, refining = now, still
 
-    feasible = [
-        c for c in candidates if dense.accuracy - c.report.accuracy <= config.epsilon
-    ]
-    if feasible:
-        best = min(feasible, key=lambda c: (c.report.cwv, c.round_index))
-    else:
-        best = min(candidates, key=lambda c: (-c.report.accuracy, c.round_index))
-    return RefineOutcome(best.params, best.report, rounds_used, candidates)
+    outcomes = []
+    for a, cands, wall in zip(artifacts, candidates, spent):
+        dense = a.dense_report
+        feasible = [
+            c for c in cands if dense.accuracy - c.report.accuracy <= config.epsilon
+        ]
+        if feasible:
+            best = min(feasible, key=lambda c: (c.report.cwv, c.round_index))
+        else:
+            best = min(cands, key=lambda c: (-c.report.accuracy, c.round_index))
+        outcomes.append(RefineOutcome(best.params, best.report, len(cands) - 1, cands, wall))
+    return outcomes
 
 
 def finetune_epochs(total_epochs: int) -> int:
@@ -331,37 +387,42 @@ def finetune_epochs(total_epochs: int) -> int:
 
 
 def fix_model(
-    config: TrainConfig, data: Dataset, artifacts: RunArtifacts | None = None
-) -> PruneResult:
-    """The full conflict-vote pipeline: dense training (reused when
-    provided), ballot mask, rewind-and-refine."""
+    config: TrainConfig, data: Dataset, artifacts: list[RunArtifacts]
+) -> list[PruneResult]:
+    """The full conflict-vote pipeline on dense training's artifacts, one
+    per seed: ballot mask, rewind-and-refine."""
     t0 = time.perf_counter()
-    if artifacts is None:
-        artifacts = train_dense(config, data)
-    mask = build_ballot_mask(
-        artifacts.ledger, artifacts.specs, config.omega, artifacts.theta_e.params
-    )
-    outcome = refine(mask, artifacts, config, data)
-    return PruneResult(
-        method="ballot",
-        mask=mask,
-        params=outcome.params,
-        report=outcome.report,
-        dense_report=artifacts.dense_report,
-        rounds_used=outcome.rounds_used,
-        retention=mask.retention(),
-        wall_time_s=time.perf_counter() - t0,
-        candidates=[(c.round_index, c.report) for c in outcome.candidates],
-    )
+    masks = [
+        build_ballot_mask(a.ledger, a.specs, config.omega, a.theta_e.params)
+        for a in artifacts
+    ]
+    build_share = (time.perf_counter() - t0) / len(artifacts)
+    outcomes = refine(masks, artifacts, config, data)
+    return [
+        PruneResult(
+            method="ballot",
+            mask=mask,
+            params=outcome.params,
+            report=outcome.report,
+            dense_report=a.dense_report,
+            rounds_used=outcome.rounds_used,
+            retention=mask.retention(),
+            wall_time_s=build_share + outcome.wall_time_s,
+            candidates=[(c.round_index, c.report) for c in outcome.candidates],
+        )
+        for a, mask, outcome in zip(artifacts, masks, outcomes)
+    ]
 
 
 def run_baseline(
     method: str,
     config: TrainConfig,
     data: Dataset,
-    artifacts: RunArtifacts | None = None,
-) -> PruneResult:
-    """The three comparison pruners, all landing on the same retention.
+    artifacts: list[RunArtifacts],
+) -> list[PruneResult]:
+    """One pruner on dense training's artifacts, one result per seed, all
+    seeds in lockstep.  The three comparison pruners all land on the
+    same retention as ballot:
 
     lth:        magnitude mask from the final weights, rewind to the
                 initial weights, retrain the full budget.
@@ -369,6 +430,8 @@ def run_baseline(
                 for max(1, epochs // 5) epochs at the final step size.
     random:     seed-determined unit removal from the initial weights,
                 then train the full budget.
+
+    Each seed's ``wall_time_s`` is an equal share of the whole run.
     """
     if method == "ballot":
         return fix_model(config, data, artifacts)
@@ -378,43 +441,45 @@ def run_baseline(
         )
     config.validate()
     t0 = time.perf_counter()
-    if artifacts is None:
-        artifacts = train_dense(config, data)
-    specs = artifacts.specs
-    schedule = lambda e: lr_at(e, config)
+    specs = artifacts[0].specs
+    seeds = [a.seed for a in artifacts]
 
-    if method == "lth":
-        mask = build_magnitude_mask(artifacts.theta_e.params, specs, config.omega)
-        params = apply_mask(artifacts.theta0.params, mask)
-        _retrain(params, mask, config, data, specs, config.seed, config.epochs, schedule)
-    elif method == "magnitude":
-        mask = build_magnitude_mask(artifacts.theta_e.params, specs, config.omega)
-        params = apply_mask(artifacts.theta_e.params, mask)
+    if method == "random":
+        masks = [build_random_mask(specs, config.omega, s) for s in seeds]
+    else:
+        masks = [
+            build_magnitude_mask(a.theta_e.params, specs, config.omega)
+            for a in artifacts
+        ]
+    nets = [
+        apply_mask((a.theta_e if method == "magnitude" else a.theta0).params, m)
+        for a, m in zip(artifacts, masks)
+    ]
+    if method == "magnitude":
         final_lr = lr_at(config.epochs - 1, config)
         _retrain(
-            params,
-            mask,
-            config,
-            data,
-            specs,
-            config.seed,
-            finetune_epochs(config.epochs),
-            lambda e: final_lr,
+            nets, masks, config, data, specs, seeds,
+            finetune_epochs(config.epochs), lambda e: final_lr,
             epoch_offset=config.epochs,
         )
     else:
-        mask = build_random_mask(specs, config.omega, config.seed)
-        params = apply_mask(artifacts.theta0.params, mask)
-        _retrain(params, mask, config, data, specs, config.seed, config.epochs, schedule)
+        _retrain(
+            nets, masks, config, data, specs, seeds, config.epochs,
+            lambda e: lr_at(e, config),
+        )
 
-    report = evaluate(params, mask, data.test, specs)
-    return PruneResult(
-        method=method,
-        mask=mask,
-        params=params,
-        report=report,
-        dense_report=artifacts.dense_report,
-        rounds_used=0,
-        retention=mask.retention(),
-        wall_time_s=time.perf_counter() - t0,
-    )
+    reports = [evaluate(p, m, data.test, specs) for p, m in zip(nets, masks)]
+    share = (time.perf_counter() - t0) / len(artifacts)
+    return [
+        PruneResult(
+            method=method,
+            mask=mask,
+            params=params,
+            report=report,
+            dense_report=a.dense_report,
+            rounds_used=0,
+            retention=mask.retention(),
+            wall_time_s=share,
+        )
+        for a, mask, params, report in zip(artifacts, masks, nets, reports)
+    ]

@@ -13,19 +13,13 @@ from pathlib import Path
 
 from ._version import __version__
 from .config import AppConfig, effective_dict
-from .data import Dataset, make_dataset
+from .data import make_dataset
 from .errors import ConfigurationError, PersistenceError
 from .fileio import atomic_open
 from .masks import serialize_mask
 from .metrics import EvalReport
 from .model import LayerSpec
-from .pipeline import (
-    METHODS,
-    PruneResult,
-    RunArtifacts,
-    run_baseline,
-    train_dense,
-)
+from .pipeline import METHODS, PruneResult, run_baseline, train_dense
 
 CSV_HEADER = "method,seed,accuracy,precision,recall,cwv,mcd,retention,rounds,wall_time_s"
 
@@ -140,42 +134,38 @@ def _summary_row(method: str, seed: int, report: EvalReport, retention: float,
     }
 
 
-def _run_seed(app: AppConfig, data: Dataset, seed: int):
-    cfg = replace(app.train, seed=seed)
-    artifacts = train_dense(cfg, data)
-    results = [run_baseline(m, cfg, data, artifacts) for m in METHODS]
-    return artifacts, results
-
-
 def run_experiment(app: AppConfig, n_seeds: int, out_dir) -> Path:
     """Dense plus all four pruners for seeds base..base+n-1.
 
-    Writes one report per (method, seed) run under runs/, the dense
-    reports alongside them, and the sorted aggregate CSV.
+    The seeds run in lockstep, phase by phase: dense training, ballot,
+    then each baseline.  Writes one report per (method, seed) run under
+    runs/, the dense reports alongside them, and the sorted aggregate
+    CSV.
     """
     if n_seeds < 1:
         raise ConfigurationError("experiment needs at least one seed")
     out_dir = Path(out_dir)
     data = make_dataset(app.dataset)
     seeds = [app.train.seed + i for i in range(n_seeds)]
-    outcomes = [_run_seed(app, data, s) for s in seeds]
+    artifacts = train_dense(app.train, data, seeds)
+    by_method = [run_baseline(m, app.train, data, artifacts) for m in METHODS]
 
     rows = []
-    for seed, (artifacts, results) in zip(seeds, outcomes):
+    for r, (seed, arts) in enumerate(zip(seeds, artifacts)):
         app_seed = replace(app, train=replace(app.train, seed=seed))
         write_report(
             out_dir / "runs" / f"dense-seed{seed}" / "report.json",
-            report_payload(app_seed, seed, artifacts.dense_report, [], artifacts.specs),
+            report_payload(app_seed, seed, arts.dense_report, [], arts.specs),
         )
         rows.append(
-            _summary_row("dense", seed, artifacts.dense_report, 1.0, 0,
-                         artifacts.wall_time_s)
+            _summary_row("dense", seed, arts.dense_report, 1.0, 0, arts.wall_time_s)
         )
-        for result in results:
+        for results in by_method:
+            result = results[r]
             write_report(
                 out_dir / "runs" / f"{result.method}-seed{seed}" / "report.json",
-                report_payload(app_seed, seed, artifacts.dense_report, [result],
-                               artifacts.specs),
+                report_payload(app_seed, seed, arts.dense_report, [result],
+                               arts.specs),
             )
             rows.append(
                 _summary_row(result.method, seed, result.report, result.retention,

@@ -25,7 +25,7 @@ from ballot.masks import (
     positive_score_threshold,
 )
 from ballot.metrics import evaluate, predict, report_from_predictions
-from ballot.model import hidden_sizes, param_count, train_step
+from ballot.model import ParamGrads, hidden_sizes, param_count, stack_params, train_step
 from ballot.pipeline import TrainConfig, refine, run_baseline, train_dense
 
 from conftest import (
@@ -128,6 +128,15 @@ def _clear_relu_margins(params, specs, x, margin=0.1):
         h = np.maximum(z, 0.0)
 
 
+def _gradients(params, specs, x, y, class_w):
+    """Parameter gradients of one network: ``train_step`` on a stack of
+    one, slot 0.  The network's arrays become views of the stack, so the
+    perturbations below still reach the oracle."""
+    grads, _ = train_step(stack_params([params]), None, x[None], y[None], specs,
+                          (class_w[None],))
+    return ParamGrads([w[0] for w in grads.weights], [b[0] for b in grads.biases])
+
+
 def test_criterion_2_gradients_match_finite_differences():
     start = time.perf_counter()
     rng = np.random.default_rng(102)
@@ -144,10 +153,8 @@ def test_criterion_2_gradients_match_finite_differences():
         _clear_relu_margins(params, specs, x)
 
         losses = {"a": np.ones(c), "f": weights_f}
-        grads = {
-            name: train_step(params, None, x, y, specs, (cw,))[0]
-            for name, cw in losses.items()
-        }
+        grads = {name: _gradients(params, specs, x, y, cw)
+                 for name, cw in losses.items()}
 
         for name, cw in losses.items():
             g = grads[name]
@@ -340,18 +347,13 @@ def _sprinkle_zeros(vec, rng):
 def test_criterion_5_fairness_ordering():
     start = time.perf_counter()
     data = make_dataset(DatasetSpec(synthetic=SyntheticSpec()))
-    cwvs = {m: [] for m in ("dense", "ballot", "magnitude", "random")}
-    accs = {m: [] for m in cwvs}
-
-    for seed in range(10):
-        cfg = TrainConfig(hidden=(64, 64), epochs=30, omega=0.2, seed=seed)
-        arts = train_dense(cfg, data)
-        cwvs["dense"].append(arts.dense_report.cwv)
-        accs["dense"].append(arts.dense_report.accuracy)
-        for method in ("ballot", "magnitude", "random"):
-            result = run_baseline(method, cfg, data, arts)
-            cwvs[method].append(result.report.cwv)
-            accs[method].append(result.report.accuracy)
+    cfg = TrainConfig(hidden=(64, 64), epochs=30, omega=0.2)
+    arts = train_dense(cfg, data, list(range(10)))
+    reports = {"dense": [a.dense_report for a in arts]}
+    for method in ("ballot", "magnitude", "random"):
+        reports[method] = [r.report for r in run_baseline(method, cfg, data, arts)]
+    cwvs = {m: [rep.cwv for rep in reps] for m, reps in reports.items()}
+    accs = {m: [rep.accuracy for rep in reps] for m, reps in reports.items()}
 
     med_cwv = {m: float(np.median(v)) for m, v in cwvs.items()}
     med_acc = {m: float(np.median(v)) for m, v in accs.items()}
@@ -377,9 +379,9 @@ def test_criterion_6_refinement_semantics():
     problems = []
 
     cfg = small_config(delta=-1.0, max_rounds=3)
-    arts = train_dense(cfg, data)
+    (arts,) = train_dense(cfg, data, [cfg.seed])
     mask = build_random_mask(arts.specs, cfg.omega, seed=3)
-    blocked = refine(mask, arts, cfg, data)
+    (blocked,) = refine([mask], [arts], cfg, data)
     rounds = [cand.round_index for cand in blocked.candidates]
     if rounds != list(range(blocked.rounds_used + 1)):
         problems.append(f"round log {rounds} does not match "
@@ -405,7 +407,8 @@ def test_criterion_6_refinement_semantics():
         problems.append("returned candidate is not the log minimizer")
 
     open_cfg = small_config(delta=1.0, epsilon=1.0, max_rounds=3)
-    passed = refine(mask, train_dense(open_cfg, data), open_cfg, data)
+    (passed,) = refine([mask], train_dense(open_cfg, data, [open_cfg.seed]),
+                       open_cfg, data)
     if passed.rounds_used != 0:
         problems.append(f"satisfied gate still used {passed.rounds_used} rounds")
 
@@ -470,8 +473,8 @@ def test_criterion_8_lth_identity_fidelity():
     start = time.perf_counter()
     data = small_dataset()
     cfg = small_config(omega=1.0)
-    arts = train_dense(cfg, data)
-    result = run_baseline("lth", cfg, data, arts)
+    (arts,) = train_dense(cfg, data, [cfg.seed])
+    (result,) = run_baseline("lth", cfg, data, [arts])
     same = all(
         np.array_equal(a, b)
         for a, b in zip(result.params.weights, arts.theta_e.params.weights)

@@ -1,6 +1,8 @@
 """Differentiation in the training kernel: forward values, analytic
 gradients of ``train_step`` and ``weighted_cross_entropy``, and their
-error contracts."""
+error contracts.  Single-network cases run the kernel on a stack of one;
+``TestSeedStack`` checks that stacking leaves every network's bytes
+unchanged."""
 
 import math
 
@@ -8,10 +10,17 @@ import numpy as np
 import pytest
 
 from ballot.errors import ConfigurationError, DataError, NumericalFailure
+from ballot.masks import build_random_mask
 from ballot.model import (
     LayerSpec,
     NetworkParams,
+    ParamGrads,
+    apply_mask,
     forward,
+    init_network,
+    sgd_step,
+    stack_masks,
+    stack_params,
     train_step,
     weighted_cross_entropy,
 )
@@ -26,6 +35,28 @@ def _net(*layers):
     specs = [LayerSpec(w.shape[0], w.shape[1], act)
              for w, (_, _, act) in zip(ws, layers)]
     return NetworkParams(ws, bs, seed=0), specs
+
+
+def _step(params, x, y, specs, weightings):
+    """``train_step`` of one network, as a stack of one; returns slot 0
+    of every result."""
+    grads, means = train_step(
+        stack_params([params]), None, np.asarray(x, dtype=np.float64)[None],
+        np.asarray(y, dtype=np.float64)[None], specs,
+        [np.asarray(w, dtype=np.float64)[None] for w in weightings],
+    )
+    return (ParamGrads([w[0] for w in grads.weights], [b[0] for b in grads.biases]),
+            [[m[0] for m in layer_means] for layer_means in means])
+
+
+def _ce(logits, onehot, class_weights):
+    """``weighted_cross_entropy`` of one network under one weighting."""
+    ((loss, dlogits),) = weighted_cross_entropy(
+        np.asarray(logits, dtype=np.float64)[None],
+        np.asarray(onehot, dtype=np.float64)[None],
+        (np.asarray(class_weights, dtype=np.float64)[None],),
+    )
+    return float(loss[0]), dlogits[0]
 
 
 def _batch(rng, specs, n):
@@ -53,8 +84,7 @@ class TestAffine:
     def test_shape_mismatch_is_config_error(self):
         params, specs = _net((np.eye(2), [0.0, 0.0], "none"))
         with pytest.raises(ConfigurationError):
-            train_step(params, None, [[1.0, 2.0, 3.0]], [[1.0, 0.0]], specs,
-                       (np.ones(2),))
+            _step(params, [[1.0, 2.0, 3.0]], [[1.0, 0.0]], specs, (np.ones(2),))
 
     def test_gradients_match_hand_derivation(self):
         # z0 = 1*3 + 2*5 + 0.5 = 13.5 (active); the logits are exactly
@@ -63,8 +93,8 @@ class TestAffine:
         # layer's gradients are x^T * -1 and -1.
         params, specs = _net(([[3.0], [5.0]], [0.5], "relu"),
                              ([[1.0, -1.0]], [-13.5, 13.5], "none"))
-        grads, (means,) = train_step(params, None, [[1.0, 2.0]], [[1.0, 0.0]],
-                                     specs, (np.ones(2),))
+        grads, (means,) = _step(params, [[1.0, 2.0]], [[1.0, 0.0]],
+                                specs, (np.ones(2),))
         np.testing.assert_allclose(grads.weights[1], [[-6.75, 6.75]], rtol=1e-15)
         np.testing.assert_allclose(grads.biases[1], [-0.5, 0.5], rtol=1e-15)
         np.testing.assert_allclose(grads.weights[0], [[-1.0], [-2.0]], rtol=1e-15)
@@ -90,9 +120,9 @@ class TestRelu:
         params, specs = _net((np.eye(2), [0.0, 0.0], "relu"),
                              ([[1.0, -1.0], [2.0, 0.5]], [0.0, 0.0], "none"))
         y = [[1.0, 0.0]]
-        _, (means,) = train_step(params, None, x, y, specs, (np.ones(2),))
+        _, (means,) = _step(params, x, y, specs, (np.ones(2),))
         logits = forward(params, None, x, specs)
-        _, dlogits = weighted_cross_entropy(logits, y, np.ones(2))
+        _, dlogits = _ce(logits, y, np.ones(2))
         return means[0], (dlogits @ params.weights[1].T)[0]
 
     def test_gradient_gates_negative_input(self):
@@ -108,24 +138,20 @@ class TestRelu:
 
 class TestCrossEntropy:
     def test_uniform_logits_give_ln2(self):
-        loss, _ = weighted_cross_entropy([[0.0, 0.0]], [[1.0, 0.0]], np.ones(2))
+        loss, _ = _ce([[0.0, 0.0]], [[1.0, 0.0]], np.ones(2))
         assert loss == pytest.approx(math.log(2.0), rel=1e-15)
 
     def test_class_weight_scales_loss(self):
-        loss, _ = weighted_cross_entropy(
-            [[0.0, 0.0]], [[1.0, 0.0]], np.array([2.0, 1.0])
-        )
+        loss, _ = _ce([[0.0, 0.0]], [[1.0, 0.0]], np.array([2.0, 1.0]))
         assert loss == pytest.approx(2.0 * math.log(2.0), rel=1e-15)
 
     def test_extreme_logits_stay_finite(self):
-        loss, dlogits = weighted_cross_entropy(
-            [[1000.0, 0.0]], [[1.0, 0.0]], np.ones(2)
-        )
+        loss, dlogits = _ce([[1000.0, 0.0]], [[1.0, 0.0]], np.ones(2))
         assert 0.0 <= loss < 1e-12
         assert np.isfinite(dlogits).all()
 
     def test_batch_mean_reduction(self):
-        loss, _ = weighted_cross_entropy(
+        loss, _ = _ce(
             [[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]],
             np.array([3.0, 1.0]),
         )
@@ -136,7 +162,7 @@ class TestCrossEntropy:
             n, c = int(rng.integers(1, 9)), int(rng.integers(2, 6))
             z = rng.normal(scale=3.0, size=(n, c))
             y = np.eye(c)[rng.integers(0, c, n)]
-            weighted, dlogits = weighted_cross_entropy(z, y, np.ones(c))
+            weighted, dlogits = _ce(z, y, np.ones(c))
             zmax = z.max(axis=1, keepdims=True)
             lse = np.log(np.exp(z - zmax).sum(axis=1, keepdims=True)) + zmax
             plain = float((-(y * (z - lse)).sum(axis=1)).mean())
@@ -146,20 +172,20 @@ class TestCrossEntropy:
     def test_non_one_hot_targets_rejected(self):
         for bad in ([[0.5, 0.5]], [[1.0, 1.0]], [[0.0, 0.0]]):
             with pytest.raises(DataError):
-                weighted_cross_entropy([[0.0, 0.0]], bad, np.ones(2))
+                _ce([[0.0, 0.0]], bad, np.ones(2))
 
     def test_nonpositive_weights_rejected(self):
         for bad in ([0.0, 1.0], [-1.0, 1.0]):
             with pytest.raises(ConfigurationError):
-                weighted_cross_entropy([[0.0, 0.0]], [[1.0, 0.0]], np.array(bad))
+                _ce([[0.0, 0.0]], [[1.0, 0.0]], np.array(bad))
 
     def test_non_finite_logits_are_numerical_failure(self):
         with pytest.raises(NumericalFailure):
-            weighted_cross_entropy([[np.inf, 0.0]], [[1.0, 0.0]], np.ones(2))
+            _ce([[np.inf, 0.0]], [[1.0, 0.0]], np.ones(2))
 
     def test_target_logits_shape_mismatch_is_config_error(self):
         with pytest.raises(ConfigurationError):
-            weighted_cross_entropy([[0.0, 0.0]], [[1.0, 0.0, 0.0]], np.ones(2))
+            _ce([[0.0, 0.0]], [[1.0, 0.0, 0.0]], np.ones(2))
 
 
 class TestBackward:
@@ -167,7 +193,7 @@ class TestBackward:
         specs, params = random_net(rng, max_units=6)
         x, y = _batch(rng, specs, 4)
         cw = rng.uniform(0.5, 2.0, specs[-1].d_out)
-        grads, _ = train_step(params, None, x, y, specs, (cw,))
+        grads, _ = _step(params, x, y, specs, (cw,))
 
         h = 1e-5
         for li in range(len(specs)):
@@ -189,10 +215,9 @@ class TestBackward:
         c = specs[-1].d_out
         plain, fair = np.ones(c), rng.uniform(0.5, 2.0, c)
 
-        grads_a, (means_a,) = train_step(params, None, x, y, specs, (plain,))
-        grads_f, (means_f,) = train_step(params, None, x, y, specs, (fair,))
-        grads, (both_a, both_f) = train_step(params, None, x, y, specs,
-                                             (plain, fair))
+        grads_a, (means_a,) = _step(params, x, y, specs, (plain,))
+        grads_f, (means_f,) = _step(params, x, y, specs, (fair,))
+        grads, (both_a, both_f) = _step(params, x, y, specs, (plain, fair))
         for got, want in zip(grads.weights + grads.biases,
                              grads_a.weights + grads_a.biases):
             assert np.array_equal(got, want)
@@ -207,9 +232,9 @@ class TestBackward:
         specs, params = random_net(rng)
         x, y = _batch(rng, specs, 3)
         c = specs[-1].d_out
-        base, (base_means,) = train_step(params, None, x, y, specs, (np.ones(c),))
-        scaled, (scaled_means,) = train_step(params, None, x, y, specs,
-                                             (np.full(c, 2.0),))
+        base, (base_means,) = _step(params, x, y, specs, (np.ones(c),))
+        scaled, (scaled_means,) = _step(params, x, y, specs,
+                                        (np.full(c, 2.0),))
         for got, want in zip(scaled.weights + scaled.biases + scaled_means,
                              base.weights + base.biases + base_means):
             np.testing.assert_array_equal(got, 2.0 * want)
@@ -218,8 +243,8 @@ class TestBackward:
         specs, params = random_net(rng)
         x, y = _batch(rng, specs, 5)
         weightings = (np.ones(specs[-1].d_out), np.full(specs[-1].d_out, 3.0))
-        first, means_1 = train_step(params, None, x, y, specs, weightings)
-        second, means_2 = train_step(params, None, x, y, specs, weightings)
+        first, means_1 = _step(params, x, y, specs, weightings)
+        second, means_2 = _step(params, x, y, specs, weightings)
         for a, b in zip(first.weights + first.biases + means_1[0] + means_1[1],
                         second.weights + second.biases + means_2[0] + means_2[1]):
             assert np.array_equal(a, b)
@@ -231,4 +256,52 @@ class TestBackward:
         x[:] = 10.0
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalFailure):
-                train_step(params, None, x, y, specs, (np.ones(specs[-1].d_out),))
+                _step(params, x, y, specs, (np.ones(specs[-1].d_out),))
+
+
+class TestSeedStack:
+    def test_three_stacked_steps_equal_three_single_steps(self, rng):
+        specs = [LayerSpec(5, 7, "relu"), LayerSpec(7, 6, "relu"),
+                 LayerSpec(6, 3, "none")]
+        x, y = _batch(rng, specs, 40)
+        masks = [build_random_mask(specs, omega, seed)
+                 for omega, seed in ((0.3, 1), (0.6, 2), (1.0, 3))]
+        starts = [apply_mask(init_network(specs, s), m)
+                  for s, m in zip((11, 12, 13), masks)]
+        plain, fair = np.ones((3, 3)), rng.uniform(0.5, 2.0, (3, 3))
+
+        nets = [p.copy() for p in starts]
+        stack, mask = stack_params(nets), stack_masks(masks)
+        singles = [(stack_params([p]), stack_masks([m]))
+                   for p, m in zip(starts, masks)]
+        for _ in range(4):
+            # every network draws its own batch
+            idx = np.stack([rng.permutation(40)[:16] for _ in range(3)])
+            grads, means = train_step(stack, mask, x[idx], y[idx], specs,
+                                      (plain, fair))
+            for r, (one, one_mask) in enumerate(singles):
+                g1, means1 = train_step(one, one_mask, x[idx[r]][None],
+                                        y[idx[r]][None], specs,
+                                        (plain[r:r + 1], fair[r:r + 1]))
+                got = grads.weights + grads.biases + means[0] + means[1]
+                want = g1.weights + g1.biases + means1[0] + means1[1]
+                for a, b in zip(got, want):
+                    assert a[r].tobytes() == b[0].tobytes()
+                sgd_step(one, g1, 0.1, one_mask)
+            sgd_step(stack, grads, 0.1, mask)
+        for a, b in zip(nets, starts):
+            for wa, wb in zip(a.weights + a.biases, b.weights + b.biases):
+                assert wa.tobytes() == wb.tobytes()
+
+    def test_failure_names_the_slot(self, rng):
+        specs, params = random_net(rng)
+        bad = params.copy()
+        bad.weights[0][:] = 1e308
+        x, y = _batch(rng, specs, 2)
+        x[:] = 10.0
+        stack = stack_params([params, params.copy(), bad])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalFailure) as caught:
+                train_step(stack, None, np.stack([x] * 3), np.stack([y] * 3),
+                           specs, (np.ones((3, specs[-1].d_out)),))
+        assert caught.value.index == 2

@@ -5,14 +5,18 @@ Exit codes under test: 0 success, 1 configuration or usage error,
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
 
+from ballot import pipeline
 from ballot._version import __version__
 from ballot.cli import main
 from ballot.model import load_checkpoint
 from ballot.reporting import CSV_HEADER, load_report
+
+WALL_TIME = re.compile(rb'(?<="wall_time_s": )[^,\n]+')
 
 SMALL = {
     "model": {"hidden": [8]},
@@ -240,3 +244,56 @@ class TestTopLevel:
             main(["--version"])
         assert exc.value.code == 0
         assert __version__ in capsys.readouterr().out
+
+
+class TestLockstep:
+    def _seed_runs(self, tmp_path, capsys):
+        """``experiment --seeds 3`` next to single-seed ``train`` and
+        ``prune`` runs at each of its seeds."""
+        raw = {**SMALL, "prune": {"omega": 0.5}}
+        exp = tmp_path / "exp"
+        assert main(["experiment", "--seeds", "3", "--config",
+                     write_config(tmp_path, raw), "--out", str(exp)]) == 0
+        singles = {}
+        for seed in range(3):
+            cfg = write_config(tmp_path, {**raw, "seed": seed}, f"seed{seed}.json")
+            out = tmp_path / f"train-seed{seed}"
+            assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+            singles["dense", seed] = out / "report.json"
+            for method in ("ballot", "lth", "magnitude", "random"):
+                out = tmp_path / f"{method}-seed{seed}"
+                assert main(["prune", "--method", method, "--config", cfg,
+                             "--out", str(out)]) == 0
+                singles[method, seed] = out / "report.json"
+        capsys.readouterr()
+        return exp, singles
+
+    def test_every_seed_matches_its_single_seed_run(self, tmp_path, capsys):
+        exp, singles = self._seed_runs(tmp_path, capsys)
+        rounds = [load_report(exp / "runs" / f"ballot-seed{s}" / "report.json")
+                  ["results"][0]["rounds"] for s in range(3)]
+        # seeds that stop refining at different rounds share the lockstep
+        assert len(set(rounds)) == 3
+        for (method, seed), single in singles.items():
+            stacked = exp / "runs" / f"{method}-seed{seed}" / "report.json"
+            assert WALL_TIME.sub(b"null", stacked.read_bytes()) == \
+                WALL_TIME.sub(b"null", single.read_bytes()), (method, seed)
+
+    def test_one_diverging_seed_exits_3_naming_it(self, tmp_path, capsys,
+                                                   monkeypatch):
+        real_init = pipeline.init_network
+
+        def seed_1_overflows(specs, seed):
+            params = real_init(specs, seed)
+            if seed == 1:
+                params.weights[0][:] = 1e308
+            return params
+
+        monkeypatch.setattr(pipeline, "init_network", seed_1_overflows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["experiment", "--seeds", "3", "--config",
+                         write_config(tmp_path, SMALL), "--out",
+                         str(tmp_path / "exp")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: dense training epoch 0, seed 1:" in err

@@ -52,7 +52,7 @@ class TestSynthetic:
         )
         cfg = TrainConfig(hidden=(8,), epochs=6, rewind_epoch=2,
                           batch_size=8, seed=0)
-        arts = train_dense(cfg, make_dataset(spec))
+        (arts,) = train_dense(cfg, make_dataset(spec), [cfg.seed])
         assert arts.dense_report.accuracy == 1.0
         assert arts.dense_report.cwv == 0.0
 

@@ -6,9 +6,12 @@ import struct
 import numpy as np
 import pytest
 
+from ballot import model
 from ballot.errors import ConfigurationError, NumericalFailure, PersistenceError
 from ballot.masks import build_random_mask, identity_mask
+from ballot.metrics import predict
 from ballot.model import (
+    FORWARD_BLOCK_ROWS,
     Checkpoint,
     LayerSpec,
     NetworkParams,
@@ -19,6 +22,9 @@ from ballot.model import (
     load_checkpoint,
     param_count,
     save_checkpoint,
+    sgd_step,
+    stack_masks,
+    stack_params,
     validate_specs,
 )
 
@@ -131,52 +137,66 @@ class TestForward:
         with pytest.raises(NumericalFailure):
             forward(params, None, np.ones((1, 2)), SPECS_222)
 
+    def test_blocked_pass_equals_one_unblocked_call(self, rng, monkeypatch):
+        specs = [LayerSpec(6, 40, "relu"), LayerSpec(40, 40, "relu"),
+                 LayerSpec(40, 4, "none")]
+        params = init_network(specs, 4)
+        mask = build_random_mask(specs, 0.5, 4)
+        x = rng.normal(size=(2 * FORWARD_BLOCK_ROWS + 17, 6))
+        blocked = forward(params, mask, x, specs)
+        monkeypatch.setattr(model, "FORWARD_BLOCK_ROWS", x.shape[0])
+        whole = forward(params, mask, x, specs)
+        assert blocked.tobytes() == whole.tobytes()
+        assert np.array_equal(predict(params, mask, x, specs), whole.argmax(axis=1))
+
+    def test_non_finite_in_late_block_fails_numerically(self):
+        params = init_network(SPECS_222, 0)
+        x = np.ones((3 * FORWARD_BLOCK_ROWS, 2))
+        x[-1, 0] = np.inf
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericalFailure, match="forward pass"):
+                forward(params, None, x, SPECS_222)
+
 
 class TestSgdStep:
-    def _grads_like(self, params, fill):
+    def _grads_like(self, stack, fill):
         return ParamGrads(
-            [np.full_like(w, fill) for w in params.weights],
-            [np.full_like(b, fill) for b in params.biases],
+            [np.full_like(w, fill) for w in stack.weights],
+            [np.full_like(b, fill) for b in stack.biases],
         )
 
     def test_hand_example(self):
-        from ballot.model import sgd_step
-
         params = NetworkParams(
             weights=[np.array([[1.0]])], biases=[np.array([0.0])], seed=0
         )
-        grads = ParamGrads([np.array([[0.5]])], [np.array([0.0])])
-        sgd_step(params, grads, 0.1, None)
+        grads = ParamGrads([np.array([[[0.5]]])], [np.array([[0.0]])])
+        sgd_step(stack_params([params]), grads, 0.1, None)
         assert params.weights[0][0, 0] == 0.95
 
     def test_masked_entry_stays_zero(self):
-        from ballot.model import sgd_step
-
         params = init_network(SPECS_222, 0)
         mask = identity_mask(SPECS_222)
         mask.weight_keep[0][0, 0] = False
         params = apply_mask(params, mask)
-        sgd_step(params, self._grads_like(params, 1.0), 0.1, mask)
+        stack = stack_params([params])
+        sgd_step(stack, self._grads_like(stack, 1.0), 0.1, stack_masks([mask]))
         assert params.weights[0][0, 0] == 0.0
         assert params.weights[0][1, 1] != 0.0
 
     def test_zero_lr_is_bitwise_noop(self):
-        from ballot.model import sgd_step
-
         params = init_network(SPECS_222, 5)
         before = [w.copy() for w in params.weights]
-        sgd_step(params, self._grads_like(params, 0.3), 0.0, None)
+        stack = stack_params([params])
+        sgd_step(stack, self._grads_like(stack, 0.3), 0.0, None)
         for w, b in zip(params.weights, before):
             assert np.array_equal(w, b)
 
     def test_non_finite_gradient_rejected(self):
-        from ballot.model import sgd_step
-
-        params = init_network(SPECS_222, 0)
-        grads = self._grads_like(params, 1.0)
-        grads.weights[0][0, 0] = np.nan
+        stack = stack_params([init_network(SPECS_222, 0)])
+        grads = self._grads_like(stack, 1.0)
+        grads.weights[0][0, 0, 0] = np.nan
         with pytest.raises(NumericalFailure):
-            sgd_step(params, grads, 0.1, None)
+            sgd_step(stack, grads, 0.1, None)
 
 
 class TestCheckpoint:

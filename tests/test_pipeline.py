@@ -34,7 +34,7 @@ def data():
 
 @pytest.fixture(scope="module")
 def artifacts(data):
-    return train_dense(small_config(), data)
+    return train_dense(small_config(), data, [0])[0]
 
 
 def params_equal(a, b):
@@ -111,7 +111,7 @@ class TestConfigValidation:
 
 class TestTrainDense:
     def test_deterministic(self, data, artifacts):
-        again = train_dense(small_config(), data)
+        (again,) = train_dense(small_config(), data, [0])
         assert params_equal(artifacts.theta_e.params, again.theta_e.params)
         assert artifacts.dense_report == again.dense_report
         for a, b in zip(artifacts.ledger.counts, again.ledger.counts):
@@ -134,7 +134,7 @@ class TestTrainDense:
         assert artifacts.theta_e.params.epoch_tag == cfg.epochs
 
     def test_rewind_zero_reuses_theta0(self, data):
-        arts = train_dense(small_config(rewind_epoch=0, epochs=2), data)
+        (arts,) = train_dense(small_config(rewind_epoch=0, epochs=2), data, [0])
         assert arts.theta_k is arts.theta0
 
     def test_training_moves_weights(self, artifacts):
@@ -144,13 +144,13 @@ class TestTrainDense:
     def test_numerical_failure_names_epoch(self, data):
         with np.errstate(over="ignore"):
             with pytest.raises(NumericalFailure, match="dense training epoch"):
-                train_dense(small_config(lr0=1e200), data)
+                train_dense(small_config(lr0=1e200), data, [0])
 
     def test_reference_dense_accuracy(self):
         # frozen from one oracle run of the full-size reference config
         data = small_dataset(counts=(700, 100, 100, 100), dim=20, std=1.0, seed=0)
         cfg = TrainConfig(hidden=(64, 64), epochs=30, seed=0)
-        arts = train_dense(cfg, data)
+        (arts,) = train_dense(cfg, data, [cfg.seed])
         assert arts.dense_report.accuracy >= 0.85
 
 
@@ -159,13 +159,13 @@ class TestRefine:
         cfg = small_config(delta=1.0, epsilon=1.0)
         specs = artifacts.specs
         mask = build_random_mask(specs, cfg.omega, seed=3)
-        outcome = refine(mask, artifacts, cfg, data)
+        (outcome,) = refine([mask], [artifacts], cfg, data)
         assert outcome.rounds_used == 0
         assert len(outcome.candidates) == 1
 
         oracle = apply_mask(artifacts.theta0.params, mask)
         _retrain(
-            oracle, mask, cfg, data, specs, cfg.seed, cfg.epochs,
+            [oracle], [mask], cfg, data, specs, [cfg.seed], cfg.epochs,
             lambda e: lr_at(e, cfg),
         )
         assert params_equal(outcome.params, oracle)
@@ -174,7 +174,7 @@ class TestRefine:
     def test_unsatisfiable_gate_runs_rounds(self, data, artifacts):
         cfg = small_config(delta=-1.0)
         mask = build_random_mask(artifacts.specs, cfg.omega, seed=3)
-        outcome = refine(mask, artifacts, cfg, data)
+        (outcome,) = refine([mask], [artifacts], cfg, data)
         rounds = [c.round_index for c in outcome.candidates]
         assert rounds == list(range(len(rounds)))
         assert 1 <= outcome.rounds_used <= cfg.max_rounds
@@ -187,20 +187,20 @@ class TestRefine:
         cfg = small_config(delta=-1.0, max_rounds=1)
         specs = artifacts.specs
         mask = build_random_mask(specs, cfg.omega, seed=3)
-        outcome = refine(mask, artifacts, cfg, data)
+        (outcome,) = refine([mask], [artifacts], cfg, data)
         round1 = next(c for c in outcome.candidates if c.round_index == 1)
 
         oracle = apply_mask(artifacts.theta_k.params, mask)
         _retrain(
-            oracle, mask, cfg, data, specs, cfg.seed + 1, cfg.epochs,
-            lambda e: lr_at(e, cfg),
+            [oracle], [mask], cfg, data, specs, [cfg.seed], cfg.epochs,
+            lambda e: lr_at(e, cfg), stream_offset=1,
         )
         assert params_equal(round1.params, oracle)
 
     def test_selection_minimizes_cwv_among_feasible(self, data, artifacts):
         cfg = small_config(delta=-1.0)
         mask = build_random_mask(artifacts.specs, cfg.omega, seed=3)
-        outcome = refine(mask, artifacts, cfg, data)
+        (outcome,) = refine([mask], [artifacts], cfg, data)
         dense_acc = artifacts.dense_report.accuracy
         feasible = [
             c for c in outcome.candidates
@@ -220,7 +220,8 @@ class TestRefine:
         mask = build_random_mask(specs, 0.4, seed=7)
         checked = []
 
-        def check(epoch, params):
+        def check(epoch, nets):
+            (params,) = nets
             for w, keep in zip(params.weights, mask.weight_keep):
                 assert (w[~keep] == 0.0).all()
             for b, keep in zip(params.biases, mask.bias_keep):
@@ -228,15 +229,15 @@ class TestRefine:
             checked.append(epoch)
 
         _retrain(
-            apply_mask(artifacts.theta0.params, mask), mask, cfg, data, specs,
-            cfg.seed, cfg.epochs, lambda e: lr_at(e, cfg), on_epoch_end=check,
+            [apply_mask(artifacts.theta0.params, mask)], [mask], cfg, data, specs,
+            [cfg.seed], cfg.epochs, lambda e: lr_at(e, cfg), on_epoch_end=check,
         )
         assert checked == list(range(cfg.epochs))
 
     def test_refine_output_respects_mask(self, data, artifacts):
         cfg = small_config(delta=-1.0)
         mask = build_random_mask(artifacts.specs, cfg.omega, seed=3)
-        outcome = refine(mask, artifacts, cfg, data)
+        (outcome,) = refine([mask], [artifacts], cfg, data)
         for c in outcome.candidates:
             for w, keep in zip(c.params.weights, mask.weight_keep):
                 assert (w[~keep] == 0.0).all()
@@ -245,7 +246,7 @@ class TestRefine:
 class TestFixModel:
     def test_exact_retention_and_metadata(self, data, artifacts):
         cfg = small_config()
-        result = fix_model(cfg, data, artifacts)
+        (result,) = fix_model(cfg, data, [artifacts])
         total = param_count(artifacts.specs)
         assert result.method == "ballot"
         assert result.retention == (int(cfg.omega * total) // 1) / total
@@ -255,8 +256,8 @@ class TestFixModel:
 
     def test_deterministic(self, data):
         cfg = small_config()
-        a = fix_model(cfg, data)
-        b = fix_model(cfg, data)
+        (a,) = fix_model(cfg, data, train_dense(cfg, data, [cfg.seed]))
+        (b,) = fix_model(cfg, data, train_dense(cfg, data, [cfg.seed]))
         assert params_equal(a.params, b.params)
         assert a.report == b.report
         assert a.rounds_used == b.rounds_used
@@ -265,9 +266,9 @@ class TestFixModel:
         # omega 0.999 trims a single entry; the pruned run should track
         # a dense retrain closely
         cfg = small_config(hidden=(12,), omega=0.999, epochs=5, rewind_epoch=2)
-        arts = train_dense(cfg, data)
+        (arts,) = train_dense(cfg, data, [cfg.seed])
         total = param_count(arts.specs)
-        result = fix_model(cfg, data, arts)
+        (result,) = fix_model(cfg, data, [arts])
         assert result.mask.kept_count() == total - 1
         assert abs(result.report.accuracy - arts.dense_report.accuracy) <= 0.15
 
@@ -284,40 +285,67 @@ class TestBaselines:
         cfg = small_config()
         kept = set()
         for method in METHODS:
-            result = run_baseline(method, cfg, data, artifacts)
+            (result,) = run_baseline(method, cfg, data, [artifacts])
             kept.add(result.mask.kept_count())
             assert result.method == method
         assert len(kept) == 1
 
     def test_unknown_method_rejected(self, data, artifacts):
         with pytest.raises(ConfigurationError, match="unknown method"):
-            run_baseline("snip", small_config(), data, artifacts)
+            run_baseline("snip", small_config(), data, [artifacts])
 
     def test_lth_identity_mask_reproduces_dense_training(self, data):
         cfg = small_config(omega=1.0)
-        arts = train_dense(cfg, data)
-        result = run_baseline("lth", cfg, data, arts)
+        (arts,) = train_dense(cfg, data, [cfg.seed])
+        (result,) = run_baseline("lth", cfg, data, [arts])
         assert result.mask.kept_count() == param_count(arts.specs)
         assert params_equal(result.params, arts.theta_e.params)
 
     def test_magnitude_finetunes_from_theta_e(self, data, artifacts):
         cfg = small_config()
-        result = run_baseline("magnitude", cfg, data, artifacts)
+        (result,) = run_baseline("magnitude", cfg, data, [artifacts])
         expected_tag = cfg.epochs + finetune_epochs(cfg.epochs)
         assert result.params.epoch_tag == expected_tag
         assert result.rounds_used == 0
 
     def test_random_trains_from_theta0(self, data, artifacts):
         cfg = small_config()
-        result = run_baseline("random", cfg, data, artifacts)
+        (result,) = run_baseline("random", cfg, data, [artifacts])
         oracle_mask = build_random_mask(artifacts.specs, cfg.omega, cfg.seed)
         for a, b in zip(result.mask.weight_keep, oracle_mask.weight_keep):
             assert np.array_equal(a, b)
 
     def test_lth_and_magnitude_share_the_mask(self, data, artifacts):
         cfg = small_config()
-        lth = run_baseline("lth", cfg, data, artifacts)
-        mag = run_baseline("magnitude", cfg, data, artifacts)
+        (lth,) = run_baseline("lth", cfg, data, [artifacts])
+        (mag,) = run_baseline("magnitude", cfg, data, [artifacts])
         for a, b in zip(lth.mask.weight_keep, mag.mask.weight_keep):
             assert np.array_equal(a, b)
         assert not params_equal(lth.params, mag.params)
+
+
+class TestLockstep:
+    def test_retraining_failure_names_seed_and_epoch(self, data, artifacts):
+        cfg = small_config()
+        specs = artifacts.specs
+        mask = build_random_mask(specs, cfg.omega, seed=3)
+        good = apply_mask(artifacts.theta0.params, mask)
+        bad = good.copy()
+        bad.weights[0][mask.weight_keep[0]] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalFailure,
+                               match="retraining epoch 0, seed 7: "):
+                _retrain([good, bad], [mask, mask], cfg, data, specs, [4, 7],
+                         cfg.epochs, lambda e: lr_at(e, cfg))
+
+    def test_refine_rounds_run_only_the_seeds_still_refining(self, data):
+        cfg = small_config(delta=-1.0, max_rounds=3)
+        arts = train_dense(cfg, data, [0, 1, 2])
+        masks = [build_random_mask(a.specs, cfg.omega, seed=3) for a in arts]
+        stacked = refine(masks, arts, cfg, data)
+        for a, mask, got in zip(arts, masks, stacked):
+            (alone,) = refine([mask], [a], cfg, data)
+            assert got.rounds_used == alone.rounds_used
+            assert [c.report for c in got.candidates] == \
+                [c.report for c in alone.candidates]
+            assert params_equal(got.params, alone.params)
