@@ -22,7 +22,6 @@ from .errors import (
     PersistenceError,
     UsageError,
 )
-from .masks import identity_mask
 from .metrics import evaluate
 from .model import Checkpoint, load_checkpoint, save_checkpoint
 from .pipeline import METHODS, run_baseline, train_dense
@@ -108,7 +107,7 @@ def _cmd_evaluate(args) -> int:
             f"checkpoint expects {ck.specs[0].d_in} features, "
             f"data has {split.X.shape[1]}"
         )
-    report = evaluate(ck.params, identity_mask(ck.specs), split, ck.specs)
+    report = evaluate(ck.params, split, ck.specs)
     payload = {
         "version": __version__,
         "checkpoint": str(args.checkpoint),

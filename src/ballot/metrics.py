@@ -110,16 +110,16 @@ def report_from_predictions(y_true, y_pred, n_classes: int) -> EvalReport:
     )
 
 
-def predict(params: NetworkParams, mask, x, specs: list[LayerSpec]) -> np.ndarray:
+def predict(params: NetworkParams, x, specs: list[LayerSpec]) -> np.ndarray:
     """Argmax over logits; ties go to the lowest class index."""
-    return np.argmax(forward(params, mask, x, specs), axis=1)
+    return np.argmax(forward(params, x, specs), axis=1)
 
 
-def evaluate(params: NetworkParams, mask, split, specs: list[LayerSpec]) -> EvalReport:
+def evaluate(params: NetworkParams, split, specs: list[LayerSpec]) -> EvalReport:
     """Full report on a labelled split (anything with .X and .y)."""
     y = np.asarray(split.y)
     n_classes = specs[-1].d_out
-    return report_from_predictions(y, predict(params, mask, split.X, specs), n_classes)
+    return report_from_predictions(y, predict(params, split.X, specs), n_classes)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,9 @@
 checkpoints.
 
 A network is a list of ``LayerSpec`` entries applied in order.  Every
-layer except the last feeds a ReLU (or, if configured, no activation);
-the last layer always emits raw logits.  Units of all non-final layers
-are the "hidden neurons" that pruning may remove.
+layer except the last feeds a ReLU; the last layer always emits raw
+logits.  Units of all non-final layers are the "hidden neurons" that
+pruning may remove.
 
 Training steps R networks of one architecture at once, stacked on a
 leading seed axis (``ParamStack``, ``MaskStack``): weights [R, d_in,
@@ -15,9 +15,10 @@ Every matmul runs slot by slot with the shapes of a single network, so
 a network's bytes do not depend on what it is stacked with; a single
 network is a stack of one.  Inference (``forward``) runs one network.
 
-Masking is value-level: a masked weight or bias behaves as exactly 0 in
-every forward pass, and ``sgd_step`` re-zeroes masked entries after each
-update so they can never drift away from 0.
+Masking lives in the parameters: a masked weight or bias is stored as
+exactly +0.0.  ``apply_mask`` establishes that and ``sgd_step`` keeps it,
+re-zeroing masked entries after each update; every other function reads
+the parameters as stored and takes no mask.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .fileio import atomic_open
 
 _MAGIC = b"BLTC"
 _VERSION = 1
-_ACTIVATIONS = ("relu", "none")
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,10 @@ def validate_specs(specs: list[LayerSpec]) -> None:
     for i, spec in enumerate(specs):
         if spec.d_in < 1 or spec.d_out < 1:
             raise ConfigurationError(f"layer {i} has non-positive dimensions")
-        if spec.activation not in _ACTIVATIONS:
+        if i < len(specs) - 1 and spec.activation != "relu":
             raise ConfigurationError(
-                f"layer {i} activation must be one of {_ACTIVATIONS}"
+                f"hidden layer {i} activation must be 'relu', "
+                f"got {spec.activation!r}"
             )
         if i > 0 and spec.d_in != specs[i - 1].d_out:
             raise ConfigurationError(
@@ -139,36 +140,19 @@ def stack_params(nets: list[NetworkParams]) -> ParamStack:
 
 @dataclass
 class MaskStack:
-    """Keep flags of R masks shaped like a ``ParamStack``, plus their
-    negations, computed once for the re-zeroing after every step."""
+    """Drop flags (negated keep flags) of R masks shaped like a
+    ``ParamStack``, computed once for the re-zeroing after every step."""
 
-    weight_keep: list[np.ndarray]
-    bias_keep: list[np.ndarray]
     weight_drop: list[np.ndarray]
     bias_drop: list[np.ndarray]
 
 
 def stack_masks(masks) -> MaskStack:
-    """Stack the per-layer keep flags of ``masks`` in order."""
-    wk = [np.stack(keeps) for keeps in zip(*(m.weight_keep for m in masks))]
-    bk = [np.stack(keeps) for keeps in zip(*(m.bias_keep for m in masks))]
-    return MaskStack(wk, bk, [~k for k in wk], [~k for k in bk])
-
-
-def _masked_values(params, mask):
-    if mask is None:
-        return params.weights, params.biases
-    if len(mask.weight_keep) != len(params.weights):
-        raise ConfigurationError("mask layer count does not match network")
-    ws, bs = [], []
-    for w, b, wk, bk in zip(
-        params.weights, params.biases, mask.weight_keep, mask.bias_keep
-    ):
-        if wk.shape != w.shape or bk.shape != b.shape:
-            raise ConfigurationError("mask shape does not match network")
-        ws.append(w * wk)
-        bs.append(b * bk)
-    return ws, bs
+    """Stack the per-layer drop flags of ``masks`` in order."""
+    return MaskStack(
+        [~np.stack(keeps) for keeps in zip(*(m.weight_keep for m in masks))],
+        [~np.stack(keeps) for keeps in zip(*(m.bias_keep for m in masks))],
+    )
 
 
 def _check_input(x, specs: list[LayerSpec], lead: tuple = ()) -> np.ndarray:
@@ -194,28 +178,29 @@ def _require_finite(a: np.ndarray, what: str) -> None:
 FORWARD_BLOCK_ROWS = 1024
 
 
-def _forward_rows(x, ws, bs, specs: list[LayerSpec]) -> np.ndarray:
+def _forward_rows(x, params: NetworkParams) -> np.ndarray:
     h = x
-    for spec, w, b in zip(specs, ws, bs):
+    last = len(params.weights) - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = h @ w + b
         if not np.isfinite(z).all():
             raise NumericalFailure("non-finite layer output in forward pass")
-        h = np.maximum(z, 0.0) if spec.activation == "relu" else z
+        h = np.maximum(z, 0.0) if i < last else z
     return h
 
 
-def forward(params: NetworkParams, mask, x: np.ndarray, specs: list[LayerSpec]) -> np.ndarray:
-    """Inference pass of one network, returns logits of shape [n, C].
+def forward(params: NetworkParams, x: np.ndarray, specs: list[LayerSpec]) -> np.ndarray:
+    """Inference pass of one network as stored, returns logits of shape
+    [n, C]; a masked network is one whose masked entries are 0.
 
     Inputs longer than ``FORWARD_BLOCK_ROWS`` rows run in blocks of that
     many rows; every row's logits are the same either way."""
     x = _check_input(x, specs)
-    ws, bs = _masked_values(params, mask)
     n = x.shape[0]
     if n <= FORWARD_BLOCK_ROWS:
-        return _forward_rows(x, ws, bs, specs)
+        return _forward_rows(x, params)
     return np.concatenate([
-        _forward_rows(x[start : start + FORWARD_BLOCK_ROWS], ws, bs, specs)
+        _forward_rows(x[start : start + FORWARD_BLOCK_ROWS], params)
         for start in range(0, n, FORWARD_BLOCK_ROWS)
     ])
 
@@ -273,8 +258,7 @@ def weighted_cross_entropy(logits, onehot, class_weights):
     return out
 
 
-def train_step(params: ParamStack, mask: MaskStack | None, x, onehot,
-               specs: list[LayerSpec],
+def train_step(params: ParamStack, x, onehot, specs: list[LayerSpec],
                class_weights) -> tuple[ParamGrads, list[list[np.ndarray]]]:
     """Gradients of one batch per network under one or more weighted
     cross-entropies, for R networks at once.
@@ -283,25 +267,28 @@ def train_step(params: ParamStack, mask: MaskStack | None, x, onehot,
     array belongs to network r, and ``class_weights`` holds one [R, C]
     array per loss.  Returns the parameter gradients of the first loss,
     shaped like the stack, and, for every loss, the batch-mean gradient
-    of each hidden pre-activation ([R, units] per hidden layer).  Masked
-    values enter already zeroed, so gradients flow through exactly the
-    network that inference sees.  Each slot's arithmetic is that of a
-    stack of one, so stacking never changes a network's result.
+    of each hidden pre-activation ([R, units] per hidden layer).  The
+    parameters are used as stored, so gradients flow through exactly the
+    network that inference sees; ``sgd_step`` discards the gradients of
+    masked entries.  Each slot's arithmetic is that of a stack of one, so
+    stacking never changes a network's result.
     """
     x = _check_input(x, specs, (params.weights[0].shape[0],))
-    ws, bs = _masked_values(params, mask)
+    ws = params.weights
+    n_layers = len(specs)
     inputs, gates = [], []
     h = x
-    for spec, w, b in zip(specs, ws, bs):
+    for i, (w, b) in enumerate(zip(ws, params.biases)):
         inputs.append(h)
         z = h @ w + b[:, None, :]
         _require_finite(z, "non-finite layer output in training pass")
-        relu = spec.activation == "relu"
-        gates.append(z > 0.0 if relu else None)
-        h = np.maximum(z, 0.0) if relu else z
+        if i < n_layers - 1:
+            gates.append(z > 0.0)
+            h = np.maximum(z, 0.0)
+        else:
+            h = z
 
     upstream = [g for _, g in weighted_cross_entropy(h, onehot, class_weights)]
-    n_layers = len(specs)
     grads = ParamGrads([None] * n_layers, [None] * n_layers)
     preact_means = []
     for k, g in enumerate(upstream):
@@ -311,9 +298,7 @@ def train_step(params: ParamStack, mask: MaskStack | None, x, onehot,
                 grads.weights[i] = np.swapaxes(inputs[i], 1, 2) @ g
                 grads.biases[i] = g.sum(axis=1)
             if i > 0:
-                g = g @ np.swapaxes(ws[i], 1, 2)
-                if gates[i - 1] is not None:
-                    g = g * gates[i - 1]
+                g = (g @ np.swapaxes(ws[i], 1, 2)) * gates[i - 1]
                 _require_finite(g, "non-finite pre-activation gradient")
                 means.insert(0, g.mean(axis=1))
         preact_means.append(means)
@@ -344,11 +329,13 @@ def sgd_step(
 
 
 def apply_mask(params: NetworkParams, mask) -> NetworkParams:
-    """Fresh parameter set with masked entries set to exactly 0."""
+    """Fresh parameter set with masked entries set to exactly +0.0."""
+    if len(mask.weight_keep) != len(params.weights):
+        raise ConfigurationError("mask layer count does not match network")
     out = params.copy()
-    if mask is None:
-        return out
     for w, b, wk, bk in zip(out.weights, out.biases, mask.weight_keep, mask.bias_keep):
+        if wk.shape != w.shape or bk.shape != b.shape:
+            raise ConfigurationError("mask shape does not match network")
         w[~wk] = 0.0
         b[~bk] = 0.0
     return out

@@ -234,7 +234,7 @@ def train_dense(
         try:
             for idx in _batches(_shuffle(seeds, epoch, x.shape[0]), config.batch_size):
                 grads, (means_a, means_f) = train_step(
-                    stack, None, x[idx], onehot[idx], specs, (plain, fair)
+                    stack, x[idx], onehot[idx], specs, (plain, fair)
                 )
                 for i, (ma, mf) in enumerate(zip(means_a, means_f)):
                     acc_a[i] += ma
@@ -250,7 +250,7 @@ def train_dense(
                 epoch, [a[r] for a in acc_a], [f[r] for f in acc_f],
                 config.gamma, config.eta,
             )
-            train_report = evaluate(params, None, data.train, specs)
+            train_report = evaluate(params, data.train, specs)
             fair_rows.append(update_class_weights(train_report, epoch).as_array())
             if epoch + 1 == config.rewind_epoch:
                 theta_k[r] = Checkpoint(
@@ -258,7 +258,7 @@ def train_dense(
                 )
         fair = np.stack(fair_rows)
 
-    dense_reports = [evaluate(p, None, data.test, specs) for p in nets]
+    dense_reports = [evaluate(p, data.test, specs) for p in nets]
     share = (time.perf_counter() - t0) / len(seeds)
     return [
         RunArtifacts(
@@ -285,11 +285,11 @@ def _retrain(
     lr_fn,
     stream_offset: int = 0,
     epoch_offset: int = 0,
-    on_epoch_end=None,
 ) -> list[NetworkParams]:
     """Masked training of ``nets`` in lockstep, in place, on the accuracy
     loss only; network r's batch order comes from (seeds[r] +
-    stream_offset, epoch_offset + epoch)."""
+    stream_offset, epoch_offset + epoch).  ``nets`` must already hold
+    their masks' zeros (``apply_mask``); every step keeps them."""
     stack = stack_params(nets)
     mask = stack_masks(masks)
     x, onehot = data.train.X, data.train_onehot
@@ -300,16 +300,12 @@ def _retrain(
         orders = _shuffle(streams, epoch_offset + epoch, x.shape[0])
         try:
             for idx in _batches(orders, config.batch_size):
-                grads, _ = train_step(
-                    stack, mask, x[idx], onehot[idx], specs, (plain,)
-                )
+                grads, _ = train_step(stack, x[idx], onehot[idx], specs, (plain,))
                 sgd_step(stack, grads, lr, mask)
         except NumericalFailure as exc:
             raise _failure("retraining", epoch, seeds, exc) from exc
         for params in nets:
             params.epoch_tag += 1
-        if on_epoch_end is not None:
-            on_epoch_end(epoch, nets)
     return nets
 
 
@@ -352,7 +348,7 @@ def refine(
         )
         still = []
         for r, params in zip(refining, nets):
-            report = evaluate(params, masks[r], data.test, specs)
+            report = evaluate(params, data.test, specs)
             if r_index == 0:
                 dense = artifacts[r].dense_report
                 fair_enough = bias_delta(report, dense, "cwv") <= config.delta
@@ -468,7 +464,7 @@ def run_baseline(
             lambda e: lr_at(e, config),
         )
 
-    reports = [evaluate(p, m, data.test, specs) for p, m in zip(nets, masks)]
+    reports = [evaluate(p, data.test, specs) for p in nets]
     share = (time.perf_counter() - t0) / len(artifacts)
     return [
         PruneResult(

@@ -21,7 +21,6 @@ from ballot.masks import (
     build_magnitude_mask,
     build_random_mask,
     conflict_scores,
-    identity_mask,
     positive_score_threshold,
 )
 from ballot.metrics import evaluate, predict, report_from_predictions
@@ -86,11 +85,8 @@ def test_criterion_1_metric_oracles():
         n = int(rng.integers(c, 60))
         x = rng.normal(size=(n, specs[0].d_in))
         y = np.concatenate([np.arange(c), rng.integers(0, c, n - c)])
-        mask = identity_mask(specs)
-        rep = evaluate(params, mask, Split(X=x, y=y), specs)
-        ref = brute_force_report(
-            y.tolist(), predict(params, mask, x, specs).tolist(), c
-        )
+        rep = evaluate(params, Split(X=x, y=y), specs)
+        ref = brute_force_report(y.tolist(), predict(params, x, specs).tolist(), c)
         for key in scalar_keys:
             worst = max(worst, abs(getattr(rep, key) - ref[key]))
 
@@ -132,7 +128,7 @@ def _gradients(params, specs, x, y, class_w):
     """Parameter gradients of one network: ``train_step`` on a stack of
     one, slot 0.  The network's arrays become views of the stack, so the
     perturbations below still reach the oracle."""
-    grads, _ = train_step(stack_params([params]), None, x[None], y[None], specs,
+    grads, _ = train_step(stack_params([params]), x[None], y[None], specs,
                           (class_w[None],))
     return ParamGrads([w[0] for w in grads.weights], [b[0] for b in grads.biases])
 

@@ -41,7 +41,7 @@ def _step(params, x, y, specs, weightings):
     """``train_step`` of one network, as a stack of one; returns slot 0
     of every result."""
     grads, means = train_step(
-        stack_params([params]), None, np.asarray(x, dtype=np.float64)[None],
+        stack_params([params]), np.asarray(x, dtype=np.float64)[None],
         np.asarray(y, dtype=np.float64)[None], specs,
         [np.asarray(w, dtype=np.float64)[None] for w in weightings],
     )
@@ -68,17 +68,17 @@ def _batch(rng, specs, n):
 class TestAffine:
     def test_identity(self):
         params, specs = _net((np.eye(2), [0.0, 0.0], "none"))
-        out = forward(params, None, [[1.0, 2.0]], specs)
+        out = forward(params, [[1.0, 2.0]], specs)
         np.testing.assert_array_equal(out, [[1.0, 2.0]])
 
     def test_hand_matrix_product(self):
         params, specs = _net(([[3.0], [5.0]], [1.0], "none"))
-        out = forward(params, None, [[1.0, 0.0], [0.0, 1.0]], specs)
+        out = forward(params, [[1.0, 0.0], [0.0, 1.0]], specs)
         np.testing.assert_array_equal(out, [[4.0], [6.0]])
 
     def test_zero_input_passes_bias(self):
         params, specs = _net(([[2.5, -1.0], [0.3, 4.0]], [7.0, 7.0], "none"))
-        out = forward(params, None, [[0.0, 0.0]], specs)
+        out = forward(params, [[0.0, 0.0]], specs)
         np.testing.assert_array_equal(out, [[7.0, 7.0]])
 
     def test_shape_mismatch_is_config_error(self):
@@ -106,13 +106,13 @@ class TestRelu:
     def test_definition(self):
         params, specs = _net((np.eye(3), [0.0] * 3, "relu"),
                              (np.eye(3), [0.0] * 3, "none"))
-        out = forward(params, None, [[-1.0, 0.0, 2.0]], specs)
+        out = forward(params, [[-1.0, 0.0, 2.0]], specs)
         np.testing.assert_array_equal(out, [[0.0, 0.0, 2.0]])
 
     def test_all_negative_is_all_zero(self):
         params, specs = _net((np.eye(2), [0.0, 0.0], "relu"),
                              (np.eye(2), [0.0, 0.0], "none"))
-        out = forward(params, None, [[-3.0, -0.5], [-1e9, -1e-9]], specs)
+        out = forward(params, [[-3.0, -0.5], [-1e9, -1e-9]], specs)
         np.testing.assert_array_equal(out, np.zeros((2, 2)))
 
     def _hidden_grad(self, x):
@@ -121,7 +121,7 @@ class TestRelu:
                              ([[1.0, -1.0], [2.0, 0.5]], [0.0, 0.0], "none"))
         y = [[1.0, 0.0]]
         _, (means,) = _step(params, x, y, specs, (np.ones(2),))
-        logits = forward(params, None, x, specs)
+        logits = forward(params, x, specs)
         _, dlogits = _ce(logits, y, np.ones(2))
         return means[0], (dlogits @ params.weights[1].T)[0]
 
@@ -277,10 +277,10 @@ class TestSeedStack:
         for _ in range(4):
             # every network draws its own batch
             idx = np.stack([rng.permutation(40)[:16] for _ in range(3)])
-            grads, means = train_step(stack, mask, x[idx], y[idx], specs,
+            grads, means = train_step(stack, x[idx], y[idx], specs,
                                       (plain, fair))
             for r, (one, one_mask) in enumerate(singles):
-                g1, means1 = train_step(one, one_mask, x[idx[r]][None],
+                g1, means1 = train_step(one, x[idx[r]][None],
                                         y[idx[r]][None], specs,
                                         (plain[r:r + 1], fair[r:r + 1]))
                 got = grads.weights + grads.biases + means[0] + means[1]
@@ -302,6 +302,6 @@ class TestSeedStack:
         stack = stack_params([params, params.copy(), bad])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalFailure) as caught:
-                train_step(stack, None, np.stack([x] * 3), np.stack([y] * 3),
+                train_step(stack, np.stack([x] * 3), np.stack([y] * 3),
                            specs, (np.ones((3, specs[-1].d_out)),))
         assert caught.value.index == 2

@@ -172,7 +172,7 @@ class TestReport:
             weights=[np.zeros((2, 3))], biases=[np.zeros(3)], seed=0
         )
         specs = [LayerSpec(2, 3, "none")]
-        preds = predict(params, None, np.ones((4, 2)), specs)
+        preds = predict(params, np.ones((4, 2)), specs)
         assert (preds == 0).all()
 
 

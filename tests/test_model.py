@@ -1,4 +1,5 @@
-"""Network init, masked forward/step, checkpoint persistence."""
+"""Network init, masking, forward pass and SGD step, checkpoint
+persistence."""
 
 import json
 import struct
@@ -56,6 +57,8 @@ class TestSpecs:
             validate_specs([])
         with pytest.raises(ConfigurationError):
             validate_specs([LayerSpec(2, 0, "none")])
+        with pytest.raises(ConfigurationError, match="hidden layer 0"):
+            validate_specs([LayerSpec(2, 3, "none"), LayerSpec(3, 2, "none")])
 
     def test_error_names_offending_layer(self):
         with pytest.raises(ConfigurationError, match="layer 1"):
@@ -87,16 +90,31 @@ class TestInit:
             assert np.array_equal(b, np.zeros(spec.d_out))
 
 
-class TestForward:
-    def test_none_mask_equals_identity_mask(self, rng):
+class TestApplyMask:
+    def test_masked_entries_become_positive_zero(self, rng):
         specs = random_specs(rng)
         params = init_network(specs, 11)
-        x = rng.normal(size=(5, specs[0].d_in))
-        assert np.array_equal(
-            forward(params, None, x, specs),
-            forward(params, identity_mask(specs), x, specs),
-        )
+        params.weights[0][:] = -1.0
+        mask = build_random_mask(specs, 0.5, 11)
+        masked = apply_mask(params, mask)
+        for got, was, keep in zip(masked.weights + masked.biases,
+                                  params.weights + params.biases,
+                                  mask.weight_keep + mask.bias_keep):
+            assert (got[~keep] == 0.0).all()
+            assert not np.signbit(got[~keep]).any()
+            assert np.array_equal(got[keep], was[keep])
 
+    def test_mask_for_other_specs_rejected(self):
+        params = init_network(SPECS_222, 0)
+        wider = [LayerSpec(2, 3, "relu"), LayerSpec(3, 2, "none")]
+        with pytest.raises(ConfigurationError, match="mask shape does not match"):
+            apply_mask(params, identity_mask(wider))
+        deeper = [LayerSpec(2, 2, "relu")] + SPECS_222
+        with pytest.raises(ConfigurationError, match="mask layer count"):
+            apply_mask(params, identity_mask(deeper))
+
+
+class TestForward:
     def test_hand_masked_2_2_2(self):
         params = NetworkParams(
             weights=[np.array([[1.0, 2.0], [3.0, 4.0]]),
@@ -113,41 +131,31 @@ class TestForward:
         x = np.array([[1.0, 1.0]])
         h0 = max(0.0, 1.0 * 1.0 + 1.0 * 3.0 + 0.5)
         expected = [[h0 * 5.0 + 0.0, h0 * 6.0 + 1.0]]
-        np.testing.assert_array_equal(forward(params, mask, x, SPECS_222), expected)
-
-    def test_mask_idempotence(self, rng):
-        for _ in range(10):
-            specs = random_specs(rng)
-            params = init_network(specs, int(rng.integers(1000)))
-            mask = build_random_mask(specs, 0.6, int(rng.integers(1000)))
-            x = rng.normal(size=(4, specs[0].d_in))
-            assert np.array_equal(
-                forward(params, mask, x, specs),
-                forward(apply_mask(params, mask), mask, x, specs),
-            )
+        np.testing.assert_array_equal(
+            forward(apply_mask(params, mask), x, SPECS_222), expected
+        )
 
     def test_shape_mismatch_rejected(self):
         params = init_network(SPECS_222, 0)
         with pytest.raises(ConfigurationError):
-            forward(params, None, np.zeros((1, 3)), SPECS_222)
+            forward(params, np.zeros((1, 3)), SPECS_222)
 
     def test_non_finite_params_fail_numerically(self):
         params = init_network(SPECS_222, 0)
         params.weights[0][0, 0] = np.inf
         with pytest.raises(NumericalFailure):
-            forward(params, None, np.ones((1, 2)), SPECS_222)
+            forward(params, np.ones((1, 2)), SPECS_222)
 
     def test_blocked_pass_equals_one_unblocked_call(self, rng, monkeypatch):
         specs = [LayerSpec(6, 40, "relu"), LayerSpec(40, 40, "relu"),
                  LayerSpec(40, 4, "none")]
-        params = init_network(specs, 4)
-        mask = build_random_mask(specs, 0.5, 4)
+        params = apply_mask(init_network(specs, 4), build_random_mask(specs, 0.5, 4))
         x = rng.normal(size=(2 * FORWARD_BLOCK_ROWS + 17, 6))
-        blocked = forward(params, mask, x, specs)
+        blocked = forward(params, x, specs)
         monkeypatch.setattr(model, "FORWARD_BLOCK_ROWS", x.shape[0])
-        whole = forward(params, mask, x, specs)
+        whole = forward(params, x, specs)
         assert blocked.tobytes() == whole.tobytes()
-        assert np.array_equal(predict(params, mask, x, specs), whole.argmax(axis=1))
+        assert np.array_equal(predict(params, x, specs), whole.argmax(axis=1))
 
     def test_non_finite_in_late_block_fails_numerically(self):
         params = init_network(SPECS_222, 0)
@@ -155,7 +163,7 @@ class TestForward:
         x[-1, 0] = np.inf
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericalFailure, match="forward pass"):
-                forward(params, None, x, SPECS_222)
+                forward(params, x, SPECS_222)
 
 
 class TestSgdStep:
@@ -273,6 +281,14 @@ class TestCheckpoint:
             + manifest + payload
         )
         with pytest.raises(PersistenceError, match="layer 1"):
+            load_checkpoint(path)
+
+    def test_hidden_layer_without_relu_rejected(self, tmp_path):
+        path = tmp_path / "linear.ckpt"
+        save_checkpoint(Checkpoint(init_network(SPECS_222, 0), SPECS_222), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw.replace(b'"relu"', b'"none"', 1))
+        with pytest.raises(PersistenceError, match="hidden layer 0"):
             load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):

@@ -5,9 +5,12 @@ hidden layer, so the whole file stays fast while exercising the real
 training loops.
 """
 
+import math
+
 import numpy as np
 import pytest
 
+from ballot import pipeline
 from ballot.errors import ConfigurationError, NumericalFailure
 from ballot.masks import build_random_mask
 from ballot.metrics import evaluate
@@ -41,6 +44,14 @@ def params_equal(a, b):
     return all(np.array_equal(x, y) for x, y in zip(a.weights, b.weights)) and all(
         np.array_equal(x, y) for x, y in zip(a.biases, b.biases)
     )
+
+
+def assert_masked_entries_zero(arrays, mask):
+    """Every entry ``mask`` removes from ``arrays`` (weights, then biases)
+    is stored as exactly +0.0."""
+    for a, keep in zip(arrays, mask.weight_keep + mask.bias_keep):
+        dropped = a[~keep]
+        assert (dropped == 0.0).all() and not np.signbit(dropped).any()
 
 
 class TestLrSchedule:
@@ -169,7 +180,7 @@ class TestRefine:
             lambda e: lr_at(e, cfg),
         )
         assert params_equal(outcome.params, oracle)
-        assert outcome.report == evaluate(oracle, mask, data.test, specs)
+        assert outcome.report == evaluate(oracle, data.test, specs)
 
     def test_unsatisfiable_gate_runs_rounds(self, data, artifacts):
         cfg = small_config(delta=-1.0)
@@ -214,33 +225,39 @@ class TestRefine:
         assert outcome.report == best.report
         assert params_equal(outcome.params, best.params)
 
-    def test_masked_entries_stay_zero_every_epoch(self, data, artifacts):
+    def test_masked_entries_stay_zero_every_epoch(self, data, artifacts,
+                                                  monkeypatch):
+        # checked after every SGD step, in every slot of a two-seed stack
         cfg = small_config()
         specs = artifacts.specs
-        mask = build_random_mask(specs, 0.4, seed=7)
-        checked = []
+        masks = [build_random_mask(specs, omega, seed=7) for omega in (0.4, 0.7)]
+        real_step = pipeline.sgd_step
+        steps = []
 
-        def check(epoch, nets):
-            (params,) = nets
-            for w, keep in zip(params.weights, mask.weight_keep):
-                assert (w[~keep] == 0.0).all()
-            for b, keep in zip(params.biases, mask.bias_keep):
-                assert (b[~keep] == 0.0).all()
-            checked.append(epoch)
+        def checked_step(stack, grads, lr, mask=None):
+            out = real_step(stack, grads, lr, mask)
+            for r, m in enumerate(masks):
+                assert_masked_entries_zero(
+                    [a[r] for a in stack.weights + stack.biases], m
+                )
+            steps.append(lr)
+            return out
 
+        monkeypatch.setattr(pipeline, "sgd_step", checked_step)
         _retrain(
-            [apply_mask(artifacts.theta0.params, mask)], [mask], cfg, data, specs,
-            [cfg.seed], cfg.epochs, lambda e: lr_at(e, cfg), on_epoch_end=check,
+            [apply_mask(artifacts.theta0.params, m) for m in masks], masks, cfg,
+            data, specs, [cfg.seed, cfg.seed + 1], cfg.epochs,
+            lambda e: lr_at(e, cfg),
         )
-        assert checked == list(range(cfg.epochs))
+        batches = math.ceil(data.train.X.shape[0] / cfg.batch_size)
+        assert len(steps) == cfg.epochs * batches
 
     def test_refine_output_respects_mask(self, data, artifacts):
         cfg = small_config(delta=-1.0)
         mask = build_random_mask(artifacts.specs, cfg.omega, seed=3)
         (outcome,) = refine([mask], [artifacts], cfg, data)
         for c in outcome.candidates:
-            for w, keep in zip(c.params.weights, mask.weight_keep):
-                assert (w[~keep] == 0.0).all()
+            assert_masked_entries_zero(c.params.weights + c.params.biases, mask)
 
 
 class TestFixModel:
@@ -293,6 +310,13 @@ class TestBaselines:
     def test_unknown_method_rejected(self, data, artifacts):
         with pytest.raises(ConfigurationError, match="unknown method"):
             run_baseline("snip", small_config(), data, [artifacts])
+
+    @pytest.mark.parametrize("method", ["lth", "magnitude", "random"])
+    def test_output_respects_mask(self, data, artifacts, method):
+        (result,) = run_baseline(method, small_config(), data, [artifacts])
+        assert_masked_entries_zero(
+            result.params.weights + result.params.biases, result.mask
+        )
 
     def test_lth_identity_mask_reproduces_dense_training(self, data):
         cfg = small_config(omega=1.0)
