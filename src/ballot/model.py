@@ -19,6 +19,14 @@ Masking lives in the parameters: a masked weight or bias is stored as
 exactly +0.0.  ``apply_mask`` establishes that and ``sgd_step`` keeps it,
 re-zeroing masked entries after each update; every other function reads
 the parameters as stored and takes no mask.
+
+A masked network retrains at its compacted shape: ``compact_network``
+gathers its live hidden units into a smaller dense network, whose
+trimmed entries stay masked, and ``expand_network`` scatters the trained
+result back into full shape.  A unit that is not live contributes exact
+zeros and receives zero gradients, so training the compacted network
+leaves every entry outside it as it was.  These two and ``apply_mask``
+are the only functions that know both shapes.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -339,6 +348,73 @@ def apply_mask(params: NetworkParams, mask) -> NetworkParams:
         w[~wk] = 0.0
         b[~bk] = 0.0
     return out
+
+
+class Keep(NamedTuple):
+    """Per-layer keep flags shaped like a network's weights and biases."""
+
+    weight_keep: list[np.ndarray]
+    bias_keep: list[np.ndarray]
+
+
+def live_units(mask) -> list[np.ndarray]:
+    """Indices of every hidden layer's live units, in ascending order.
+
+    A hidden unit is live when it has a kept incoming weight or a kept
+    bias, and a kept outgoing weight.  Any other unit's pre-activation
+    is +0.0 or its output is multiplied by +0.0 only, so it changes no
+    logit and every entry tied to it gets a zero gradient."""
+    return [
+        np.flatnonzero((wk.any(axis=0) | bk) & out.any(axis=1))
+        for wk, bk, out in zip(mask.weight_keep, mask.bias_keep, mask.weight_keep[1:])
+    ]
+
+
+def _unit_ends(mask) -> list[np.ndarray]:
+    """Kept unit indices at every layer boundary: all inputs, each hidden
+    layer's live units, all outputs."""
+    d_in, n_out = mask.weight_keep[0].shape[0], mask.weight_keep[-1].shape[1]
+    return [np.arange(d_in), *live_units(mask), np.arange(n_out)]
+
+
+def compact_network(
+    params: NetworkParams, mask, specs: list[LayerSpec]
+) -> tuple[NetworkParams, list[LayerSpec], Keep]:
+    """The live part of a masked network as a smaller dense network.
+
+    Returns fresh copies of the weights and biases of the live hidden
+    units (see ``live_units``), the specs of that network, whose hidden
+    layers may have width 0, and its keep flags: entries ``mask`` trims
+    inside the live part stay trimmed.  ``expand_network`` scatters the
+    result back."""
+    ends = _unit_ends(mask)
+    blocks = [np.ix_(rows, cols) for rows, cols in zip(ends, ends[1:])]
+    small = NetworkParams(
+        [w[block] for w, block in zip(params.weights, blocks)],
+        [b[cols] for b, cols in zip(params.biases, ends[1:])],
+        params.seed,
+        params.epoch_tag,
+    )
+    small_specs = [
+        LayerSpec(len(rows), len(cols), spec.activation)
+        for rows, cols, spec in zip(ends, ends[1:], specs)
+    ]
+    keep = Keep(
+        [wk[block] for wk, block in zip(mask.weight_keep, blocks)],
+        [bk[cols] for bk, cols in zip(mask.bias_keep, ends[1:])],
+    )
+    return small, small_specs, keep
+
+
+def expand_network(small: NetworkParams, params: NetworkParams, mask) -> NetworkParams:
+    """Write ``small``, the ``compact_network`` of ``params`` under
+    ``mask``, back into the live part of ``params`` in place; every entry
+    outside it keeps its value.  Returns ``params``."""
+    ends = _unit_ends(mask)
+    for i, (rows, cols) in enumerate(zip(ends, ends[1:])):
+        params.weights[i][np.ix_(rows, cols)] = small.weights[i]
+        params.biases[i][cols] = small.biases[i]
+    return params
 
 
 @dataclass

@@ -23,6 +23,11 @@ batch order, ledger, class weights and refinement decisions.  Stacking
 never changes a seed's arithmetic, so a seed's results are the same
 bytes whatever seeds it runs with; a single run is a list of one.
 
+Retraining after pruning runs at the compacted shape: each masked
+network is reduced to its live hidden units, seeds whose compacted
+shapes are equal are stacked together, and each result is scattered
+back into the full-shape network that checkpoints and reports use.
+
 Every source of randomness is keyed by (seed, stream, epoch), so any
 run is bit-reproducible and a retrained identity-masked network follows
 the exact arithmetic of a fresh dense training.
@@ -57,6 +62,8 @@ from .model import (
     LayerSpec,
     NetworkParams,
     apply_mask,
+    compact_network,
+    expand_network,
     hidden_sizes,
     init_network,
     sgd_step,
@@ -286,26 +293,46 @@ def _retrain(
     stream_offset: int = 0,
     epoch_offset: int = 0,
 ) -> list[NetworkParams]:
-    """Masked training of ``nets`` in lockstep, in place, on the accuracy
-    loss only; network r's batch order comes from (seeds[r] +
-    stream_offset, epoch_offset + epoch).  ``nets`` must already hold
-    their masks' zeros (``apply_mask``); every step keeps them."""
-    stack = stack_params(nets)
-    mask = stack_masks(masks)
+    """Masked training of ``nets``, in place, on the accuracy loss only;
+    network r's batch order comes from (seeds[r] + stream_offset,
+    epoch_offset + epoch).  ``nets`` must already hold their masks' zeros
+    (``apply_mask``).
+
+    Each network trains at its compacted shape (``compact_network``):
+    only its live hidden units, with the entries its mask trims among
+    them kept at zero after every step.  Networks whose compacted shapes
+    are equal train in lockstep as one stack; the stacks run one after
+    another, and each result is scattered back into its full-shape
+    network.  Entries outside the live units keep their values."""
+    smalls, shapes, keeps = zip(
+        *(compact_network(p, m, specs) for p, m in zip(nets, masks))
+    )
+    groups: dict[tuple, list[int]] = {}
+    for r, small_specs in enumerate(shapes):
+        groups.setdefault(tuple(small_specs), []).append(r)
+
     x, onehot = data.train.X, data.train_onehot
-    plain = np.ones((len(nets), data.n_classes))
-    streams = [s + stream_offset for s in seeds]
-    for epoch in range(epochs):
-        lr = lr_fn(epoch)
-        orders = _shuffle(streams, epoch_offset + epoch, x.shape[0])
-        try:
-            for idx in _batches(orders, config.batch_size):
-                grads, _ = train_step(stack, x[idx], onehot[idx], specs, (plain,))
-                sgd_step(stack, grads, lr, mask)
-        except NumericalFailure as exc:
-            raise _failure("retraining", epoch, seeds, exc) from exc
-        for params in nets:
-            params.epoch_tag += 1
+    for small_specs, members in groups.items():
+        stack = stack_params([smalls[r] for r in members])
+        mask = stack_masks([keeps[r] for r in members])
+        group_seeds = [seeds[r] for r in members]
+        plain = np.ones((len(members), data.n_classes))
+        streams = [s + stream_offset for s in group_seeds]
+        for epoch in range(epochs):
+            lr = lr_fn(epoch)
+            orders = _shuffle(streams, epoch_offset + epoch, x.shape[0])
+            try:
+                for idx in _batches(orders, config.batch_size):
+                    grads, _ = train_step(
+                        stack, x[idx], onehot[idx], small_specs, (plain,)
+                    )
+                    sgd_step(stack, grads, lr, mask)
+            except NumericalFailure as exc:
+                raise _failure("retraining", epoch, group_seeds, exc) from exc
+        for r in members:
+            expand_network(smalls[r], nets[r], masks[r])
+    for params in nets:
+        params.epoch_tag += epochs
     return nets
 
 

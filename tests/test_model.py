@@ -9,7 +9,13 @@ import pytest
 
 from ballot import model
 from ballot.errors import ConfigurationError, NumericalFailure, PersistenceError
-from ballot.masks import build_random_mask, identity_mask
+from ballot.masks import (
+    ConflictLedger,
+    build_ballot_mask,
+    build_magnitude_mask,
+    build_random_mask,
+    identity_mask,
+)
 from ballot.metrics import predict
 from ballot.model import (
     FORWARD_BLOCK_ROWS,
@@ -18,8 +24,11 @@ from ballot.model import (
     NetworkParams,
     ParamGrads,
     apply_mask,
+    compact_network,
+    expand_network,
     forward,
     init_network,
+    live_units,
     load_checkpoint,
     param_count,
     save_checkpoint,
@@ -112,6 +121,89 @@ class TestApplyMask:
         deeper = [LayerSpec(2, 2, "relu")] + SPECS_222
         with pytest.raises(ConfigurationError, match="mask layer count"):
             apply_mask(params, identity_mask(deeper))
+
+
+def brute_force_live(mask) -> list[list[int]]:
+    """Live hidden units by a loop over units: a kept incoming weight or
+    kept bias, and a kept outgoing weight."""
+    live = []
+    for i in range(len(mask.weight_keep) - 1):
+        live.append([
+            u for u in range(mask.bias_keep[i].size)
+            if (mask.weight_keep[i][:, u].any() or mask.bias_keep[i][u])
+            and mask.weight_keep[i + 1][u, :].any()
+        ])
+    return live
+
+
+class TestCompaction:
+    def test_expand_of_compact_restores_the_masked_network(self, rng):
+        dead_kept = 0
+        for trial in range(40):
+            specs = random_specs(rng, max_hidden_layers=3)
+            total = param_count(specs)
+            omega = float(rng.uniform(specs[-1].d_out / total + 0.1, 1.0))
+            params = init_network(specs, trial)
+            ledger = ConflictLedger([s.d_out for s in specs[:-1]])
+            ledger.record_epoch(0, [rng.normal(size=s.d_out) for s in specs[:-1]],
+                                [rng.normal(size=s.d_out) for s in specs[:-1]],
+                                10.0, 0.5)
+            for mask in (build_ballot_mask(ledger, specs, omega, params),
+                         build_magnitude_mask(params, specs, omega),
+                         build_random_mask(specs, omega, trial)):
+                masked = apply_mask(params, mask)
+                small, small_specs, keep = compact_network(masked, mask, specs)
+                live = brute_force_live(mask)
+                assert [u.tolist() for u in live_units(mask)] == live
+                ends = [list(range(specs[0].d_in)), *live,
+                        list(range(specs[-1].d_out))]
+                assert small_specs == [
+                    LayerSpec(len(a), len(b), s.activation)
+                    for a, b, s in zip(ends, ends[1:], specs)
+                ]
+                blocks = [np.ix_(a, b) for a, b in zip(ends, ends[1:])]
+                for i, (block, cols) in enumerate(zip(blocks, ends[1:])):
+                    w, b = masked.weights[i], masked.biases[i]
+                    assert small.weights[i].tobytes() == w[block].tobytes()
+                    assert small.biases[i].tobytes() == b[cols].tobytes()
+                    assert np.array_equal(keep.weight_keep[i],
+                                          mask.weight_keep[i][block])
+                    assert np.array_equal(keep.bias_keep[i], mask.bias_keep[i][cols])
+                dead_kept += int(mask.keep.sum()) - int(
+                    sum(k.sum() for k in keep.weight_keep + keep.bias_keep))
+
+                back = expand_network(small, masked.copy(), mask)
+                for got, want in zip(back.weights + back.biases,
+                                     masked.weights + masked.biases):
+                    assert got.tobytes() == want.tobytes()
+
+                # scattered onto another network: the live block is
+                # overwritten and nothing else
+                other = apply_mask(init_network(specs, trial + 1000), mask)
+                out = expand_network(small, other.copy(), mask)
+                for i, block in enumerate(blocks):
+                    w, b = other.weights[i].copy(), other.biases[i].copy()
+                    w[block] = masked.weights[i][block]
+                    b[ends[i + 1]] = masked.biases[i][ends[i + 1]]
+                    assert out.weights[i].tobytes() == w.tobytes()
+                    assert out.biases[i].tobytes() == b.tobytes()
+        assert dead_kept > 0  # kept entries outside the live units occurred
+
+    def test_layer_may_compact_to_width_zero(self):
+        specs = [LayerSpec(3, 4, "relu"), LayerSpec(4, 2, "none")]
+        mask = identity_mask(specs)
+        mask.weight_keep[1][:] = False  # no unit has a kept outgoing weight
+        masked = apply_mask(init_network(specs, 1), mask)
+        small, small_specs, keep = compact_network(masked, mask, specs)
+        assert small_specs == [LayerSpec(3, 0, "relu"), LayerSpec(0, 2, "none")]
+        assert small.weights[0].shape == (3, 0) and small.weights[1].shape == (0, 2)
+        x = np.ones((5, 3))
+        assert forward(small, x, small_specs).tobytes() == \
+            forward(masked, x, specs).tobytes()
+        back = expand_network(small, masked.copy(), mask)
+        for got, want in zip(back.weights + back.biases,
+                             masked.weights + masked.biases):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestForward:

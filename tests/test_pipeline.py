@@ -10,11 +10,17 @@ import math
 import numpy as np
 import pytest
 
-from ballot import pipeline
+from ballot import config_from_dict, make_dataset, pipeline
 from ballot.errors import ConfigurationError, NumericalFailure
 from ballot.masks import build_random_mask
-from ballot.metrics import evaluate
-from ballot.model import apply_mask, param_count
+from ballot.metrics import EvalReport, evaluate
+from ballot.model import (
+    apply_mask,
+    compact_network,
+    init_network,
+    live_units,
+    param_count,
+)
 from ballot.pipeline import (
     METHODS,
     TrainConfig,
@@ -227,30 +233,40 @@ class TestRefine:
 
     def test_masked_entries_stay_zero_every_epoch(self, data, artifacts,
                                                   monkeypatch):
-        # checked after every SGD step, in every slot of a two-seed stack
+        # checked after every SGD step, in every slot of each compacted
+        # stack; the two masks compact to two shapes, so two stacks run
         cfg = small_config()
         specs = artifacts.specs
         masks = [build_random_mask(specs, omega, seed=7) for omega in (0.4, 0.7)]
+        starts = [apply_mask(artifacts.theta0.params, m) for m in masks]
+        keeps = {}
+        for p, m in zip(starts, masks):
+            small, _, keep = compact_network(p, m, specs)
+            keeps[tuple(w.shape for w in small.weights)] = keep
+        assert len(keeps) == 2
         real_step = pipeline.sgd_step
         steps = []
 
         def checked_step(stack, grads, lr, mask=None):
             out = real_step(stack, grads, lr, mask)
-            for r, m in enumerate(masks):
+            shapes = tuple(w.shape[1:] for w in stack.weights)
+            for r in range(stack.weights[0].shape[0]):
                 assert_masked_entries_zero(
-                    [a[r] for a in stack.weights + stack.biases], m
+                    [a[r] for a in stack.weights + stack.biases], keeps[shapes]
                 )
-            steps.append(lr)
+            steps.append(shapes)
             return out
 
         monkeypatch.setattr(pipeline, "sgd_step", checked_step)
-        _retrain(
-            [apply_mask(artifacts.theta0.params, m) for m in masks], masks, cfg,
-            data, specs, [cfg.seed, cfg.seed + 1], cfg.epochs,
-            lambda e: lr_at(e, cfg),
+        nets = _retrain(
+            starts, masks, cfg, data, specs, [cfg.seed, cfg.seed + 1],
+            cfg.epochs, lambda e: lr_at(e, cfg),
         )
         batches = math.ceil(data.train.X.shape[0] / cfg.batch_size)
-        assert len(steps) == cfg.epochs * batches
+        assert len(steps) == cfg.epochs * batches * len(keeps)
+        assert set(steps) == set(keeps)
+        for params, m in zip(nets, masks):
+            assert_masked_entries_zero(params.weights + params.biases, m)
 
     def test_refine_output_respects_mask(self, data, artifacts):
         cfg = small_config(delta=-1.0)
@@ -361,6 +377,103 @@ class TestLockstep:
                                match="retraining epoch 0, seed 7: "):
                 _retrain([good, bad], [mask, mask], cfg, data, specs, [4, 7],
                          cfg.epochs, lambda e: lr_at(e, cfg))
+
+    def test_divergence_in_second_shape_group_names_seed_and_epoch(
+            self, data, artifacts, monkeypatch):
+        # the two masks compact to two shapes, so seed 7 trains alone in
+        # the second stack, after seed 4's; it diverges in its epoch 2
+        cfg = small_config()
+        specs = artifacts.specs
+        masks = [build_random_mask(specs, omega, seed=7) for omega in (0.4, 0.7)]
+        nets = [apply_mask(artifacts.theta0.params, m) for m in masks]
+        small, _, _ = compact_network(nets[1], masks[1], specs)
+        second = tuple(w.shape for w in small.weights)
+        batches = math.ceil(data.train.X.shape[0] / cfg.batch_size)
+        real_step = pipeline.sgd_step
+        second_steps = []
+
+        def poisoning_step(stack, grads, lr, mask=None):
+            out = real_step(stack, grads, lr, mask)
+            if tuple(w.shape[1:] for w in stack.weights) == second:
+                second_steps.append(lr)
+                if len(second_steps) == 2 * batches:
+                    stack.weights[-1][0][...] = np.inf
+            return out
+
+        monkeypatch.setattr(pipeline, "sgd_step", poisoning_step)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericalFailure,
+                               match="retraining epoch 2, seed 7: "):
+                _retrain(nets, masks, cfg, data, specs, [4, 7], cfg.epochs,
+                         lambda e: lr_at(e, cfg))
+
+    def test_seeds_of_different_compacted_shapes_match_single_seed_runs(
+            self, data, artifacts):
+        # seeds 0 and 2 share a mask and a stack; seed 1 trains alone
+        cfg = small_config()
+        specs = artifacts.specs
+        masks = [build_random_mask(specs, omega, seed=7) for omega in (0.4, 0.7, 0.4)]
+        starts = [apply_mask(artifacts.theta0.params, m) for m in masks]
+        shapes = {tuple(compact_network(p, m, specs)[1]) for p, m in zip(starts, masks)}
+        assert len(shapes) == 2
+        together = _retrain([p.copy() for p in starts], masks, cfg, data, specs,
+                            [0, 1, 2], cfg.epochs, lambda e: lr_at(e, cfg),
+                            stream_offset=1)
+        for seed, (start, mask, got) in enumerate(zip(starts, masks, together)):
+            (alone,) = _retrain([start.copy()], [mask], cfg, data, specs, [seed],
+                                cfg.epochs, lambda e: lr_at(e, cfg),
+                                stream_offset=1)
+            assert got.epoch_tag == alone.epoch_tag
+            for a, b in zip(got.weights + got.biases, alone.weights + alone.biases):
+                assert a.tobytes() == b.tobytes()
+
+    def test_dead_units_leave_retraining_bit_identical(self, data):
+        cfg = small_config(hidden=(8, 6))
+        specs = cfg.specs_for(data)
+        mask = build_random_mask(specs, 0.8, seed=5)
+        u = int(np.flatnonzero(mask.neuron_keep[0])[0])
+        v = int(np.flatnonzero(mask.neuron_keep[1])[0])
+        mask.weight_keep[1][u, :] = False  # u keeps its inputs, feeds nothing
+        mask.weight_keep[1][:, v] = False  # v keeps its outputs, is fed nothing
+        mask.bias_keep[1][v] = False
+        assert u not in live_units(mask)[0] and v not in live_units(mask)[1]
+        start = apply_mask(init_network(specs, 3), mask)
+        assert start.weights[0][:, u].any() and start.weights[2][v, :].any()
+        (net,) = _retrain([start.copy()], [mask], cfg, data, specs, [0],
+                          cfg.epochs, lambda e: lr_at(e, cfg))
+
+        def dead_entries(p):
+            return [p.weights[0][:, u], p.biases[0][u:u + 1], p.weights[1][u, :],
+                    p.weights[1][:, v], p.biases[1][v:v + 1], p.weights[2][v, :]]
+
+        for got, was in zip(dead_entries(net), dead_entries(start)):
+            assert got.tobytes() == was.tobytes()
+        assert not np.array_equal(net.weights[0], start.weights[0])
+
+    def test_lth_retrains_layers_compacted_to_width_zero(self):
+        # default config at its default omega 0.05: the lth masks of
+        # seeds 0, 2 and 4 leave no live hidden unit at all, seeds 1 and 3
+        # one and two per layer; reports pinned from full-width retraining
+        app = config_from_dict({})
+        data = make_dataset(app.dataset)
+        arts = train_dense(app.train, data, [0, 1, 2, 3, 4])
+        results = run_baseline("lth", app.train, data, arts)
+        widths = [[len(u) for u in live_units(r.mask)] for r in results]
+        assert widths == [[0, 0], [1, 1], [0, 0], [2, 2], [0, 0]]
+        counts = (140, 20, 20, 20)
+        constant = EvalReport(0.7, (1.0, 0.0, 0.0, 0.0), counts, 0.175, 0.25,
+                              0.1875, 1.0)
+        assert [r.report for r in results] == [
+            constant,
+            EvalReport(0.735, (0.9785714285714285, 0.0, 0.0, 0.5), counts,
+                       0.32080546670543764, 0.36964285714285716,
+                       0.16526466836734693, 0.9785714285714285),
+            constant,
+            EvalReport(0.8, (0.9357142857142857, 0.0, 0.65, 0.8), counts,
+                       0.5050354924578527, 0.5964285714285715,
+                       0.12878826530612247, 0.9357142857142857),
+            constant,
+        ]
 
     def test_refine_rounds_run_only_the_seeds_still_refining(self, data):
         cfg = small_config(delta=-1.0, max_rounds=3)

@@ -1,0 +1,110 @@
+"""Compare every output file of the ``ballot`` command line between two
+source trees.
+
+Usage:
+    python3 tools/compare_outputs.py OLD_TREE NEW_TREE
+
+Each tree's ``src`` is run with the same interpreter, in its own
+temporary directory, through one fixed command set:
+
+- ``train`` and ``prune --method {ballot,lth,magnitude,random}`` on the
+  default config;
+- ``experiment --seeds 5`` on the default config;
+- ``experiment --seeds 1`` with ``model.hidden=[512, 512]``;
+- ``gen-data`` on the default config, then ``evaluate`` of the ballot
+  ``final.ckpt`` on that CSV.
+
+Seconds fields (JSON keys and CSV columns ending in ``_s``) are blanked
+as the benchmark's digest blanks them (``perfbench/checks.py``).  The
+script prints every file that differs, with the largest absolute
+difference between the two float64 payloads for a checkpoint, then a
+count.  It exits 0 when every file is identical and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import struct
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from checks import strip_timing  # noqa: E402
+
+WIDE = {"model": {"hidden": [512, 512]}, "seed": 0}
+COMMANDS = [
+    ["train", "--out", "train"],
+    *[["prune", "--method", m, "--out", f"prune-{m}"]
+      for m in ("ballot", "lth", "magnitude", "random")],
+    ["experiment", "--seeds", "5", "--out", "experiment"],
+    ["experiment", "--seeds", "1", "--config", "wide.json", "--out", "wide"],
+    ["gen-data", "--out", "data.csv"],
+    ["evaluate", "--checkpoint", "prune-ballot/checkpoints/final.ckpt",
+     "--data", "data.csv", "--out", "evaluation.json"],
+]
+
+
+def run_all(tree: Path, work: Path) -> None:
+    """Run the command set with ``tree``'s sources inside ``work``."""
+    (work / "wide.json").write_text(json.dumps(WIDE))
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    for args in COMMANDS:
+        subprocess.run([sys.executable, "-m", "ballot.cli", *args], cwd=work,
+                       env=env, check=True, stdout=subprocess.DEVNULL)
+
+
+def checkpoint_payload(raw: bytes) -> tuple[bytes, np.ndarray]:
+    """The manifest and the float64 values of a checkpoint file."""
+    (mlen,) = struct.unpack_from("<Q", raw, 8)
+    return raw[16 : 16 + mlen], np.frombuffer(raw, dtype="<f8", offset=16 + mlen)
+
+
+def describe(name: str, old: bytes, new: bytes) -> str:
+    if name.endswith(".ckpt"):
+        (m_old, v_old), (m_new, v_new) = checkpoint_payload(old), checkpoint_payload(new)
+        if m_old != m_new or v_old.shape != v_new.shape:
+            return f"{name}: manifest or size differs"
+        return f"{name}: max abs diff {np.abs(v_old - v_new).max():.3g}"
+    return name
+
+
+def compare(old_root: Path, new_root: Path) -> int:
+    """Print each differing file; return the count of differing files."""
+    names = sorted({p.relative_to(root).as_posix()
+                    for root in (old_root, new_root)
+                    for p in root.rglob("*") if p.is_file()})
+    differ = 0
+    for name in names:
+        a, b = old_root / name, new_root / name
+        if not (a.is_file() and b.is_file()):
+            print(f"{name}: only in {'old' if a.is_file() else 'new'} tree")
+            differ += 1
+            continue
+        old, new = a.read_bytes(), b.read_bytes()
+        if strip_timing(name, old) != strip_timing(name, new):
+            print(describe(name, old, new))
+            differ += 1
+    print(f"{len(names)} files compared, {differ} differ")
+    return differ
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    trees = [Path(a).resolve() for a in argv]
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
+        roots = [Path(tmp) / "old", Path(tmp) / "new"]
+        for tree, root in zip(trees, roots):
+            root.mkdir()
+            run_all(tree, root)
+        return 1 if compare(*roots) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
