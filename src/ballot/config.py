@@ -1,269 +1,286 @@
-"""JSON run configuration.
+"""JSON run configuration, parsed and checked through one table.
 
-Every omitted key falls back to its documented default; every unknown
-key is rejected by its dotted path, so typos cannot silently change an
-experiment.  An empty object is a complete, valid configuration.
+Each row of ``KEYS`` is one settable leaf key: its dotted JSON path, the
+dataclass and field that hold it, its default (a callable one is derived
+from the other fields), its kind and its bounds.  The rows set the field
+defaults, check and normalize the fields whenever a config object is
+built, route keys and reject unknown ones by dotted path in
+``config_from_dict``, and order the ``effective_dict`` echo, so a Python
+caller and a JSON file meet each rule with the same message.  Rules that
+span fields sit beside the table, in ``__post_init__``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
+from functools import partial
+from numbers import Integral, Real
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .data import DatasetSpec, SyntheticSpec
 from .errors import ConfigurationError
-from .pipeline import METHODS, TrainConfig
+from .model import LayerSpec
 
-_TOP_KEYS = {"model", "train", "prune", "refine", "data", "seed"}
-_MODEL_KEYS = {"hidden"}
-_TRAIN_KEYS = {"epochs", "lr0", "batch", "milestones"}
-_PRUNE_KEYS = {"omega", "gamma", "eta", "method"}
-_REFINE_KEYS = {"rewind_epoch", "epsilon", "delta", "max_rounds"}
-_DATA_KEYS = {"csv_path", "label_column", "synthetic", "split", "normalize"}
-_SYNTH_KEYS = {"classes", "counts", "dim", "mean_scale", "std", "seed"}
+if TYPE_CHECKING:
+    from .data import Dataset
 
-DEFAULT_REWIND = 10
+METHODS = ("ballot", "lth", "magnitude", "random")
 
 
-@dataclass(frozen=True)
+class Key(NamedTuple):
+    path: str
+    owner: str  # "train", "dataset", "synthetic" or "app"
+    field: str
+    default: object  # a callable derives the value from its owner
+    kind: Callable
+    bounds: tuple = ()  # (operator, limit) pairs
+
+
+_OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
+
+
+def _shown(value):
+    """A sequence as JSON spells it, so both callers read one message."""
+    return list(value) if isinstance(value, tuple) else value
+
+
+def _real(row: Key, value, integer: bool = False):
+    if isinstance(value, bool) or not isinstance(value, Real):
+        kind = "an integer" if integer else "a number"
+        raise ConfigurationError(f"'{row.path}' must be {kind}, got {value!r}")
+    if not isinstance(value, Integral) and not math.isfinite(value):
+        raise ConfigurationError(f"'{row.path}' must be finite")
+    if integer and int(value) != value:
+        raise ConfigurationError(f"'{row.path}' must be an integer, got {value!r}")
+    value = int(value) if integer else float(value)
+    for op, limit in row.bounds:
+        if not _OPS[op](value, limit):
+            raise ConfigurationError(f"'{row.path}' must be {op} {limit}, got {value}")
+    return value
+
+
+def _is(test: Callable, wanted: str, convert: Callable = lambda v: v) -> Callable:
+    """A kind for the values ``test`` passes, stored as ``convert`` makes
+    them; ``wanted`` ends the message, and a ``{!r}`` in it shows the value."""
+    def kind(row: Key, value):
+        if not test(value):
+            raise ConfigurationError(
+                f"'{row.path}' must be " + wanted.format(_shown(value)))
+        return convert(value)
+    return kind
+
+
+def _ints(least: int, wanted: str) -> Callable:
+    return _is(lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(
+        isinstance(n, Integral) and not isinstance(n, bool) and n >= least for n in v
+    ), wanted + ", got {!r}", lambda v: tuple(int(n) for n in v))
+
+
+_int = partial(_real, integer=True)
+_fractions = _is(lambda v: isinstance(v, (list, tuple)) and all(
+    isinstance(f, Real) and not isinstance(f, bool) and 0 < f < 1 for f in v
+) and all(a < b for a, b in zip(v, v[1:])),
+    "a strictly increasing list of fractions inside (0, 1), got {!r}",
+    lambda v: tuple(float(f) for f in v))
+
+
+# In echo order: effective_dict writes the keys in this order.
+KEYS = (
+    Key("model.hidden", "train", "hidden", (64, 64),
+        _ints(1, "a non-empty list of positive integers")),
+    Key("train.epochs", "train", "epochs", 30, _int, ((">=", 1),)),
+    Key("train.lr0", "train", "lr0", 0.1, _real, ((">", 0),)),
+    Key("train.batch", "train", "batch_size", 32, _int, ((">=", 1),)),
+    Key("train.milestones", "train", "milestone_fractions", (0.4, 0.6, 0.8),
+        _fractions),
+    Key("prune.omega", "train", "omega", 0.05, _real, ((">", 0), ("<=", 1))),
+    Key("prune.gamma", "train", "gamma", 10.0, _real, ((">", 0),)),
+    Key("prune.eta", "train", "eta", 0.95, _real, ((">", 0), ("<", 1))),
+    Key("prune.method", "app", "method", "ballot",
+        _is(lambda v: v in METHODS, f"one of {list(METHODS)}, got {{!r}}")),
+    Key("refine.rewind_epoch", "train", "rewind_epoch",
+        lambda t: min(10, t.epochs - 1), _int, ((">=", 0),)),
+    Key("refine.epsilon", "train", "epsilon", 0.05, _real, ((">=", 0),)),
+    Key("refine.delta", "train", "delta", 0.0, _real),
+    Key("refine.max_rounds", "train", "max_rounds", 3, _int, ((">=", 1),)),
+    Key("data.split", "dataset", "split", 0.8, _real, ((">", 0), ("<", 1))),
+    Key("data.normalize", "dataset", "normalize", False,
+        _is(lambda v: isinstance(v, bool), "true or false")),
+    Key("data.label_column", "dataset", "label_column", "label",
+        _is(lambda v: isinstance(v, str) and v != "", "a non-empty string")),
+    Key("data.csv_path", "dataset", "csv_path", None,
+        _is(lambda v: v is None or isinstance(v, str), "a string")),
+    Key("data.synthetic.classes", "synthetic", "classes",
+        lambda s: len(s.counts), _int, ((">=", 2),)),
+    Key("data.synthetic.counts", "synthetic", "counts", (700, 100, 100, 100),
+        _ints(2, "a list of integers >= 2")),
+    Key("data.synthetic.dim", "synthetic", "dim", 20, _int, ((">=", 1),)),
+    Key("data.synthetic.mean_scale", "synthetic", "mean_scale", 3.0, _real,
+        ((">", 0),)),
+    Key("data.synthetic.std", "synthetic", "std", 1.0, _real, ((">=", 0),)),
+    Key("data.synthetic.seed", "synthetic", "seed", 0, _int, ((">=", 0),)),
+    Key("seed", "train", "seed", 0, _int, ((">=", 0),)),
+)
+_ROWS = {row.path: row for row in KEYS}
+_SECTIONS = {path.rsplit(".", 1)[0] for path in _ROWS if "." in path}
+
+
+def _owner(name: str):
+    """A frozen dataclass whose table fields take their defaults from
+    ``KEYS`` and are checked and normalized, derived ones last, before the
+    class's own ``__post_init__`` applies the rules that span fields."""
+    def wrap(cls):
+        rows = sorted((row for row in KEYS if row.owner == name),
+                      key=lambda row: callable(row.default))
+        rules = getattr(cls, "__post_init__", lambda self: None)
+
+        def post_init(self):
+            for row in rows:
+                value = getattr(self, row.field)
+                if value is None and callable(row.default):
+                    value = row.default(self)
+                object.__setattr__(self, row.field, row.kind(row, value))
+            rules(self)
+
+        for row in rows:
+            setattr(cls, row.field, None if callable(row.default) else row.default)
+        cls.__post_init__ = post_init
+        return dataclass(frozen=True)(cls)
+    return wrap
+
+
+@_owner("synthetic")
+class SyntheticSpec:
+    """Gaussian blobs: class c draws its mean uniformly on the sphere of
+    radius ``mean_scale`` (deterministically from ``seed``) and samples
+    ``counts[c]`` points with isotropic noise of standard deviation
+    ``std``.  Unequal counts create the class imbalance under study."""
+
+    classes: int
+    counts: tuple
+    dim: int
+    mean_scale: float
+    std: float
+    seed: int
+
+    def __post_init__(self):
+        if self.classes != len(self.counts):
+            raise ConfigurationError(
+                f"'data.synthetic.counts' has {len(self.counts)} entries for "
+                f"{self.classes} classes"
+            )
+
+
+@_owner("dataset")
+class DatasetSpec:
+    csv_path: str | None
+    label_column: str
+    synthetic: SyntheticSpec | None = None
+    split: float
+    normalize: bool
+
+    def __post_init__(self):
+        if (self.csv_path is None) == (self.synthetic is None):
+            raise ConfigurationError(
+                "'data.csv_path' and 'data.synthetic' are mutually exclusive: "
+                "exactly one must be set"
+            )
+
+
+@_owner("train")
+class TrainConfig:
+    hidden: tuple
+    epochs: int
+    lr0: float
+    milestone_fractions: tuple
+    batch_size: int
+    omega: float
+    gamma: float
+    eta: float
+    rewind_epoch: int
+    epsilon: float
+    delta: float
+    max_rounds: int
+    seed: int
+
+    def __post_init__(self):
+        if self.rewind_epoch >= self.epochs:
+            raise ConfigurationError(
+                f"'refine.rewind_epoch' must be below train.epochs "
+                f"({self.epochs}), got {self.rewind_epoch}"
+            )
+
+    def specs_for(self, data: Dataset) -> list[LayerSpec]:
+        dims = [data.dim, *self.hidden, data.n_classes]
+        return [
+            LayerSpec(dims[i], dims[i + 1], "relu" if i + 2 < len(dims) else "none")
+            for i in range(len(dims) - 1)
+        ]
+
+
+@_owner("app")
 class AppConfig:
     train: TrainConfig
     dataset: DatasetSpec
     method: str
 
 
-def _section(raw: dict, name: str, allowed: set) -> dict:
-    value = raw.get(name, {})
-    if not isinstance(value, dict):
-        raise ConfigurationError(f"'{name}' must be an object")
-    for key in value:
-        if key not in allowed:
-            raise ConfigurationError(f"unknown configuration key '{name}.{key}'")
-    return value
-
-
-def _number(section: dict, key: str, path: str, default, *, integer=False,
-            low=None, high=None, low_open=False, high_open=False):
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        kind = "an integer" if integer else "a number"
-        raise ConfigurationError(f"'{path}' must be {kind}, got {value!r}")
-    if integer and int(value) != value:
-        raise ConfigurationError(f"'{path}' must be an integer, got {value!r}")
-    value = int(value) if integer else float(value)
-    if not integer and not math.isfinite(value):
-        raise ConfigurationError(f"'{path}' must be finite")
-    if low is not None and (value <= low if low_open else value < low):
-        op = ">" if low_open else ">="
-        raise ConfigurationError(f"'{path}' must be {op} {low}, got {value}")
-    if high is not None and (value >= high if high_open else value > high):
-        op = "<" if high_open else "<="
-        raise ConfigurationError(f"'{path}' must be {op} {high}, got {value}")
-    return value
-
-
-def _int_list(section: dict, key: str, path: str, default: list) -> list:
-    value = section.get(key, default)
-    if not isinstance(value, list) or not value or any(
-        isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in value
-    ):
-        raise ConfigurationError(f"'{path}' must be a non-empty list of "
-                                 f"positive integers, got {value!r}")
-    return list(value)
+def _leaves(raw: dict, prefix: str = ""):
+    """(row, value) for every key under ``raw``; unknown keys and sections
+    that are not objects are rejected by their dotted path."""
+    for key, value in raw.items():
+        path = prefix + key
+        if path in _ROWS:
+            yield _ROWS[path], value
+        elif path in _SECTIONS:
+            if path == "data.synthetic" and value is None:
+                continue  # null selects no generator, as omitting it does
+            if not isinstance(value, dict):
+                raise ConfigurationError(f"'{path}' must be an object")
+            yield from _leaves(value, path + ".")
+        else:
+            raise ConfigurationError(f"unknown configuration key '{path}'")
 
 
 def config_from_dict(raw: dict) -> AppConfig:
     if not isinstance(raw, dict):
         raise ConfigurationError("configuration root must be a JSON object")
-    for key in raw:
-        if key not in _TOP_KEYS:
-            raise ConfigurationError(f"unknown configuration key '{key}'")
-
-    model = _section(raw, "model", _MODEL_KEYS)
-    train = _section(raw, "train", _TRAIN_KEYS)
-    prune = _section(raw, "prune", _PRUNE_KEYS)
-    refine = _section(raw, "refine", _REFINE_KEYS)
-    data = _section(raw, "data", _DATA_KEYS)
-
-    hidden = _int_list(model, "hidden", "model.hidden", [64, 64])
-    epochs = _number(train, "epochs", "train.epochs", 30, integer=True, low=1)
-    lr0 = _number(train, "lr0", "train.lr0", 0.1, low=0, low_open=True)
-    batch = _number(train, "batch", "train.batch", 32, integer=True, low=1)
-
-    milestones = train.get("milestones", [0.4, 0.6, 0.8])
-    if (
-        not isinstance(milestones, list)
-        or any(isinstance(f, bool) or not isinstance(f, (int, float)) for f in milestones)
-        or any(not (0.0 < float(f) < 1.0) for f in milestones)
-        or sorted(set(float(f) for f in milestones)) != [float(f) for f in milestones]
-    ):
-        raise ConfigurationError(
-            "'train.milestones' must be a strictly increasing list of "
-            f"fractions inside (0, 1), got {milestones!r}"
-        )
-
-    omega = _number(prune, "omega", "prune.omega", 0.05,
-                    low=0, low_open=True, high=1)
-    gamma = _number(prune, "gamma", "prune.gamma", 10.0, low=0, low_open=True)
-    eta = _number(prune, "eta", "prune.eta", 0.95,
-                  low=0, low_open=True, high=1, high_open=True)
-    method = prune.get("method", "ballot")
-    if method not in METHODS:
-        raise ConfigurationError(
-            f"'prune.method' must be one of {list(METHODS)}, got {method!r}"
-        )
-
-    if "rewind_epoch" in refine:
-        rewind = _number(refine, "rewind_epoch", "refine.rewind_epoch", None,
-                         integer=True, low=0)
-        if rewind >= epochs:
-            raise ConfigurationError(
-                f"'refine.rewind_epoch' must be below train.epochs "
-                f"({epochs}), got {rewind}"
-            )
-    else:
-        rewind = min(DEFAULT_REWIND, epochs - 1)
-    epsilon = _number(refine, "epsilon", "refine.epsilon", 0.05, low=0)
-    delta = _number(refine, "delta", "refine.delta", 0.0)
-    max_rounds = _number(refine, "max_rounds", "refine.max_rounds", 3,
-                         integer=True, low=1)
-    seed = _number(raw, "seed", "seed", 0, integer=True, low=0)
-
-    dataset = _dataset_from(data)
-
-    cfg = TrainConfig(
-        hidden=tuple(hidden),
-        epochs=epochs,
-        lr0=lr0,
-        milestone_fractions=tuple(float(f) for f in milestones),
-        batch_size=batch,
-        omega=omega,
-        gamma=gamma,
-        eta=eta,
-        rewind_epoch=rewind,
-        epsilon=epsilon,
-        delta=delta,
-        max_rounds=max_rounds,
-        seed=seed,
-    )
-    cfg.validate()
-    dataset.validate()
-    return AppConfig(train=cfg, dataset=dataset, method=method)
-
-
-def _dataset_from(data: dict) -> DatasetSpec:
-    csv_path = data.get("csv_path")
-    if csv_path is not None and not isinstance(csv_path, str):
-        raise ConfigurationError("'data.csv_path' must be a string")
-    label_column = data.get("label_column", "label")
-    if not isinstance(label_column, str) or not label_column:
-        raise ConfigurationError("'data.label_column' must be a non-empty string")
-    split = _number(data, "split", "data.split", 0.8,
-                    low=0, low_open=True, high=1, high_open=True)
-    normalize = data.get("normalize", False)
-    if not isinstance(normalize, bool):
-        raise ConfigurationError("'data.normalize' must be true or false")
-
-    synth_raw = data.get("synthetic")
-    if csv_path is not None and synth_raw is not None:
-        raise ConfigurationError(
-            "'data.csv_path' and 'data.synthetic' are mutually exclusive"
-        )
-
-    if csv_path is not None:
-        return DatasetSpec(csv_path=csv_path, label_column=label_column,
-                           synthetic=None, split=split, normalize=normalize)
-
-    if synth_raw is None:
-        synth_raw = {}
-    if not isinstance(synth_raw, dict):
-        raise ConfigurationError("'data.synthetic' must be an object")
-    for key in synth_raw:
-        if key not in _SYNTH_KEYS:
-            raise ConfigurationError(
-                f"unknown configuration key 'data.synthetic.{key}'"
-            )
-    counts = synth_raw.get("counts", [700, 100, 100, 100])
-    if not isinstance(counts, list) or not counts or any(
-        isinstance(c, bool) or not isinstance(c, int) or c < 2 for c in counts
-    ):
-        raise ConfigurationError(
-            "'data.synthetic.counts' must be a list of integers >= 2, "
-            f"got {counts!r}"
-        )
-    classes = _number(synth_raw, "classes", "data.synthetic.classes",
-                      len(counts), integer=True, low=2)
-    if classes != len(counts):
-        raise ConfigurationError(
-            f"'data.synthetic.counts' has {len(counts)} entries for "
-            f"{classes} classes"
-        )
-    synth = SyntheticSpec(
-        classes=classes,
-        counts=tuple(counts),
-        dim=_number(synth_raw, "dim", "data.synthetic.dim", 20, integer=True, low=1),
-        mean_scale=_number(synth_raw, "mean_scale", "data.synthetic.mean_scale",
-                           3.0, low=0, low_open=True),
-        std=_number(synth_raw, "std", "data.synthetic.std", 1.0, low=0),
-        seed=_number(synth_raw, "seed", "data.synthetic.seed", 0,
-                     integer=True, low=0),
-    )
-    return DatasetSpec(csv_path=None, label_column=label_column,
-                       synthetic=synth, split=split, normalize=normalize)
+    given = {"train": {}, "dataset": {}, "synthetic": {}, "app": {}}
+    for row, value in _leaves(raw):
+        given[row.owner][row.field] = value
+    train = TrainConfig(**given["train"])
+    data = raw.get("data", {})
+    if data.get("csv_path") is None or data.get("synthetic") is not None:
+        given["dataset"]["synthetic"] = SyntheticSpec(**given["synthetic"])
+    return AppConfig(train, DatasetSpec(**given["dataset"]), **given["app"])
 
 
 def load_config(path) -> AppConfig:
     try:
         with open(path) as fh:
-            text = fh.read()
+            raw = json.load(fh)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-    try:
-        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_dict(raw)
 
 
 def effective_dict(app: AppConfig) -> dict:
-    """The fully resolved configuration, echoed into reports."""
-    t = app.train
-    d = app.dataset
-    data: dict = {"split": d.split, "normalize": d.normalize,
-                  "label_column": d.label_column}
-    if d.csv_path is not None:
-        data["csv_path"] = d.csv_path
-    else:
-        s = d.synthetic
-        data["synthetic"] = {
-            "classes": s.classes,
-            "counts": list(s.counts),
-            "dim": s.dim,
-            "mean_scale": s.mean_scale,
-            "std": s.std,
-            "seed": s.seed,
-        }
-    return {
-        "model": {"hidden": list(t.hidden)},
-        "train": {
-            "epochs": t.epochs,
-            "lr0": t.lr0,
-            "batch": t.batch_size,
-            "milestones": list(t.milestone_fractions),
-        },
-        "prune": {
-            "omega": t.omega,
-            "gamma": t.gamma,
-            "eta": t.eta,
-            "method": app.method,
-        },
-        "refine": {
-            "rewind_epoch": t.rewind_epoch,
-            "epsilon": t.epsilon,
-            "delta": t.delta,
-            "max_rounds": t.max_rounds,
-        },
-        "data": data,
-        "seed": t.seed,
-    }
+    """The fully resolved configuration, echoed into reports: every row in
+    table order, less the data source that is not in use."""
+    owners = {"train": app.train, "dataset": app.dataset,
+              "synthetic": app.dataset.synthetic, "app": app}
+    echo: dict = {}
+    for row in KEYS:
+        value = getattr(owners[row.owner], row.field, None)
+        if value is None:
+            continue
+        *sections, leaf = row.path.split(".")
+        node = echo
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[leaf] = _shown(value)
+    return echo

@@ -10,59 +10,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError
-
-
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Gaussian blobs: class c draws its mean uniformly on the sphere of
-    radius ``mean_scale`` (deterministically from ``seed``) and samples
-    ``counts[c]`` points with isotropic noise of standard deviation
-    ``std``.  Unequal counts create the class imbalance under study."""
-
-    classes: int = 4
-    counts: tuple = (700, 100, 100, 100)
-    dim: int = 20
-    mean_scale: float = 3.0
-    std: float = 1.0
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.classes < 2:
-            raise ConfigurationError("synthetic data needs at least 2 classes")
-        if len(self.counts) != self.classes:
-            raise ConfigurationError(
-                f"counts has {len(self.counts)} entries for {self.classes} classes"
-            )
-        if any(int(c) < 2 for c in self.counts):
-            raise ConfigurationError("every class count must be at least 2")
-        if self.dim < 1:
-            raise ConfigurationError("feature dimension must be positive")
-        if not self.mean_scale > 0:
-            raise ConfigurationError("mean_scale must be positive")
-        if self.std < 0:
-            raise ConfigurationError("std must be non-negative")
-        if int(self.seed) < 0:
-            raise ConfigurationError("seed must be non-negative")
-
-
-@dataclass(frozen=True)
-class DatasetSpec:
-    csv_path: str | None = None
-    label_column: str = "label"
-    synthetic: SyntheticSpec | None = None
-    split: float = 0.8
-    normalize: bool = False
-
-    def validate(self) -> None:
-        if (self.csv_path is None) == (self.synthetic is None):
-            raise ConfigurationError(
-                "exactly one of csv_path or synthetic must be set"
-            )
-        if not (0.0 < self.split < 1.0):
-            raise ConfigurationError("split fraction must lie in (0, 1)")
-        if self.synthetic is not None:
-            self.synthetic.validate()
+from .config import DatasetSpec, SyntheticSpec
+from .errors import DataError
 
 
 @dataclass(frozen=True)
@@ -87,7 +36,6 @@ class Dataset:
 def gen_synthetic(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
     """Samples grouped by class, class 0 first.  The same seed always
     reproduces the same arrays bit for bit."""
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     means = []
     for _ in range(spec.classes):
@@ -202,7 +150,6 @@ def _stratified_split(y: np.ndarray, frac: float, seed: int):
 def make_dataset(spec: DatasetSpec) -> Dataset:
     """Materialize, split per class at the configured fraction, and
     optionally standardize features using training-split statistics."""
-    spec.validate()
     if spec.synthetic is not None:
         x, y = gen_synthetic(spec.synthetic)
         split_seed = spec.synthetic.seed

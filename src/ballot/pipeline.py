@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import METHODS, TrainConfig
 from .data import Dataset
 from .errors import ConfigurationError, NumericalFailure
 from .masks import (
@@ -71,69 +72,6 @@ from .model import (
     stack_params,
     train_step,
 )
-
-METHODS = ("ballot", "lth", "magnitude", "random")
-
-
-@dataclass
-class TrainConfig:
-    hidden: tuple = (64, 64)
-    epochs: int = 30
-    lr0: float = 0.1
-    milestone_fractions: tuple = (0.4, 0.6, 0.8)
-    batch_size: int = 32
-    omega: float = 0.05
-    gamma: float = 10.0
-    eta: float = 0.95
-    rewind_epoch: int = 10
-    epsilon: float = 0.05
-    delta: float = 0.0
-    max_rounds: int = 3
-    seed: int = 0
-
-    def validate(self) -> None:
-        if not self.hidden or any(int(h) < 1 for h in self.hidden):
-            raise ConfigurationError(
-                "at least one hidden layer of positive size is required"
-            )
-        if self.epochs < 1:
-            raise ConfigurationError("epochs must be at least 1")
-        if not (math.isfinite(self.lr0) and self.lr0 > 0):
-            raise ConfigurationError("lr0 must be positive")
-        fr = self.milestone_fractions
-        if any(not (0.0 < f < 1.0) for f in fr) or list(fr) != sorted(set(fr)):
-            raise ConfigurationError(
-                "milestone fractions must be strictly increasing inside (0, 1)"
-            )
-        if self.batch_size < 1:
-            raise ConfigurationError("batch size must be at least 1")
-        if not (0.0 < self.omega <= 1.0):
-            raise ConfigurationError("omega must lie in (0, 1]")
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ConfigurationError("gamma must be positive")
-        if not (0.0 < self.eta < 1.0):
-            raise ConfigurationError("eta must lie in (0, 1)")
-        if not (0 <= self.rewind_epoch < self.epochs):
-            raise ConfigurationError(
-                f"rewind epoch {self.rewind_epoch} must satisfy "
-                f"0 <= k < epochs ({self.epochs})"
-            )
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise ConfigurationError("epsilon must be non-negative")
-        if not math.isfinite(self.delta):
-            raise ConfigurationError("delta must be finite")
-        if self.max_rounds < 1:
-            raise ConfigurationError("max_rounds must be at least 1")
-        if int(self.seed) < 0:
-            raise ConfigurationError("seed must be non-negative")
-
-    def specs_for(self, data: Dataset) -> list[LayerSpec]:
-        dims = [data.dim, *self.hidden, data.n_classes]
-        return [
-            LayerSpec(dims[i], dims[i + 1], "relu" if i + 2 < len(dims) else "none")
-            for i in range(len(dims) - 1)
-        ]
-
 
 def lr_at(epoch: int, config: TrainConfig) -> float:
     """Step schedule: lr0 divided by 10 at each passed milestone, where
@@ -220,7 +158,6 @@ def train_dense(
     budget, all seeds in lockstep, recording each seed's conflict ledger
     and snapshotting its initial, rewind-epoch, and final weights.  Each
     seed's ``wall_time_s`` is an equal share of the whole run."""
-    config.validate()
     t0 = time.perf_counter()
     specs = config.specs_for(data)
     nets = [init_network(specs, s) for s in seeds]
@@ -351,7 +288,6 @@ def refine(
     to the most accurate candidate when none does).  Round r trains only
     the seeds still refining; each seed's ``wall_time_s`` is its share of
     every round it took part in."""
-    config.validate()
     specs = artifacts[0].specs
     seeds = [a.seed for a in artifacts]
     schedule = lambda e: lr_at(e, config)
@@ -462,7 +398,6 @@ def run_baseline(
         raise ConfigurationError(
             f"unknown method '{method}', expected one of {METHODS}"
         )
-    config.validate()
     t0 = time.perf_counter()
     specs = artifacts[0].specs
     seeds = [a.seed for a in artifacts]

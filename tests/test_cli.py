@@ -67,6 +67,15 @@ class TestTrain:
         assert code == 1
         assert "prune.eta" in capsys.readouterr().err
 
+    def test_non_finite_integer_is_a_configuration_error(self, tmp_path, capsys):
+        raw = dict(SMALL, train={"epochs": float("nan"), "batch": 16})
+        code = main(["train", "--config", write_config(tmp_path, raw),
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("ballot: configuration error:")
+        assert "train.epochs" in err and "Traceback" not in err
+
     def test_numerical_failure(self, tmp_path, capsys):
         raw = dict(SMALL, train={"epochs": 6, "lr0": 1e200})
         with np.errstate(over="ignore", invalid="ignore"):

@@ -1,11 +1,17 @@
 """Config parsing: defaults, dotted-path errors, and the effective echo."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from ballot.config import config_from_dict, effective_dict, load_config
+from ballot.data import DatasetSpec, SyntheticSpec
 from ballot.errors import ConfigurationError
+from ballot.pipeline import TrainConfig
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def parse(**sections):
@@ -144,6 +150,74 @@ class TestRejections:
             parse(train={"milestones": "mid"})
         app = parse(train={"milestones": [0.5]})
         assert app.train.milestone_fractions == (0.5,)
+
+
+INTEGER_PATHS = [
+    "train.epochs", "train.batch", "refine.rewind_epoch", "refine.max_rounds",
+    "seed", "data.synthetic.classes", "data.synthetic.dim", "data.synthetic.seed",
+]
+
+
+def nested(path, value):
+    """The config object that sets only the dotted ``path`` to ``value``."""
+    for key in reversed(path.split(".")):
+        value = {key: value}
+    return value
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("path", INTEGER_PATHS)
+def test_non_finite_integer_rejected_by_path(path, literal):
+    raw = json.loads(json.dumps(nested(path, "X")).replace('"X"', literal))
+    with pytest.raises(ConfigurationError, match=f"'{re.escape(path)}'"):
+        config_from_dict(raw)
+
+
+# One rule, one message: the JSON config and the direct constructor.
+PARITY = {
+    "epochs_0": ({"train": {"epochs": 0}}, lambda: TrainConfig(epochs=0)),
+    "lr0_0": ({"train": {"lr0": 0}}, lambda: TrainConfig(lr0=0)),
+    "omega_1.2": ({"prune": {"omega": 1.2}}, lambda: TrainConfig(omega=1.2)),
+    "eta_1.0": ({"prune": {"eta": 1.0}}, lambda: TrainConfig(eta=1.0)),
+    "rewind_equals_epochs": (
+        {"train": {"epochs": 10}, "refine": {"rewind_epoch": 10}},
+        lambda: TrainConfig(epochs=10, rewind_epoch=10),
+    ),
+    "empty_hidden": ({"model": {"hidden": []}}, lambda: TrainConfig(hidden=())),
+    "split_1.0": (
+        {"data": {"split": 1.0}},
+        lambda: DatasetSpec(synthetic=SyntheticSpec(), split=1.0),
+    ),
+    "dim_0": ({"data": {"synthetic": {"dim": 0}}}, lambda: SyntheticSpec(dim=0)),
+    "count_of_1": (
+        {"data": {"synthetic": {"counts": [700, 100, 100, 1]}}},
+        lambda: SyntheticSpec(counts=(700, 100, 100, 1)),
+    ),
+    "classes_differ_from_counts": (
+        {"data": {"synthetic": {"classes": 4, "counts": [5, 5, 5]}}},
+        lambda: SyntheticSpec(classes=4, counts=(5, 5, 5)),
+    ),
+    "both_data_sources": (
+        {"data": {"csv_path": "d.csv", "synthetic": {}}},
+        lambda: DatasetSpec(csv_path="d.csv", synthetic=SyntheticSpec()),
+    ),
+}
+
+
+@pytest.mark.parametrize("raw, build", PARITY.values(), ids=PARITY.keys())
+def test_json_and_constructor_share_one_message(raw, build):
+    with pytest.raises(ConfigurationError) as from_json:
+        config_from_dict(raw)
+    with pytest.raises(ConfigurationError) as from_python:
+        build()
+    assert str(from_python.value) == str(from_json.value)
+
+
+def test_readme_lists_every_default():
+    text = README.read_text()
+    block = text.split("All keys with their defaults:", 1)[1]
+    documented = json.loads(block.split("```json", 1)[1].split("```", 1)[0])
+    assert documented == effective_dict(config_from_dict({}))
 
 
 class TestEffectiveEcho:

@@ -58,19 +58,19 @@ class TestSynthetic:
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            synth(classes=1, counts=(5,)).validate()
+            synth(classes=1, counts=(5,))
         with pytest.raises(ConfigurationError):
-            synth(counts=(5, 5)).validate()
+            synth(counts=(5, 5))
         with pytest.raises(ConfigurationError):
-            synth(counts=(30, 12, 1)).validate()
+            synth(counts=(30, 12, 1))
         with pytest.raises(ConfigurationError):
-            synth(dim=0).validate()
+            synth(dim=0)
         with pytest.raises(ConfigurationError):
-            synth(mean_scale=0.0).validate()
+            synth(mean_scale=0.0)
         with pytest.raises(ConfigurationError):
-            synth(std=-0.1).validate()
+            synth(std=-0.1)
         with pytest.raises(ConfigurationError):
-            synth(seed=-1).validate()
+            synth(seed=-1)
 
 
 class TestCsv:
@@ -243,16 +243,16 @@ class TestNormalize:
 class TestSpecValidation:
     def test_exactly_one_source(self):
         with pytest.raises(ConfigurationError, match="exactly one"):
-            DatasetSpec().validate()
+            DatasetSpec()
         with pytest.raises(ConfigurationError, match="exactly one"):
-            DatasetSpec(csv_path="x.csv", synthetic=synth()).validate()
+            DatasetSpec(csv_path="x.csv", synthetic=synth())
 
     def test_split_bounds(self):
         with pytest.raises(ConfigurationError, match="split"):
-            DatasetSpec(synthetic=synth(), split=0.0).validate()
+            DatasetSpec(synthetic=synth(), split=0.0)
         with pytest.raises(ConfigurationError, match="split"):
-            DatasetSpec(synthetic=synth(), split=1.0).validate()
+            DatasetSpec(synthetic=synth(), split=1.0)
 
     def test_nested_synthetic_validated(self):
         with pytest.raises(ConfigurationError):
-            DatasetSpec(synthetic=synth(dim=0)).validate()
+            DatasetSpec(synthetic=synth(dim=0))

@@ -93,17 +93,17 @@ class TestLrSchedule:
 class TestConfigValidation:
     def test_rewind_must_stay_below_epochs(self):
         with pytest.raises(ConfigurationError):
-            TrainConfig(epochs=10, rewind_epoch=10).validate()
+            TrainConfig(epochs=10, rewind_epoch=10)
 
     def test_empty_hidden_rejected(self):
         with pytest.raises(ConfigurationError):
-            TrainConfig(hidden=()).validate()
+            TrainConfig(hidden=())
 
     def test_bad_milestones_rejected(self):
         with pytest.raises(ConfigurationError):
-            TrainConfig(milestone_fractions=(0.6, 0.4)).validate()
+            TrainConfig(milestone_fractions=(0.6, 0.4))
         with pytest.raises(ConfigurationError):
-            TrainConfig(milestone_fractions=(0.4, 1.2)).validate()
+            TrainConfig(milestone_fractions=(0.4, 1.2))
 
     def test_defaults_match_documentation(self):
         cfg = TrainConfig()
@@ -118,7 +118,6 @@ class TestConfigValidation:
         assert cfg.delta == 0.0
         assert cfg.max_rounds == 3
         assert cfg.hidden == (64, 64)
-        cfg.validate()
 
     def test_specs_for_shapes(self, data):
         specs = small_config(hidden=(8, 5)).specs_for(data)

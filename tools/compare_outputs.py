@@ -12,7 +12,12 @@ temporary directory, through one fixed command set:
 - ``experiment --seeds 5`` on the default config;
 - ``experiment --seeds 1`` with ``model.hidden=[512, 512]``;
 - ``gen-data`` on the default config, then ``evaluate`` of the ballot
-  ``final.ckpt`` on that CSV.
+  ``final.ckpt`` on that CSV;
+- ``train`` on a config that sets every key but ``data.csv_path`` to a
+  non-default value, with integral numbers for float keys and ``4.0``
+  for ``train.epochs``, so the config echo is compared key by key;
+- ``train`` on that CSV through ``data.csv_path``, for the echo of a
+  CSV data section.
 
 Seconds fields (JSON keys and CSV columns ending in ``_s``) are blanked
 as the benchmark's digest blanks them (``perfbench/checks.py``).  The
@@ -37,6 +42,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from checks import strip_timing  # noqa: E402
 
 WIDE = {"model": {"hidden": [512, 512]}, "seed": 0}
+EVERY_KEY = {
+    "model": {"hidden": [16, 8]},
+    "train": {"epochs": 4.0, "lr0": 0.05, "batch": 16, "milestones": [0.5]},
+    "prune": {"omega": 0.3, "gamma": 5, "eta": 0.9, "method": "random"},
+    "refine": {"rewind_epoch": 1, "epsilon": 0.1, "delta": 1, "max_rounds": 2},
+    "data": {"split": 0.75, "normalize": True, "label_column": "target",
+             "synthetic": {"classes": 3, "counts": [40, 20, 10], "dim": 6,
+                           "mean_scale": 2, "std": 0.5, "seed": 3}},
+    "seed": 1,
+}
+CSV = {"train": {"epochs": 3}, "data": {"csv_path": "data.csv"}}
 COMMANDS = [
     ["train", "--out", "train"],
     *[["prune", "--method", m, "--out", f"prune-{m}"]
@@ -46,12 +62,15 @@ COMMANDS = [
     ["gen-data", "--out", "data.csv"],
     ["evaluate", "--checkpoint", "prune-ballot/checkpoints/final.ckpt",
      "--data", "data.csv", "--out", "evaluation.json"],
+    ["train", "--config", "every-key.json", "--out", "train-every-key"],
+    ["train", "--config", "csv.json", "--out", "train-csv"],
 ]
 
 
 def run_all(tree: Path, work: Path) -> None:
     """Run the command set with ``tree``'s sources inside ``work``."""
-    (work / "wide.json").write_text(json.dumps(WIDE))
+    for name, raw in (("wide", WIDE), ("every-key", EVERY_KEY), ("csv", CSV)):
+        (work / f"{name}.json").write_text(json.dumps(raw))
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     for args in COMMANDS:
         subprocess.run([sys.executable, "-m", "ballot.cli", *args], cwd=work,
