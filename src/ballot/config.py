@@ -54,7 +54,10 @@ def _real(row: Key, value, integer: bool = False):
         raise ConfigurationError(f"'{row.path}' must be finite")
     if integer and int(value) != value:
         raise ConfigurationError(f"'{row.path}' must be an integer, got {value!r}")
-    value = int(value) if integer else float(value)
+    try:
+        value = int(value) if integer else float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigurationError(f"'{row.path}' must be finite") from None
     for op, limit in row.bounds:
         if not _OPS[op](value, limit):
             raise ConfigurationError(f"'{row.path}' must be {op} {limit}, got {value}")

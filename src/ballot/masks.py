@@ -36,7 +36,8 @@ from .errors import (
     NumericalFailure,
     UsageError,
 )
-from .model import LayerSpec, NetworkParams, param_count, hidden_sizes, validate_specs
+from .model import (LayerSpec, NetworkParams, flat_values, hidden_sizes, layer_views,
+                    param_count, validate_specs)
 
 
 def conflict_scores(g_a, g_f, gamma: float) -> np.ndarray:
@@ -147,11 +148,9 @@ class Mask:
         self.omega = float(omega)
         self.keep = np.ones(param_count(specs), dtype=bool)
         self.neuron_keep = [np.ones(s.d_out, dtype=bool) for s in specs[:-1]]
-        self.weight_keep, self.bias_keep = [], []
-        for s, base in zip(specs, _bases(specs)):
-            w_end = base + s.d_in * s.d_out
-            self.weight_keep.append(self.keep[base:w_end].reshape(s.d_in, s.d_out))
-            self.bias_keep.append(self.keep[w_end : w_end + s.d_out])
+        self.weight_keep, self.bias_keep = layer_views(
+            self.keep, [(s.d_in, s.d_out) for s in specs]
+        )
 
     def kept_count(self) -> int:
         return int(self.keep.sum())
@@ -201,12 +200,6 @@ def _drop_units(mask: Mask) -> None:
         mask.weight_keep[i][:, gone] = False
         mask.bias_keep[i][gone] = False
         mask.weight_keep[i + 1][gone, :] = False
-
-
-def _flat_values(params: NetworkParams) -> np.ndarray:
-    return np.concatenate(
-        [np.concatenate([w.reshape(-1), b]) for w, b in zip(params.weights, params.biases)]
-    )
 
 
 def _target_kept(specs: list[LayerSpec], omega: float) -> int:
@@ -301,7 +294,8 @@ def build_ballot_mask(
     order = np.lexsort(
         (units, layers, -np.concatenate(ledger.cum_scores), -np.concatenate(ledger.counts))
     )
-    return _removal_mask(specs, order, omega, np.abs(_flat_values(final_params)))
+    magnitudes = np.abs(flat_values(final_params.weights, final_params.biases))
+    return _removal_mask(specs, order, omega, magnitudes)
 
 
 def build_random_mask(specs: list[LayerSpec], omega: float, seed: int) -> Mask:
@@ -373,7 +367,7 @@ def build_magnitude_mask(
     if k == mask.total_count():
         return mask
 
-    flat = _flat_values(params)
+    flat = flat_values(params.weights, params.biases)
     if not np.isfinite(flat).all():
         raise NumericalFailure("non-finite parameter values")
 

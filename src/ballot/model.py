@@ -6,19 +6,27 @@ layer except the last feeds a ReLU; the last layer always emits raw
 logits.  Units of all non-final layers are the "hidden neurons" that
 pruning may remove.
 
-Training steps R networks of one architecture at once, stacked on a
-leading seed axis (``ParamStack``, ``MaskStack``): weights [R, d_in,
-d_out], biases [R, d_out], inputs [R, n, d_in].  Each batch runs one
-forward pass, then one fused backward pass that carries the gradients
-of one or two weighted cross-entropies through the shared ReLU gates.
+One flat layout serves parameters, checkpoints and masks: per layer the
+weights row-major, then the bias, layers in order.  A checkpoint stores
+a network's values in it and ``Mask.keep`` flags its entries.
+``ParamStack`` holds R networks of one architecture as one C-contiguous
+[R, P] buffer, a row per network, next to a gradient buffer of the same
+shape; the per-layer arrays the step reads and writes are views of them.
+
+Each batch runs one forward pass and one backward pass that writes the
+plain cross-entropy's parameter gradients into the gradient buffer.
+The plain loss comes first and carries no weighting; dense training
+adds the class-weighted fairness loss, which shares the softmax and
+ReLU gates and yields only the pre-activation means that the conflict
+ledger records.  ``sgd_step`` updates the whole buffer in one call.
 Every matmul runs slot by slot with the shapes of a single network, so
-a network's bytes do not depend on what it is stacked with; a single
-network is a stack of one.  Inference (``forward``) runs one network.
+a network's bytes do not depend on what it is stacked with.
 
 Masking lives in the parameters: a masked weight or bias is stored as
-exactly +0.0.  ``apply_mask`` establishes that and ``sgd_step`` keeps it,
-re-zeroing masked entries after each update; every other function reads
-the parameters as stored and takes no mask.
+exactly +0.0.  ``apply_mask`` establishes that and ``sgd_step`` keeps
+it: the subtract may move a masked entry, and re-zeroing the flat drop
+array after it writes +0.0 back.  Every other function reads the
+parameters as stored and takes no mask.
 
 A masked network retrains at its compacted shape: ``compact_network``
 gathers its live hidden units into a smaller dense network, whose
@@ -35,7 +43,6 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -103,12 +110,6 @@ class NetworkParams:
         return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
 
 
-@dataclass
-class ParamGrads:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-
 def init_network(specs: list[LayerSpec], seed: int) -> NetworkParams:
     """He-style uniform init, U(-sqrt(6/d_in), +sqrt(6/d_in)), zero biases.
 
@@ -125,21 +126,46 @@ def init_network(specs: list[LayerSpec], seed: int) -> NetworkParams:
     return NetworkParams(weights, biases, seed=seed, epoch_tag=0)
 
 
-@dataclass
-class ParamStack:
-    """R networks of one architecture on a leading seed axis:
-    ``weights[i]`` is [R, d_in, d_out] and ``biases[i]`` is [R, d_out]."""
+def flat_values(weights, biases) -> np.ndarray:
+    """Per-layer arrays in the flat layout: per layer the weights
+    row-major, then the bias, layers in order."""
+    return np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+
+def layer_views(buf: np.ndarray, shapes) -> tuple[list, list]:
+    """Per-layer weight [..., d_in, d_out] and bias [..., d_out] views
+    into ``buf`` ([..., P]), which holds the flat layout on its last axis;
+    ``shapes`` holds each layer's (d_in, d_out)."""
+    lead = buf.shape[:-1]
+    weights, biases, base = [], [], 0
+    for d_in, d_out in shapes:
+        w_end = base + d_in * d_out
+        weights.append(buf[..., base:w_end].reshape(*lead, d_in, d_out))
+        biases.append(buf[..., w_end : w_end + d_out])
+        base = w_end + d_out
+    return weights, biases
+
+
+class ParamStack:
+    """R networks of one architecture in one C-contiguous [R, P] float64
+    buffer ``flat``, a row per network in the flat layout, and the
+    gradients of the last ``train_step`` in ``grad``, of the same shape.
+    ``weights[i]`` [R, d_in, d_out], ``biases[i]`` [R, d_out],
+    ``grad_weights[i]`` and ``grad_biases[i]`` are views into them."""
+
+    def __init__(self, flat: np.ndarray, shapes):
+        self.flat = flat
+        self.grad = np.zeros_like(flat)
+        self.weights, self.biases = layer_views(flat, shapes)
+        self.grad_weights, self.grad_biases = layer_views(self.grad, shapes)
 
 
 def stack_params(nets: list[NetworkParams]) -> ParamStack:
     """Stack ``nets`` in order and rebind each network's arrays to views
-    of its slot, so a step on the stack trains every network in place."""
+    of its row, so a step on the stack trains every network in place."""
     stack = ParamStack(
-        [np.stack(ws) for ws in zip(*(net.weights for net in nets))],
-        [np.stack(bs) for bs in zip(*(net.biases for net in nets))],
+        np.stack([flat_values(net.weights, net.biases) for net in nets]),
+        [w.shape for w in nets[0].weights],
     )
     for r, net in enumerate(nets):
         net.weights = [w[r] for w in stack.weights]
@@ -147,21 +173,11 @@ def stack_params(nets: list[NetworkParams]) -> ParamStack:
     return stack
 
 
-@dataclass
-class MaskStack:
-    """Drop flags (negated keep flags) of R masks shaped like a
-    ``ParamStack``, computed once for the re-zeroing after every step."""
-
-    weight_drop: list[np.ndarray]
-    bias_drop: list[np.ndarray]
-
-
-def stack_masks(masks) -> MaskStack:
-    """Stack the per-layer drop flags of ``masks`` in order."""
-    return MaskStack(
-        [~np.stack(keeps) for keeps in zip(*(m.weight_keep for m in masks))],
-        [~np.stack(keeps) for keeps in zip(*(m.bias_keep for m in masks))],
-    )
+def stack_masks(keeps) -> np.ndarray:
+    """Drop flags [R, P] of R flat keep vectors (``Mask.keep`` or the
+    keep of ``compact_network``), computed once for the re-zeroing after
+    every step."""
+    return ~np.stack(keeps)
 
 
 def _check_input(x, specs: list[LayerSpec], lead: tuple = ()) -> np.ndarray:
@@ -177,7 +193,8 @@ def _check_input(x, specs: list[LayerSpec], lead: tuple = ()) -> np.ndarray:
 def _require_finite(a: np.ndarray, what: str) -> None:
     """Raise NumericalFailure if ``a`` holds a NaN or infinity, naming
     the first slot of its leading seed axis that does."""
-    if not np.isfinite(a).all():
+    # the ufunc's own reduce: ``.all()`` adds a Python call per check
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
         bad = ~np.isfinite(a.reshape(a.shape[0], -1)).all(axis=1)
         raise NumericalFailure(what, index=int(np.argmax(bad)))
 
@@ -214,18 +231,19 @@ def forward(params: NetworkParams, x: np.ndarray, specs: list[LayerSpec]) -> np.
     ])
 
 
-def weighted_cross_entropy(logits, onehot, class_weights):
-    """Batch-mean weighted cross-entropy of R networks under one or more
-    class weightings, and its gradient with respect to the logits.
+def weighted_cross_entropy(logits, onehot, fair=None):
+    """Batch-mean softmax cross-entropy of R networks, and its gradient
+    with respect to the logits; with ``fair`` also the cross-entropy
+    that weights each sample by ``fair``'s weight of its class.
 
     ``logits`` and ``onehot`` are [R, n, C]; ``onehot`` must be exactly
-    one-hot rows.  ``class_weights`` holds one [R, C] array of strictly
-    positive weights per loss.  Returns one ``(loss, dlogits)`` pair per
-    loss, the loss of shape [R] and dlogits [R, n, C]; the losses share
-    one softmax.  With all weights equal to 1 this is the plain softmax
-    cross-entropy, bit for bit, because multiplying by 1.0 is exact.
-    The log-sum-exp uses max subtraction, so extreme but finite logits
-    stay finite.
+    one-hot rows.  ``fair`` is an [R, C] array of strictly positive
+    class weights.  Returns one ``(loss, dlogits)`` pair per loss, the
+    plain loss first, the loss of shape [R] and dlogits [R, n, C]; the
+    losses share one softmax.  The plain loss carries no weighting at
+    all: it is bit for bit the weighted loss under all-ones weights,
+    because multiplying by 1.0 is exact.  The log-sum-exp uses max
+    subtraction, so extreme but finite logits stay finite.
     """
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 3:
@@ -238,14 +256,14 @@ def weighted_cross_entropy(logits, onehot, class_weights):
         )
     if not ((y == 0.0) | (y == 1.0)).all() or not (y.sum(axis=2) == 1.0).all():
         raise DataError("targets must be exactly one-hot rows")
-    weightings = [np.asarray(w, dtype=np.float64) for w in class_weights]
-    for w in weightings:
-        if w.shape != (z.shape[0], z.shape[2]):
+    if fair is not None:
+        fair = np.asarray(fair, dtype=np.float64)
+        if fair.shape != (z.shape[0], z.shape[2]):
             raise ConfigurationError(
                 f"class_weights must have shape {(z.shape[0], z.shape[2])}, "
-                f"got {w.shape}"
+                f"got {fair.shape}"
             )
-        if not np.isfinite(w).all() or (w <= 0.0).any():
+        if not np.isfinite(fair).all() or (fair <= 0.0).any():
             raise ConfigurationError("class_weights must be finite and positive")
 
     n = z.shape[1]
@@ -257,84 +275,81 @@ def weighted_cross_entropy(logits, onehot, class_weights):
     logp = z - lse
     picked = (y * logp).sum(axis=2)
     residual = np.exp(logp) - y
-    out = []
-    for w in weightings:
+    # sum / n is bit for bit ``.mean(axis=1)``, minus its Python wrapper
+    loss = (-picked).sum(axis=1) / n
+    _require_finite(loss, "non-finite cross-entropy loss")
+    out = [(loss, residual / n)]
+    if fair is not None:
         # exact: every row of y has a single 1 and zeros elsewhere
-        sample_w = (y * w[:, None, :]).sum(axis=2)
-        loss = (-(sample_w * picked)).mean(axis=1)
+        sample_w = (y * fair[:, None, :]).sum(axis=2)
+        loss = (-(sample_w * picked)).sum(axis=1) / n
         _require_finite(loss, "non-finite cross-entropy loss")
         out.append((loss, (sample_w[:, :, None] * residual) / n))
     return out
 
 
-def train_step(params: ParamStack, x, onehot, specs: list[LayerSpec],
-               class_weights) -> tuple[ParamGrads, list[list[np.ndarray]]]:
-    """Gradients of one batch per network under one or more weighted
-    cross-entropies, for R networks at once.
+def train_step(stack: ParamStack, x, onehot, specs: list[LayerSpec], fair=None):
+    """One batch of R networks at once: the plain cross-entropy's
+    parameter gradients into ``stack.grad`` and, with ``fair``, the
+    pre-activation means that the conflict ledger records.
 
     ``x`` is [R, n, d_in] and ``onehot`` [R, n, C]; slot r of every
-    array belongs to network r, and ``class_weights`` holds one [R, C]
-    array per loss.  Returns the parameter gradients of the first loss,
-    shaped like the stack, and, for every loss, the batch-mean gradient
-    of each hidden pre-activation ([R, units] per hidden layer).  The
-    parameters are used as stored, so gradients flow through exactly the
-    network that inference sees; ``sgd_step`` discards the gradients of
-    masked entries.  Each slot's arithmetic is that of a stack of one, so
-    stacking never changes a network's result.
+    array belongs to network r.  The gradients are written in place,
+    into the views ``stack.grad_weights`` and ``stack.grad_biases``.
+    With ``fair`` ([R, C] class weights, see ``weighted_cross_entropy``)
+    it returns ``(means_a, means_f)``: for the plain and the fairness
+    loss, the batch-mean gradient of each hidden pre-activation, [R,
+    units] per hidden layer.  Without ``fair`` it returns None and
+    computes no means.  The fairness loss has no parameter gradient.
+
+    The parameters are used as stored, so gradients flow through exactly
+    the network that inference sees; ``sgd_step`` discards the gradients
+    of masked entries.  Each slot's arithmetic is that of a stack of
+    one, so stacking never changes a network's result.
     """
-    x = _check_input(x, specs, (params.weights[0].shape[0],))
-    ws = params.weights
-    n_layers = len(specs)
+    x = _check_input(x, specs, (stack.flat.shape[0],))
+    ws, n, last = stack.weights, x.shape[1], len(specs) - 1
     inputs, gates = [], []
     h = x
-    for i, (w, b) in enumerate(zip(ws, params.biases)):
+    for i, (w, b) in enumerate(zip(ws, stack.biases)):
         inputs.append(h)
         z = h @ w + b[:, None, :]
         _require_finite(z, "non-finite layer output in training pass")
-        if i < n_layers - 1:
+        if i < last:
             gates.append(z > 0.0)
             h = np.maximum(z, 0.0)
         else:
             h = z
 
-    upstream = [g for _, g in weighted_cross_entropy(h, onehot, class_weights)]
-    grads = ParamGrads([None] * n_layers, [None] * n_layers)
-    preact_means = []
-    for k, g in enumerate(upstream):
-        means = []
-        for i in range(n_layers - 1, -1, -1):
+    means = []
+    for k, (_, g) in enumerate(weighted_cross_entropy(h, onehot, fair)):
+        means.append([])
+        for i in range(last, -1, -1):
             if k == 0:
-                grads.weights[i] = np.swapaxes(inputs[i], 1, 2) @ g
-                grads.biases[i] = g.sum(axis=1)
+                np.matmul(inputs[i].swapaxes(1, 2), g, out=stack.grad_weights[i])
+                g.sum(axis=1, out=stack.grad_biases[i])
             if i > 0:
-                g = (g @ np.swapaxes(ws[i], 1, 2)) * gates[i - 1]
+                g = (g @ ws[i].swapaxes(1, 2)) * gates[i - 1]
                 _require_finite(g, "non-finite pre-activation gradient")
-                means.insert(0, g.mean(axis=1))
-        preact_means.append(means)
-    return grads, preact_means
+                if fair is not None:
+                    means[k].insert(0, g.sum(axis=1) / n)
+    return tuple(means) if fair is not None else None
 
 
-def sgd_step(
-    params: ParamStack, grads: ParamGrads, lr: float, mask: MaskStack | None = None
-) -> ParamStack:
+def sgd_step(stack: ParamStack, lr: float, mask: np.ndarray | None = None) -> ParamStack:
     """In-place step theta <- theta - lr * g on every network of the
-    stack, then re-zero masked entries."""
-    if len(grads.weights) != len(params.weights):
-        raise ConfigurationError("gradient layer count does not match network")
-    for g in grads.weights + grads.biases:
-        _require_finite(g, "non-finite gradient in sgd_step")
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        if grads.weights[i].shape != w.shape or grads.biases[i].shape != b.shape:
-            raise ConfigurationError(f"gradient shape mismatch at layer {i}")
-        w -= lr * grads.weights[i]
-        b -= lr * grads.biases[i]
+    stack, from the gradients ``train_step`` left in ``stack.grad``, then
+    re-zero masked entries.
+
+    ``mask`` is the [R, P] drop array of ``stack_masks``.  A masked
+    entry may move in the subtract, and the re-zeroing writes +0.0 back,
+    never -0.0.  ``stack.grad`` is left scaled by ``lr``."""
+    _require_finite(stack.grad, "non-finite gradient in sgd_step")
+    stack.grad *= lr
+    stack.flat -= stack.grad
     if mask is not None:
-        for w, b, wd, bd in zip(
-            params.weights, params.biases, mask.weight_drop, mask.bias_drop
-        ):
-            np.putmask(w, wd, 0.0)
-            np.putmask(b, bd, 0.0)
-    return params
+        np.putmask(stack.flat, mask, 0.0)
+    return stack
 
 
 def apply_mask(params: NetworkParams, mask) -> NetworkParams:
@@ -348,13 +363,6 @@ def apply_mask(params: NetworkParams, mask) -> NetworkParams:
         w[~wk] = 0.0
         b[~bk] = 0.0
     return out
-
-
-class Keep(NamedTuple):
-    """Per-layer keep flags shaped like a network's weights and biases."""
-
-    weight_keep: list[np.ndarray]
-    bias_keep: list[np.ndarray]
 
 
 def live_units(mask) -> list[np.ndarray]:
@@ -379,14 +387,14 @@ def _unit_ends(mask) -> list[np.ndarray]:
 
 def compact_network(
     params: NetworkParams, mask, specs: list[LayerSpec]
-) -> tuple[NetworkParams, list[LayerSpec], Keep]:
+) -> tuple[NetworkParams, list[LayerSpec], np.ndarray]:
     """The live part of a masked network as a smaller dense network.
 
     Returns fresh copies of the weights and biases of the live hidden
     units (see ``live_units``), the specs of that network, whose hidden
-    layers may have width 0, and its keep flags: entries ``mask`` trims
-    inside the live part stay trimmed.  ``expand_network`` scatters the
-    result back."""
+    layers may have width 0, and its flat keep vector in the flat layout
+    of that network: entries ``mask`` trims inside the live part stay
+    trimmed.  ``expand_network`` scatters the result back."""
     ends = _unit_ends(mask)
     blocks = [np.ix_(rows, cols) for rows, cols in zip(ends, ends[1:])]
     small = NetworkParams(
@@ -399,7 +407,7 @@ def compact_network(
         LayerSpec(len(rows), len(cols), spec.activation)
         for rows, cols, spec in zip(ends, ends[1:], specs)
     ]
-    keep = Keep(
+    keep = flat_values(
         [wk[block] for wk, block in zip(mask.weight_keep, blocks)],
         [bk[cols] for bk, cols in zip(mask.bias_keep, ends[1:])],
     )

@@ -166,7 +166,6 @@ def train_dense(
     stack = stack_params(nets)
 
     x, onehot = data.train.X, data.train_onehot
-    plain = np.ones((len(seeds), data.n_classes))
     fair = np.stack([uniform_class_weights(data.n_classes).as_array()] * len(seeds))
     hidden = hidden_sizes(specs)
     ledgers = [ConflictLedger(hidden) for _ in seeds]
@@ -177,13 +176,11 @@ def train_dense(
         acc_f = [np.zeros((len(seeds), h)) for h in hidden]
         try:
             for idx in _batches(_shuffle(seeds, epoch, x.shape[0]), config.batch_size):
-                grads, (means_a, means_f) = train_step(
-                    stack, x[idx], onehot[idx], specs, (plain, fair)
-                )
+                means_a, means_f = train_step(stack, x[idx], onehot[idx], specs, fair)
                 for i, (ma, mf) in enumerate(zip(means_a, means_f)):
                     acc_a[i] += ma
                     acc_f[i] += mf
-                sgd_step(stack, grads, lr)
+                sgd_step(stack, lr)
         except NumericalFailure as exc:
             raise _failure("dense training", epoch, seeds, exc) from exc
 
@@ -253,17 +250,14 @@ def _retrain(
         stack = stack_params([smalls[r] for r in members])
         mask = stack_masks([keeps[r] for r in members])
         group_seeds = [seeds[r] for r in members]
-        plain = np.ones((len(members), data.n_classes))
         streams = [s + stream_offset for s in group_seeds]
         for epoch in range(epochs):
             lr = lr_fn(epoch)
             orders = _shuffle(streams, epoch_offset + epoch, x.shape[0])
             try:
                 for idx in _batches(orders, config.batch_size):
-                    grads, _ = train_step(
-                        stack, x[idx], onehot[idx], small_specs, (plain,)
-                    )
-                    sgd_step(stack, grads, lr, mask)
+                    train_step(stack, x[idx], onehot[idx], small_specs)
+                    sgd_step(stack, lr, mask)
             except NumericalFailure as exc:
                 raise _failure("retraining", epoch, group_seeds, exc) from exc
         for r in members:

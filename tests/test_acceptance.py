@@ -24,7 +24,8 @@ from ballot.masks import (
     positive_score_threshold,
 )
 from ballot.metrics import evaluate, predict, report_from_predictions
-from ballot.model import ParamGrads, hidden_sizes, param_count, stack_params, train_step
+from ballot.model import (forward, hidden_sizes, param_count, stack_params, train_step,
+                          weighted_cross_entropy)
 from ballot.pipeline import TrainConfig, refine, run_baseline, train_dense
 
 from conftest import (
@@ -125,12 +126,22 @@ def _clear_relu_margins(params, specs, x, margin=0.1):
 
 
 def _gradients(params, specs, x, y, class_w):
-    """Parameter gradients of one network: ``train_step`` on a stack of
-    one, slot 0.  The network's arrays become views of the stack, so the
-    perturbations below still reach the oracle."""
-    grads, _ = train_step(stack_params([params]), x[None], y[None], specs,
-                          (class_w[None],))
-    return ParamGrads([w[0] for w in grads.weights], [b[0] for b in grads.biases])
+    """What one ``train_step`` computes of each loss, on a stack of one,
+    slot 0, as (array, analytic gradient) pairs.  The plain loss: every
+    parameter's gradient.  The weighted loss: every bias's, which is the
+    batch sum of its unit's pre-activation gradient, n times the mean
+    the step returns for a hidden unit and the batch sum of
+    ``weighted_cross_entropy``'s dlogits for an output unit.  The
+    network's arrays become views of the stack, so the perturbations
+    below still reach the oracle."""
+    stack = stack_params([params])
+    _, means_f = train_step(stack, x[None], y[None], specs, class_w[None])
+    plain = [(arr, g[0].copy()) for arr, g in zip(
+        params.weights + params.biases, stack.grad_weights + stack.grad_biases)]
+    _, (_, dlogits) = weighted_cross_entropy(
+        forward(params, x, specs)[None], y[None], class_w[None])
+    fair_bias = [x.shape[0] * m[0] for m in means_f] + [dlogits[0].sum(axis=0)]
+    return {"a": plain, "f": list(zip(params.biases, fair_bias))}
 
 
 def test_criterion_2_gradients_match_finite_differences():
@@ -149,26 +160,22 @@ def test_criterion_2_gradients_match_finite_differences():
         _clear_relu_margins(params, specs, x)
 
         losses = {"a": np.ones(c), "f": weights_f}
-        grads = {name: _gradients(params, specs, x, y, cw)
-                 for name, cw in losses.items()}
+        grads = _gradients(params, specs, x, y, weights_f)
 
         for name, cw in losses.items():
-            g = grads[name]
-            for li in range(len(specs)):
-                for arr, analytic in ((params.weights[li], g.weights[li]),
-                                      (params.biases[li], g.biases[li])):
-                    for idx in np.ndindex(*arr.shape):
-                        orig = arr[idx]
-                        arr[idx] = orig + h
-                        up = reference_loss(params.weights, params.biases,
-                                            specs, x, y, cw)
-                        arr[idx] = orig - h
-                        down = reference_loss(params.weights, params.biases,
-                                              specs, x, y, cw)
-                        arr[idx] = orig
-                        fd = (up - down) / (2 * h)
-                        rel = abs(analytic[idx] - fd) / max(1.0, abs(fd))
-                        worst = max(worst, rel)
+            for arr, analytic in grads[name]:
+                for idx in np.ndindex(*arr.shape):
+                    orig = arr[idx]
+                    arr[idx] = orig + h
+                    up = reference_loss(params.weights, params.biases,
+                                        specs, x, y, cw)
+                    arr[idx] = orig - h
+                    down = reference_loss(params.weights, params.biases,
+                                          specs, x, y, cw)
+                    arr[idx] = orig
+                    fd = (up - down) / (2 * h)
+                    rel = abs(analytic[idx] - fd) / max(1.0, abs(fd))
+                    worst = max(worst, rel)
 
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-5 and elapsed < 60.0

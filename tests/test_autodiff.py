@@ -5,6 +5,7 @@ error contracts.  Single-network cases run the kernel on a stack of one;
 unchanged."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from ballot.masks import build_random_mask
 from ballot.model import (
     LayerSpec,
     NetworkParams,
-    ParamGrads,
     apply_mask,
     forward,
     init_network,
@@ -37,25 +37,39 @@ def _net(*layers):
     return NetworkParams(ws, bs, seed=0), specs
 
 
-def _step(params, x, y, specs, weightings):
-    """``train_step`` of one network, as a stack of one; returns slot 0
-    of every result."""
-    grads, means = train_step(
-        stack_params([params]), np.asarray(x, dtype=np.float64)[None],
+class Grads(NamedTuple):
+    weights: list
+    biases: list
+
+
+def _step(params, x, y, specs, fair=None):
+    """``train_step`` of one network, as a stack of one: copies of slot
+    0 of the plain loss's parameter gradients, and slot 0 of the
+    ``(means_a, means_f)`` pre-activation means, or None without
+    ``fair``."""
+    stack = stack_params([params.copy()])
+    means = train_step(
+        stack, np.asarray(x, dtype=np.float64)[None],
         np.asarray(y, dtype=np.float64)[None], specs,
-        [np.asarray(w, dtype=np.float64)[None] for w in weightings],
+        None if fair is None else np.asarray(fair, dtype=np.float64)[None],
     )
-    return (ParamGrads([w[0] for w in grads.weights], [b[0] for b in grads.biases]),
-            [[m[0] for m in layer_means] for layer_means in means])
+    grads = Grads([w[0].copy() for w in stack.grad_weights],
+                  [b[0].copy() for b in stack.grad_biases])
+    if means is None:
+        return grads, None
+    return grads, [[m[0] for m in layer_means] for layer_means in means]
 
 
-def _ce(logits, onehot, class_weights):
-    """``weighted_cross_entropy`` of one network under one weighting."""
-    ((loss, dlogits),) = weighted_cross_entropy(
+def _ce(logits, onehot, class_weights=None):
+    """``weighted_cross_entropy`` of one network: the plain loss, or
+    with ``class_weights`` the weighted one."""
+    losses = weighted_cross_entropy(
         np.asarray(logits, dtype=np.float64)[None],
         np.asarray(onehot, dtype=np.float64)[None],
-        (np.asarray(class_weights, dtype=np.float64)[None],),
+        None if class_weights is None
+        else np.asarray(class_weights, dtype=np.float64)[None],
     )
+    loss, dlogits = losses[-1]
     return float(loss[0]), dlogits[0]
 
 
@@ -84,7 +98,7 @@ class TestAffine:
     def test_shape_mismatch_is_config_error(self):
         params, specs = _net((np.eye(2), [0.0, 0.0], "none"))
         with pytest.raises(ConfigurationError):
-            _step(params, [[1.0, 2.0, 3.0]], [[1.0, 0.0]], specs, (np.ones(2),))
+            _step(params, [[1.0, 2.0, 3.0]], [[1.0, 0.0]], specs)
 
     def test_gradients_match_hand_derivation(self):
         # z0 = 1*3 + 2*5 + 0.5 = 13.5 (active); the logits are exactly
@@ -93,8 +107,8 @@ class TestAffine:
         # layer's gradients are x^T * -1 and -1.
         params, specs = _net(([[3.0], [5.0]], [0.5], "relu"),
                              ([[1.0, -1.0]], [-13.5, 13.5], "none"))
-        grads, (means,) = _step(params, [[1.0, 2.0]], [[1.0, 0.0]],
-                                specs, (np.ones(2),))
+        grads, (means, _) = _step(params, [[1.0, 2.0]], [[1.0, 0.0]],
+                                  specs, np.ones(2))
         np.testing.assert_allclose(grads.weights[1], [[-6.75, 6.75]], rtol=1e-15)
         np.testing.assert_allclose(grads.biases[1], [-0.5, 0.5], rtol=1e-15)
         np.testing.assert_allclose(grads.weights[0], [[-1.0], [-2.0]], rtol=1e-15)
@@ -120,9 +134,9 @@ class TestRelu:
         params, specs = _net((np.eye(2), [0.0, 0.0], "relu"),
                              ([[1.0, -1.0], [2.0, 0.5]], [0.0, 0.0], "none"))
         y = [[1.0, 0.0]]
-        _, (means,) = _step(params, x, y, specs, (np.ones(2),))
+        _, (means, _) = _step(params, x, y, specs, np.ones(2))
         logits = forward(params, x, specs)
-        _, dlogits = _ce(logits, y, np.ones(2))
+        _, dlogits = _ce(logits, y)
         return means[0], (dlogits @ params.weights[1].T)[0]
 
     def test_gradient_gates_negative_input(self):
@@ -163,11 +177,13 @@ class TestCrossEntropy:
             z = rng.normal(scale=3.0, size=(n, c))
             y = np.eye(c)[rng.integers(0, c, n)]
             weighted, dlogits = _ce(z, y, np.ones(c))
+            unweighted, plain_d = _ce(z, y)
             zmax = z.max(axis=1, keepdims=True)
             lse = np.log(np.exp(z - zmax).sum(axis=1, keepdims=True)) + zmax
             plain = float((-(y * (z - lse)).sum(axis=1)).mean())
-            assert weighted == plain
+            assert weighted == unweighted == plain
             assert np.array_equal(dlogits, (np.exp(z - lse) - y) / n)
+            assert np.array_equal(plain_d, dlogits)
 
     def test_non_one_hot_targets_rejected(self):
         for bad in ([[0.5, 0.5]], [[1.0, 1.0]], [[0.0, 0.0]]):
@@ -188,63 +204,86 @@ class TestCrossEntropy:
             _ce([[0.0, 0.0]], [[1.0, 0.0, 0.0]], np.ones(2))
 
 
+def _fd(params, specs, x, y, class_w, arr, idx, h=1e-5):
+    """Central difference of the reference loss in entry ``idx`` of
+    ``arr``, one of ``params``' arrays."""
+    orig = arr[idx]
+    arr[idx] = orig + h
+    up = reference_loss(params.weights, params.biases, specs, x, y, class_w)
+    arr[idx] = orig - h
+    down = reference_loss(params.weights, params.biases, specs, x, y, class_w)
+    arr[idx] = orig
+    return (up - down) / (2 * h)
+
+
 class TestBackward:
     def test_finite_difference_oracle_on_random_net(self, rng):
         specs, params = random_net(rng, max_units=6)
         x, y = _batch(rng, specs, 4)
-        cw = rng.uniform(0.5, 2.0, specs[-1].d_out)
-        grads, _ = _step(params, x, y, specs, (cw,))
+        c = specs[-1].d_out
+        cw = rng.uniform(0.5, 2.0, c)
+        grads, (_, means_f) = _step(params, x, y, specs, cw)
+        _, dlogits_f = _ce(forward(params, x, specs), y, cw)
 
-        h = 1e-5
+        # the plain loss: every parameter gradient
         for li in range(len(specs)):
             for arr, g in ((params.weights[li], grads.weights[li]),
                            (params.biases[li], grads.biases[li])):
                 for idx in np.ndindex(*arr.shape):
-                    orig = arr[idx]
-                    arr[idx] = orig + h
-                    up = reference_loss(params.weights, params.biases, specs, x, y, cw)
-                    arr[idx] = orig - h
-                    down = reference_loss(params.weights, params.biases, specs, x, y, cw)
-                    arr[idx] = orig
-                    fd = (up - down) / (2 * h)
+                    fd = _fd(params, specs, x, y, np.ones(c), arr, idx)
                     assert abs(g[idx] - fd) / max(1.0, abs(fd)) <= 1e-5
+
+        # the weighted loss: a bias's derivative is the batch sum of its
+        # unit's pre-activation gradient, n times the recorded mean
+        n = x.shape[0]
+        fair_bias = [n * m for m in means_f] + [dlogits_f.sum(axis=0)]
+        for li, g in enumerate(fair_bias):
+            for idx in np.ndindex(*params.biases[li].shape):
+                fd = _fd(params, specs, x, y, cw, params.biases[li], idx)
+                assert abs(g[idx] - fd) / max(1.0, abs(fd)) <= 1e-5
 
     def test_two_backward_passes_are_independent(self, rng):
         specs, params = random_net(rng)
         x, y = _batch(rng, specs, 3)
         c = specs[-1].d_out
-        plain, fair = np.ones(c), rng.uniform(0.5, 2.0, c)
+        ones, fair = np.ones(c), rng.uniform(0.5, 2.0, c)
 
-        grads_a, (means_a,) = _step(params, x, y, specs, (plain,))
-        grads_f, (means_f,) = _step(params, x, y, specs, (fair,))
-        grads, (both_a, both_f) = _step(params, x, y, specs, (plain, fair))
-        for got, want in zip(grads.weights + grads.biases,
-                             grads_a.weights + grads_a.biases):
+        grads_a, no_means = _step(params, x, y, specs)
+        grads_o, (means_a, means_o) = _step(params, x, y, specs, ones)
+        grads, (both_a, both_f) = _step(params, x, y, specs, fair)
+        assert no_means is None
+        for got, same, want in zip(grads.weights + grads.biases,
+                                   grads_o.weights + grads_o.biases,
+                                   grads_a.weights + grads_a.biases):
             assert np.array_equal(got, want)
-        for got_a, want_a, got_f, want_f in zip(both_a, means_a, both_f, means_f):
+            assert np.array_equal(same, want)
+        for got_a, want_a, got_o in zip(both_a, means_a, means_o):
             assert np.array_equal(got_a, want_a)
-            assert np.array_equal(got_f, want_f)
-        assert not all(np.array_equal(a, b)
-                       for a, b in zip(grads.weights, grads_f.weights))
+            # the all-ones weighting is the plain loss, bit for bit
+            assert np.array_equal(got_o, want_a)
+        assert not all(np.array_equal(a, f) for a, f in zip(both_a, both_f))
 
     def test_scaled_loss_scales_gradients(self, rng):
         # scaling every class weight by 2 is exact in floating point
         specs, params = random_net(rng)
         x, y = _batch(rng, specs, 3)
         c = specs[-1].d_out
-        base, (base_means,) = _step(params, x, y, specs, (np.ones(c),))
-        scaled, (scaled_means,) = _step(params, x, y, specs,
-                                        (np.full(c, 2.0),))
-        for got, want in zip(scaled.weights + scaled.biases + scaled_means,
-                             base.weights + base.biases + base_means):
+        _, (base_means, _) = _step(params, x, y, specs, np.ones(c))
+        _, (_, scaled_means) = _step(params, x, y, specs, np.full(c, 2.0))
+        for got, want in zip(scaled_means, base_means):
             np.testing.assert_array_equal(got, 2.0 * want)
+        logits = forward(params, x, specs)
+        base_loss, base_d = _ce(logits, y)
+        scaled_loss, scaled_d = _ce(logits, y, np.full(c, 2.0))
+        assert scaled_loss == 2.0 * base_loss
+        np.testing.assert_array_equal(scaled_d, 2.0 * base_d)
 
     def test_deterministic_gradients(self, rng):
         specs, params = random_net(rng)
         x, y = _batch(rng, specs, 5)
-        weightings = (np.ones(specs[-1].d_out), np.full(specs[-1].d_out, 3.0))
-        first, means_1 = _step(params, x, y, specs, weightings)
-        second, means_2 = _step(params, x, y, specs, weightings)
+        fair = np.full(specs[-1].d_out, 3.0)
+        first, means_1 = _step(params, x, y, specs, fair)
+        second, means_2 = _step(params, x, y, specs, fair)
         for a, b in zip(first.weights + first.biases + means_1[0] + means_1[1],
                         second.weights + second.biases + means_2[0] + means_2[1]):
             assert np.array_equal(a, b)
@@ -256,7 +295,7 @@ class TestBackward:
         x[:] = 10.0
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalFailure):
-                _step(params, x, y, specs, (np.ones(specs[-1].d_out),))
+                _step(params, x, y, specs)
 
 
 class TestSeedStack:
@@ -268,27 +307,33 @@ class TestSeedStack:
                  for omega, seed in ((0.3, 1), (0.6, 2), (1.0, 3))]
         starts = [apply_mask(init_network(specs, s), m)
                   for s, m in zip((11, 12, 13), masks)]
-        plain, fair = np.ones((3, 3)), rng.uniform(0.5, 2.0, (3, 3))
+        fair = rng.uniform(0.5, 2.0, (3, 3))
 
         nets = [p.copy() for p in starts]
-        stack, mask = stack_params(nets), stack_masks(masks)
-        singles = [(stack_params([p]), stack_masks([m]))
+        stack, mask = stack_params(nets), stack_masks([m.keep for m in masks])
+        singles = [(stack_params([p]), stack_masks([m.keep]))
                    for p, m in zip(starts, masks)]
-        for _ in range(4):
-            # every network draws its own batch
+        for step in range(4):
+            # every network draws its own batch; odd steps train the
+            # plain loss alone, as retraining does
             idx = np.stack([rng.permutation(40)[:16] for _ in range(3)])
-            grads, means = train_step(stack, x[idx], y[idx], specs,
-                                      (plain, fair))
+            weights = fair if step % 2 == 0 else None
+            means = train_step(stack, x[idx], y[idx], specs, weights)
             for r, (one, one_mask) in enumerate(singles):
-                g1, means1 = train_step(one, x[idx[r]][None],
-                                        y[idx[r]][None], specs,
-                                        (plain[r:r + 1], fair[r:r + 1]))
-                got = grads.weights + grads.biases + means[0] + means[1]
-                want = g1.weights + g1.biases + means1[0] + means1[1]
+                means1 = train_step(
+                    one, x[idx[r]][None], y[idx[r]][None], specs,
+                    None if weights is None else weights[r:r + 1],
+                )
+                got = stack.grad_weights + stack.grad_biases
+                want = one.grad_weights + one.grad_biases
+                if weights is None:
+                    assert means is None and means1 is None
+                else:
+                    got, want = got + means[0] + means[1], want + means1[0] + means1[1]
                 for a, b in zip(got, want):
                     assert a[r].tobytes() == b[0].tobytes()
-                sgd_step(one, g1, 0.1, one_mask)
-            sgd_step(stack, grads, 0.1, mask)
+                sgd_step(one, 0.1, one_mask)
+            sgd_step(stack, 0.1, mask)
         for a, b in zip(nets, starts):
             for wa, wb in zip(a.weights + a.biases, b.weights + b.biases):
                 assert wa.tobytes() == wb.tobytes()
@@ -302,6 +347,5 @@ class TestSeedStack:
         stack = stack_params([params, params.copy(), bad])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalFailure) as caught:
-                train_step(stack, np.stack([x] * 3), np.stack([y] * 3),
-                           specs, (np.ones((3, specs[-1].d_out)),))
+                train_step(stack, np.stack([x] * 3), np.stack([y] * 3), specs)
         assert caught.value.index == 2

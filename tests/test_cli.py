@@ -4,6 +4,7 @@ Exit codes under test: 0 success, 1 configuration or usage error,
 2 data or file error, 3 numerical failure.
 """
 
+import hashlib
 import json
 import re
 
@@ -17,6 +18,11 @@ from ballot.model import load_checkpoint
 from ballot.reporting import CSV_HEADER, load_report
 
 WALL_TIME = re.compile(rb'(?<="wall_time_s": )[^,\n]+')
+# every JSON value of a key ending in _s, as the benchmark's digest
+# (perfbench/checks.py) blanks it
+SECONDS = re.compile(
+    rb'("[A-Za-z0-9_]*_s"\s*:\s*)(-?[0-9][0-9.eE+-]*|NaN|-?Infinity|null)'
+)
 
 SMALL = {
     "model": {"hidden": [8]},
@@ -75,6 +81,17 @@ class TestTrain:
         assert code == 1
         assert err.startswith("ballot: configuration error:")
         assert "train.epochs" in err and "Traceback" not in err
+
+    def test_integer_beyond_float_range_is_a_configuration_error(
+            self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(SMALL).replace(
+            '"train": {', '"train": {"lr0": 1' + "0" * 400 + ", ", 1))
+        code = main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("ballot: configuration error:")
+        assert "'train.lr0' must be finite" in err and "Traceback" not in err
 
     def test_numerical_failure(self, tmp_path, capsys):
         raw = dict(SMALL, train={"epochs": 6, "lr0": 1e200})
@@ -306,3 +323,40 @@ class TestLockstep:
         assert code == 3
         err = capsys.readouterr().err
         assert "numerical failure: dense training epoch 0, seed 1:" in err
+
+
+class TestPinnedBytes:
+    """A ballot prune run's output bytes, pinned: any change to the
+    training arithmetic (dense training, compacted retraining,
+    refinement) moves a hash.  At omega 0.3 refinement runs two rounds;
+    at 0.1 the first hidden layer keeps one unit."""
+
+    RAW = {
+        "model": {"hidden": [24, 16]},
+        "train": {"epochs": 10, "batch": 16},
+        "refine": {"rewind_epoch": 2, "max_rounds": 3},
+        "data": {"synthetic": {"counts": [80, 40, 24, 16], "dim": 6,
+                               "std": 0.9, "seed": 2}},
+    }
+    THETA_E = "c7839466eedb3bdd78d1a1c385e2a17452c0b8bc03f997dda37212b1719e941c"
+
+    @pytest.mark.parametrize("omega, final, report", [
+        (0.3, "5fd7bdecefe99e7e877165b1e2aa6728d8bdcbe906c73d168ac7064920559ad1",
+         "f97e3e4d3e02d829713e78f1e722d5294f89cbc5090a8a69c1c273a8d3108691"),
+        (0.1, "a6b790e21983a9f94a1962707151a1b3098fdca71dadaed765956c6bf7491db8",
+         "e158c3e0f018ade018a1d4905a2eba1b17054f9cb0a81a848c873aacffd21e9b"),
+    ], ids=["omega0.3", "omega0.1"])
+    def test_prune_ballot_bytes(self, tmp_path, capsys, omega, final, report):
+        raw = {**self.RAW, "prune": {"omega": omega}}
+        out = tmp_path / "run"
+        assert main(["prune", "--method", "ballot", "--config",
+                     write_config(tmp_path, raw), "--out", str(out)]) == 0
+
+        def sha(name, strip=False):
+            data = (out / name).read_bytes()
+            return hashlib.sha256(SECONDS.sub(rb"\1null", data) if strip
+                                  else data).hexdigest()
+
+        assert sha("checkpoints/theta_e.ckpt") == self.THETA_E
+        assert sha("checkpoints/final.ckpt") == final
+        assert sha("report.json", strip=True) == report

@@ -173,6 +173,21 @@ def test_non_finite_integer_rejected_by_path(path, literal):
         config_from_dict(raw)
 
 
+FLOAT_PATHS = [
+    "train.lr0", "prune.omega", "prune.gamma", "prune.eta", "refine.epsilon",
+    "refine.delta", "data.split", "data.synthetic.mean_scale",
+    "data.synthetic.std",
+]
+
+
+@pytest.mark.parametrize("value", [10**400, -10**400], ids=["1e400", "-1e400"])
+@pytest.mark.parametrize("path", FLOAT_PATHS)
+def test_integer_beyond_float_range_rejected_by_path(path, value):
+    with pytest.raises(ConfigurationError,
+                       match=f"^'{re.escape(path)}' must be finite$"):
+        config_from_dict(nested(path, value))
+
+
 # One rule, one message: the JSON config and the direct constructor.
 PARITY = {
     "epochs_0": ({"train": {"epochs": 0}}, lambda: TrainConfig(epochs=0)),

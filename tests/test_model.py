@@ -22,12 +22,12 @@ from ballot.model import (
     Checkpoint,
     LayerSpec,
     NetworkParams,
-    ParamGrads,
     apply_mask,
     compact_network,
     expand_network,
     forward,
     init_network,
+    layer_views,
     live_units,
     load_checkpoint,
     param_count,
@@ -35,6 +35,7 @@ from ballot.model import (
     sgd_step,
     stack_masks,
     stack_params,
+    train_step,
     validate_specs,
 )
 
@@ -166,11 +167,11 @@ class TestCompaction:
                     w, b = masked.weights[i], masked.biases[i]
                     assert small.weights[i].tobytes() == w[block].tobytes()
                     assert small.biases[i].tobytes() == b[cols].tobytes()
-                    assert np.array_equal(keep.weight_keep[i],
-                                          mask.weight_keep[i][block])
-                    assert np.array_equal(keep.bias_keep[i], mask.bias_keep[i][cols])
-                dead_kept += int(mask.keep.sum()) - int(
-                    sum(k.sum() for k in keep.weight_keep + keep.bias_keep))
+                keep_w, keep_b = layer_views(keep, [w.shape for w in small.weights])
+                for i, (block, cols) in enumerate(zip(blocks, ends[1:])):
+                    assert np.array_equal(keep_w[i], mask.weight_keep[i][block])
+                    assert np.array_equal(keep_b[i], mask.bias_keep[i][cols])
+                dead_kept += int(mask.keep.sum()) - int(keep.sum())
 
                 back = expand_network(small, masked.copy(), mask)
                 for got, want in zip(back.weights + back.biases,
@@ -259,18 +260,14 @@ class TestForward:
 
 
 class TestSgdStep:
-    def _grads_like(self, stack, fill):
-        return ParamGrads(
-            [np.full_like(w, fill) for w in stack.weights],
-            [np.full_like(b, fill) for b in stack.biases],
-        )
-
     def test_hand_example(self):
         params = NetworkParams(
             weights=[np.array([[1.0]])], biases=[np.array([0.0])], seed=0
         )
-        grads = ParamGrads([np.array([[[0.5]]])], [np.array([[0.0]])])
-        sgd_step(stack_params([params]), grads, 0.1, None)
+        stack = stack_params([params])
+        stack.grad_weights[0][...] = 0.5
+        stack.grad_biases[0][...] = 0.0
+        sgd_step(stack, 0.1, None)
         assert params.weights[0][0, 0] == 0.95
 
     def test_masked_entry_stays_zero(self):
@@ -279,7 +276,8 @@ class TestSgdStep:
         mask.weight_keep[0][0, 0] = False
         params = apply_mask(params, mask)
         stack = stack_params([params])
-        sgd_step(stack, self._grads_like(stack, 1.0), 0.1, stack_masks([mask]))
+        stack.grad[...] = 1.0
+        sgd_step(stack, 0.1, stack_masks([mask.keep]))
         assert params.weights[0][0, 0] == 0.0
         assert params.weights[0][1, 1] != 0.0
 
@@ -287,16 +285,131 @@ class TestSgdStep:
         params = init_network(SPECS_222, 5)
         before = [w.copy() for w in params.weights]
         stack = stack_params([params])
-        sgd_step(stack, self._grads_like(stack, 0.3), 0.0, None)
+        stack.grad[...] = 0.3
+        sgd_step(stack, 0.0, None)
         for w, b in zip(params.weights, before):
             assert np.array_equal(w, b)
 
     def test_non_finite_gradient_rejected(self):
         stack = stack_params([init_network(SPECS_222, 0)])
-        grads = self._grads_like(stack, 1.0)
-        grads.weights[0][0, 0, 0] = np.nan
+        stack.grad[...] = 1.0
+        stack.grad_weights[0][0, 0, 0] = np.nan
         with pytest.raises(NumericalFailure):
-            sgd_step(stack, grads, 0.1, None)
+            sgd_step(stack, 0.1, None)
+
+    def test_non_finite_gradient_names_the_first_slot(self):
+        # slot 1's bad entry is the last of its row, slot 2's the first
+        stack = stack_params([init_network(SPECS_222, s) for s in range(3)])
+        stack.grad[1, -1] = np.inf
+        stack.grad[2, 0] = np.nan
+        with pytest.raises(NumericalFailure) as caught:
+            sgd_step(stack, 0.1, None)
+        assert caught.value.index == 1
+
+    def test_masked_steps_match_a_per_layer_loop(self, rng):
+        # 50 masked steps on a stack of three; after each, the kept
+        # entries equal w - lr * g computed layer by layer, and every
+        # masked entry is +0.0, never -0.0
+        specs = [LayerSpec(5, 9, "relu"), LayerSpec(9, 6, "relu"),
+                 LayerSpec(6, 3, "none")]
+        masks = [build_random_mask(specs, omega, s)
+                 for s, omega in enumerate((0.3, 0.5, 0.8))]
+        nets = [apply_mask(init_network(specs, 20 + r), m)
+                for r, m in enumerate(masks)]
+        stack = stack_params(nets)
+        drop = stack_masks([m.keep for m in masks])
+        x = rng.normal(size=(3, 40, 5))
+        y = np.eye(3)[rng.integers(0, 3, (3, 40))]
+        for step in range(50):
+            lr = 0.5 if step < 25 else 0.05
+            train_step(stack, x, y, specs)
+            grads = stack.grad_weights + stack.grad_biases
+            want = [[w - lr * g[r] for w, g in zip(net.weights + net.biases, grads)]
+                    for r, net in enumerate(nets)]
+            sgd_step(stack, lr, drop)
+            for net, m, expected in zip(nets, masks, want):
+                for got, exp, keep in zip(net.weights + net.biases, expected,
+                                          m.weight_keep + m.bias_keep):
+                    assert got[keep].tobytes() == exp[keep].tobytes()
+                    assert (got[~keep] == 0.0).all()
+                    assert not np.signbit(got[~keep]).any()
+        moved = [(g != 0.0) & d for g, d in zip(stack.grad, drop)]
+        assert any(m.any() for m in moved)  # masked entries did get gradients
+
+
+class TestFlatLayout:
+    def _payload(self, params, specs, tmp_path):
+        """The float64 payload ``save_checkpoint`` writes: every byte
+        after the manifest."""
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(Checkpoint(params, specs), path)
+        raw = path.read_bytes()
+        (mlen,) = struct.unpack_from("<Q", raw, 8)
+        return raw[16 + mlen:]
+
+    def test_rows_are_checkpoint_payloads(self, rng, tmp_path):
+        for trial in range(20):
+            specs = random_specs(rng, max_hidden_layers=3)
+            masks = [build_random_mask(specs, float(rng.uniform(0.5, 1.0)), trial + r)
+                     for r in range(3)]
+            nets = [apply_mask(init_network(specs, 3 * trial + r), m)
+                    for r, m in enumerate(masks)]
+            payloads = [self._payload(p, specs, tmp_path) for p in nets]
+            stack = stack_params(nets)
+            assert stack.flat.flags.c_contiguous and stack.flat.dtype == np.float64
+            assert stack.flat.shape == stack.grad.shape == (3, param_count(specs))
+            for row, payload, net, m in zip(stack.flat, payloads, nets, masks):
+                assert row.astype("<f8").tobytes() == payload
+                # the network's arrays are views of its row
+                assert all(np.shares_memory(a, stack.flat)
+                           for a in net.weights + net.biases)
+                # Mask.keep indexes the same entries, in the same order
+                kept = np.concatenate([
+                    np.concatenate([w[wk], b[bk]])
+                    for w, b, wk, bk in zip(net.weights, net.biases,
+                                            m.weight_keep, m.bias_keep)
+                ])
+                assert row[m.keep].tobytes() == kept.tobytes()
+                assert not row[~m.keep].any()
+
+    def test_width_zero_layer(self):
+        specs = [LayerSpec(3, 4, "relu"), LayerSpec(4, 2, "none")]
+        mask = identity_mask(specs)
+        mask.weight_keep[1][:] = False
+        mask.weight_keep[0][0, :] = False
+        masked = apply_mask(init_network(specs, 1), mask)
+        small, small_specs, keep = compact_network(masked, mask, specs)
+        assert small_specs[0].d_out == 0
+        stack = stack_params([small])
+        assert stack.flat.shape == (1, param_count(small_specs)) == (1, keep.size)
+        # the checkpoint layout of the compacted network: only the output bias
+        payload = b"".join(a.astype("<f8").tobytes()
+                           for w, b in zip(small.weights, small.biases)
+                           for a in (w, b))
+        assert stack.flat[0].tobytes() == payload
+        assert [w.shape for w in stack.weights] == [(1, 3, 0), (1, 0, 2)]
+        assert np.array_equal(keep, [True, True])
+        x, y = np.ones((1, 5, 3)), np.eye(2)[[0, 1, 0, 1, 1]][None]
+        train_step(stack, x, y, small_specs)
+        sgd_step(stack, 0.1, stack_masks([keep]))
+        assert np.array_equal(stack.grad[0], stack.grad_biases[-1][0])
+
+
+class TestPlainFirst:
+    def test_plain_step_equals_fair_step_without_means(self, rng):
+        for _ in range(10):
+            specs = random_specs(rng, max_hidden_layers=3)
+            c = specs[-1].d_out
+            params = init_network(specs, int(rng.integers(0, 2**31)))
+            x = rng.normal(size=(2, 7, specs[0].d_in))
+            y = np.eye(c)[rng.integers(0, c, (2, 7))]
+            plain = stack_params([params.copy(), params.copy()])
+            fair = stack_params([params.copy(), params.copy()])
+            assert train_step(plain, x, y, specs) is None
+            means_a, means_f = train_step(fair, x, y, specs,
+                                          rng.uniform(0.5, 2.0, (2, c)))
+            assert len(means_a) == len(means_f) == len(specs) - 1
+            assert plain.grad.tobytes() == fair.grad.tobytes()
 
 
 class TestCheckpoint:
