@@ -26,10 +26,9 @@ from .masks import (
     build_ballot_mask,
     build_magnitude_mask,
     build_random_mask,
-    deserialize_mask,
     identity_mask,
-    serialize_mask,
-    sparsity,
+    load_mask,
+    save_mask,
 )
 from .metrics import (
     ClassWeights,

@@ -22,6 +22,7 @@ from .errors import (
     PersistenceError,
     UsageError,
 )
+from .masks import save_mask
 from .metrics import evaluate
 from .model import Checkpoint, load_checkpoint, save_checkpoint
 from .pipeline import METHODS, run_baseline, train_dense
@@ -67,8 +68,7 @@ def _cmd_train(args) -> int:
     out = Path(args.out)
     write_report(
         out / "report.json",
-        report_payload(app, app.train.seed, artifacts.dense_report, [],
-                       artifacts.specs),
+        report_payload(app, app.train.seed, artifacts.dense_report, []),
     )
     _write_checkpoints(out, artifacts)
     print(f"wrote {out / 'report.json'}")
@@ -84,9 +84,9 @@ def _cmd_prune(args) -> int:
     out = Path(args.out)
     write_report(
         out / "report.json",
-        report_payload(app, app.train.seed, artifacts.dense_report, [result],
-                       artifacts.specs),
+        report_payload(app, app.train.seed, artifacts.dense_report, [result]),
     )
+    save_mask(result.mask, out / "mask.bits")
     final = Checkpoint(result.params, artifacts.specs,
                        epoch=result.params.epoch_tag, seed=app.train.seed)
     _write_checkpoints(out, artifacts, final=final)

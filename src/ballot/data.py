@@ -29,8 +29,12 @@ class Dataset:
 
     @cached_property
     def train_onehot(self) -> np.ndarray:
-        """One-hot targets of the training split, built once per dataset."""
-        return np.eye(self.n_classes)[self.train.y]
+        """One-hot targets of the training split, built once per dataset.
+        Raises DataError unless every label lies in 0..n_classes-1."""
+        y = self.train.y
+        if ((y < 0) | (y >= self.n_classes)).any():
+            raise DataError(f"training labels must lie in 0..{self.n_classes - 1}")
+        return np.eye(self.n_classes)[y]
 
 
 def gen_synthetic(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -19,14 +19,15 @@ slices of it: the incoming column, the bias, and the outgoing row.
 Mask building removes whole hidden units worst-first and then trims
 individual weights so every method lands on exactly floor(omega * n)
 kept parameters out of n.  Output units are never removed and the output
-bias, the last entries of the vector, is never masked; no builder ever
-empties a hidden layer.
+bias, the last entries of the vector, is never masked.  Whole-unit
+removal never takes a hidden layer's last unit, but trimming can still
+clear every entry of a layer.  ``save_mask`` stores a mask as
+``np.packbits(mask.keep)``: ceil(n / 8) bytes, zero-padded.
 """
 
 from __future__ import annotations
 
 import math
-from numbers import Real
 
 import numpy as np
 
@@ -34,8 +35,10 @@ from .errors import (
     ConfigurationError,
     InfeasibleMaskError,
     NumericalFailure,
+    PersistenceError,
     UsageError,
 )
+from .fileio import atomic_open
 from .model import (LayerSpec, NetworkParams, flat_values, hidden_sizes, layer_views,
                     param_count, validate_specs)
 
@@ -144,8 +147,7 @@ class Mask:
     keeps everything.
     """
 
-    def __init__(self, specs: list[LayerSpec], omega: float):
-        self.omega = float(omega)
+    def __init__(self, specs: list[LayerSpec]):
         self.keep = np.ones(param_count(specs), dtype=bool)
         self.neuron_keep = [np.ones(s.d_out, dtype=bool) for s in specs[:-1]]
         self.weight_keep, self.bias_keep = layer_views(
@@ -160,17 +162,6 @@ class Mask:
 
     def retention(self) -> float:
         return self.kept_count() / self.total_count()
-
-
-def sparsity(mask: Mask, specs: list[LayerSpec] | None = None) -> float:
-    """Fraction of parameters the mask keeps, biases included."""
-    if specs is not None:
-        if len(mask.weight_keep) != len(specs) or any(
-            wk.shape != (s.d_in, s.d_out) or bk.shape != (s.d_out,)
-            for wk, bk, s in zip(mask.weight_keep, mask.bias_keep, specs)
-        ):
-            raise ConfigurationError("mask does not match the layer specs")
-    return mask.retention()
 
 
 def _unit_ids(sizes: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -191,15 +182,6 @@ def _unit_slices(specs: list[LayerSpec], bases: list[int], layer: int, unit: int
         slice(bias, bias + 1, 1),
         slice(row, row + nxt.d_out, 1),
     )
-
-
-def _drop_units(mask: Mask) -> None:
-    """Mark removed every entry tied to a unit ``neuron_keep`` removes."""
-    for i, units in enumerate(mask.neuron_keep):
-        gone = ~units
-        mask.weight_keep[i][:, gone] = False
-        mask.bias_keep[i][gone] = False
-        mask.weight_keep[i + 1][gone, :] = False
 
 
 def _target_kept(specs: list[LayerSpec], omega: float) -> int:
@@ -227,7 +209,7 @@ def _removal_mask(specs, order, omega, magnitudes) -> Mask:
     Trimming takes the smallest ``magnitudes`` first, ties and a None
     ``magnitudes`` going by ascending flat index."""
     k = _target_kept(specs, omega)
-    mask = Mask(specs, omega)
+    mask = Mask(specs)
     kept = mask.total_count()
     if k == kept:
         return mask
@@ -363,7 +345,7 @@ def build_magnitude_mask(
     if len(params.weights) != len(specs):
         raise ConfigurationError("params do not match the layer specs")
     k = _target_kept(specs, omega)
-    mask = Mask(specs, omega)
+    mask = Mask(specs)
     if k == mask.total_count():
         return mask
 
@@ -376,78 +358,55 @@ def build_magnitude_mask(
     mask.keep[:-n_out] = False
     mask.keep[ranked[: k - n_out]] = True
     _repair_dead_layers(mask.keep, flat, ranked, specs, omega, k)
+    _derive_units(mask)
+    return mask
 
+
+def _derive_units(mask: Mask) -> None:
+    """Mark a hidden unit kept exactly when some entry tied to it is."""
     for i, units in enumerate(mask.neuron_keep):
         units[:] = (
             mask.weight_keep[i].any(axis=0)
             | mask.bias_keep[i]
             | mask.weight_keep[i + 1].any(axis=1)
         )
-    return mask
 
 
-def identity_mask(specs: list[LayerSpec], omega: float = 1.0) -> Mask:
+def identity_mask(specs: list[LayerSpec]) -> Mask:
     """A mask that keeps every parameter."""
     validate_specs(specs)
-    return Mask(specs, omega)
+    return Mask(specs)
 
 
-def serialize_mask(mask: Mask, specs: list[LayerSpec]) -> dict:
-    """JSON form: a flat 0/1 keep flag per hidden unit per layer, plus
-    the flat indices of entries trimmed beyond whole-unit removal."""
-    if len(mask.weight_keep) != len(specs) or mask.keep.size != param_count(specs):
-        raise ConfigurationError("mask does not match the layer specs")
-    by_units = Mask(specs, mask.omega)
-    for flags, keep in zip(by_units.neuron_keep, mask.neuron_keep):
-        flags[:] = keep
-    _drop_units(by_units)
-    return {
-        "omega": float(mask.omega),
-        "neuron_keep": [keep.astype(int).tolist() for keep in mask.neuron_keep],
-        "trimmed": np.flatnonzero(~mask.keep & by_units.keep).tolist(),
-    }
+def save_mask(mask: Mask, path) -> None:
+    """Write ``np.packbits(mask.keep)``, the flags in flat order."""
+    try:
+        with atomic_open(path, "wb") as fh:
+            fh.write(np.packbits(mask.keep).tobytes())
+    except OSError as exc:
+        raise PersistenceError(f"cannot write mask {path}: {exc}") from exc
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def deserialize_mask(obj: dict, specs: list[LayerSpec]) -> Mask:
-    """Inverse of ``serialize_mask``; validates everything it reads
-    against the specs and raises ConfigurationError on any mismatch."""
+def load_mask(path, specs: list[LayerSpec]) -> Mask:
+    """Read a ``save_mask`` file for a network of ``specs``, deriving the
+    unit flags from the entries.  Raises PersistenceError when the file
+    cannot be read, has the wrong length, sets a padding bit or removes
+    an output bias."""
     validate_specs(specs)
-    if not isinstance(obj, dict):
-        raise ConfigurationError("a mask must be a JSON object")
-    omega = obj.get("omega", 1.0)
-    if not (
-        isinstance(omega, Real)
-        and not isinstance(omega, bool)
-        and 0.0 < omega <= 1.0
-    ):
-        raise ConfigurationError(f"mask omega must be a number in (0, 1], got {omega!r}")
-    mask = Mask(specs, omega)
-
-    flags = obj.get("neuron_keep")
-    sizes = hidden_sizes(specs)
-    if not isinstance(flags, list) or len(flags) != len(sizes) or any(
-        not isinstance(layer, list) or len(layer) != n
-        for layer, n in zip(flags, sizes)
-    ):
-        raise ConfigurationError("neuron_keep does not match the layer specs")
-    for units, layer in zip(mask.neuron_keep, flags):
-        if not all(_is_int(flag) and flag in (0, 1) for flag in layer):
-            raise ConfigurationError("neuron_keep flags must be 0 or 1")
-        units[:] = layer
-    _drop_units(mask)
-
-    trimmed = obj.get("trimmed", [])
-    if not isinstance(trimmed, list) or not all(_is_int(f) for f in trimmed):
-        raise ConfigurationError("trimmed must be a list of flat indices")
-    maskable = mask.total_count() - specs[-1].d_out
-    bad = [f for f in trimmed if not 0 <= f < maskable]
-    if bad:
-        raise ConfigurationError(
-            f"trimmed index {bad[0]} is out of range or an output bias"
-        )
-    mask.keep[trimmed] = False
+    mask = Mask(specs)
+    n = mask.total_count()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise PersistenceError(f"cannot read mask {path}: {exc}") from exc
+    if len(raw) != (n + 7) // 8:
+        raise PersistenceError(f"mask {path} has {len(raw)} bytes, expected {(n + 7) // 8}")
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8)).astype(bool)
+    if bits[n:].any():
+        raise PersistenceError(f"mask {path} sets a padding bit")
+    mask.keep[:] = bits[:n]
+    if not mask.bias_keep[-1].all():
+        raise PersistenceError(f"mask {path} removes an output bias")
+    _derive_units(mask)
     return mask

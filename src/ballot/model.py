@@ -237,25 +237,24 @@ def weighted_cross_entropy(logits, onehot, fair=None):
     that weights each sample by ``fair``'s weight of its class.
 
     ``logits`` and ``onehot`` are [R, n, C]; ``onehot`` must be exactly
-    one-hot rows.  ``fair`` is an [R, C] array of strictly positive
+    one-hot rows, as ``Dataset.train_onehot`` checks once; they are not
+    re-checked here.  ``fair`` is an [R, C] array of strictly positive
     class weights.  Returns one ``(loss, dlogits)`` pair per loss, the
     plain loss first, the loss of shape [R] and dlogits [R, n, C]; the
     losses share one softmax.  The plain loss carries no weighting at
     all: it is bit for bit the weighted loss under all-ones weights,
     because multiplying by 1.0 is exact.  The log-sum-exp uses max
-    subtraction, so extreme but finite logits stay finite.
+    subtraction, so extreme but finite logits stay finite; a non-finite
+    loss raises NumericalFailure.
     """
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 3:
         raise ConfigurationError("logits must have shape [R, n, C]")
-    _require_finite(z, "non-finite values in logits")
     y = np.asarray(onehot, dtype=np.float64)
     if y.shape != z.shape:
         raise ConfigurationError(
             f"targets shape {y.shape} does not match logits {z.shape}"
         )
-    if not ((y == 0.0) | (y == 1.0)).all() or not (y.sum(axis=2) == 1.0).all():
-        raise DataError("targets must be exactly one-hot rows")
     if fair is not None:
         fair = np.asarray(fair, dtype=np.float64)
         if fair.shape != (z.shape[0], z.shape[2]):

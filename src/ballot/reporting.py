@@ -16,9 +16,9 @@ from .config import AppConfig, effective_dict
 from .data import make_dataset
 from .errors import ConfigurationError, PersistenceError
 from .fileio import atomic_open
-from .masks import serialize_mask
+from .masks import save_mask
 from .metrics import EvalReport
-from .model import LayerSpec
+from .model import live_units
 from .pipeline import METHODS, PruneResult, run_baseline, train_dense
 
 CSV_HEADER = "method,seed,accuracy,precision,recall,cwv,mcd,retention,rounds,wall_time_s"
@@ -36,7 +36,10 @@ def eval_report_dict(report: EvalReport) -> dict:
     }
 
 
-def result_dict(result: PruneResult, specs: list[LayerSpec]) -> dict:
+def result_dict(result: PruneResult) -> dict:
+    """One pruned run.  Its mask appears as per-layer counts only; the
+    flags themselves are written to ``mask.bits`` by ``save_mask``."""
+    mask = result.mask
     out = {
         "method": result.method,
         "accuracy": result.report.accuracy,
@@ -48,7 +51,11 @@ def result_dict(result: PruneResult, specs: list[LayerSpec]) -> dict:
         "rounds": result.rounds_used,
         "wall_time_s": result.wall_time_s,
         "per_class_acc": list(result.report.per_class_acc),
-        "mask": serialize_mask(result.mask, specs),
+        "mask": {
+            "live_units": [int(u.size) for u in live_units(mask)],
+            "weights_kept": [int(wk.sum()) for wk in mask.weight_keep],
+            "biases_kept": [int(bk.sum()) for bk in mask.bias_keep],
+        },
     }
     if result.candidates:
         out["rounds_log"] = [
@@ -68,14 +75,13 @@ def report_payload(
     seed: int,
     dense_report: EvalReport,
     results: list[PruneResult],
-    specs: list[LayerSpec],
 ) -> dict:
     return {
         "version": __version__,
         "seed": seed,
         "config": effective_dict(app),
         "dense": eval_report_dict(dense_report),
-        "results": [result_dict(r, specs) for r in results],
+        "results": [result_dict(r) for r in results],
     }
 
 
@@ -155,18 +161,17 @@ def run_experiment(app: AppConfig, n_seeds: int, out_dir) -> Path:
         app_seed = replace(app, train=replace(app.train, seed=seed))
         write_report(
             out_dir / "runs" / f"dense-seed{seed}" / "report.json",
-            report_payload(app_seed, seed, arts.dense_report, [], arts.specs),
+            report_payload(app_seed, seed, arts.dense_report, []),
         )
         rows.append(
             _summary_row("dense", seed, arts.dense_report, 1.0, 0, arts.wall_time_s)
         )
         for results in by_method:
             result = results[r]
-            write_report(
-                out_dir / "runs" / f"{result.method}-seed{seed}" / "report.json",
-                report_payload(app_seed, seed, arts.dense_report, [result],
-                               arts.specs),
-            )
+            run_dir = out_dir / "runs" / f"{result.method}-seed{seed}"
+            write_report(run_dir / "report.json",
+                         report_payload(app_seed, seed, arts.dense_report, [result]))
+            save_mask(result.mask, run_dir / "mask.bits")
             rows.append(
                 _summary_row(result.method, seed, result.report, result.retention,
                              result.rounds_used, result.wall_time_s)

@@ -454,14 +454,14 @@ def test_criterion_7_experiment_determinism(tmp_path):
     if listings[0] != listings[1]:
         problems.append("output file listings differ")
     for rel in listings[0]:
-        a = (outs[0] / rel).read_text()
-        b = (outs[1] / rel).read_text()
         if rel.endswith(".csv"):
-            a = "\n".join(line.rsplit(",", 1)[0] for line in a.splitlines())
-            b = "\n".join(line.rsplit(",", 1)[0] for line in b.splitlines())
+            a, b = ("\n".join(line.rsplit(",", 1)[0]
+                              for line in (out / rel).read_text().splitlines())
+                    for out in outs)
+        elif rel.endswith(".json"):
+            a, b = (WALL_LINE.sub("", (out / rel).read_text()) for out in outs)
         else:
-            a = WALL_LINE.sub("", a)
-            b = WALL_LINE.sub("", b)
+            a, b = ((out / rel).read_bytes() for out in outs)
         if a != b:
             problems.append(f"{rel} differs between runs")
 

@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from ballot.errors import ConfigurationError, DataError, NumericalFailure
+from ballot.errors import ConfigurationError, NumericalFailure
 from ballot.masks import build_random_mask
 from ballot.model import (
     LayerSpec,
@@ -185,18 +185,14 @@ class TestCrossEntropy:
             assert np.array_equal(dlogits, (np.exp(z - lse) - y) / n)
             assert np.array_equal(plain_d, dlogits)
 
-    def test_non_one_hot_targets_rejected(self):
-        for bad in ([[0.5, 0.5]], [[1.0, 1.0]], [[0.0, 0.0]]):
-            with pytest.raises(DataError):
-                _ce([[0.0, 0.0]], bad, np.ones(2))
-
     def test_nonpositive_weights_rejected(self):
         for bad in ([0.0, 1.0], [-1.0, 1.0]):
             with pytest.raises(ConfigurationError):
                 _ce([[0.0, 0.0]], [[1.0, 0.0]], np.array(bad))
 
     def test_non_finite_logits_are_numerical_failure(self):
-        with pytest.raises(NumericalFailure):
+        # the loss turns non-finite (inf - inf is nan in the max shift)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalFailure):
             _ce([[np.inf, 0.0]], [[1.0, 0.0]], np.ones(2))
 
     def test_target_logits_shape_mismatch_is_config_error(self):

@@ -14,7 +14,8 @@ import pytest
 from ballot import pipeline
 from ballot._version import __version__
 from ballot.cli import main
-from ballot.model import load_checkpoint
+from ballot.masks import load_mask
+from ballot.model import live_units, load_checkpoint, param_count
 from ballot.reporting import CSV_HEADER, load_report
 
 WALL_TIME = re.compile(rb'(?<="wall_time_s": )[^,\n]+')
@@ -58,6 +59,7 @@ class TestTrain:
         for name in ("theta0", "theta_k", "theta_e"):
             ck = load_checkpoint(out / "checkpoints" / f"{name}.ckpt")
             assert ck.seed == 0
+        assert not (out / "mask.bits").exists()  # dense runs have no mask
         assert load_checkpoint(out / "checkpoints" / "theta_k.ckpt").epoch == 2
 
     def test_missing_config_file(self, tmp_path, capsys):
@@ -123,6 +125,23 @@ class TestPrune:
         assert code == 0
         report = load_report(out / "report.json")
         assert report["results"][0]["method"] == "magnitude"
+
+    @pytest.mark.parametrize("method", pipeline.METHODS)
+    def test_report_counts_match_mask_bits(self, tmp_path, capsys, method):
+        raw = {**SMALL, "model": {"hidden": [8, 6]}}
+        out = tmp_path / "run"
+        assert main(["prune", "--method", method, "--config",
+                     write_config(tmp_path, raw), "--out", str(out)]) == 0
+        summary = load_report(out / "report.json")["results"][0]["mask"]
+        specs = load_checkpoint(out / "checkpoints" / "final.ckpt").specs
+        mask = load_mask(out / "mask.bits", specs)
+        total = param_count(specs)
+        assert set(summary) == {"live_units", "weights_kept", "biases_kept"}
+        assert sum(summary["weights_kept"]) + sum(summary["biases_kept"]) \
+            == mask.kept_count() == int(np.floor(0.4 * total))
+        assert summary["weights_kept"] == [int(w.sum()) for w in mask.weight_keep]
+        assert summary["biases_kept"] == [int(b.sum()) for b in mask.bias_keep]
+        assert summary["live_units"] == [len(u) for u in live_units(mask)]
 
     def test_unknown_method_is_usage_error(self, tmp_path, config_path, capsys):
         code = main(["prune", "--method", "snip", "--config", config_path,
@@ -328,7 +347,7 @@ class TestLockstep:
 class TestPinnedBytes:
     """A ballot prune run's output bytes, pinned: any change to the
     training arithmetic (dense training, compacted retraining,
-    refinement) moves a hash.  At omega 0.3 refinement runs two rounds;
+    refinement) or to the mask moves a hash.  At omega 0.3 refinement runs two rounds;
     at 0.1 the first hidden layer keeps one unit."""
 
     RAW = {
@@ -340,13 +359,16 @@ class TestPinnedBytes:
     }
     THETA_E = "c7839466eedb3bdd78d1a1c385e2a17452c0b8bc03f997dda37212b1719e941c"
 
-    @pytest.mark.parametrize("omega, final, report", [
+    @pytest.mark.parametrize("omega, final, report, bits", [
         (0.3, "5fd7bdecefe99e7e877165b1e2aa6728d8bdcbe906c73d168ac7064920559ad1",
-         "f97e3e4d3e02d829713e78f1e722d5294f89cbc5090a8a69c1c273a8d3108691"),
+         "76797bbe382b42219a953c333c5868e2f9830dd4ce7a5b4510dbc68dd0e19915",
+         "50430151154145f3169ff4513abb1d0d8c3ca8ad49fd0f292c1f2f5fccd5c113"),
         (0.1, "a6b790e21983a9f94a1962707151a1b3098fdca71dadaed765956c6bf7491db8",
-         "e158c3e0f018ade018a1d4905a2eba1b17054f9cb0a81a848c873aacffd21e9b"),
+         "adb8849100bff2eed73443cf938d9a7631deb72d87cc5832214506dab182395d",
+         "60c56c7222d0aba9b034768e28248b0a403dd3b5e6f113cc667cc8917c914e3f"),
     ], ids=["omega0.3", "omega0.1"])
-    def test_prune_ballot_bytes(self, tmp_path, capsys, omega, final, report):
+    def test_prune_ballot_bytes(self, tmp_path, capsys, omega, final, report,
+                                bits):
         raw = {**self.RAW, "prune": {"omega": omega}}
         out = tmp_path / "run"
         assert main(["prune", "--method", "ballot", "--config",
@@ -360,3 +382,4 @@ class TestPinnedBytes:
         assert sha("checkpoints/theta_e.ckpt") == self.THETA_E
         assert sha("checkpoints/final.ckpt") == final
         assert sha("report.json", strip=True) == report
+        assert sha("mask.bits") == bits

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from ballot.data import (
+    Dataset,
     DatasetSpec,
+    Split,
     SyntheticSpec,
     gen_synthetic,
     load_csv,
@@ -256,3 +258,15 @@ class TestSpecValidation:
     def test_nested_synthetic_validated(self):
         with pytest.raises(ConfigurationError):
             DatasetSpec(synthetic=synth(dim=0))
+
+
+class TestTrainOneHot:
+    def test_labels_outside_the_classes_rejected(self):
+        # a label of n_classes or more cannot be one-hot encoded, and a
+        # negative one would silently index from the end
+        x = np.zeros((3, 2))
+        for labels in ([0, 1, 2], [0, -1, 1]):
+            ds = Dataset(train=Split(x, np.array(labels)),
+                         test=Split(x, np.array([0, 1, 1])), n_classes=2, dim=2)
+            with pytest.raises(DataError, match="0..1"):
+                ds.train_onehot

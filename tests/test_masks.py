@@ -1,7 +1,6 @@
 """Conflict scoring, vote bookkeeping, and the four mask builders."""
 
 import hashlib
-import json
 import math
 
 import numpy as np
@@ -11,6 +10,7 @@ from ballot.errors import (
     ConfigurationError,
     InfeasibleMaskError,
     NumericalFailure,
+    PersistenceError,
     UsageError,
 )
 from ballot.masks import (
@@ -19,11 +19,10 @@ from ballot.masks import (
     build_magnitude_mask,
     build_random_mask,
     conflict_scores,
-    deserialize_mask,
     identity_mask,
+    load_mask,
     positive_score_threshold,
-    serialize_mask,
-    sparsity,
+    save_mask,
 )
 from ballot.model import LayerSpec, NetworkParams, init_network, param_count
 
@@ -37,15 +36,17 @@ def params_for(specs, seed=0):
     return init_network(specs, seed)
 
 
-def roundtrip(mask, specs):
-    back = deserialize_mask(serialize_mask(mask, specs), specs)
-    assert back.omega == mask.omega
-    for a, b in zip(back.neuron_keep, mask.neuron_keep):
-        assert np.array_equal(a, b)
-    for a, b in zip(back.weight_keep, mask.weight_keep):
-        assert np.array_equal(a, b)
-    for a, b in zip(back.bias_keep, mask.bias_keep):
-        assert np.array_equal(a, b)
+def roundtrip(mask, specs, path):
+    """Save and load ``mask``; the flags come back exactly and each unit
+    flag is set exactly when some entry tied to the unit is kept."""
+    save_mask(mask, path)
+    assert path.stat().st_size == math.ceil(param_count(specs) / 8)
+    back = load_mask(path, specs)
+    assert np.array_equal(back.keep, mask.keep)
+    for i, units in enumerate(back.neuron_keep):
+        tied = (back.weight_keep[i].any(axis=0) | back.bias_keep[i]
+                | back.weight_keep[i + 1].any(axis=1))
+        assert np.array_equal(units, tied)
     return back
 
 
@@ -394,15 +395,15 @@ class TestRandomMask:
 
 class TestSparsityAndFeasibility:
     def test_identity_mask_sparsity(self):
-        assert sparsity(identity_mask(SPECS_232), SPECS_232) == 1.0
+        assert identity_mask(SPECS_232).retention() == 1.0
 
     def test_single_removal_hand_count(self):
-        mask = deserialize_mask(
-            {"omega": 12 / 17, "neuron_keep": [[0, 1, 1]], "trimmed": []},
-            SPECS_232,
-        )
+        mask = identity_mask(SPECS_232)
+        mask.weight_keep[0][:, 0] = False
+        mask.bias_keep[0][0] = False
+        mask.weight_keep[1][0, :] = False
         assert mask.kept_count() == 12
-        assert sparsity(mask, SPECS_232) == 12 / 17
+        assert mask.retention() == 12 / 17
 
     def test_sparsity_matches_brute_force(self, rng):
         for _ in range(20):
@@ -411,12 +412,7 @@ class TestSparsityAndFeasibility:
             kept = sum(int(w.sum()) for w in mask.weight_keep) + sum(
                 int(b.sum()) for b in mask.bias_keep
             )
-            assert sparsity(mask, specs) == kept / param_count(specs)
-
-    def test_mismatched_specs_rejected(self):
-        mask = identity_mask(SPECS_232)
-        with pytest.raises(ConfigurationError):
-            sparsity(mask, [LayerSpec(2, 4, "relu"), LayerSpec(4, 2, "none")])
+            assert mask.retention() == kept / param_count(specs)
 
     def test_infeasible_omega_reports_minimum(self):
         with pytest.raises(InfeasibleMaskError) as exc_info:
@@ -446,73 +442,89 @@ class TestSparsityAndFeasibility:
             assert {m.kept_count() for m in masks} == {math.floor(omega * total)}
             for mask in masks:
                 assert mask.bias_keep[-1].all()
-                back = roundtrip(mask, specs)
-                assert back.bias_keep[-1].all()
 
 
 class TestMaskSerialization:
-    def test_round_trip_all_builders(self, rng):
-        params = params_for(SPECS_232)
-        led = ledger_with_votes([{0: 1.0}, {1: 2.0}, {1: 1.0}])
-        roundtrip(build_ballot_mask(led, SPECS_232, 0.6, params), SPECS_232)
-        roundtrip(build_magnitude_mask(params, SPECS_232, 0.6), SPECS_232)
-        roundtrip(build_random_mask(SPECS_232, 0.6, 9), SPECS_232)
-        roundtrip(identity_mask(SPECS_232), SPECS_232)
+    def test_round_trip_all_builders(self, tmp_path):
+        rng = np.random.default_rng(8)
+        sizes = set()
+        for trial in range(20):
+            specs = random_specs(rng)
+            total = param_count(specs)
+            sizes.add(total % 8)
+            omega = float(rng.uniform(specs[-1].d_out / total + 0.1, 1.0))
+            params = init_network(specs, trial)
+            led = ConflictLedger([s.d_out for s in specs[:-1]])
+            led.record_epoch(
+                0,
+                [rng.normal(size=s.d_out) for s in specs[:-1]],
+                [rng.normal(size=s.d_out) for s in specs[:-1]],
+                10.0,
+                0.5,
+            )
+            for mask in (build_ballot_mask(led, specs, omega, params),
+                         build_magnitude_mask(params, specs, omega),
+                         build_random_mask(specs, omega, trial),
+                         identity_mask(specs)):
+                roundtrip(mask, specs, tmp_path / "mask.bits")
+        assert sizes - {0}  # some parameter counts are not multiples of 8
 
-    def test_trim_list_excludes_unit_implied_entries(self):
-        led = ledger_with_votes(
-            [{0: 1.0, 1: 1.0}, {0: 1.0, 1: 1.0}, {0: 2.0}, {0: 2.0}, {0: 2.0}]
-        )
-        mask = build_ballot_mask(led, SPECS_232, 0.72, params_for(SPECS_232))
-        obj = serialize_mask(mask, SPECS_232)
-        assert obj["neuron_keep"] == [[0, 1, 1]]
-        assert obj["trimmed"] == []  # unit removal landed exactly on k
+    def test_bits_are_flat_keep_flags_msb_first(self, tmp_path):
+        # 17 entries: byte 0 holds flat 0-7, byte 2's top bit flat 16
+        mask = identity_mask(SPECS_232)
+        mask.keep[[0, 9]] = False
+        save_mask(mask, tmp_path / "mask.bits")
+        assert (tmp_path / "mask.bits").read_bytes() == bytes([0x7F, 0xBF, 0x80])
 
-    def test_bad_flags_rejected(self):
-        # SPECS_232 has 17 entries; flat 15 and 16 are the output biases
-        good = {"omega": 0.5, "neuron_keep": [[1, 1, 1]], "trimmed": []}
-        bad_inputs = [
-            {"neuron_keep": [[2, 1, 1]]},
-            {"neuron_keep": [[1, 1]]},
-            {"neuron_keep": [[True, 1, 1]]},
-            {"neuron_keep": [[1.0, 1, 1]]},
-            {"neuron_keep": [5]},
-            {"trimmed": [15]},
-            {"trimmed": [17]},
-            {"trimmed": [-1]},
-            {"trimmed": [1.7]},
-            {"trimmed": ["x"]},
-            {"trimmed": [None]},
-            {"trimmed": [True]},
-            {"trimmed": 3},
-            {"omega": "abc"},
-            {"omega": True},
-            {"omega": 0.0},
+    def test_bad_flags_rejected(self, tmp_path):
+        # SPECS_232 has 17 entries, so 3 bytes; flat 15 and 16 are the
+        # output biases and the last 7 bits of byte 2 are padding
+        good = bytes([0xFF, 0xFF, 0x80])
+        bad_files = [
+            good[:2],                   # short
+            good + b"\x00",             # long
+            b"",                        # empty
+            bytes([0xFF, 0xFF, 0x81]),  # last padding bit set
+            bytes([0xFF, 0xFF, 0xC0]),  # first padding bit set
+            bytes([0xFF, 0xFE, 0x80]),  # output bias flat 15 cleared
+            bytes([0xFF, 0xFF, 0x00]),  # output bias flat 16 cleared
         ]
-        for bad in bad_inputs:
-            with pytest.raises(ConfigurationError):
-                deserialize_mask({**good, **bad}, SPECS_232)
-        deserialize_mask(good, SPECS_232)
+        path = tmp_path / "mask.bits"
+        for raw in bad_files:
+            path.write_bytes(raw)
+            with pytest.raises(PersistenceError):
+                load_mask(path, SPECS_232)
+        path.write_bytes(good)
+        assert load_mask(path, SPECS_232).kept_count() == 17
+
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(PersistenceError, match="cannot read mask"):
+            load_mask(tmp_path / "absent.bits", SPECS_232)
+
+    def test_unwritable_path_rejected(self, tmp_path):
+        with pytest.raises(PersistenceError, match="cannot write mask"):
+            save_mask(identity_mask(SPECS_232), tmp_path / "no" / "mask.bits")
 
 
-# sha256 of json.dumps(serialize_mask(...), sort_keys=True) for a 10-48-48-4
-# net; the cases run the ballot overshoot trim (0.006), the ballot undo and
-# trim (0.2), the magnitude dead-layer repair (0.006, 0.05), and the random
-# overshoot trim (0.006) and undo and trim (0.05, 0.2)
+# sha256 of np.packbits(mask.keep), the bytes of ``save_mask``, for a
+# 10-48-48-4 net; the cases run the ballot overshoot trim (0.006), the
+# ballot undo and trim (0.2), the magnitude dead-layer repair (0.006,
+# 0.05), and the random overshoot trim (0.006) and undo and trim (0.05,
+# 0.2)
 PINNED_DIGESTS = {
-    ("ballot", 0.006): "7b9578a9d84e37e00e96ebf6e56ed8dfb59fb91cf506f2c226cad3ac306a6763",
-    ("magnitude", 0.006): "9a59d5969058d9c611bf055ae7e1cca0edef70435f97eb376e9429e90a5947a4",
-    ("random", 0.006): "d674f977fd319e318098690ba8e2fb33d38619ab97da4fd19ffbbe20c032cbf7",
-    ("ballot", 0.05): "0d240e9f32dc0aa6d7a6a774817681c4dcdaae23b71cc2fe7c30e19ed49917ae",
-    ("magnitude", 0.05): "eb2df4325cccab36e68dc4c9fc54e4ec4386a38177ef9a74ecea24c56b3eb481",
-    ("random", 0.05): "2d4f78e337751b32b4486e1ddcb0f1212cbbb295ada62599d8289cde83ba2772",
-    ("ballot", 0.2): "28b96f3102d6b991ff5828d6e79e42ec92ac7a880a2176884cf1ea00338221d9",
-    ("magnitude", 0.2): "d05d8530b31db2cfa476a22bc7f67eb5482e6076867a2da413ef153f3673ec83",
-    ("random", 0.2): "78851af2b1e61faf20c3497e3adaa2865205df10d4f5f51262be6486124a4bad",
+    ("ballot", 0.006): "98c5493f3d4c4cea0e6d82f918c547ad2fa89037eb4f8f36afb8b5df052cb818",
+    ("magnitude", 0.006): "fabe3640668cc463e19c9fecbc253ee2ed4c81ab784c0b389001605279118cf6",
+    ("random", 0.006): "1cb85509746909c052613ddca753429b9cd426b6113990629cd3a07a5460b8cf",
+    ("ballot", 0.05): "a4c93ce62f1e517ec7a241f6a47eefd06d27bed5ab09d8b7448ebbc90a4f8cdf",
+    ("magnitude", 0.05): "e58d7bb10c123ea4ff1df1a85e5c6d71e1e6ffb3c49c12df8c7711909700cdbf",
+    ("random", 0.05): "92966f788306888d6f157bf170559c91f508dbf31b4f2836f7208e01068f5b8c",
+    ("ballot", 0.2): "e0b201704e57f25330cd58108b6364b3bcb8ce6a6a0420e54ff77921b6042145",
+    ("magnitude", 0.2): "dd3088fdc67d819f13424b7afe1f80fa94598e6d948b06b97d181c44b3367756",
+    ("random", 0.2): "91528119ec85cc6f29389efaf3a8356a1c924e0e76ef5d91ec076de488e4f2d8",
 }
 
 
-def test_serialized_masks_match_pinned_digests():
+def test_serialized_masks_match_pinned_digests(tmp_path):
     specs = [
         LayerSpec(10, 48, "relu"),
         LayerSpec(48, 48, "relu"),
@@ -535,7 +547,8 @@ def test_serialized_masks_match_pinned_digests():
         "random": lambda omega: build_random_mask(specs, omega, 5),
     }
     got = {}
+    path = tmp_path / "mask.bits"
     for (name, omega) in PINNED_DIGESTS:
-        text = json.dumps(serialize_mask(builders[name](omega), specs), sort_keys=True)
-        got[name, omega] = hashlib.sha256(text.encode()).hexdigest()
+        save_mask(builders[name](omega), path)
+        got[name, omega] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert got == PINNED_DIGESTS

@@ -143,7 +143,9 @@ class TestRunExperiment:
         assert csv_path == out / "aggregate.csv"
         for seed in (0, 1):
             for method in ("dense", "ballot", "lth", "magnitude", "random"):
-                assert (out / "runs" / f"{method}-seed{seed}" / "report.json").exists()
+                run_dir = out / "runs" / f"{method}-seed{seed}"
+                assert (run_dir / "report.json").exists()
+                assert (run_dir / "mask.bits").exists() == (method != "dense")
 
     def test_csv_rows(self, outcome):
         out, csv_path = outcome
@@ -165,7 +167,8 @@ class TestRunExperiment:
         (result,) = report["results"]
         assert result["method"] == "ballot"
         assert 0.0 <= result["retention"] <= 1.0
-        assert "mask" in result and "rounds_log" in result
+        assert set(result["mask"]) == {"live_units", "weights_kept", "biases_kept"}
+        assert "rounds_log" in result
         assert result["rounds_log"][0]["round"] == 0
 
         dense = load_report(out / "runs" / "dense-seed1" / "report.json")
@@ -183,6 +186,10 @@ class TestRunExperiment:
             a = load_report(run_dir / "report.json")
             b = load_report(again / "runs" / run_dir.name / "report.json")
             assert strip_wall_time_json(a) == strip_wall_time_json(b)
+            if run_dir.name.startswith("dense-"):
+                continue
+            assert (run_dir / "mask.bits").read_bytes() == \
+                (again / "runs" / run_dir.name / "mask.bits").read_bytes()
 
     def test_zero_seeds_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError, match="at least one seed"):

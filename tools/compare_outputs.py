@@ -22,8 +22,9 @@ temporary directory, through one fixed command set:
 Seconds fields (JSON keys and CSV columns ending in ``_s``) are blanked
 as the benchmark's digest blanks them (``perfbench/checks.py``).  The
 script prints every file that differs, with the largest absolute
-difference between the two float64 payloads for a checkpoint, then a
-count.  It exits 0 when every file is identical and 1 otherwise.
+difference between the two float64 payloads for a checkpoint and the
+dotted key paths that differ for a JSON file (``report.json:
+results.0.mask``), then a count.  It exits 0 when every file is identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -83,12 +84,31 @@ def checkpoint_payload(raw: bytes) -> tuple[bytes, np.ndarray]:
     return raw[16 : 16 + mlen], np.frombuffer(raw, dtype="<f8", offset=16 + mlen)
 
 
+def json_diffs(old, new, path: str = "") -> list[str]:
+    """Dotted key paths where two parsed JSON values differ.  An object
+    whose key set changed, or a list whose length changed, is named as a
+    whole; otherwise the comparison descends into it."""
+    if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        items = [(k, old[k], new[k]) for k in sorted(old)]
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        items = list(zip(range(len(old)), old, new))
+    else:
+        return [] if json.dumps(old) == json.dumps(new) else [path or "(root)"]
+    return [d for k, a, b in items
+            for d in json_diffs(a, b, f"{path}.{k}" if path else str(k))]
+
+
 def describe(name: str, old: bytes, new: bytes) -> str:
+    """One line naming how a differing file differs: its largest value
+    change for a checkpoint, its differing key paths for a JSON file."""
     if name.endswith(".ckpt"):
         (m_old, v_old), (m_new, v_new) = checkpoint_payload(old), checkpoint_payload(new)
         if m_old != m_new or v_old.shape != v_new.shape:
             return f"{name}: manifest or size differs"
         return f"{name}: max abs diff {np.abs(v_old - v_new).max():.3g}"
+    if name.endswith(".json"):
+        paths = json_diffs(json.loads(old), json.loads(new))
+        return f"{name}: {', '.join(paths) if paths else 'formatting differs'}"
     return name
 
 
@@ -104,8 +124,8 @@ def compare(old_root: Path, new_root: Path) -> int:
             print(f"{name}: only in {'old' if a.is_file() else 'new'} tree")
             differ += 1
             continue
-        old, new = a.read_bytes(), b.read_bytes()
-        if strip_timing(name, old) != strip_timing(name, new):
+        old, new = (strip_timing(name, p.read_bytes()) for p in (a, b))
+        if old != new:
             print(describe(name, old, new))
             differ += 1
     print(f"{len(names)} files compared, {differ} differ")
