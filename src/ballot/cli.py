@@ -13,7 +13,14 @@ from pathlib import Path
 
 from ._version import __version__
 from .config import AppConfig, config_from_dict, load_config
-from .data import Split, gen_synthetic, load_csv, make_dataset, save_csv
+from .data import (
+    Split,
+    gen_synthetic,
+    load_csv,
+    make_dataset,
+    require_labels_below,
+    save_csv,
+)
 from .errors import (
     BallotError,
     ConfigurationError,
@@ -102,6 +109,10 @@ def _cmd_evaluate(args) -> int:
         split = data.test
     else:
         split = Split(*load_csv(args.data, args.label_column))
+        # the checkpoint fixes the classes; a file may lack some of them
+        n_classes = ck.specs[-1].d_out
+        require_labels_below(split.y, n_classes,
+                             f"the checkpoint has {n_classes} classes")
     if ck.specs[0].d_in != split.X.shape[1]:
         raise ConfigurationError(
             f"checkpoint expects {ck.specs[0].d_in} features, "

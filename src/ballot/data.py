@@ -4,7 +4,7 @@ both feeding the same stratified train/test split."""
 from __future__ import annotations
 
 import csv
-from array import array
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -63,33 +63,85 @@ def save_csv(x: np.ndarray, y: np.ndarray, path) -> None:
             writer.writerow([repr(float(v)) for v in row] + [int(label)])
 
 
-def load_csv(path, label_column: str = "label") -> tuple[np.ndarray, np.ndarray]:
-    """Read features and integer labels.
+# A label must fit an int64 class index; a float at or above 2**63 does not.
+_LABEL_LIMIT = 2.0 ** 63
 
-    Labels must be exactly 0..C-1 where C is the number of distinct
-    label values; the first row violating that (or any non-numeric
-    cell) is reported with its 1-based file line number.  Rows are
-    parsed one at a time straight into packed float64 and int64 buffers.
+
+def _read_header(reader, path, label_column: str) -> tuple[list[str], int]:
+    """The header row from ``reader`` and the label column's index."""
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path} is empty")
+    if label_column not in header:
+        raise DataError(f"label column '{label_column}' not found in header")
+    if len(header) < 2:
+        raise DataError("no feature columns besides the label")
+    return header, header.index(label_column)
+
+
+def load_csv(path, label_column: str = "label") -> tuple[np.ndarray, np.ndarray]:
+    """Read features and non-negative integer labels.
+
+    The rows after the header are streamed from the open file through
+    ``np.loadtxt``, which parses them in C.  That result is returned only
+    when it has one row of ``len(header)`` cells per file line, every
+    label is an integer in 0..2**63-1 and every feature is finite.  Any
+    other file is read again by ``_load_csv_rows``, which accepts every
+    cell Python's ``float`` accepts (a quoted number, ``1_0``) and
+    reports the first bad row with its 1-based file line number, so both
+    passes load the same files to the same bits and fail with the same
+    messages.  Which labels form the classes is the caller's rule.
     """
-    feats, labels = array("d"), array("q")
+    n_lines = 0
+    table = None
+    try:
+        with open(path, newline="") as fh:
+            header, label_idx = _read_header(csv.reader(fh), path, label_column)
+
+            def lines():
+                nonlocal n_lines
+                for n_lines, line in enumerate(fh, start=1):
+                    yield line
+
+            try:
+                with warnings.catch_warnings():
+                    # a file without data rows: the row-wise pass says so
+                    warnings.simplefilter("ignore", UserWarning)
+                    # comments=None: '#' is a bad cell, not a comment; blank
+                    # lines, which loadtxt skips, show in the line count
+                    table = np.loadtxt(lines(), delimiter=",", comments=None,
+                                       ndmin=2, dtype=np.float64)
+            except ValueError:
+                pass
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if table is not None and table.shape == (n_lines, len(header)):
+        labels = table[:, label_idx]
+        valid = (labels >= 0.0) & (labels < _LABEL_LIMIT) & (np.floor(labels) == labels)
+        if valid.all():
+            y = labels.astype(np.int64)
+            x = np.delete(table, label_idx, axis=1)
+            del labels, table
+            if np.isfinite(x).all():
+                return x, y
+    return _load_csv_rows(path, label_column)
+
+
+def _load_csv_rows(path, label_column: str = "label") -> tuple[np.ndarray, np.ndarray]:
+    """``load_csv`` row by row with ``csv`` and ``float``: the reference
+    parser, and the only source of line-numbered messages."""
+    feats, labels = [], []
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise DataError(f"{path} is empty")
-            if label_column not in header:
-                raise DataError(f"label column '{label_column}' not found in header")
-            label_idx = header.index(label_column)
-            if len(header) < 2:
-                raise DataError("no feature columns besides the label")
+            header, label_idx = _read_header(reader, path, label_column)
             for line_no, row in enumerate(reader, start=2):
                 if len(row) != len(header):
                     raise DataError(f"row at line {line_no} has {len(row)} cells, "
                                     f"expected {len(header)}")
                 raw = row.pop(label_idx)
                 try:
-                    feats.extend(map(float, row))
+                    feats.append([float(v) for v in row])
                 except ValueError:
                     row.insert(label_idx, raw)
                     bad = next(i for i in range(len(row))
@@ -99,33 +151,34 @@ def load_csv(path, label_column: str = "label") -> tuple[np.ndarray, np.ndarray]
                         f"'{header[bad]}' at line {line_no}"
                     ) from None
                 try:
-                    as_float = float(raw)
+                    label = float(raw)
                 except ValueError:
                     raise DataError(f"non-numeric label '{raw}' at line {line_no}") from None
-                label = int(as_float)
-                if label != as_float or label < 0:
+                if not (label.is_integer() and label >= 0.0):
                     raise DataError(f"label '{raw}' at line {line_no} is not a "
                                     "non-negative integer")
-                labels.append(label)
-    except OSError as exc:
+                if label >= _LABEL_LIMIT:
+                    raise DataError(f"label '{raw}' at line {line_no} is too large")
+                labels.append(int(label))
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not labels:
         raise DataError(f"{path} has no data rows")
+    x = np.array(feats, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise DataError("non-finite feature value in CSV")
+    return x, np.array(labels, dtype=np.int64)
 
-    y = np.frombuffer(labels, dtype=np.int64)
-    n_classes = np.unique(y).size
+
+def require_labels_below(y: np.ndarray, n_classes: int, why: str) -> None:
+    """Raise DataError naming the first label of ``y``, the labels of a
+    CSV file in file order, that is ``n_classes`` or more, with its line."""
     outside = np.flatnonzero(y >= n_classes)
     if outside.size:
         # data row i sits on file line i + 2, after the header
         first = int(outside[0])
-        raise DataError(
-            f"label {int(y[first])} at line {first + 2} is outside 0..{n_classes - 1} "
-            f"(the file has {n_classes} distinct labels)"
-        )
-    x = np.frombuffer(feats, dtype=np.float64).reshape(y.size, len(header) - 1)
-    if not np.isfinite(x).all():
-        raise DataError("non-finite feature value in CSV")
-    return x, y
+        raise DataError(f"label {int(y[first])} at line {first + 2} is outside "
+                        f"0..{n_classes - 1} ({why})")
 
 
 def _is_float(s: str) -> bool:
@@ -159,6 +212,10 @@ def make_dataset(spec: DatasetSpec) -> Dataset:
         split_seed = spec.synthetic.seed
     else:
         x, y = load_csv(spec.csv_path, spec.label_column)
+        # training takes its classes from the file: exactly 0..C-1
+        n_distinct = np.unique(y).size
+        require_labels_below(y, n_distinct,
+                             f"the file has {n_distinct} distinct labels")
         split_seed = 0
 
     n_classes = int(y.max()) + 1

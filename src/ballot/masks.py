@@ -104,17 +104,14 @@ class ConflictLedger:
         """Score one epoch's gradient aggregates and update the votes.
 
         Every recorded unit must be covered.  An epoch can only be
-        recorded once; gamma must be positive and eta inside (0, 1).
+        recorded once.  ``gamma`` and ``eta`` are taken as given:
+        ``TrainConfig`` checks them.
         """
         epoch = int(epoch)
         if epoch < 0:
             raise ConfigurationError("epoch must be non-negative")
         if epoch in self._epochs:
             raise UsageError(f"epoch {epoch} already recorded")
-        if not (math.isfinite(gamma) and gamma > 0.0):
-            raise ConfigurationError("gamma must be positive and finite")
-        if not (0.0 < eta < 1.0):
-            raise ConfigurationError("eta must lie in (0, 1)")
         ga = self._check_layers(g_a, "g_a")
         gf = self._check_layers(g_f, "g_f")
 
@@ -185,8 +182,6 @@ def _unit_slices(specs: list[LayerSpec], bases: list[int], layer: int, unit: int
 
 
 def _target_kept(specs: list[LayerSpec], omega: float) -> int:
-    if not (0.0 < omega <= 1.0):
-        raise ConfigurationError(f"omega must lie in (0, 1], got {omega}")
     total = param_count(specs)
     k = math.floor(omega * total)
     n_out = specs[-1].d_out

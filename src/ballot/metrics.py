@@ -70,19 +70,22 @@ def macro_precision(conf: np.ndarray) -> float:
 
 
 def macro_recall(conf: np.ndarray) -> float:
-    """Unweighted mean over classes of TP / (TP + FN); an absent class
-    contributes 0."""
+    """Unweighted mean of TP / (TP + FN) over the classes present, those
+    with at least one true sample."""
     conf = np.asarray(conf)
     if conf.sum() == 0:
         raise DataError("confusion matrix is all zero")
-    tp = np.diag(conf).astype(np.float64)
-    row = conf.sum(axis=1).astype(np.float64)
-    out = np.divide(tp, row, out=np.zeros_like(tp), where=row > 0)
-    return float(out.mean())
+    row = conf.sum(axis=1)
+    present = row > 0
+    tp = np.diag(conf)[present].astype(np.float64)
+    return float((tp / row[present]).mean())
 
 
 @dataclass(frozen=True)
 class EvalReport:
+    """``per_class_acc`` holds None for an absent class, one with no
+    sample among the labels, and ``absent_classes`` lists those classes."""
+
     accuracy: float
     per_class_acc: tuple
     class_counts: tuple
@@ -90,23 +93,28 @@ class EvalReport:
     macro_recall: float
     cwv: float
     mcd: float
+    absent_classes: tuple = ()
 
 
 def report_from_predictions(y_true, y_pred, n_classes: int) -> EvalReport:
+    """Metrics of predictions against labels over ``n_classes`` classes.
+    A class without samples has no accuracy: ``cwv``, ``mcd`` and
+    ``macro_recall`` are taken over the classes present, while
+    ``macro_precision`` still averages over all ``n_classes``."""
     conf = confusion(y_true, y_pred, n_classes)
     counts = conf.sum(axis=1)
-    if (counts == 0).any():
-        empty = int(np.argmin(counts))
-        raise DataError(f"class {empty} has no samples")
-    per_class = np.diag(conf) / counts
+    present = counts > 0
+    acc = np.diag(conf) / np.maximum(counts, 1)
+    per_class = acc[present]
     return EvalReport(
         accuracy=float(np.diag(conf).sum() / conf.sum()),
-        per_class_acc=tuple(float(a) for a in per_class),
+        per_class_acc=tuple(float(a) if p else None for a, p in zip(acc, present)),
         class_counts=tuple(int(c) for c in counts),
         macro_precision=macro_precision(conf),
         macro_recall=macro_recall(conf),
         cwv=cwv(per_class),
         mcd=mcd(per_class),
+        absent_classes=tuple(int(c) for c in np.flatnonzero(~present)),
     )
 
 

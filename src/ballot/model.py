@@ -208,10 +208,12 @@ def _forward_rows(x, params: NetworkParams) -> np.ndarray:
     h = x
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w + b
-        if not np.isfinite(z).all():
+        h = h @ w
+        h += b
+        if not np.isfinite(h).all():
             raise NumericalFailure("non-finite layer output in forward pass")
-        h = np.maximum(z, 0.0) if i < last else z
+        if i < last:
+            np.maximum(h, 0.0, out=h)
     return h
 
 
@@ -220,7 +222,9 @@ def forward(params: NetworkParams, x: np.ndarray, specs: list[LayerSpec]) -> np.
     [n, C]; a masked network is one whose masked entries are 0.
 
     Inputs longer than ``FORWARD_BLOCK_ROWS`` rows run in blocks of that
-    many rows; every row's logits are the same either way."""
+    many rows; every row's logits are the same either way.  Each layer
+    adds its bias and applies its ReLU in place, in the array its matmul
+    returned, so a block allocates one float64 array per layer."""
     x = _check_input(x, specs)
     n = x.shape[0]
     if n <= FORWARD_BLOCK_ROWS:

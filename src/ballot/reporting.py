@@ -25,7 +25,8 @@ CSV_HEADER = "method,seed,accuracy,precision,recall,cwv,mcd,retention,rounds,wal
 
 
 def eval_report_dict(report: EvalReport) -> dict:
-    return {
+    """The report's fields; ``absent_classes`` only when a class is absent."""
+    out = {
         "accuracy": report.accuracy,
         "per_class_acc": list(report.per_class_acc),
         "class_counts": list(report.class_counts),
@@ -34,6 +35,9 @@ def eval_report_dict(report: EvalReport) -> dict:
         "cwv": report.cwv,
         "mcd": report.mcd,
     }
+    if report.absent_classes:
+        out["absent_classes"] = list(report.absent_classes)
+    return out
 
 
 def result_dict(result: PruneResult) -> dict:

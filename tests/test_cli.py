@@ -189,6 +189,7 @@ class TestEvaluate:
         assert code == 0
         payload = load_report(out)
         assert sum(payload["report"]["class_counts"]) == 54  # 30 + 12 + 12
+        assert "absent_classes" not in payload["report"]
 
     def test_csv_with_single_sample_class(self, tmp_path, config_path, pruned,
                                           capsys):
@@ -208,6 +209,45 @@ class TestEvaluate:
                      "--data", str(one), "--out", str(out)])
         assert code == 0, capsys.readouterr().err
         assert load_report(out)["report"]["class_counts"] == [30, 1, 12]
+
+    @pytest.mark.parametrize("absent, counts", [
+        (2, [30, 12, 0]),  # the last class is missing
+        (1, [30, 0, 12]),  # a gap: labels 0 and 2 only
+    ])
+    def test_csv_lacking_a_class(self, tmp_path, config_path, pruned, capsys,
+                                 absent, counts):
+        # the checkpoint fixes the classes, so a file may lack one
+        full = tmp_path / "d.csv"
+        assert main(["gen-data", "--config", config_path,
+                     "--out", str(full)]) == 0
+        header, *rows = full.read_text().splitlines()
+        lacking = tmp_path / "lacking.csv"
+        lacking.write_text("\n".join(
+            [header, *(r for r in rows if not r.endswith(f",{absent}"))]) + "\n")
+        out = tmp_path / "eval.json"
+        code = main(["evaluate",
+                     "--checkpoint", str(pruned / "checkpoints" / "final.ckpt"),
+                     "--data", str(lacking), "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        report = load_report(out)["report"]
+        assert report["class_counts"] == counts
+        assert report["absent_classes"] == [absent]
+        accs = report["per_class_acc"]
+        assert accs[absent] is None
+        present = [a for a in accs if a is not None]
+        assert report["mcd"] == max(present) - min(present)
+        assert report["cwv"] == pytest.approx(float(np.var(present)), abs=1e-15)
+
+    def test_label_beyond_the_checkpoint_classes(self, tmp_path, pruned,
+                                                 capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("f0,f1,f2,f3,label\n1,2,3,4,0\n1,2,3,4,2\n1,2,3,4,3\n")
+        code = main(["evaluate",
+                     "--checkpoint", str(pruned / "checkpoints" / "final.ckpt"),
+                     "--data", str(bad), "--out", str(tmp_path / "e.json")])
+        assert code == 2
+        assert ("label 3 at line 4 is outside 0..2 (the checkpoint has 3 classes)"
+                in capsys.readouterr().err)
 
     def test_feature_mismatch(self, tmp_path, config_path, pruned, capsys):
         wide = dict(SMALL, data={"synthetic": {"counts": [30, 12, 12],

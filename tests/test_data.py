@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from ballot import data
 from ballot.data import (
     Dataset,
     DatasetSpec,
@@ -114,10 +118,17 @@ class TestCsv:
 
     def test_label_gap_reports_line(self, tmp_path):
         # distinct labels {0, 1, 7}: three classes, so 7 is out of range
+        # for training, which takes its classes from the file
         path = tmp_path / "d.csv"
         path.write_text("a,label\n1,0\n2,1\n3,7\n4,0\n")
         with pytest.raises(DataError, match=r"label 7 at line 4 is outside 0\.\.2"):
-            load_csv(path)
+            make_dataset(DatasetSpec(csv_path=str(path)))
+
+    def test_label_gap_loads(self, tmp_path):
+        # which labels form the classes is the caller's rule
+        path = tmp_path / "d.csv"
+        path.write_text("a,label\n1,0\n2,1\n3,7\n4,0\n")
+        assert load_csv(path)[1].tolist() == [0, 1, 7, 0]
 
     def test_non_numeric_cell_reports_position(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -161,6 +172,132 @@ class TestCsv:
             load_csv(path)
         path.write_text("a,label\n")
         with pytest.raises(DataError, match="no data rows"):
+            load_csv(path)
+
+
+# finite float64 values, weighted toward signed zeros, subnormals and
+# the ends of the range
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     -2.225073858507201e-308, 1.7976931348623157e308,
+                     -1.7976931348623157e308, 1.7e308, -1.79e308]),
+)
+# cells and line endings for files that may or may not parse
+CELLS = st.one_of(
+    st.sampled_from(["0", "1", "2", "-0", "1.0", "0.5", "1e300", "-1", "nan",
+                     "inf", "-Infinity", '"1"', "1_0", "#", "", " 1 ", "1e",
+                     "\xa01", "\x0c2", "٣", "0x1", "9223372036854775808"]),
+    st.text(alphabet='0123456789.+-eE_ "#infaNI', max_size=6),
+)
+ENDINGS = st.sampled_from(["\n", "\r\n", "\r", "\n\n", ""])
+
+
+def same_outcome(path):
+    """load_csv and the row-wise reference agree: equal bits, or the
+    same DataError message."""
+    outcomes = []
+    for loader in (load_csv, data._load_csv_rows):
+        try:
+            x, y = loader(path)
+            outcomes.append(("ok", x.shape, x.dtype, x.tobytes(), y.dtype, y.tobytes(),
+                             x.flags.c_contiguous))
+        except DataError as exc:
+            outcomes.append(("error", str(exc)))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+class TestCsvFastPath:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+               hnp.arrays(np.float64, st.tuples(st.just(n), st.integers(1, 4)),
+                          elements=FLOATS),
+               hnp.arrays(np.int64, n, elements=st.integers(0, 9)),
+               hnp.arrays(np.int64, n, elements=st.integers(0, 9)))),
+           st.data())
+    def test_bit_equal_to_row_parser(self, tmp_path, arrays, draw):
+        x, first, last = arrays
+        at = draw.draw(st.integers(0, x.shape[1]), label="label position")
+        table = np.insert(x, at, first, axis=1)
+        path = tmp_path / "d.csv"
+        save_csv(table, last, path)
+        got = load_csv(path)
+        assert same_outcome(path)[0] == "ok"
+        assert got[0].tobytes() == table.tobytes()
+        assert got[1].tobytes() == last.tobytes()
+        # the label column anywhere but last
+        got = load_csv(path, label_column=f"f{at}")
+        ref = data._load_csv_rows(path, label_column=f"f{at}")
+        want = np.column_stack([x, last.astype(np.float64)])
+        assert got[0].tobytes() == ref[0].tobytes() == want.tobytes()
+        assert got[1].tobytes() == ref[1].tobytes() == first.tobytes()
+        assert got[0].flags.c_contiguous
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.one_of(
+        st.lists(st.tuples(CELLS, CELLS, CELLS, ENDINGS), min_size=1, max_size=4),
+        st.text(alphabet='01.5e-"#,\n\r na', max_size=30),
+    ))
+    def test_any_text_same_as_row_parser(self, tmp_path, body):
+        if isinstance(body, list):
+            body = "".join(f"{a},{b},{c}{end}" for a, b, c, end in body)
+        path = tmp_path / "d.csv"
+        path.write_bytes(("a,b,label\n" + body).encode())
+        same_outcome(path)
+
+    def test_fast_path_taken_on_save_csv_output(self, tmp_path, monkeypatch):
+        x, y = gen_synthetic(synth())
+        path = tmp_path / "d.csv"
+        save_csv(x, y, path)
+
+        def row_parser(*args):
+            raise AssertionError("row-wise parser called")
+
+        monkeypatch.setattr(data, "_load_csv_rows", row_parser)
+        x2, y2 = load_csv(path)
+        assert x2.tobytes() == x.tobytes() and y2.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,label\n1,0\n\n2,1\n", "row at line 3 has 0 cells, expected 2"),
+        ("a,label\n1,0\n2,1\n\n", "row at line 4 has 0 cells, expected 2"),
+        ("a,label\n1,0\n#,1\n", "non-numeric value '#' in column 'a' at line 3"),
+        ("a,label\n1,0\n2,#\n", "non-numeric label '#' at line 3"),
+        ("a,label\n1,0\n2,1#x\n", "non-numeric label '1#x' at line 3"),
+        ("a,label\nnan,0\n1,1\n", "non-finite feature value in CSV"),
+        ("a,label\n1,0\n2,nan\n", "label 'nan' at line 3 is not a non-negative integer"),
+        ("a,label\n1,0\n2,0.5\n", "label '0.5' at line 3 is not a non-negative integer"),
+        ("a,label\n1,0\n2,-1\n", "label '-1' at line 3 is not a non-negative integer"),
+        ("a,label\n1,1e300\n", "label '1e300' at line 2 is too large"),
+        ("a,label\n1,9223372036854775808\n",
+         "label '9223372036854775808' at line 2 is too large"),
+    ])
+    def test_error_messages(self, tmp_path, text, message):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        assert same_outcome(path) == ("error", message)
+
+    @pytest.mark.parametrize("text, x, y", [
+        ('a,label\n"1",0\n2,"1"\n', [[1.0], [2.0]], [0, 1]),
+        ("a,label\n1_0,0\n2,1\n", [[10.0], [2.0]], [0, 1]),
+        ("a,label\r\n1,0\r\n-0,1\r\n", [[1.0], [-0.0]], [0, 1]),
+        ("a,label\n1,-0\n2,9223372036854774784\n", [[1.0], [2.0]],
+         [0, 9223372036854774784]),
+    ])
+    def test_loads_what_float_accepts(self, tmp_path, text, x, y):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        assert same_outcome(path)[0] == "ok"
+        got_x, got_y = load_csv(path)
+        assert got_x.tobytes() == np.array(x).tobytes()
+        assert got_y.tolist() == y
+
+    def test_undecodable_file_is_data_error(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,label\n1,0\n\xff,1\n")
+        with pytest.raises(DataError, match="cannot read"):
             load_csv(path)
 
 

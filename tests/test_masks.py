@@ -423,7 +423,6 @@ class TestSparsityAndFeasibility:
         for trial in range(10):
             specs = random_specs(rng)
             total = param_count(specs)
-            omega = float(rng.uniform(specs[-1].d_out / total + 0.1, 1.0))
             params = init_network(specs, trial)
             led = ConflictLedger([s.d_out for s in specs[:-1]])
             for e in range(3):
@@ -434,11 +433,18 @@ class TestSparsityAndFeasibility:
                     10.0,
                     0.95,
                 )
-            masks = [
-                build_ballot_mask(led, specs, omega, params),
-                build_magnitude_mask(params, specs, omega),
-                build_random_mask(specs, omega, trial),
-            ]
+            while True:
+                # some retentions are infeasible for magnitude; redraw them
+                omega = float(rng.uniform(specs[-1].d_out / total + 0.1, 1.0))
+                try:
+                    masks = [
+                        build_ballot_mask(led, specs, omega, params),
+                        build_magnitude_mask(params, specs, omega),
+                        build_random_mask(specs, omega, trial),
+                    ]
+                except InfeasibleMaskError:
+                    continue
+                break
             assert {m.kept_count() for m in masks} == {math.floor(omega * total)}
             for mask in masks:
                 assert mask.bias_keep[-1].all()

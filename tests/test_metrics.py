@@ -145,9 +145,18 @@ class TestReport:
         assert rep.cwv == cwv(rep.per_class_acc)
         assert rep.mcd == mcd(rep.per_class_acc)
 
-    def test_empty_class_rejected(self):
-        with pytest.raises(DataError, match="class 2 has no samples"):
-            report_from_predictions([0, 1, 0], [0, 1, 1], 3)
+    def test_empty_class_reported_absent(self):
+        rep = report_from_predictions([0, 1, 0, 3], [0, 1, 1, 2], 4)
+        assert rep.absent_classes == (2,)
+        assert rep.per_class_acc == (0.5, 1.0, None, 0.0)
+        assert rep.class_counts == (2, 1, 0, 1)
+        # cwv, mcd and recall over the three classes present; precision
+        # over all four, class 2 predicted once and never right
+        assert rep.cwv == cwv([0.5, 1.0, 0.0])
+        assert rep.mcd == 1.0
+        assert rep.macro_recall == pytest.approx(0.5, abs=1e-15)
+        assert rep.macro_precision == pytest.approx((1.0 + 0.5) / 4, abs=1e-15)
+        assert report_from_predictions([0, 1], [0, 1], 2).absent_classes == ()
 
     def test_matches_brute_force_recount(self, rng):
         for _ in range(50):

@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from ballot import model
-from ballot.errors import ConfigurationError, NumericalFailure, PersistenceError
+from ballot.errors import (
+    ConfigurationError,
+    InfeasibleMaskError,
+    NumericalFailure,
+    PersistenceError,
+)
 from ballot.masks import (
     ConflictLedger,
     build_ballot_mask,
@@ -143,15 +148,22 @@ class TestCompaction:
         for trial in range(40):
             specs = random_specs(rng, max_hidden_layers=3)
             total = param_count(specs)
-            omega = float(rng.uniform(specs[-1].d_out / total + 0.1, 1.0))
             params = init_network(specs, trial)
             ledger = ConflictLedger([s.d_out for s in specs[:-1]])
             ledger.record_epoch(0, [rng.normal(size=s.d_out) for s in specs[:-1]],
                                 [rng.normal(size=s.d_out) for s in specs[:-1]],
                                 10.0, 0.5)
-            for mask in (build_ballot_mask(ledger, specs, omega, params),
-                         build_magnitude_mask(params, specs, omega),
-                         build_random_mask(specs, omega, trial)):
+            while True:
+                # some retentions are infeasible for magnitude; redraw them
+                omega = float(rng.uniform(specs[-1].d_out / total + 0.1, 1.0))
+                try:
+                    masks = (build_ballot_mask(ledger, specs, omega, params),
+                             build_magnitude_mask(params, specs, omega),
+                             build_random_mask(specs, omega, trial))
+                except InfeasibleMaskError:
+                    continue
+                break
+            for mask in masks:
                 masked = apply_mask(params, mask)
                 small, small_specs, keep = compact_network(masked, mask, specs)
                 live = brute_force_live(mask)

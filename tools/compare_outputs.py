@@ -13,6 +13,9 @@ temporary directory, through one fixed command set:
 - ``experiment --seeds 1`` with ``model.hidden=[512, 512]``;
 - ``gen-data`` on the default config, then ``evaluate`` of the ballot
   ``final.ckpt`` on that CSV;
+- ``gen-data`` of 3,500 rows, more than ``model.FORWARD_BLOCK_ROWS``,
+  then ``evaluate`` of the ballot ``final.ckpt`` on it, so the blocked
+  inference pass and a longer CSV parse are compared too;
 - ``train`` on a config that sets every key but ``data.csv_path`` to a
   non-default value, with integral numbers for float keys and ``4.0``
   for ``train.epochs``, so the config echo is compared key by key;
@@ -54,6 +57,8 @@ EVERY_KEY = {
     "seed": 1,
 }
 CSV = {"train": {"epochs": 3}, "data": {"csv_path": "data.csv"}}
+# the default generator with more rows: same 20 features and 4 classes
+LONG = {"data": {"synthetic": {"counts": [2450, 350, 350, 350]}}}
 COMMANDS = [
     ["train", "--out", "train"],
     *[["prune", "--method", m, "--out", f"prune-{m}"]
@@ -63,6 +68,9 @@ COMMANDS = [
     ["gen-data", "--out", "data.csv"],
     ["evaluate", "--checkpoint", "prune-ballot/checkpoints/final.ckpt",
      "--data", "data.csv", "--out", "evaluation.json"],
+    ["gen-data", "--config", "long.json", "--out", "long.csv"],
+    ["evaluate", "--checkpoint", "prune-ballot/checkpoints/final.ckpt",
+     "--data", "long.csv", "--out", "evaluation-long.json"],
     ["train", "--config", "every-key.json", "--out", "train-every-key"],
     ["train", "--config", "csv.json", "--out", "train-csv"],
 ]
@@ -70,7 +78,8 @@ COMMANDS = [
 
 def run_all(tree: Path, work: Path) -> None:
     """Run the command set with ``tree``'s sources inside ``work``."""
-    for name, raw in (("wide", WIDE), ("every-key", EVERY_KEY), ("csv", CSV)):
+    for name, raw in (("wide", WIDE), ("every-key", EVERY_KEY), ("csv", CSV),
+                      ("long", LONG)):
         (work / f"{name}.json").write_text(json.dumps(raw))
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     for args in COMMANDS:
