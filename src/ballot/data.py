@@ -69,7 +69,10 @@ _LABEL_LIMIT = 2.0 ** 63
 
 def _read_header(reader, path, label_column: str) -> tuple[list[str], int]:
     """The header row from ``reader`` and the label column's index."""
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise DataError(f"malformed CSV at line {reader.line_num}: {exc}") from None
     if header is None:
         raise DataError(f"{path} is empty")
     if label_column not in header:
@@ -160,6 +163,9 @@ def _load_csv_rows(path, label_column: str = "label") -> tuple[np.ndarray, np.nd
                 if label >= _LABEL_LIMIT:
                     raise DataError(f"label '{raw}' at line {line_no} is too large")
                 labels.append(int(label))
+    except csv.Error as exc:
+        # for example a cell over the csv module's field size limit
+        raise DataError(f"malformed CSV at line {reader.line_num}: {exc}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not labels:

@@ -14,13 +14,13 @@ a network's values in it and ``Mask.keep`` flags its entries.
 shape; the per-layer arrays the step reads and writes are views of them.
 
 Each batch runs one forward pass and one backward pass that writes the
-plain cross-entropy's parameter gradients into the gradient buffer.
-The plain loss comes first and carries no weighting; dense training
-adds the class-weighted fairness loss, which shares the softmax and
-ReLU gates and yields only the pre-activation means that the conflict
-ledger records.  ``sgd_step`` updates the whole buffer in one call.
-Every matmul runs slot by slot with the shapes of a single network, so
-a network's bytes do not depend on what it is stacked with.
+cross-entropy's parameter gradients into the gradient buffer.  Dense
+training also asks for the pre-activation means of the class-weighted
+fairness loss, which the conflict ledger records; they follow from the
+same backward pass by linearity, so that loss is never formed.
+``sgd_step`` updates the whole buffer in one call.  Every matmul runs
+slot by slot with the shapes of a single network, so stacking networks
+of one shape never changes their bytes.
 
 Masking lives in the parameters: a masked weight or bias is stored as
 exactly +0.0.  ``apply_mask`` establishes that and ``sgd_step`` keeps
@@ -33,8 +33,10 @@ gathers its live hidden units into a smaller dense network, whose
 trimmed entries stay masked, and ``expand_network`` scatters the trained
 result back into full shape.  A unit that is not live contributes exact
 zeros and receives zero gradients, so training the compacted network
-leaves every entry outside it as it was.  These two and ``apply_mask``
-are the only functions that know both shapes.
+leaves every entry outside it as it was.  Padding with dead units lets
+networks of different live widths share one stack; it changes matmul
+shapes, so weights may move in their last bits.  These two and
+``apply_mask`` are the only functions that know both shapes.
 """
 
 from __future__ import annotations
@@ -235,21 +237,17 @@ def forward(params: NetworkParams, x: np.ndarray, specs: list[LayerSpec]) -> np.
     ])
 
 
-def weighted_cross_entropy(logits, onehot, fair=None):
+def cross_entropy(logits, onehot):
     """Batch-mean softmax cross-entropy of R networks, and its gradient
-    with respect to the logits; with ``fair`` also the cross-entropy
-    that weights each sample by ``fair``'s weight of its class.
+    with respect to the logits.
 
     ``logits`` and ``onehot`` are [R, n, C]; ``onehot`` must be exactly
     one-hot rows, as ``Dataset.train_onehot`` checks once; they are not
-    re-checked here.  ``fair`` is an [R, C] array of strictly positive
-    class weights.  Returns one ``(loss, dlogits)`` pair per loss, the
-    plain loss first, the loss of shape [R] and dlogits [R, n, C]; the
-    losses share one softmax.  The plain loss carries no weighting at
-    all: it is bit for bit the weighted loss under all-ones weights,
-    because multiplying by 1.0 is exact.  The log-sum-exp uses max
-    subtraction, so extreme but finite logits stay finite; a non-finite
-    loss raises NumericalFailure.
+    re-checked here.  Returns ``(loss, dlogits)``, the loss of shape [R]
+    and dlogits [R, n, C].  The log-sum-exp uses max subtraction, so
+    extreme but finite logits stay finite.  Any NaN or infinite logit,
+    -inf through ``y * logp``, makes the loss non-finite, which raises
+    NumericalFailure naming the slot.
     """
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 3:
@@ -259,84 +257,75 @@ def weighted_cross_entropy(logits, onehot, fair=None):
         raise ConfigurationError(
             f"targets shape {y.shape} does not match logits {z.shape}"
         )
-    if fair is not None:
-        fair = np.asarray(fair, dtype=np.float64)
-        if fair.shape != (z.shape[0], z.shape[2]):
-            raise ConfigurationError(
-                f"class_weights must have shape {(z.shape[0], z.shape[2])}, "
-                f"got {fair.shape}"
-            )
-        if not np.isfinite(fair).all() or (fair <= 0.0).any():
-            raise ConfigurationError("class_weights must be finite and positive")
-
     n = z.shape[1]
     if n == 0:
         raise DataError("empty batch")
-    zmax = z.max(axis=2, keepdims=True)
-    shifted = z - zmax
-    lse = np.log(np.exp(shifted).sum(axis=2, keepdims=True)) + zmax
+    # the ufuncs' own reduce: ``.max`` and ``.sum`` add a Python wrapper
+    zmax = np.maximum.reduce(z, axis=2, keepdims=True)
+    lse = np.log(np.add.reduce(np.exp(z - zmax), axis=2, keepdims=True)) + zmax
     logp = z - lse
-    picked = (y * logp).sum(axis=2)
-    residual = np.exp(logp) - y
-    # sum / n is bit for bit ``.mean(axis=1)``, minus its Python wrapper
-    loss = (-picked).sum(axis=1) / n
+    loss = np.add.reduce(-np.add.reduce(y * logp, axis=2), axis=1) / n
     _require_finite(loss, "non-finite cross-entropy loss")
-    out = [(loss, residual / n)]
-    if fair is not None:
-        # exact: every row of y has a single 1 and zeros elsewhere
-        sample_w = (y * fair[:, None, :]).sum(axis=2)
-        loss = (-(sample_w * picked)).sum(axis=1) / n
-        _require_finite(loss, "non-finite cross-entropy loss")
-        out.append((loss, (sample_w[:, :, None] * residual) / n))
-    return out
+    return loss, (np.exp(logp) - y) / n
 
 
 def train_step(stack: ParamStack, x, onehot, specs: list[LayerSpec], fair=None):
-    """One batch of R networks at once: the plain cross-entropy's
-    parameter gradients into ``stack.grad`` and, with ``fair``, the
-    pre-activation means that the conflict ledger records.
+    """One batch of R networks at once: the cross-entropy's parameter
+    gradients into ``stack.grad`` and, with ``fair``, the pre-activation
+    means that the conflict ledger records.
 
     ``x`` is [R, n, d_in] and ``onehot`` [R, n, C]; slot r of every
     array belongs to network r.  The gradients are written in place,
     into the views ``stack.grad_weights`` and ``stack.grad_biases``.
-    With ``fair`` ([R, C] class weights, see ``weighted_cross_entropy``)
-    it returns ``(means_a, means_f)``: for the plain and the fairness
-    loss, the batch-mean gradient of each hidden pre-activation, [R,
-    units] per hidden layer.  Without ``fair`` it returns None and
-    computes no means.  The fairness loss has no parameter gradient.
+    With ``fair``, an [R, C] array of finite, strictly positive class
+    weights, it returns ``(means_a, means_f)``, [R, units] per hidden
+    layer: the batch-mean gradient of each hidden pre-activation under
+    the plain loss and under the fairness loss, which weights sample n
+    by its class's weight s_n.  The backward pass is linear per sample,
+    so the latter's gradient is s_n times the former's and needs no
+    sweep of its own.  Without ``fair`` it returns None.
 
     The parameters are used as stored, so gradients flow through exactly
     the network that inference sees; ``sgd_step`` discards the gradients
     of masked entries.  Each slot's arithmetic is that of a stack of
-    one, so stacking never changes a network's result.
+    one.  Only the loss is checked for finiteness here; a non-finite
+    pre-activation gradient reaches a weight gradient, which
+    ``sgd_step`` checks.
     """
     x = _check_input(x, specs, (stack.flat.shape[0],))
+    if fair is not None:
+        fair, shape = np.asarray(fair, dtype=np.float64), (x.shape[0], specs[-1].d_out)
+        if fair.shape != shape or not np.isfinite(fair).all() or (fair <= 0.0).any():
+            raise ConfigurationError(
+                f"class_weights must be finite and positive, of shape {shape}"
+            )
     ws, n, last = stack.weights, x.shape[1], len(specs) - 1
     inputs, gates = [], []
     h = x
     for i, (w, b) in enumerate(zip(ws, stack.biases)):
         inputs.append(h)
-        z = h @ w + b[:, None, :]
-        _require_finite(z, "non-finite layer output in training pass")
+        h = h @ w
+        h += b[:, None, :]
         if i < last:
-            gates.append(z > 0.0)
-            h = np.maximum(z, 0.0)
-        else:
-            h = z
+            gates.append(h > 0.0)
+            np.maximum(h, 0.0, out=h)
 
-    means = []
-    for k, (_, g) in enumerate(weighted_cross_entropy(h, onehot, fair)):
-        means.append([])
-        for i in range(last, -1, -1):
-            if k == 0:
-                np.matmul(inputs[i].swapaxes(1, 2), g, out=stack.grad_weights[i])
-                g.sum(axis=1, out=stack.grad_biases[i])
-            if i > 0:
-                g = (g @ ws[i].swapaxes(1, 2)) * gates[i - 1]
-                _require_finite(g, "non-finite pre-activation gradient")
-                if fair is not None:
-                    means[k].insert(0, g.sum(axis=1) / n)
-    return tuple(means) if fair is not None else None
+    _, g = cross_entropy(h, onehot)
+    means = None
+    if fair is not None:
+        # exact: every row of onehot has a single 1 and zeros elsewhere
+        s = np.add.reduce(onehot * fair[:, None, :], axis=2)[:, :, None]
+        means = ([], [])
+    for i in range(last, -1, -1):
+        np.matmul(inputs[i].swapaxes(1, 2), g, out=stack.grad_weights[i])
+        np.add.reduce(g, axis=1, out=stack.grad_biases[i])
+        if i > 0:
+            g = g @ ws[i].swapaxes(1, 2)
+            g *= gates[i - 1]
+            if means is not None:
+                means[0].insert(0, np.add.reduce(g, axis=1) / n)
+                means[1].insert(0, np.add.reduce(g * s, axis=1) / n)
+    return means
 
 
 def sgd_step(stack: ParamStack, lr: float, mask: np.ndarray | None = None) -> ParamStack:
@@ -389,7 +378,7 @@ def _unit_ends(mask) -> list[np.ndarray]:
 
 
 def compact_network(
-    params: NetworkParams, mask, specs: list[LayerSpec]
+    params: NetworkParams, mask, specs: list[LayerSpec], widths=None
 ) -> tuple[NetworkParams, list[LayerSpec], np.ndarray]:
     """The live part of a masked network as a smaller dense network.
 
@@ -397,34 +386,44 @@ def compact_network(
     units (see ``live_units``), the specs of that network, whose hidden
     layers may have width 0, and its flat keep vector in the flat layout
     of that network: entries ``mask`` trims inside the live part stay
-    trimmed.  ``expand_network`` scatters the result back."""
+    trimmed.  ``widths``, one per hidden layer and none below its live
+    count, pads each hidden layer with dead units after the live ones:
+    every entry +0.0 and not kept, so the unit's ReLU gate is closed and
+    it gets zero gradients.  ``expand_network`` scatters the result back
+    and drops the padding."""
     ends = _unit_ends(mask)
+    dims = [len(u) for u in ends]
+    if widths is not None:
+        dims[1:-1] = widths
     blocks = [np.ix_(rows, cols) for rows, cols in zip(ends, ends[1:])]
-    small = NetworkParams(
-        [w[block] for w, block in zip(params.weights, blocks)],
-        [b[cols] for b, cols in zip(params.biases, ends[1:])],
-        params.seed,
-        params.epoch_tag,
-    )
-    small_specs = [
-        LayerSpec(len(rows), len(cols), spec.activation)
-        for rows, cols, spec in zip(ends, ends[1:], specs)
-    ]
-    keep = flat_values(
-        [wk[block] for wk, block in zip(mask.weight_keep, blocks)],
-        [bk[cols] for bk, cols in zip(mask.bias_keep, ends[1:])],
-    )
-    return small, small_specs, keep
+
+    def gather(weights, biases):
+        return (
+            [_pad(w[block], dims[i : i + 2])
+             for i, (w, block) in enumerate(zip(weights, blocks))],
+            [_pad(b[cols], dims[i + 1 : i + 2])
+             for i, (b, cols) in enumerate(zip(biases, ends[1:]))],
+        )
+
+    small = NetworkParams(*gather(params.weights, params.biases), params.seed, params.epoch_tag)
+    small_specs = [LayerSpec(d_in, d_out, spec.activation)
+                   for d_in, d_out, spec in zip(dims, dims[1:], specs)]
+    return small, small_specs, flat_values(*gather(mask.weight_keep, mask.bias_keep))
+
+
+def _pad(a: np.ndarray, shape) -> np.ndarray:
+    """``a`` followed along each axis by zeros (False) up to ``shape``."""
+    return np.pad(a, [(0, size - d) for d, size in zip(a.shape, shape)])
 
 
 def expand_network(small: NetworkParams, params: NetworkParams, mask) -> NetworkParams:
     """Write ``small``, the ``compact_network`` of ``params`` under
-    ``mask``, back into the live part of ``params`` in place; every entry
-    outside it keeps its value.  Returns ``params``."""
+    ``mask``, less any padding, back into the live part of ``params`` in
+    place; every entry outside it keeps its value.  Returns ``params``."""
     ends = _unit_ends(mask)
     for i, (rows, cols) in enumerate(zip(ends, ends[1:])):
-        params.weights[i][np.ix_(rows, cols)] = small.weights[i]
-        params.biases[i][cols] = small.biases[i]
+        params.weights[i][np.ix_(rows, cols)] = small.weights[i][: len(rows), : len(cols)]
+        params.biases[i][cols] = small.biases[i][: len(cols)]
     return params
 
 

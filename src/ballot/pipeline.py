@@ -1,11 +1,10 @@
 """Train, prune, refine: the full pipeline and the three baselines.
 
 Dense training optimizes the plain cross-entropy.  Each batch runs one
-forward pass and one fused backward pass that serves two losses: the
-plain loss drives the SGD step, and the weighted fairness loss only
-supplies per-unit pre-activation gradients.  Those gradients of both
-losses are accumulated into the conflict ledger, one record per epoch.
-The fairness loss reweights classes by the inverse of their
+forward and one backward pass, which drives the SGD step and yields
+per-unit pre-activation gradients of the plain and of the weighted
+fairness loss, both accumulated into the conflict ledger, one record
+per epoch.  The fairness loss reweights classes by the inverse of their
 previous-epoch accuracy, so it only starts to differ from the accuracy
 loss once per-class accuracies diverge.
 
@@ -19,14 +18,15 @@ candidate.
 Every phase takes a list of seeds and trains one network per seed in
 lockstep: the networks are stacked on a leading seed axis and stepped
 together, one epoch and one batch at a time, each seed with its own
-batch order, ledger, class weights and refinement decisions.  Stacking
-never changes a seed's arithmetic, so a seed's results are the same
-bytes whatever seeds it runs with; a single run is a list of one.
+batch order, ledger, class weights and refinement decisions; a single
+run is a list of one.
 
 Retraining after pruning runs at the compacted shape: each masked
-network is reduced to its live hidden units, seeds whose compacted
-shapes are equal are stacked together, and each result is scattered
-back into the full-shape network that checkpoints and reports use.
+network is reduced to its live hidden units, padded with dead units to
+the widest live count of the call so that all seeds train in one stack,
+and scattered back into the full-shape network that checkpoints and
+reports use.  Padding changes matmul shapes, so a seed's retrained
+weights may differ in their last bits from its single-seed run.
 
 Every source of randomness is keyed by (seed, stream, epoch), so any
 run is bit-reproducible and a retrained identity-masked network follows
@@ -67,6 +67,7 @@ from .model import (
     expand_network,
     hidden_sizes,
     init_network,
+    live_units,
     sgd_step,
     stack_masks,
     stack_params,
@@ -234,35 +235,28 @@ def _retrain(
 
     Each network trains at its compacted shape (``compact_network``):
     only its live hidden units, with the entries its mask trims among
-    them kept at zero after every step.  Networks whose compacted shapes
-    are equal train in lockstep as one stack; the stacks run one after
-    another, and each result is scattered back into its full-shape
-    network.  Entries outside the live units keep their values."""
-    smalls, shapes, keeps = zip(
-        *(compact_network(p, m, specs) for p, m in zip(nets, masks))
+    them kept at zero after every step, padded to the widest live count
+    of the call, so all the networks train in lockstep as one stack.
+    Each result is scattered back into its full-shape network; entries
+    outside the live units keep their values."""
+    widths = [max(map(len, col)) for col in zip(*map(live_units, masks))]
+    smalls, small_specs, keeps = zip(
+        *(compact_network(p, m, specs, widths) for p, m in zip(nets, masks))
     )
-    groups: dict[tuple, list[int]] = {}
-    for r, small_specs in enumerate(shapes):
-        groups.setdefault(tuple(small_specs), []).append(r)
-
+    stack, mask = stack_params(list(smalls)), stack_masks(keeps)
+    streams = [s + stream_offset for s in seeds]
     x, onehot = data.train.X, data.train_onehot
-    for small_specs, members in groups.items():
-        stack = stack_params([smalls[r] for r in members])
-        mask = stack_masks([keeps[r] for r in members])
-        group_seeds = [seeds[r] for r in members]
-        streams = [s + stream_offset for s in group_seeds]
-        for epoch in range(epochs):
-            lr = lr_fn(epoch)
-            orders = _shuffle(streams, epoch_offset + epoch, x.shape[0])
-            try:
-                for idx in _batches(orders, config.batch_size):
-                    train_step(stack, x[idx], onehot[idx], small_specs)
-                    sgd_step(stack, lr, mask)
-            except NumericalFailure as exc:
-                raise _failure("retraining", epoch, group_seeds, exc) from exc
-        for r in members:
-            expand_network(smalls[r], nets[r], masks[r])
-    for params in nets:
+    for epoch in range(epochs):
+        lr = lr_fn(epoch)
+        orders = _shuffle(streams, epoch_offset + epoch, x.shape[0])
+        try:
+            for idx in _batches(orders, config.batch_size):
+                train_step(stack, x[idx], onehot[idx], small_specs[0])
+                sgd_step(stack, lr, mask)
+        except NumericalFailure as exc:
+            raise _failure("retraining", epoch, seeds, exc) from exc
+    for small, params, m in zip(smalls, nets, masks):
+        expand_network(small, params, m)
         params.epoch_tag += epochs
     return nets
 

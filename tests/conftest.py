@@ -71,6 +71,31 @@ def reference_loss(weights, biases, specs, x, onehot, class_w):
     return float(np.mean(-sample_w * (onehot * logp).sum(axis=1)))
 
 
+def reference_fair_means(weights, biases, specs, x, onehot, class_w):
+    """The fairness loss's batch-mean gradient of every hidden
+    pre-activation, by that loss's own backward sweep: the class-weighted
+    dlogits pushed back through the layers and their ReLU gates, one
+    network, x [n, d_in] and onehot [n, C].  The training kernel derives
+    these means from the plain loss's sweep instead."""
+    h, gates = x, []
+    for spec, w, b in zip(specs, weights, biases):
+        z = h @ w + b
+        if spec.activation == "relu":
+            gates.append(z > 0.0)
+            h = np.maximum(z, 0.0)
+        else:
+            h = z
+    n = x.shape[0]
+    zmax = h.max(axis=1, keepdims=True)
+    logp = h - (np.log(np.exp(h - zmax).sum(axis=1, keepdims=True)) + zmax)
+    g = (onehot @ class_w)[:, None] * (np.exp(logp) - onehot) / n
+    means = []
+    for i in range(len(specs) - 1, 0, -1):
+        g = (g @ weights[i].T) * gates[i - 1]
+        means.insert(0, g.sum(axis=0) / n)
+    return means
+
+
 def brute_force_report(y_true, y_pred, n_classes):
     """Per-sample recount of every EvalReport field, loops only."""
     n = len(y_true)

@@ -24,8 +24,8 @@ from ballot.masks import (
     positive_score_threshold,
 )
 from ballot.metrics import evaluate, predict, report_from_predictions
-from ballot.model import (forward, hidden_sizes, param_count, stack_params, train_step,
-                          weighted_cross_entropy)
+from ballot.model import (cross_entropy, forward, hidden_sizes, param_count, stack_params,
+                          train_step)
 from ballot.pipeline import TrainConfig, refine, run_baseline, train_dense
 
 from conftest import (
@@ -130,17 +130,17 @@ def _gradients(params, specs, x, y, class_w):
     slot 0, as (array, analytic gradient) pairs.  The plain loss: every
     parameter's gradient.  The weighted loss: every bias's, which is the
     batch sum of its unit's pre-activation gradient, n times the mean
-    the step returns for a hidden unit and the batch sum of
-    ``weighted_cross_entropy``'s dlogits for an output unit.  The
-    network's arrays become views of the stack, so the perturbations
-    below still reach the oracle."""
+    the step returns for a hidden unit, and for an output unit the
+    batch sum of ``cross_entropy``'s dlogits with row n scaled by the
+    weight of sample n's class.  The network's arrays become views of
+    the stack, so the perturbations below still reach the oracle."""
     stack = stack_params([params])
     _, means_f = train_step(stack, x[None], y[None], specs, class_w[None])
     plain = [(arr, g[0].copy()) for arr, g in zip(
         params.weights + params.biases, stack.grad_weights + stack.grad_biases)]
-    _, (_, dlogits) = weighted_cross_entropy(
-        forward(params, x, specs)[None], y[None], class_w[None])
-    fair_bias = [x.shape[0] * m[0] for m in means_f] + [dlogits[0].sum(axis=0)]
+    _, dlogits = cross_entropy(forward(params, x, specs)[None], y[None])
+    fair_out = ((y @ class_w)[:, None] * dlogits[0]).sum(axis=0)
+    fair_bias = [x.shape[0] * m[0] for m in means_f] + [fair_out]
     return {"a": plain, "f": list(zip(params.biases, fair_bias))}
 
 

@@ -1,8 +1,8 @@
 """Differentiation in the training kernel: forward values, analytic
-gradients of ``train_step`` and ``weighted_cross_entropy``, and their
-error contracts.  Single-network cases run the kernel on a stack of one;
-``TestSeedStack`` checks that stacking leaves every network's bytes
-unchanged."""
+gradients of ``train_step`` and ``cross_entropy``, the fairness means
+against a second backward sweep, and their error contracts.
+Single-network cases run the kernel on a stack of one; ``TestSeedStack``
+checks that stacking leaves every network's bytes unchanged."""
 
 import math
 from typing import NamedTuple
@@ -16,16 +16,16 @@ from ballot.model import (
     LayerSpec,
     NetworkParams,
     apply_mask,
+    cross_entropy,
     forward,
     init_network,
     sgd_step,
     stack_masks,
     stack_params,
     train_step,
-    weighted_cross_entropy,
 )
 
-from conftest import random_net, reference_loss
+from conftest import random_net, random_specs, reference_fair_means, reference_loss
 
 
 def _net(*layers):
@@ -60,16 +60,12 @@ def _step(params, x, y, specs, fair=None):
     return grads, [[m[0] for m in layer_means] for layer_means in means]
 
 
-def _ce(logits, onehot, class_weights=None):
-    """``weighted_cross_entropy`` of one network: the plain loss, or
-    with ``class_weights`` the weighted one."""
-    losses = weighted_cross_entropy(
+def _ce(logits, onehot):
+    """``cross_entropy`` of one network, as a stack of one."""
+    loss, dlogits = cross_entropy(
         np.asarray(logits, dtype=np.float64)[None],
         np.asarray(onehot, dtype=np.float64)[None],
-        None if class_weights is None
-        else np.asarray(class_weights, dtype=np.float64)[None],
     )
-    loss, dlogits = losses[-1]
     return float(loss[0]), dlogits[0]
 
 
@@ -152,52 +148,56 @@ class TestRelu:
 
 class TestCrossEntropy:
     def test_uniform_logits_give_ln2(self):
-        loss, _ = _ce([[0.0, 0.0]], [[1.0, 0.0]], np.ones(2))
+        loss, _ = _ce([[0.0, 0.0]], [[1.0, 0.0]])
         assert loss == pytest.approx(math.log(2.0), rel=1e-15)
 
-    def test_class_weight_scales_loss(self):
-        loss, _ = _ce([[0.0, 0.0]], [[1.0, 0.0]], np.array([2.0, 1.0]))
-        assert loss == pytest.approx(2.0 * math.log(2.0), rel=1e-15)
-
     def test_extreme_logits_stay_finite(self):
-        loss, dlogits = _ce([[1000.0, 0.0]], [[1.0, 0.0]], np.ones(2))
+        loss, dlogits = _ce([[1000.0, 0.0]], [[1.0, 0.0]])
         assert 0.0 <= loss < 1e-12
         assert np.isfinite(dlogits).all()
 
     def test_batch_mean_reduction(self):
-        loss, _ = _ce(
-            [[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]],
-            np.array([3.0, 1.0]),
-        )
-        assert loss == pytest.approx(2.0 * math.log(2.0), rel=1e-15)
+        # per-sample losses ln 2 and ln 4
+        loss, _ = _ce([[0.0, 0.0], [math.log(3.0), 0.0]], [[1.0, 0.0], [0.0, 1.0]])
+        assert loss == pytest.approx(1.5 * math.log(2.0), rel=1e-15)
 
     def test_uniform_weights_reduce_to_plain_ce_bit_exact(self, rng):
+        # the loss and dlogits are the textbook formula bit for bit, and
+        # all-ones class weights give fairness means equal to the plain
+        # means bit for bit, because multiplying by 1.0 is exact
         for _ in range(50):
             n, c = int(rng.integers(1, 9)), int(rng.integers(2, 6))
             z = rng.normal(scale=3.0, size=(n, c))
             y = np.eye(c)[rng.integers(0, c, n)]
-            weighted, dlogits = _ce(z, y, np.ones(c))
-            unweighted, plain_d = _ce(z, y)
+            loss, dlogits = _ce(z, y)
             zmax = z.max(axis=1, keepdims=True)
             lse = np.log(np.exp(z - zmax).sum(axis=1, keepdims=True)) + zmax
-            plain = float((-(y * (z - lse)).sum(axis=1)).mean())
-            assert weighted == unweighted == plain
+            assert loss == float((-(y * (z - lse)).sum(axis=1)).mean())
             assert np.array_equal(dlogits, (np.exp(z - lse) - y) / n)
-            assert np.array_equal(plain_d, dlogits)
+        own = np.random.default_rng(21)
+        for _ in range(20):
+            specs, params = random_net(own)
+            x, y = _batch(own, specs, int(own.integers(1, 9)))
+            _, (means_a, means_f) = _step(params, x, y, specs, np.ones(specs[-1].d_out))
+            for a, f in zip(means_a, means_f):
+                assert a.tobytes() == f.tobytes()
 
     def test_nonpositive_weights_rejected(self):
-        for bad in ([0.0, 1.0], [-1.0, 1.0]):
-            with pytest.raises(ConfigurationError):
-                _ce([[0.0, 0.0]], [[1.0, 0.0]], np.array(bad))
+        params, specs = _net((np.eye(2), [0.0, 0.0], "none"))
+        for bad in ([0.0, 1.0], [-1.0, 1.0], [np.nan, 1.0], [1.0, 1.0, 1.0]):
+            with pytest.raises(ConfigurationError, match="class_weights"):
+                _step(params, [[1.0, 2.0]], [[1.0, 0.0]], specs, bad)
 
     def test_non_finite_logits_are_numerical_failure(self):
-        # the loss turns non-finite (inf - inf is nan in the max shift)
-        with np.errstate(invalid="ignore"), pytest.raises(NumericalFailure):
-            _ce([[np.inf, 0.0]], [[1.0, 0.0]], np.ones(2))
+        # the loss turns non-finite: inf - inf is nan in the max shift,
+        # and a -inf logit gives 0 * -inf in the picked log-probability
+        for logits in ([np.inf, 0.0], [np.nan, 0.0], [0.0, -np.inf]):
+            with np.errstate(invalid="ignore"), pytest.raises(NumericalFailure):
+                _ce([logits], [[1.0, 0.0]])
 
     def test_target_logits_shape_mismatch_is_config_error(self):
         with pytest.raises(ConfigurationError):
-            _ce([[0.0, 0.0]], [[1.0, 0.0, 0.0]], np.ones(2))
+            _ce([[0.0, 0.0]], [[1.0, 0.0, 0.0]])
 
 
 def _fd(params, specs, x, y, class_w, arr, idx, h=1e-5):
@@ -219,7 +219,10 @@ class TestBackward:
         c = specs[-1].d_out
         cw = rng.uniform(0.5, 2.0, c)
         grads, (_, means_f) = _step(params, x, y, specs, cw)
-        _, dlogits_f = _ce(forward(params, x, specs), y, cw)
+        # the weighted loss's dlogits: the plain ones, row n scaled by
+        # the weight of sample n's class
+        _, dlogits = _ce(forward(params, x, specs), y)
+        dlogits_f = (y @ cw)[:, None] * dlogits
 
         # the plain loss: every parameter gradient
         for li in range(len(specs)):
@@ -239,6 +242,8 @@ class TestBackward:
                 assert abs(g[idx] - fd) / max(1.0, abs(fd)) <= 1e-5
 
     def test_two_backward_passes_are_independent(self, rng):
+        # the fairness means ride on the plain backward pass: asking for
+        # them leaves every parameter gradient and plain mean unchanged
         specs, params = random_net(rng)
         x, y = _batch(rng, specs, 3)
         c = specs[-1].d_out
@@ -268,11 +273,26 @@ class TestBackward:
         _, (_, scaled_means) = _step(params, x, y, specs, np.full(c, 2.0))
         for got, want in zip(scaled_means, base_means):
             np.testing.assert_array_equal(got, 2.0 * want)
-        logits = forward(params, x, specs)
-        base_loss, base_d = _ce(logits, y)
-        scaled_loss, scaled_d = _ce(logits, y, np.full(c, 2.0))
-        assert scaled_loss == 2.0 * base_loss
-        np.testing.assert_array_equal(scaled_d, 2.0 * base_d)
+
+    def test_fair_means_match_a_second_backward_sweep(self):
+        # stacks of three random networks with random class weights:
+        # every slot's fairness means match the weighted loss's own
+        # backward sweep within 1e-12 of the layer's largest mean
+        rng = np.random.default_rng(22)
+        for _ in range(40):
+            specs = random_specs(rng, max_hidden_layers=3, max_units=12)
+            nets = [init_network(specs, int(s)) for s in rng.integers(0, 2**31, 3)]
+            starts = [p.copy() for p in nets]
+            n, c = int(rng.integers(1, 17)), specs[-1].d_out
+            x = rng.normal(size=(3, n, specs[0].d_in))
+            y = np.eye(c)[rng.integers(0, c, (3, n))]
+            fair = rng.uniform(0.2, 5.0, (3, c))
+            _, means_f = train_step(stack_params(nets), x, y, specs, fair)
+            for r, start in enumerate(starts):
+                want = reference_fair_means(start.weights, start.biases, specs,
+                                            x[r], y[r], fair[r])
+                for got, ref in zip(means_f, want):
+                    assert np.abs(got[r] - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_deterministic_gradients(self, rng):
         specs, params = random_net(rng)

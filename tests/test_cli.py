@@ -269,6 +269,16 @@ class TestEvaluate:
         assert code == 2
         assert "data error" in capsys.readouterr().err
 
+    def test_oversized_csv_cell_is_data_error(self, tmp_path, pruned, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("f0,f1,f2,f3,label\n1,2,3,4,0\n1,2," + "9" * 200_000
+                       + "x,4,1\n")
+        code = main(["evaluate",
+                     "--checkpoint", str(pruned / "checkpoints" / "final.ckpt"),
+                     "--data", str(bad), "--out", str(tmp_path / "e.json")])
+        assert code == 2
+        assert "data error: malformed CSV at line 3" in capsys.readouterr().err
+
     def test_missing_checkpoint_is_file_error(self, tmp_path, config_path,
                                               capsys):
         code = main(["evaluate", "--checkpoint", str(tmp_path / "nope.ckpt"),

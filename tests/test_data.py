@@ -155,6 +155,19 @@ class TestCsv:
         with pytest.raises(DataError, match="row at line 3 has 2 cells"):
             load_csv(path)
 
+    def test_long_feature_cell_is_data_error(self, tmp_path):
+        # a non-numeric cell over the csv module's field size limit
+        path = tmp_path / "d.csv"
+        path.write_text("a,label\n1,0\n" + "x" * 200_000 + ",1\n2,0\n")
+        with pytest.raises(DataError, match="malformed CSV at line 3: field larger"):
+            load_csv(path)
+
+    def test_long_header_cell_is_data_error(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a" * 200_000 + ",label\n1,0\n2,1\n")
+        with pytest.raises(DataError, match="malformed CSV at line 1: field larger"):
+            load_csv(path)
+
     def test_non_finite_feature(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,label\ninf,0\n1,1\n")

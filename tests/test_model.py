@@ -202,6 +202,39 @@ class TestCompaction:
                     assert out.biases[i].tobytes() == b.tobytes()
         assert dead_kept > 0  # kept entries outside the live units occurred
 
+    def test_padding_units_are_dead_and_dropped_on_expand(self):
+        # padded to random widths above the live counts: the live block
+        # is the unpadded one, every padding entry is +0.0 and not kept,
+        # and expanding restores the masked network exactly
+        rng = np.random.default_rng(41)
+        for trial in range(30):
+            specs = random_specs(rng, max_hidden_layers=3)
+            mask = build_random_mask(specs, float(rng.uniform(0.5, 1.0)), trial)
+            masked = apply_mask(init_network(specs, trial), mask)
+            live = [len(u) for u in live_units(mask)]
+            widths = [n + int(rng.integers(0, 4)) for n in live]
+            small, small_specs, keep = compact_network(masked, mask, specs)
+            padded, padded_specs, padded_keep = compact_network(masked, mask, specs, widths)
+            assert [s.d_out for s in padded_specs[:-1]] == widths
+            shapes = [w.shape for w in padded.weights]
+            keep_w, keep_b = layer_views(padded_keep, shapes)
+            small_keep_w, small_keep_b = layer_views(keep, [w.shape for w in small.weights])
+            for i, (w, b) in enumerate(zip(small.weights, small.biases)):
+                for got, got_keep, want, want_keep in (
+                        (padded.weights[i], keep_w[i], w, small_keep_w[i]),
+                        (padded.biases[i], keep_b[i], b, small_keep_b[i])):
+                    live_part = tuple(slice(d) for d in want.shape)
+                    assert got[live_part].tobytes() == want.tobytes()
+                    assert np.array_equal(got_keep[live_part], want_keep)
+                    pad = np.ones(got.shape, dtype=bool)
+                    pad[live_part] = False
+                    assert (got[pad] == 0.0).all() and not np.signbit(got[pad]).any()
+                    assert not got_keep[pad].any()
+            back = expand_network(padded, masked.copy(), mask)
+            for got, want in zip(back.weights + back.biases,
+                                 masked.weights + masked.biases):
+                assert got.tobytes() == want.tobytes()
+
     def test_layer_may_compact_to_width_zero(self):
         specs = [LayerSpec(3, 4, "relu"), LayerSpec(4, 2, "none")]
         mask = identity_mask(specs)

@@ -11,6 +11,10 @@ temporary directory, through one fixed command set:
   default config;
 - ``experiment --seeds 5`` on the default config;
 - ``experiment --seeds 1`` with ``model.hidden=[512, 512]``;
+- ``experiment --seeds 3`` with ``model.hidden=[128, 128]`` and
+  ``prune.omega=0.2``, where the seeds' compacted networks differ in
+  shape and retrain padded to a common width at which padding can move
+  weight bits, so the reports of a padded stack are compared;
 - ``gen-data`` on the default config, then ``evaluate`` of the ballot
   ``final.ckpt`` on that CSV;
 - ``gen-data`` of 3,500 rows, more than ``model.FORWARD_BLOCK_ROWS``,
@@ -46,6 +50,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from checks import strip_timing  # noqa: E402
 
 WIDE = {"model": {"hidden": [512, 512]}, "seed": 0}
+PADDED = {"model": {"hidden": [128, 128]}, "prune": {"omega": 0.2}}
 EVERY_KEY = {
     "model": {"hidden": [16, 8]},
     "train": {"epochs": 4.0, "lr0": 0.05, "batch": 16, "milestones": [0.5]},
@@ -65,6 +70,7 @@ COMMANDS = [
       for m in ("ballot", "lth", "magnitude", "random")],
     ["experiment", "--seeds", "5", "--out", "experiment"],
     ["experiment", "--seeds", "1", "--config", "wide.json", "--out", "wide"],
+    ["experiment", "--seeds", "3", "--config", "padded.json", "--out", "padded"],
     ["gen-data", "--out", "data.csv"],
     ["evaluate", "--checkpoint", "prune-ballot/checkpoints/final.ckpt",
      "--data", "data.csv", "--out", "evaluation.json"],
@@ -78,8 +84,8 @@ COMMANDS = [
 
 def run_all(tree: Path, work: Path) -> None:
     """Run the command set with ``tree``'s sources inside ``work``."""
-    for name, raw in (("wide", WIDE), ("every-key", EVERY_KEY), ("csv", CSV),
-                      ("long", LONG)):
+    for name, raw in (("wide", WIDE), ("padded", PADDED), ("every-key", EVERY_KEY),
+                      ("csv", CSV), ("long", LONG)):
         (work / f"{name}.json").write_text(json.dumps(raw))
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     for args in COMMANDS:
