@@ -11,16 +11,11 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from ._version import __version__
 from .config import AppConfig, config_from_dict, load_config
-from .data import (
-    Split,
-    gen_synthetic,
-    load_csv,
-    make_dataset,
-    require_labels_below,
-    save_csv,
-)
+from .data import csv_blocks, gen_synthetic, make_dataset, require_labels_below, save_csv
 from .errors import (
     BallotError,
     ConfigurationError,
@@ -30,8 +25,15 @@ from .errors import (
     UsageError,
 )
 from .masks import save_mask
-from .metrics import evaluate
-from .model import Checkpoint, load_checkpoint, save_checkpoint
+from .metrics import EvalReport, evaluate, report_from_predictions
+from .model import (
+    FORWARD_BLOCK_ROWS,
+    Checkpoint,
+    block_buffers,
+    forward_block,
+    load_checkpoint,
+    save_checkpoint,
+)
 from .pipeline import METHODS, run_baseline, train_dense
 from .reporting import (
     eval_report_dict,
@@ -101,24 +103,56 @@ def _cmd_prune(args) -> int:
     return 0
 
 
+def _require_features(ck: Checkpoint, n_features: int) -> None:
+    if ck.specs[0].d_in != n_features:
+        raise ConfigurationError(
+            f"checkpoint expects {ck.specs[0].d_in} features, data has {n_features}"
+        )
+
+
+def _evaluate_csv(ck: Checkpoint, path: str, label_column: str) -> EvalReport:
+    """The report of ``ck`` on every row of a CSV file, read, inferred
+    and scored one ``csv_blocks`` block at a time.
+
+    Memory holds one block of features, the activations of one block in
+    buffers allocated once, and each row's label and predicted class.
+    A parse error raises where the reader finds it.  The other errors
+    wait for the end of the file and raise in this order, as they would
+    after loading the whole file: the first label outside the
+    checkpoint's classes, a feature count that differs from the
+    checkpoint's (no block is inferred), then a non-finite logit (no
+    block after it is inferred)."""
+    specs = ck.specs
+    bufs = block_buffers(specs, FORWARD_BLOCK_ROWS)
+    labels, preds, failure = [], [], None
+    for x, y in csv_blocks(path, label_column):
+        labels.append(y)
+        width = x.shape[1]
+        if width == specs[0].d_in and failure is None:
+            try:
+                preds.append(np.argmax(forward_block(ck.params, x, bufs), axis=1))
+            except NumericalFailure as exc:
+                failure = exc
+    y = np.concatenate(labels)
+    # the checkpoint fixes the classes; a file may lack some of them
+    n_classes = specs[-1].d_out
+    require_labels_below(y, n_classes, f"the checkpoint has {n_classes} classes")
+    _require_features(ck, width)
+    if failure is not None:
+        raise failure
+    return report_from_predictions(y, np.concatenate(preds), n_classes)
+
+
 def _cmd_evaluate(args) -> int:
+    """Evaluate a checkpoint on a config's test split or, streamed, on
+    every row of a CSV file (``_evaluate_csv``)."""
     ck = load_checkpoint(args.checkpoint)
     if args.data.endswith(".json"):
-        app = load_config(args.data)
-        data = make_dataset(app.dataset)
-        split = data.test
+        split = make_dataset(load_config(args.data).dataset).test
+        _require_features(ck, split.X.shape[1])
+        report = evaluate(ck.params, split, ck.specs)
     else:
-        split = Split(*load_csv(args.data, args.label_column))
-        # the checkpoint fixes the classes; a file may lack some of them
-        n_classes = ck.specs[-1].d_out
-        require_labels_below(split.y, n_classes,
-                             f"the checkpoint has {n_classes} classes")
-    if ck.specs[0].d_in != split.X.shape[1]:
-        raise ConfigurationError(
-            f"checkpoint expects {ck.specs[0].d_in} features, "
-            f"data has {split.X.shape[1]}"
-        )
-    report = evaluate(ck.params, split, ck.specs)
+        report = _evaluate_csv(ck, args.data, args.label_column)
     payload = {
         "version": __version__,
         "checkpoint": str(args.checkpoint),

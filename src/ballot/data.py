@@ -4,6 +4,7 @@ both feeding the same stratified train/test split."""
 from __future__ import annotations
 
 import csv
+import itertools
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -12,6 +13,7 @@ import numpy as np
 
 from .config import DatasetSpec, SyntheticSpec
 from .errors import DataError
+from .model import FORWARD_BLOCK_ROWS
 
 
 @dataclass(frozen=True)
@@ -82,58 +84,92 @@ def _read_header(reader, path, label_column: str) -> tuple[list[str], int]:
     return header, header.index(label_column)
 
 
-def load_csv(path, label_column: str = "label") -> tuple[np.ndarray, np.ndarray]:
-    """Read features and non-negative integer labels.
+def csv_blocks(path, label_column: str = "label"):
+    """Yield the features and integer labels of a CSV file in file order,
+    one ``(x, y)`` pair per ``FORWARD_BLOCK_ROWS`` data rows, so that
+    memory holds one block of the file at a time.
 
-    The rows after the header are streamed from the open file through
-    ``np.loadtxt``, which parses them in C.  That result is returned only
-    when it has one row of ``len(header)`` cells per file line, every
-    label is an integer in 0..2**63-1 and every feature is finite.  Any
-    other file is read again by ``_load_csv_rows``, which accepts every
-    cell Python's ``float`` accepts (a quoted number, ``1_0``) and
-    reports the first bad row with its 1-based file line number, so both
-    passes load the same files to the same bits and fail with the same
-    messages.  Which labels form the classes is the caller's rule.
+    Each block of lines after the header is parsed in C by ``np.loadtxt``
+    and is yielded when no line is longer than ``csv.field_size_limit()``,
+    the block has one row of ``len(header)`` cells per line, every label
+    is an integer in 0..2**63-1 and every feature is finite.  At the
+    first block that fails this, ``_load_csv_rows`` reads the whole file
+    again: it raises the file's first error, which lies in that block or
+    after it, or it returns rows that only Python's ``float`` accepts (a
+    quoted number, ``1_0``), and the rest of those rows are yielded in
+    blocks of the same size.  So the blocks hold the same bits, and a bad
+    file fails with the same message, as the row-wise pass alone.
     """
-    n_lines = 0
-    table = None
+    rows = 0
     try:
         with open(path, newline="") as fh:
             header, label_idx = _read_header(csv.reader(fh), path, label_column)
-
-            def lines():
-                nonlocal n_lines
-                for n_lines, line in enumerate(fh, start=1):
-                    yield line
-
-            try:
-                with warnings.catch_warnings():
-                    # a file without data rows: the row-wise pass says so
-                    warnings.simplefilter("ignore", UserWarning)
-                    # comments=None: '#' is a bad cell, not a comment; blank
-                    # lines, which loadtxt skips, show in the line count
-                    table = np.loadtxt(lines(), delimiter=",", comments=None,
-                                       ndmin=2, dtype=np.float64)
-            except ValueError:
-                pass
+            while True:
+                n_lines, block = _read_block(fh, len(header), label_idx)
+                if block is None:
+                    break
+                yield block
+                rows += n_lines
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if table is not None and table.shape == (n_lines, len(header)):
-        labels = table[:, label_idx]
-        valid = (labels >= 0.0) & (labels < _LABEL_LIMIT) & (np.floor(labels) == labels)
-        if valid.all():
-            y = labels.astype(np.int64)
-            x = np.delete(table, label_idx, axis=1)
-            del labels, table
-            if np.isfinite(x).all():
-                return x, y
-    return _load_csv_rows(path, label_column)
+    if n_lines == 0 and rows:
+        return  # every block of the file loaded
+    # a file without data rows gets its message from the row-wise pass too
+    x, y = _load_csv_rows(path, label_column)
+    for start in range(rows, len(y), FORWARD_BLOCK_ROWS):
+        yield x[start : start + FORWARD_BLOCK_ROWS], y[start : start + FORWARD_BLOCK_ROWS]
+
+
+def _read_block(fh, n_cells: int, label_idx: int):
+    """The next ``FORWARD_BLOCK_ROWS`` lines of ``fh`` through
+    ``np.loadtxt``: how many lines were read, and their features and
+    labels, or None in their place at the end of the file or when
+    loadtxt cannot take the lines exactly (see ``csv_blocks``)."""
+    n_lines = longest = 0
+
+    def lines():
+        # fed to loadtxt one by one, so no list of the lines is built
+        nonlocal n_lines, longest
+        for n_lines, line in enumerate(itertools.islice(fh, FORWARD_BLOCK_ROWS), start=1):
+            longest = max(longest, len(line))
+            yield line
+
+    try:
+        with warnings.catch_warnings():
+            # no lines (the end of the file), or blank ones only, which
+            # the row-wise pass reports
+            warnings.simplefilter("ignore", UserWarning)
+            # comments=None: '#' is a bad cell, not a comment; blank
+            # lines, which loadtxt skips, show in the row count
+            table = np.loadtxt(lines(), delimiter=",", comments=None, ndmin=2,
+                               dtype=np.float64)
+    except ValueError:
+        return n_lines, None
+    # a longer line may hold a cell over the csv module's field limit
+    if n_lines == 0 or longest > csv.field_size_limit() \
+            or table.shape != (n_lines, n_cells):
+        return n_lines, None
+    labels = table[:, label_idx]
+    if not ((labels >= 0.0) & (labels < _LABEL_LIMIT) & (np.floor(labels) == labels)).all():
+        return n_lines, None
+    x = np.delete(table, label_idx, axis=1)
+    if not np.isfinite(x).all():
+        return n_lines, None
+    return n_lines, (x, labels.astype(np.int64))
+
+
+def load_csv(path, label_column: str = "label") -> tuple[np.ndarray, np.ndarray]:
+    """Read features and non-negative integer labels: the blocks of
+    ``csv_blocks`` joined, so every rule and message is theirs.  Which
+    labels form the classes is the caller's rule."""
+    xs, ys = zip(*csv_blocks(path, label_column))
+    return np.concatenate(xs), np.concatenate(ys)
 
 
 def _load_csv_rows(path, label_column: str = "label") -> tuple[np.ndarray, np.ndarray]:
     """``load_csv`` row by row with ``csv`` and ``float``: the reference
     parser, and the only source of line-numbered messages."""
-    feats, labels = [], []
+    blocks, feats, labels = [], [], []
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -163,6 +199,10 @@ def _load_csv_rows(path, label_column: str = "label") -> tuple[np.ndarray, np.nd
                 if label >= _LABEL_LIMIT:
                     raise DataError(f"label '{raw}' at line {line_no} is too large")
                 labels.append(int(label))
+                if len(feats) == FORWARD_BLOCK_ROWS:
+                    # a list of Python floats takes about ten times the bytes
+                    blocks.append(np.array(feats, dtype=np.float64))
+                    feats = []
     except csv.Error as exc:
         # for example a cell over the csv module's field size limit
         raise DataError(f"malformed CSV at line {reader.line_num}: {exc}") from None
@@ -170,7 +210,9 @@ def _load_csv_rows(path, label_column: str = "label") -> tuple[np.ndarray, np.nd
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not labels:
         raise DataError(f"{path} has no data rows")
-    x = np.array(feats, dtype=np.float64)
+    if feats:
+        blocks.append(np.array(feats, dtype=np.float64))
+    x = np.concatenate(blocks)
     if not np.isfinite(x).all():
         raise DataError("non-finite feature value in CSV")
     return x, np.array(labels, dtype=np.int64)

@@ -201,16 +201,29 @@ def _require_finite(a: np.ndarray, what: str) -> None:
         raise NumericalFailure(what, index=int(np.argmax(bad)))
 
 
-# Rows per block of an inference pass.  A larger input runs block by
-# block, so its hidden activations never exceed this many rows.
+# Rows per block of an inference pass and of a streamed CSV.  A larger
+# input runs block by block, so its hidden activations never exceed this
+# many rows; the matmul shapes, and so the logits' bits, depend on it.
 FORWARD_BLOCK_ROWS = 1024
 
 
-def _forward_rows(x, params: NetworkParams) -> np.ndarray:
+def block_buffers(specs: list[LayerSpec], rows: int) -> list[np.ndarray]:
+    """Per layer an uninitialised [rows, d_out] float64 buffer, for
+    ``forward_block`` to write that layer's output into."""
+    return [np.empty((rows, spec.d_out)) for spec in specs]
+
+
+def forward_block(params: NetworkParams, x: np.ndarray, bufs: list[np.ndarray]) -> np.ndarray:
+    """Logits of the rows ``x``, no more than ``bufs`` has rows, whose
+    width the caller has checked.  Each layer's matmul writes into the
+    leading rows of its buffer of ``block_buffers``, where the bias and
+    the ReLU are applied in place, so a pass over many blocks allocates
+    its activations once.  The logits returned are a view of the last
+    buffer, valid until the next call with ``bufs``."""
     h = x
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w
+        h = np.matmul(h, w, out=bufs[i][: x.shape[0]])
         h += b
         if not np.isfinite(h).all():
             raise NumericalFailure("non-finite layer output in forward pass")
@@ -223,18 +236,17 @@ def forward(params: NetworkParams, x: np.ndarray, specs: list[LayerSpec]) -> np.
     """Inference pass of one network as stored, returns logits of shape
     [n, C]; a masked network is one whose masked entries are 0.
 
-    Inputs longer than ``FORWARD_BLOCK_ROWS`` rows run in blocks of that
-    many rows; every row's logits are the same either way.  Each layer
-    adds its bias and applies its ReLU in place, in the array its matmul
-    returned, so a block allocates one float64 array per layer."""
+    The rows run through ``forward_block`` in blocks of
+    ``FORWARD_BLOCK_ROWS``, which share one set of buffers; every row's
+    logits are the same whatever the number of rows."""
     x = _check_input(x, specs)
     n = x.shape[0]
-    if n <= FORWARD_BLOCK_ROWS:
-        return _forward_rows(x, params)
-    return np.concatenate([
-        _forward_rows(x[start : start + FORWARD_BLOCK_ROWS], params)
-        for start in range(0, n, FORWARD_BLOCK_ROWS)
-    ])
+    bufs = block_buffers(specs, min(n, FORWARD_BLOCK_ROWS))
+    logits = np.empty((n, specs[-1].d_out))
+    for start in range(0, n, FORWARD_BLOCK_ROWS):
+        block = x[start : start + FORWARD_BLOCK_ROWS]
+        logits[start : start + block.shape[0]] = forward_block(params, block, bufs)
+    return logits
 
 
 def cross_entropy(logits, onehot):

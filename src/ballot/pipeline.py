@@ -147,9 +147,20 @@ def _batches(orders: np.ndarray, batch_size: int):
         yield orders[:, start : start + batch_size]
 
 
-def _failure(phase: str, epoch: int, seeds: list[int], exc: NumericalFailure):
-    """The kernel's failure, naming the phase, the epoch and the seed."""
-    return NumericalFailure(f"{phase} epoch {epoch}, seed {seeds[exc.index]}: {exc}")
+def _failure(phase: str, epoch: int, seed: int, exc: NumericalFailure):
+    """A kernel's or an evaluation's failure, naming the phase, the epoch
+    and the seed."""
+    return NumericalFailure(f"{phase} epoch {epoch}, seed {seed}: {exc}")
+
+
+def _evaluate(params: NetworkParams, split, specs: list[LayerSpec],
+              phase: str, epoch: int, seed: int) -> EvalReport:
+    """``evaluate`` of the weights that ``phase`` left after ``epoch``;
+    a non-finite layer output names the phase, the epoch and the seed."""
+    try:
+        return evaluate(params, split, specs)
+    except NumericalFailure as exc:
+        raise _failure(phase, epoch, seed, exc) from exc
 
 
 def train_dense(
@@ -183,7 +194,7 @@ def train_dense(
                     acc_f[i] += mf
                 sgd_step(stack, lr)
         except NumericalFailure as exc:
-            raise _failure("dense training", epoch, seeds, exc) from exc
+            raise _failure("dense training", epoch, seeds[exc.index], exc) from exc
 
         fair_rows = []
         for r, (params, ledger) in enumerate(zip(nets, ledgers)):
@@ -192,7 +203,8 @@ def train_dense(
                 epoch, [a[r] for a in acc_a], [f[r] for f in acc_f],
                 config.gamma, config.eta,
             )
-            train_report = evaluate(params, data.train, specs)
+            train_report = _evaluate(params, data.train, specs,
+                                     "dense training", epoch, seeds[r])
             fair_rows.append(update_class_weights(train_report, epoch).as_array())
             if epoch + 1 == config.rewind_epoch:
                 theta_k[r] = Checkpoint(
@@ -200,7 +212,10 @@ def train_dense(
                 )
         fair = np.stack(fair_rows)
 
-    dense_reports = [evaluate(p, data.test, specs) for p in nets]
+    dense_reports = [
+        _evaluate(p, data.test, specs, "dense training", config.epochs - 1, s)
+        for p, s in zip(nets, seeds)
+    ]
     share = (time.perf_counter() - t0) / len(seeds)
     return [
         RunArtifacts(
@@ -254,7 +269,7 @@ def _retrain(
                 train_step(stack, x[idx], onehot[idx], small_specs[0])
                 sgd_step(stack, lr, mask)
         except NumericalFailure as exc:
-            raise _failure("retraining", epoch, seeds, exc) from exc
+            raise _failure("retraining", epoch, seeds[exc.index], exc) from exc
     for small, params, m in zip(smalls, nets, masks):
         expand_network(small, params, m)
         params.epoch_tag += epochs
@@ -299,7 +314,8 @@ def refine(
         )
         still = []
         for r, params in zip(refining, nets):
-            report = evaluate(params, data.test, specs)
+            report = _evaluate(params, data.test, specs, "retraining",
+                               config.epochs - 1, seeds[r])
             if r_index == 0:
                 dense = artifacts[r].dense_report
                 fair_enough = bias_delta(report, dense, "cwv") <= config.delta
@@ -403,18 +419,14 @@ def run_baseline(
     ]
     if method == "magnitude":
         final_lr = lr_at(config.epochs - 1, config)
-        _retrain(
-            nets, masks, config, data, specs, seeds,
-            finetune_epochs(config.epochs), lambda e: final_lr,
-            epoch_offset=config.epochs,
-        )
+        epochs, schedule = finetune_epochs(config.epochs), lambda e: final_lr
+        offset = config.epochs
     else:
-        _retrain(
-            nets, masks, config, data, specs, seeds, config.epochs,
-            lambda e: lr_at(e, config),
-        )
-
-    reports = [evaluate(p, data.test, specs) for p in nets]
+        epochs, schedule, offset = config.epochs, lambda e: lr_at(e, config), 0
+    _retrain(nets, masks, config, data, specs, seeds, epochs, schedule,
+             epoch_offset=offset)
+    reports = [_evaluate(p, data.test, specs, "retraining", epochs - 1, s)
+               for p, s in zip(nets, seeds)]
     share = (time.perf_counter() - t0) / len(artifacts)
     return [
         PruneResult(

@@ -11,11 +11,14 @@ import re
 import numpy as np
 import pytest
 
-from ballot import pipeline
+from ballot import cli, pipeline
 from ballot._version import __version__
 from ballot.cli import main
+from ballot.data import Split, load_csv, require_labels_below
+from ballot.errors import ConfigurationError
 from ballot.masks import load_mask
-from ballot.model import live_units, load_checkpoint, param_count
+from ballot.metrics import evaluate
+from ballot.model import FORWARD_BLOCK_ROWS, live_units, load_checkpoint, param_count
 from ballot.reporting import CSV_HEADER, load_report
 
 WALL_TIME = re.compile(rb'(?<="wall_time_s": )[^,\n]+')
@@ -285,6 +288,145 @@ class TestEvaluate:
                      "--data", config_path,
                      "--out", str(tmp_path / "e.json")])
         assert code == 2
+
+
+def whole_file_evaluation(ck, path, label_column):
+    """The oracle of the streamed CSV evaluation: the whole file loaded,
+    its labels and feature count checked, then one ``evaluate``."""
+    x, y = load_csv(path, label_column)
+    n_classes = ck.specs[-1].d_out
+    require_labels_below(y, n_classes, f"the checkpoint has {n_classes} classes")
+    if ck.specs[0].d_in != x.shape[1]:
+        raise ConfigurationError(
+            f"checkpoint expects {ck.specs[0].d_in} features, data has {x.shape[1]}")
+    return evaluate(ck.params, Split(x, y), ck.specs)
+
+
+def csv_cells(n, n_features=4, classes=3, seed=0):
+    """``n`` rows of string cells, features first and the label last."""
+    rng = np.random.default_rng(seed)
+    x, y = rng.normal(scale=2.0, size=(n, n_features)), rng.integers(0, classes, n)
+    return [[repr(float(v)) for v in row] + [str(label)] for row, label in zip(x, y)]
+
+
+def write_cells(path, rows, at=-1):
+    """The rows under a header f0.. with the label column moved to
+    position ``at``."""
+    names = [f"f{i}" for i in range(len(rows[0]) - 1)] + ["label"]
+    lines = []
+    for row in [names, *rows]:
+        row = list(row)
+        row.insert(at % len(row), row.pop())
+        lines.append(",".join(row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestStreamedEvaluate:
+    """``evaluate --data file.csv`` reads, infers and scores one block of
+    ``FORWARD_BLOCK_ROWS`` rows at a time; its output, exit code and
+    message equal those of ``whole_file_evaluation``."""
+
+    @pytest.fixture(scope="class")
+    def checkpoint(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("streamed")
+        raw = {**SMALL, "model": {"hidden": [32, 16]}}
+        assert main(["train", "--config", write_config(tmp, raw),
+                     "--out", str(tmp / "run")]) == 0
+        return str(tmp / "run" / "checkpoints" / "theta_e.ckpt")
+
+    @staticmethod
+    def outcomes(monkeypatch, capsys, tmp_path, checkpoint, data):
+        """(exit code, stderr, output bytes) of the streamed evaluation,
+        asserted equal to the oracle's."""
+        results = []
+        for streamed in (True, False):
+            out = tmp_path / f"eval-{streamed}.json"
+            with monkeypatch.context() as patch:
+                if not streamed:
+                    patch.setattr(cli, "_evaluate_csv", whole_file_evaluation)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    code = main(["evaluate", "--checkpoint", checkpoint,
+                                 "--data", str(data), "--out", str(out)])
+            results.append((code, capsys.readouterr().err,
+                            out.read_bytes() if code == 0 else None))
+        assert results[0] == results[1]
+        return results[0]
+
+    @pytest.mark.parametrize("n, at, absent", [
+        (1, -1, None), (1023, 0, None), (1024, 2, 1), (1025, -1, 2),
+        (2048, 0, 0), (3500, 2, None),
+    ])
+    def test_report_bytes_equal_the_whole_file_oracle(
+            self, tmp_path, monkeypatch, capsys, checkpoint, n, at, absent):
+        rows = csv_cells(n, seed=n)
+        if absent is not None:
+            for row in rows:
+                if row[-1] == str(absent):
+                    row[-1] = str((absent + 1) % 3)
+        path = tmp_path / "d.csv"
+        write_cells(path, rows, at)
+        code, _, out = self.outcomes(monkeypatch, capsys, tmp_path, checkpoint, path)
+        report = json.loads(out)["report"]
+        assert code == 0 and sum(report["class_counts"]) == n
+        if absent is not None:
+            assert absent in report["absent_classes"]
+
+    HUGE = [repr(1.7e308)] * 4
+
+    @pytest.mark.parametrize("edits, n_features, code, message", [
+        # a parse error in block 3 outranks a label error in block 1
+        ({10: {4: "7"}, 2100: {1: "oops"}}, 4, 2,
+         "non-numeric value 'oops' in column 'f1' at line 2102"),
+        # a label error outranks a feature-count mismatch
+        ({3000: {5: "3"}}, 5, 2,
+         "label 3 at line 3002 is outside 0..2 (the checkpoint has 3 classes)"),
+        # a parse error in block 2 outranks a non-finite logit in block 1
+        ({5: dict(enumerate(HUGE)), 1500: {0: "#"}}, 4, 2,
+         "non-numeric value '#' in column 'f0' at line 1502"),
+        # a label error outranks a non-finite logit before it
+        ({5: dict(enumerate(HUGE)), 3400: {4: "9"}}, 4, 2,
+         "label 9 at line 3402 is outside 0..2"),
+        # a quoted cell in block 2 loads through the row-wise pass
+        ({1500: {2: '"3"'}}, 4, 0, ""),
+        ({2000: dict(enumerate(HUGE))}, 4, 3,
+         "numerical failure: non-finite layer output in forward pass"),
+        ({}, 5, 1, "checkpoint expects 4 features, data has 5"),
+    ], ids=["parse-after-label", "label-and-width", "parse-after-logit",
+            "label-after-logit", "quoted-cell", "logit", "width"])
+    def test_errors_equal_the_whole_file_oracle(
+            self, tmp_path, monkeypatch, capsys, checkpoint, edits, n_features,
+            code, message):
+        rows = csv_cells(3500, n_features)
+        for line, cells in edits.items():
+            for col, cell in cells.items():
+                rows[line][col] = cell
+        path = tmp_path / "d.csv"
+        write_cells(path, rows)
+        got, err, _ = self.outcomes(monkeypatch, capsys, tmp_path, checkpoint, path)
+        assert got == code and message in err
+
+    def test_no_block_exceeds_forward_block_rows(self, tmp_path, monkeypatch,
+                                                 checkpoint):
+        path = tmp_path / "d.csv"
+        write_cells(path, csv_cells(3500))
+        parsed, inferred = [], []
+        real_loadtxt, real_block = np.loadtxt, cli.forward_block
+
+        def loadtxt(*args, **kwargs):
+            table = real_loadtxt(*args, **kwargs)
+            parsed.append(table.shape[0])
+            return table
+
+        def forward_block(params, x, bufs):
+            inferred.append(x.shape[0])
+            return real_block(params, x, bufs)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        monkeypatch.setattr(cli, "forward_block", forward_block)
+        assert main(["evaluate", "--checkpoint", checkpoint, "--data", str(path),
+                     "--out", str(tmp_path / "e.json")]) == 0
+        assert sum(parsed) == 3500 and max(parsed) <= FORWARD_BLOCK_ROWS
+        assert sum(inferred) == 3500 and max(inferred) <= FORWARD_BLOCK_ROWS
 
 
 class TestGenData:

@@ -18,6 +18,7 @@ from ballot.data import (
     save_csv,
 )
 from ballot.errors import ConfigurationError, DataError
+from ballot.model import FORWARD_BLOCK_ROWS
 from ballot.pipeline import TrainConfig, train_dense
 
 
@@ -162,6 +163,15 @@ class TestCsv:
         with pytest.raises(DataError, match="malformed CSV at line 3: field larger"):
             load_csv(path)
 
+    @pytest.mark.parametrize("tail", ["", "x,1\n"])
+    def test_long_numeric_cell_fails_in_both_passes(self, tmp_path, tail):
+        # the cell is a number np.loadtxt would read (as 0.0), but the csv
+        # module refuses it, so the file fails whichever pass reads it
+        path = tmp_path / "d.csv"
+        path.write_text("f0,label\n0." + "0" * 200_000 + "1,0\n1.0,1\n" + tail)
+        assert same_outcome(path) == (
+            "error", "malformed CSV at line 2: field larger than field limit (131072)")
+
     def test_long_header_cell_is_data_error(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a" * 200_000 + ",label\n1,0\n2,1\n")
@@ -204,6 +214,9 @@ CELLS = st.one_of(
     st.text(alphabet='0123456789.+-eE_ "#infaNI', max_size=6),
 )
 ENDINGS = st.sampled_from(["\n", "\r\n", "\r", "\n\n", ""])
+# row counts at and around the edges of the first two blocks
+BLOCK_EDGES = st.sampled_from([FORWARD_BLOCK_ROWS - 1, FORWARD_BLOCK_ROWS,
+                               FORWARD_BLOCK_ROWS + 1, 2 * FORWARD_BLOCK_ROWS + 1])
 
 
 def same_outcome(path):
@@ -224,7 +237,7 @@ def same_outcome(path):
 class TestCsvFastPath:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    @given(st.one_of(st.integers(1, 6), BLOCK_EDGES).flatmap(lambda n: st.tuples(
                hnp.arrays(np.float64, st.tuples(st.just(n), st.integers(1, 4)),
                           elements=FLOATS),
                hnp.arrays(np.int64, n, elements=st.integers(0, 9)),
@@ -259,6 +272,21 @@ class TestCsvFastPath:
             body = "".join(f"{a},{b},{c}{end}" for a, b, c, end in body)
         path = tmp_path / "d.csv"
         path.write_bytes(("a,b,label\n" + body).encode())
+        same_outcome(path)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(BLOCK_EDGES, st.lists(st.tuples(CELLS, CELLS, CELLS, ENDINGS),
+                                 min_size=1, max_size=3),
+           st.integers(0, FORWARD_BLOCK_ROWS + 1))
+    def test_text_across_block_edges_same_as_row_parser(self, tmp_path, before,
+                                                        body, after):
+        # drawn lines after ``before`` good ones, so they fall at or near
+        # a block edge, and ``after`` good ones behind them
+        path = tmp_path / "d.csv"
+        path.write_bytes(("a,b,label\n" + "0.5,-1,0\n" * before
+                          + "".join(f"{a},{b},{c}{end}" for a, b, c, end in body)
+                          + "2,1e-3,1\n" * after).encode())
         same_outcome(path)
 
     def test_fast_path_taken_on_save_csv_output(self, tmp_path, monkeypatch):

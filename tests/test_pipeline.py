@@ -436,6 +436,65 @@ class TestLockstep:
                 _retrain(nets, masks, cfg, data, specs, [4, 7, 9], cfg.epochs,
                          lambda e: lr_at(e, cfg))
 
+    @staticmethod
+    def _poison_after_step(monkeypatch, last_step):
+        """Set slot 1's first hidden weights to +inf right after SGD step
+        ``last_step``, counted from 1, so the next computation on them
+        is an evaluation."""
+        real_step = pipeline.sgd_step
+        steps = []
+
+        def poisoning_step(stack, lr, mask=None):
+            out = real_step(stack, lr, mask)
+            steps.append(lr)
+            if len(steps) == last_step:
+                stack.weights[0][1][...] = np.inf
+            return out
+
+        monkeypatch.setattr(pipeline, "sgd_step", poisoning_step)
+
+    def test_dense_evaluation_failure_names_phase_epoch_and_seed(
+            self, data, monkeypatch):
+        # after the last step of epoch 2 the train-split evaluation of
+        # that epoch meets the poisoned weights of seed 5
+        cfg = small_config()
+        batches = math.ceil(data.train.X.shape[0] / cfg.batch_size)
+        self._poison_after_step(monkeypatch, 3 * batches)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalFailure,
+                               match="^dense training epoch 2, seed 5: non-finite "
+                                     "layer output in forward pass$"):
+                train_dense(cfg, data, [4, 5, 6])
+
+    def test_refine_evaluation_failure_names_phase_epoch_and_seed(
+            self, data, monkeypatch):
+        cfg = small_config()
+        arts = train_dense(cfg, data, [4, 5])
+        masks = [build_random_mask(a.specs, cfg.omega, seed=3) for a in arts]
+        batches = math.ceil(data.train.X.shape[0] / cfg.batch_size)
+        self._poison_after_step(monkeypatch, cfg.epochs * batches)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalFailure,
+                               match="^retraining epoch 5, seed 5: non-finite "
+                                     "layer output in forward pass$"):
+                refine(masks, arts, cfg, data)
+
+    @pytest.mark.parametrize("method, epoch", [("lth", 5), ("magnitude", 0),
+                                               ("random", 5)])
+    def test_baseline_evaluation_failure_names_phase_epoch_and_seed(
+            self, data, monkeypatch, method, epoch):
+        # magnitude fine-tunes for one epoch, the others retrain six
+        cfg = small_config()
+        arts = train_dense(cfg, data, [4, 5])
+        batches = math.ceil(data.train.X.shape[0] / cfg.batch_size)
+        epochs = finetune_epochs(cfg.epochs) if method == "magnitude" else cfg.epochs
+        self._poison_after_step(monkeypatch, epochs * batches)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalFailure,
+                               match=f"^retraining epoch {epoch}, seed 5: non-finite "
+                                     "layer output in forward pass$"):
+                run_baseline(method, cfg, data, arts)
+
     def test_padded_stack_matches_single_seed_runs_on_random_specs(self, data):
         # three seeds of different compacted shapes on random hidden
         # layers: each slot of the padded stack is within 1e-12 of its

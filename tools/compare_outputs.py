@@ -20,6 +20,9 @@ temporary directory, through one fixed command set:
 - ``gen-data`` of 3,500 rows, more than ``model.FORWARD_BLOCK_ROWS``,
   then ``evaluate`` of the ballot ``final.ckpt`` on it, so the blocked
   inference pass and a longer CSV parse are compared too;
+- ``gen-data`` of 2,048 rows, exactly two blocks, and a copy of it with
+  the label column moved first, each evaluated the same way, so block
+  edges and the label column's position are compared;
 - ``train`` on a config that sets every key but ``data.csv_path`` to a
   non-default value, with integral numbers for float keys and ``4.0``
   for ``train.epochs``, so the config echo is compared key by key;
@@ -64,6 +67,17 @@ EVERY_KEY = {
 CSV = {"train": {"epochs": 3}, "data": {"csv_path": "data.csv"}}
 # the default generator with more rows: same 20 features and 4 classes
 LONG = {"data": {"synthetic": {"counts": [2450, 350, 350, 350]}}}
+TWO_BLOCKS = {"data": {"synthetic": {"counts": [1436, 204, 204, 204]}}}
+
+
+def label_first(work: Path) -> None:
+    """Copy ``two-blocks.csv`` with its last column, the label, moved first."""
+    lines = (work / "two-blocks.csv").read_text().splitlines()
+    (work / "label-first.csv").write_text("".join(
+        ",".join([cells[-1], *cells[:-1]]) + "\n"
+        for cells in (line.split(",") for line in lines)))
+
+
 COMMANDS = [
     ["train", "--out", "train"],
     *[["prune", "--method", m, "--out", f"prune-{m}"]
@@ -77,18 +91,27 @@ COMMANDS = [
     ["gen-data", "--config", "long.json", "--out", "long.csv"],
     ["evaluate", "--checkpoint", "prune-ballot/checkpoints/final.ckpt",
      "--data", "long.csv", "--out", "evaluation-long.json"],
+    ["gen-data", "--config", "two-blocks.json", "--out", "two-blocks.csv"],
+    label_first,
+    *[["evaluate", "--checkpoint", "prune-ballot/checkpoints/final.ckpt",
+       "--data", f"{name}.csv", "--out", f"evaluation-{name}.json"]
+      for name in ("two-blocks", "label-first")],
     ["train", "--config", "every-key.json", "--out", "train-every-key"],
     ["train", "--config", "csv.json", "--out", "train-csv"],
 ]
 
 
 def run_all(tree: Path, work: Path) -> None:
-    """Run the command set with ``tree``'s sources inside ``work``."""
+    """Run the command set with ``tree``'s sources inside ``work``; a
+    callable in it is a step of this script, given ``work``."""
     for name, raw in (("wide", WIDE), ("padded", PADDED), ("every-key", EVERY_KEY),
-                      ("csv", CSV), ("long", LONG)):
+                      ("csv", CSV), ("long", LONG), ("two-blocks", TWO_BLOCKS)):
         (work / f"{name}.json").write_text(json.dumps(raw))
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     for args in COMMANDS:
+        if callable(args):
+            args(work)
+            continue
         subprocess.run([sys.executable, "-m", "ballot.cli", *args], cwd=work,
                        env=env, check=True, stdout=subprocess.DEVNULL)
 
