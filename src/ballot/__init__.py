@@ -55,7 +55,6 @@ from .pipeline import (
     PruneResult,
     RunArtifacts,
     TrainConfig,
-    fix_model,
     lr_at,
     refine,
     run_baseline,

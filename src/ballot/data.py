@@ -92,13 +92,13 @@ def csv_blocks(path, label_column: str = "label"):
     Each block of lines after the header is parsed in C by ``np.loadtxt``
     and is yielded when no line is longer than ``csv.field_size_limit()``,
     the block has one row of ``len(header)`` cells per line, every label
-    is an integer in 0..2**63-1 and every feature is finite.  At the
-    first block that fails this, ``_load_csv_rows`` reads the whole file
-    again: it raises the file's first error, which lies in that block or
-    after it, or it returns rows that only Python's ``float`` accepts (a
-    quoted number, ``1_0``), and the rest of those rows are yielded in
-    blocks of the same size.  So the blocks hold the same bits, and a bad
-    file fails with the same message, as the row-wise pass alone.
+    is an integer in 0..2**63-1 and every feature is finite.  From the
+    first block that fails this on, ``_row_blocks`` reads the file again
+    from that block's first line: it raises the file's first error,
+    which lies in that block or after it, or it yields rows that only
+    Python's ``float`` accepts (a quoted number, ``1_0``).  So the blocks
+    hold the same bits, and a bad file fails with the same message, as
+    the row-wise pass over the whole file.
     """
     rows = 0
     try:
@@ -115,9 +115,7 @@ def csv_blocks(path, label_column: str = "label"):
     if n_lines == 0 and rows:
         return  # every block of the file loaded
     # a file without data rows gets its message from the row-wise pass too
-    x, y = _load_csv_rows(path, label_column)
-    for start in range(rows, len(y), FORWARD_BLOCK_ROWS):
-        yield x[start : start + FORWARD_BLOCK_ROWS], y[start : start + FORWARD_BLOCK_ROWS]
+    yield from _row_blocks(path, label_column, rows)
 
 
 def _read_block(fh, n_cells: int, label_idx: int):
@@ -167,55 +165,74 @@ def load_csv(path, label_column: str = "label") -> tuple[np.ndarray, np.ndarray]
 
 
 def _load_csv_rows(path, label_column: str = "label") -> tuple[np.ndarray, np.ndarray]:
-    """``load_csv`` row by row with ``csv`` and ``float``: the reference
-    parser, and the only source of line-numbered messages."""
-    blocks, feats, labels = [], [], []
+    """``load_csv`` of the whole file row by row: the reference parser."""
+    xs, ys = zip(*_row_blocks(path, label_column))
+    return np.concatenate(xs), np.concatenate(ys)
+
+
+def _parse_rows(reader, header: list[str], label_idx: int, first_line: int):
+    """Each row of ``reader`` as its features and label, parsed with
+    ``float``; a bad row raises, naming its line counted from
+    ``first_line``."""
+    for line_no, row in enumerate(reader, start=first_line):
+        if len(row) != len(header):
+            raise DataError(f"row at line {line_no} has {len(row)} cells, "
+                            f"expected {len(header)}")
+        raw = row.pop(label_idx)
+        try:
+            feats = [float(v) for v in row]
+        except ValueError:
+            row.insert(label_idx, raw)
+            bad = next(i for i in range(len(row))
+                       if i != label_idx and not _is_float(row[i]))
+            raise DataError(
+                f"non-numeric value '{row[bad]}' in column "
+                f"'{header[bad]}' at line {line_no}"
+            ) from None
+        try:
+            label = float(raw)
+        except ValueError:
+            raise DataError(f"non-numeric label '{raw}' at line {line_no}") from None
+        if not (label.is_integer() and label >= 0.0):
+            raise DataError(f"label '{raw}' at line {line_no} is not a "
+                            "non-negative integer")
+        if label >= _LABEL_LIMIT:
+            raise DataError(f"label '{raw}' at line {line_no} is too large")
+        yield feats, int(label)
+
+
+def _row_blocks(path, label_column: str = "label", skip: int = 0):
+    """The data rows of a CSV file after its first ``skip``, parsed by
+    ``csv`` and ``float`` and yielded in ``FORWARD_BLOCK_ROWS`` blocks:
+    the only source of line-numbered messages.  The skipped rows are
+    read as lines, one each, and not parsed.  A bad row raises when it
+    is reached; a non-finite feature raises after the last row, and no
+    block is yielded from the one that holds it on."""
+    finite, any_rows = True, False
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header, label_idx = _read_header(reader, path, label_column)
-            for line_no, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise DataError(f"row at line {line_no} has {len(row)} cells, "
-                                    f"expected {len(header)}")
-                raw = row.pop(label_idx)
-                try:
-                    feats.append([float(v) for v in row])
-                except ValueError:
-                    row.insert(label_idx, raw)
-                    bad = next(i for i in range(len(row))
-                               if i != label_idx and not _is_float(row[i]))
-                    raise DataError(
-                        f"non-numeric value '{row[bad]}' in column "
-                        f"'{header[bad]}' at line {line_no}"
-                    ) from None
-                try:
-                    label = float(raw)
-                except ValueError:
-                    raise DataError(f"non-numeric label '{raw}' at line {line_no}") from None
-                if not (label.is_integer() and label >= 0.0):
-                    raise DataError(f"label '{raw}' at line {line_no} is not a "
-                                    "non-negative integer")
-                if label >= _LABEL_LIMIT:
-                    raise DataError(f"label '{raw}' at line {line_no} is too large")
-                labels.append(int(label))
-                if len(feats) == FORWARD_BLOCK_ROWS:
-                    # a list of Python floats takes about ten times the bytes
-                    blocks.append(np.array(feats, dtype=np.float64))
-                    feats = []
+            next(itertools.islice(fh, skip, skip), None)  # reads ``skip`` lines
+            parsed = _parse_rows(reader, header, label_idx, skip + 2)
+            # a list of Python floats takes about ten times the bytes, so
+            # one block of them at a time
+            while chunk := list(itertools.islice(parsed, FORWARD_BLOCK_ROWS)):
+                feats, labels = zip(*chunk)
+                x = np.array(feats, dtype=np.float64)
+                finite = finite and bool(np.isfinite(x).all())
+                any_rows = True
+                if finite:
+                    yield x, np.array(labels, dtype=np.int64)
     except csv.Error as exc:
         # for example a cell over the csv module's field size limit
-        raise DataError(f"malformed CSV at line {reader.line_num}: {exc}") from None
+        raise DataError(f"malformed CSV at line {skip + reader.line_num}: {exc}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if not labels:
+    if not any_rows:
         raise DataError(f"{path} has no data rows")
-    if feats:
-        blocks.append(np.array(feats, dtype=np.float64))
-    x = np.concatenate(blocks)
-    if not np.isfinite(x).all():
+    if not finite:
         raise DataError("non-finite feature value in CSV")
-    return x, np.array(labels, dtype=np.int64)
 
 
 def require_labels_below(y: np.ndarray, n_classes: int, why: str) -> None:
@@ -237,10 +254,19 @@ def _is_float(s: str) -> bool:
         return False
 
 
+def _distinct(y: np.ndarray) -> np.ndarray:
+    """The distinct values of ``y`` in ascending order, as ``np.unique``
+    gives them, without the ``numpy.ma`` import that it brings."""
+    s = np.sort(y)
+    keep = np.ones(s.size, dtype=bool)
+    keep[1:] = s[1:] != s[:-1]
+    return s[keep]
+
+
 def _stratified_split(y: np.ndarray, frac: float, seed: int):
     train_idx, test_idx = [], []
     rng = np.random.default_rng((int(seed), 1))
-    for c in np.unique(y):
+    for c in _distinct(y):
         members = np.nonzero(y == c)[0]
         if members.size < 2:
             raise DataError(f"class {int(c)} has fewer than 2 samples")
@@ -261,7 +287,7 @@ def make_dataset(spec: DatasetSpec) -> Dataset:
     else:
         x, y = load_csv(spec.csv_path, spec.label_column)
         # training takes its classes from the file: exactly 0..C-1
-        n_distinct = np.unique(y).size
+        n_distinct = _distinct(y).size
         require_labels_below(y, n_distinct,
                              f"the file has {n_distinct} distinct labels")
         split_seed = 0

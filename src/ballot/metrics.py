@@ -149,6 +149,11 @@ def uniform_class_weights(n_classes: int) -> ClassWeights:
 
 
 def update_class_weights(report: EvalReport, source_epoch: int) -> ClassWeights:
+    """Weights from ``report``'s per-class accuracies; a class absent from
+    the evaluated labels has no accuracy to weight by."""
+    if report.absent_classes:
+        raise DataError(f"class {report.absent_classes[0]} has no sample, "
+                        "so it has no accuracy to weight its loss by")
     w = tuple(
         1.0 / max(a, WEIGHT_FLOOR) for a in report.per_class_acc
     )

@@ -9,11 +9,11 @@ previous-epoch accuracy, so it only starts to differ from the accuracy
 loss once per-class accuracies diverge.
 
 Pruning then builds a mask (conflict votes, weight magnitude, or
-random), rewinds, and retrains.  The refinement loop accepts the
-round-0 result when the pruned model is no less fair and nearly as
-accurate as the dense one; otherwise it retries from the early-epoch
-snapshot with fresh batch orders and keeps the fairest acceptable
-candidate.
+random), rewinds, and retrains, every method through ``refine``.  For
+ballot, the refinement loop accepts the round-0 result when the pruned
+model is no less fair and nearly as accurate as the dense one;
+otherwise it retries from the early-epoch snapshot with fresh batch
+orders and keeps the fairest acceptable candidate.
 
 Every phase takes a list of seeds and trains one network per seed in
 lockstep: the networks are stacked on a leading seed axis and stepped
@@ -103,22 +103,6 @@ class RunArtifacts:
     @property
     def seed(self) -> int:
         return self.theta0.seed
-
-
-@dataclass
-class RoundCandidate:
-    round_index: int
-    params: NetworkParams
-    report: EvalReport
-
-
-@dataclass
-class RefineOutcome:
-    params: NetworkParams
-    report: EvalReport
-    rounds_used: int
-    candidates: list
-    wall_time_s: float
 
 
 @dataclass
@@ -276,54 +260,75 @@ def _retrain(
     return nets
 
 
-def refine(
-    masks: list[Mask], artifacts: list[RunArtifacts], config: TrainConfig,
-    data: Dataset,
-) -> list[RefineOutcome]:
-    """Refine one mask per seed, all seeds in lockstep.
+def finetune_epochs(total_epochs: int) -> int:
+    return max(1, total_epochs // 5)
 
-    Round 0 retrains the masked initial weights for the full budget.
-    If the result is within delta of dense fairness and epsilon of dense
-    accuracy it is accepted as-is.  Otherwise up to max_rounds retries
-    restart from the rewind-epoch weights with fresh batch orders,
-    stopping early once a round stops improving the best CWV, and the
-    fairest candidate that keeps the accuracy bound wins (falling back
-    to the most accurate candidate when none does).  Round r trains only
-    the seeds still refining; each seed's ``wall_time_s`` is its share of
-    every round it took part in."""
+
+def refine(
+    method: str, masks: list[Mask], artifacts: list[RunArtifacts],
+    config: TrainConfig, data: Dataset, since: float | None = None,
+) -> list[PruneResult]:
+    """Retrain one mask per seed, all seeds in lockstep, and select one
+    result per seed.  Round 0 is each method's recipe:
+
+    lth:        rewind to the initial weights, retrain the full budget.
+    random:     train the full budget from the initial weights.
+    magnitude:  no rewind; fine-tune the masked final weights for
+                max(1, epochs // 5) epochs at the final step size, the
+                batch orders continuing dense training's epochs.
+    ballot:     as lth.  If the result is within delta of dense fairness
+                and epsilon of dense accuracy it is accepted as-is.
+                Otherwise up to max_rounds retries restart from the
+                rewind-epoch weights with fresh batch orders, stopping
+                early once a round stops improving the best CWV, and the
+                fairest candidate that keeps the accuracy bound wins
+                (falling back to the most accurate candidate when none
+                does).  Round r trains only the seeds still refining,
+                and each round's report is kept in ``candidates``.
+
+    Each seed's ``wall_time_s`` is its share of every round it took part
+    in, timed from ``since`` (a ``time.perf_counter`` reading, the call's
+    start by default), so round 0's share includes the mask building of
+    a caller that passes its start."""
     specs = artifacts[0].specs
     seeds = [a.seed for a in artifacts]
-    schedule = lambda e: lr_at(e, config)
+    if method == "magnitude":
+        final_lr = lr_at(config.epochs - 1, config)
+        epochs, schedule = finetune_epochs(config.epochs), lambda e: final_lr
+        offset = config.epochs
+    else:
+        epochs, schedule, offset = config.epochs, lambda e: lr_at(e, config), 0
     spent = [0.0] * len(artifacts)
-    clock = time.perf_counter()
+    clock = time.perf_counter() if since is None else since
 
     refining = list(range(len(artifacts)))
-    candidates = [[] for _ in artifacts]
-    for r_index in range(config.max_rounds + 1):
+    candidates = [[] for _ in artifacts]  # (params, report) per round
+    for r_index in range(config.max_rounds + 1 if method == "ballot" else 1):
         if not refining:
             break
         starts = [
-            artifacts[r].theta0 if r_index == 0 else artifacts[r].theta_k
+            artifacts[r].theta_e if method == "magnitude"
+            else artifacts[r].theta_k if r_index else artifacts[r].theta0
             for r in refining
         ]
         nets = _retrain(
             [apply_mask(ck.params, masks[r]) for ck, r in zip(starts, refining)],
             [masks[r] for r in refining], config, data, specs,
-            [seeds[r] for r in refining], config.epochs, schedule,
-            stream_offset=r_index,
+            [seeds[r] for r in refining], epochs, schedule,
+            stream_offset=r_index, epoch_offset=offset,
         )
         still = []
         for r, params in zip(refining, nets):
             report = _evaluate(params, data.test, specs, "retraining",
-                               config.epochs - 1, seeds[r])
+                               epochs - 1, seeds[r])
             if r_index == 0:
                 dense = artifacts[r].dense_report
                 fair_enough = bias_delta(report, dense, "cwv") <= config.delta
                 accurate_enough = dense.accuracy - report.accuracy <= config.epsilon
                 keep_going = not (fair_enough and accurate_enough)
             else:
-                keep_going = report.cwv < candidates[r][-1].report.cwv
-            candidates[r].append(RoundCandidate(r_index, params, report))
+                keep_going = report.cwv < candidates[r][-1][1].cwv
+            candidates[r].append((params, report))
             if keep_going:
                 still.append(r)
         now = time.perf_counter()
@@ -331,50 +336,28 @@ def refine(
             spent[r] += (now - clock) / len(refining)
         clock, refining = now, still
 
-    outcomes = []
-    for a, cands, wall in zip(artifacts, candidates, spent):
+    results = []
+    for a, mask, cands, wall in zip(artifacts, masks, candidates, spent):
         dense = a.dense_report
-        feasible = [
-            c for c in cands if dense.accuracy - c.report.accuracy <= config.epsilon
-        ]
+        # the earliest round wins a tie
+        feasible = [c for c in cands if dense.accuracy - c[1].accuracy <= config.epsilon]
         if feasible:
-            best = min(feasible, key=lambda c: (c.report.cwv, c.round_index))
+            params, report = min(feasible, key=lambda c: c[1].cwv)
         else:
-            best = min(cands, key=lambda c: (-c.report.accuracy, c.round_index))
-        outcomes.append(RefineOutcome(best.params, best.report, len(cands) - 1, cands, wall))
-    return outcomes
-
-
-def finetune_epochs(total_epochs: int) -> int:
-    return max(1, total_epochs // 5)
-
-
-def fix_model(
-    config: TrainConfig, data: Dataset, artifacts: list[RunArtifacts]
-) -> list[PruneResult]:
-    """The full conflict-vote pipeline on dense training's artifacts, one
-    per seed: ballot mask, rewind-and-refine."""
-    t0 = time.perf_counter()
-    masks = [
-        build_ballot_mask(a.ledger, a.specs, config.omega, a.theta_e.params)
-        for a in artifacts
-    ]
-    build_share = (time.perf_counter() - t0) / len(artifacts)
-    outcomes = refine(masks, artifacts, config, data)
-    return [
-        PruneResult(
-            method="ballot",
+            params, report = max(cands, key=lambda c: c[1].accuracy)
+        results.append(PruneResult(
+            method=method,
             mask=mask,
-            params=outcome.params,
-            report=outcome.report,
-            dense_report=a.dense_report,
-            rounds_used=outcome.rounds_used,
+            params=params,
+            report=report,
+            dense_report=dense,
+            rounds_used=len(cands) - 1,
             retention=mask.retention(),
-            wall_time_s=build_share + outcome.wall_time_s,
-            candidates=[(c.round_index, c.report) for c in outcome.candidates],
-        )
-        for a, mask, outcome in zip(artifacts, masks, outcomes)
-    ]
+            wall_time_s=wall,
+            candidates=[(i, rep) for i, (_, rep) in enumerate(cands)]
+            if method == "ballot" else [],
+        ))
+    return results
 
 
 def run_baseline(
@@ -384,60 +367,22 @@ def run_baseline(
     artifacts: list[RunArtifacts],
 ) -> list[PruneResult]:
     """One pruner on dense training's artifacts, one result per seed, all
-    seeds in lockstep.  The three comparison pruners all land on the
-    same retention as ballot:
-
-    lth:        magnitude mask from the final weights, rewind to the
-                initial weights, retrain the full budget.
-    magnitude:  same mask, no rewind; fine-tune the masked final weights
-                for max(1, epochs // 5) epochs at the final step size.
-    random:     seed-determined unit removal from the initial weights,
-                then train the full budget.
-
-    Each seed's ``wall_time_s`` is an equal share of the whole run.
-    """
-    if method == "ballot":
-        return fix_model(config, data, artifacts)
+    seeds in lockstep: build each seed's mask, all at the same retention,
+    and ``refine`` it.  Ballot's masks come from the conflict ledger, lth's
+    and magnitude's from the final weights' magnitudes, and random's from
+    seed-determined unit removal.  Each seed's ``wall_time_s`` is its
+    share of the mask building and of every round it ran."""
     if method not in METHODS:
         raise ConfigurationError(
             f"unknown method '{method}', expected one of {METHODS}"
         )
-    t0 = time.perf_counter()
-    specs = artifacts[0].specs
-    seeds = [a.seed for a in artifacts]
-
-    if method == "random":
-        masks = [build_random_mask(specs, config.omega, s) for s in seeds]
+    since = time.perf_counter()
+    if method == "ballot":
+        masks = [build_ballot_mask(a.ledger, a.specs, config.omega, a.theta_e.params)
+                 for a in artifacts]
+    elif method == "random":
+        masks = [build_random_mask(a.specs, config.omega, a.seed) for a in artifacts]
     else:
-        masks = [
-            build_magnitude_mask(a.theta_e.params, specs, config.omega)
-            for a in artifacts
-        ]
-    nets = [
-        apply_mask((a.theta_e if method == "magnitude" else a.theta0).params, m)
-        for a, m in zip(artifacts, masks)
-    ]
-    if method == "magnitude":
-        final_lr = lr_at(config.epochs - 1, config)
-        epochs, schedule = finetune_epochs(config.epochs), lambda e: final_lr
-        offset = config.epochs
-    else:
-        epochs, schedule, offset = config.epochs, lambda e: lr_at(e, config), 0
-    _retrain(nets, masks, config, data, specs, seeds, epochs, schedule,
-             epoch_offset=offset)
-    reports = [_evaluate(p, data.test, specs, "retraining", epochs - 1, s)
-               for p, s in zip(nets, seeds)]
-    share = (time.perf_counter() - t0) / len(artifacts)
-    return [
-        PruneResult(
-            method=method,
-            mask=mask,
-            params=params,
-            report=report,
-            dense_report=a.dense_report,
-            rounds_used=0,
-            retention=mask.retention(),
-            wall_time_s=share,
-        )
-        for a, mask, params, report in zip(artifacts, masks, nets, reports)
-    ]
+        masks = [build_magnitude_mask(a.theta_e.params, a.specs, config.omega)
+                 for a in artifacts]
+    return refine(method, masks, artifacts, config, data, since)

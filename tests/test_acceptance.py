@@ -384,34 +384,32 @@ def test_criterion_6_refinement_semantics():
     cfg = small_config(delta=-1.0, max_rounds=3)
     (arts,) = train_dense(cfg, data, [cfg.seed])
     mask = build_random_mask(arts.specs, cfg.omega, seed=3)
-    (blocked,) = refine([mask], [arts], cfg, data)
-    rounds = [cand.round_index for cand in blocked.candidates]
+    (blocked,) = refine("ballot", [mask], [arts], cfg, data)
+    rounds = [r for r, _ in blocked.candidates]
     if rounds != list(range(blocked.rounds_used + 1)):
         problems.append(f"round log {rounds} does not match "
                         f"rounds_used {blocked.rounds_used}")
     if blocked.rounds_used < cfg.max_rounds:
-        cwv_log = [cand.report.cwv for cand in blocked.candidates]
+        cwv_log = [report.cwv for _, report in blocked.candidates]
         if cwv_log[-1] < min(cwv_log[:-1]):
             problems.append("stopped early despite an improving round")
     elif blocked.rounds_used != cfg.max_rounds:
         problems.append(f"ran {blocked.rounds_used} rounds past the cap")
 
     feasible = [
-        cand for cand in blocked.candidates
-        if arts.dense_report.accuracy - cand.report.accuracy <= cfg.epsilon
+        (r, report) for r, report in blocked.candidates
+        if arts.dense_report.accuracy - report.accuracy <= cfg.epsilon
     ]
     if feasible:
-        best = min(feasible, key=lambda cand: (cand.report.cwv,
-                                               cand.round_index))
+        best = min(feasible, key=lambda cand: (cand[1].cwv, cand[0]))
     else:
-        best = min(blocked.candidates,
-                   key=lambda cand: (-cand.report.accuracy, cand.round_index))
-    if blocked.report != best.report:
+        best = min(blocked.candidates, key=lambda cand: (-cand[1].accuracy, cand[0]))
+    if blocked.report != best[1]:
         problems.append("returned candidate is not the log minimizer")
 
     open_cfg = small_config(delta=1.0, epsilon=1.0, max_rounds=3)
-    (passed,) = refine([mask], train_dense(open_cfg, data, [open_cfg.seed]),
-                       open_cfg, data)
+    (passed,) = refine("ballot", [mask],
+                       train_dense(open_cfg, data, [open_cfg.seed]), open_cfg, data)
     if passed.rounds_used != 0:
         problems.append(f"satisfied gate still used {passed.rounds_used} rounds")
 

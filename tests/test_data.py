@@ -297,9 +297,42 @@ class TestCsvFastPath:
         def row_parser(*args):
             raise AssertionError("row-wise parser called")
 
-        monkeypatch.setattr(data, "_load_csv_rows", row_parser)
+        monkeypatch.setattr(data, "_row_blocks", row_parser)
         x2, y2 = load_csv(path)
         assert x2.tobytes() == x.tobytes() and y2.tobytes() == y.tobytes()
+
+    def test_quoted_last_line_resumes_at_its_block(self, tmp_path, monkeypatch):
+        # 3,000 rows: two blocks load in C, and the row-wise parser reads
+        # only the third, which holds the quoted cell
+        x, y = gen_synthetic(synth(counts=(2000, 500, 500)))
+        path = tmp_path / "d.csv"
+        save_csv(x, y, path)
+        *lines, last = path.read_text().splitlines(keepends=True)
+        first, rest = last.split(",", 1)
+        path.write_text("".join(lines) + f'"{first}",{rest}')
+        ref = data._load_csv_rows(path)
+        real_parse, starts = data._parse_rows, []
+
+        def counted_parse(reader, header, label_idx, first_line):
+            for row in real_parse(reader, header, label_idx, first_line):
+                starts.append(first_line)
+                yield row
+
+        monkeypatch.setattr(data, "_parse_rows", counted_parse)
+        got = load_csv(path)
+        assert got[0].tobytes() == ref[0].tobytes() == x.tobytes()
+        assert got[1].tobytes() == ref[1].tobytes() == y.tobytes()
+        done = 2 * FORWARD_BLOCK_ROWS
+        assert starts == [done + 2] * (y.size - done)
+
+    def test_error_after_loaded_blocks_names_its_line(self, tmp_path):
+        # line numbers of the row-wise pass count the rows loaded before it
+        good = "0.5,1\n" * (2 * FORWARD_BLOCK_ROWS + 5)
+        path = tmp_path / "d.csv"
+        for bad, message in (("x" * 200_000 + ",1\n", "malformed CSV at line 2055: "),
+                             ('"1",0\n2,0.5\n', "label '0.5' at line 2056 is not")):
+            path.write_text("a,label\n" + good + bad)
+            assert same_outcome(path)[1].startswith(message)
 
     @pytest.mark.parametrize("text, message", [
         ("a,label\n1,0\n\n2,1\n", "row at line 3 has 0 cells, expected 2"),
@@ -343,6 +376,16 @@ class TestCsvFastPath:
 
 
 class TestSplit:
+    def test_distinct_matches_np_unique(self):
+        rng = np.random.default_rng(5)
+        top = np.iinfo(np.int64).max
+        for size in (0, 1, 7, 1000):
+            y = rng.integers(0, 40, size)
+            y[: size // 3] = top - rng.integers(0, 3, size // 3)
+            rng.shuffle(y)
+            got = data._distinct(y)
+            assert got.dtype == y.dtype and got.tobytes() == np.unique(y).tobytes()
+
     def test_counts_round_then_clamp(self):
         ds = make_dataset(DatasetSpec(synthetic=synth()))
         # class 0: round(0.8 * 30) = 24; classes 1, 2: round(9.6) = 10

@@ -202,6 +202,11 @@ class TestClassWeights:
         cw = update_class_weights(rep, 0)
         assert cw.weights[0] == cw.weights[1]
 
+    def test_absent_class_raises_naming_it(self):
+        rep = report_from_predictions([0, 1, 0], [0, 1, 1], 3)  # class 2 absent
+        with pytest.raises(DataError, match="^class 2 has no sample"):
+            update_class_weights(rep, 0)
+
     def test_uniform_weights(self):
         assert uniform_class_weights(3).weights == (1.0, 1.0, 1.0)
         with pytest.raises(ConfigurationError):

@@ -26,12 +26,12 @@ from ballot.pipeline import (
     TrainConfig,
     _retrain,
     finetune_epochs,
-    fix_model,
     lr_at,
     refine,
     run_baseline,
     train_dense,
 )
+from ballot.reporting import result_dict
 
 from conftest import small_config, small_dataset
 
@@ -170,65 +170,65 @@ class TestTrainDense:
         assert arts.dense_report.accuracy >= 0.85
 
 
+def round_oracle(arts, mask, cfg, data, r_index):
+    """Ballot's refinement round ``r_index`` of one seed, retrained on its
+    own by ``_retrain``."""
+    start = arts.theta0 if r_index == 0 else arts.theta_k
+    net = apply_mask(start.params, mask)
+    _retrain([net], [mask], cfg, data, arts.specs, [arts.seed], cfg.epochs,
+             lambda e: lr_at(e, cfg), stream_offset=r_index)
+    return net
+
+
 class TestRefine:
     def test_gate_short_circuit_is_round_zero_training(self, data, artifacts):
         cfg = small_config(delta=1.0, epsilon=1.0)
         specs = artifacts.specs
         mask = build_random_mask(specs, cfg.omega, seed=3)
-        (outcome,) = refine([mask], [artifacts], cfg, data)
+        (outcome,) = refine("ballot", [mask], [artifacts], cfg, data)
         assert outcome.rounds_used == 0
         assert len(outcome.candidates) == 1
 
-        oracle = apply_mask(artifacts.theta0.params, mask)
-        _retrain(
-            [oracle], [mask], cfg, data, specs, [cfg.seed], cfg.epochs,
-            lambda e: lr_at(e, cfg),
-        )
+        oracle = round_oracle(artifacts, mask, cfg, data, 0)
         assert params_equal(outcome.params, oracle)
         assert outcome.report == evaluate(oracle, data.test, specs)
 
     def test_unsatisfiable_gate_runs_rounds(self, data, artifacts):
         cfg = small_config(delta=-1.0)
         mask = build_random_mask(artifacts.specs, cfg.omega, seed=3)
-        (outcome,) = refine([mask], [artifacts], cfg, data)
-        rounds = [c.round_index for c in outcome.candidates]
+        (outcome,) = refine("ballot", [mask], [artifacts], cfg, data)
+        rounds = [r for r, _ in outcome.candidates]
         assert rounds == list(range(len(rounds)))
         assert 1 <= outcome.rounds_used <= cfg.max_rounds
         if outcome.rounds_used < cfg.max_rounds:
             # early stop: the last round failed to improve the best cwv
-            cwvs = [c.report.cwv for c in outcome.candidates]
+            cwvs = [report.cwv for _, report in outcome.candidates]
             assert cwvs[-1] >= min(cwvs[:-1])
 
     def test_rewind_rounds_start_from_theta_k(self, data, artifacts):
         cfg = small_config(delta=-1.0, max_rounds=1)
         specs = artifacts.specs
         mask = build_random_mask(specs, cfg.omega, seed=3)
-        (outcome,) = refine([mask], [artifacts], cfg, data)
-        round1 = next(c for c in outcome.candidates if c.round_index == 1)
-
-        oracle = apply_mask(artifacts.theta_k.params, mask)
-        _retrain(
-            [oracle], [mask], cfg, data, specs, [cfg.seed], cfg.epochs,
-            lambda e: lr_at(e, cfg), stream_offset=1,
-        )
-        assert params_equal(round1.params, oracle)
+        (outcome,) = refine("ballot", [mask], [artifacts], cfg, data)
+        oracle = round_oracle(artifacts, mask, cfg, data, 1)
+        assert outcome.candidates[1] == (1, evaluate(oracle, data.test, specs))
 
     def test_selection_minimizes_cwv_among_feasible(self, data, artifacts):
         cfg = small_config(delta=-1.0)
         mask = build_random_mask(artifacts.specs, cfg.omega, seed=3)
-        (outcome,) = refine([mask], [artifacts], cfg, data)
+        (outcome,) = refine("ballot", [mask], [artifacts], cfg, data)
         dense_acc = artifacts.dense_report.accuracy
         feasible = [
-            c for c in outcome.candidates
-            if dense_acc - c.report.accuracy <= cfg.epsilon
+            (r, report) for r, report in outcome.candidates
+            if dense_acc - report.accuracy <= cfg.epsilon
         ]
-        pool = feasible if feasible else outcome.candidates
         if feasible:
-            best = min(pool, key=lambda c: (c.report.cwv, c.round_index))
+            best = min(feasible, key=lambda c: (c[1].cwv, c[0]))
         else:
-            best = min(pool, key=lambda c: (-c.report.accuracy, c.round_index))
-        assert outcome.report == best.report
-        assert params_equal(outcome.params, best.params)
+            best = min(outcome.candidates, key=lambda c: (-c[1].accuracy, c[0]))
+        assert outcome.report == best[1]
+        oracle = round_oracle(artifacts, mask, cfg, data, best[0])
+        assert params_equal(outcome.params, oracle)
 
     def test_masked_entries_stay_zero_every_epoch(self, data, artifacts,
                                                   monkeypatch):
@@ -268,17 +268,20 @@ class TestRefine:
             assert_masked_entries_zero(params.weights + params.biases, m)
 
     def test_refine_output_respects_mask(self, data, artifacts):
+        # every round's network, rebuilt by its oracle, holds the mask's
+        # zeros and gives the round's logged report
         cfg = small_config(delta=-1.0)
         mask = build_random_mask(artifacts.specs, cfg.omega, seed=3)
-        (outcome,) = refine([mask], [artifacts], cfg, data)
-        for c in outcome.candidates:
-            assert_masked_entries_zero(c.params.weights + c.params.biases, mask)
+        (outcome,) = refine("ballot", [mask], [artifacts], cfg, data)
+        assert_masked_entries_zero(outcome.params.weights + outcome.params.biases, mask)
+        for r, report in outcome.candidates:
+            oracle = round_oracle(artifacts, mask, cfg, data, r)
+            assert_masked_entries_zero(oracle.weights + oracle.biases, mask)
+            assert report == evaluate(oracle, data.test, artifacts.specs)
 
-
-class TestFixModel:
     def test_exact_retention_and_metadata(self, data, artifacts):
         cfg = small_config()
-        (result,) = fix_model(cfg, data, [artifacts])
+        (result,) = run_baseline("ballot", cfg, data, [artifacts])
         total = param_count(artifacts.specs)
         assert result.method == "ballot"
         assert result.retention == (int(cfg.omega * total) // 1) / total
@@ -288,8 +291,8 @@ class TestFixModel:
 
     def test_deterministic(self, data):
         cfg = small_config()
-        (a,) = fix_model(cfg, data, train_dense(cfg, data, [cfg.seed]))
-        (b,) = fix_model(cfg, data, train_dense(cfg, data, [cfg.seed]))
+        (a,) = run_baseline("ballot", cfg, data, train_dense(cfg, data, [cfg.seed]))
+        (b,) = run_baseline("ballot", cfg, data, train_dense(cfg, data, [cfg.seed]))
         assert params_equal(a.params, b.params)
         assert a.report == b.report
         assert a.rounds_used == b.rounds_used
@@ -300,7 +303,7 @@ class TestFixModel:
         cfg = small_config(hidden=(12,), omega=0.999, epochs=5, rewind_epoch=2)
         (arts,) = train_dense(cfg, data, [cfg.seed])
         total = param_count(arts.specs)
-        (result,) = fix_model(cfg, data, [arts])
+        (result,) = run_baseline("ballot", cfg, data, [arts])
         assert result.mask.kept_count() == total - 1
         assert abs(result.report.accuracy - arts.dense_report.accuracy) <= 0.15
 
@@ -353,6 +356,18 @@ class TestBaselines:
         oracle_mask = build_random_mask(artifacts.specs, cfg.omega, cfg.seed)
         for a, b in zip(result.mask.weight_keep, oracle_mask.weight_keep):
             assert np.array_equal(a, b)
+
+    def test_only_ballot_runs_and_logs_rounds(self, data, artifacts):
+        cfg = small_config(delta=-1.0)
+        for method in METHODS:
+            (result,) = run_baseline(method, cfg, data, [artifacts])
+            report = result_dict(result)
+            if method == "ballot":
+                assert result.rounds_used >= 1
+                assert len(report["rounds_log"]) == result.rounds_used + 1
+            else:
+                assert result.rounds_used == 0 and result.candidates == []
+                assert "rounds_log" not in report
 
     def test_lth_and_magnitude_share_the_mask(self, data, artifacts):
         cfg = small_config()
@@ -477,7 +492,7 @@ class TestLockstep:
             with pytest.raises(NumericalFailure,
                                match="^retraining epoch 5, seed 5: non-finite "
                                      "layer output in forward pass$"):
-                refine(masks, arts, cfg, data)
+                refine("ballot", masks, arts, cfg, data)
 
     @pytest.mark.parametrize("method, epoch", [("lth", 5), ("magnitude", 0),
                                                ("random", 5)])
@@ -599,13 +614,18 @@ class TestLockstep:
         ]
 
     def test_refine_rounds_run_only_the_seeds_still_refining(self, data):
+        # every method's stack of three seeds against each seed alone;
+        # ballot's gate is blocked, so its later rounds train subsets
         cfg = small_config(delta=-1.0, max_rounds=3)
         arts = train_dense(cfg, data, [0, 1, 2])
         masks = [build_random_mask(a.specs, cfg.omega, seed=3) for a in arts]
-        stacked = refine(masks, arts, cfg, data)
-        for a, mask, got in zip(arts, masks, stacked):
-            (alone,) = refine([mask], [a], cfg, data)
-            assert got.rounds_used == alone.rounds_used
-            assert [c.report for c in got.candidates] == \
-                [c.report for c in alone.candidates]
-            assert params_equal(got.params, alone.params)
+        for method in METHODS:
+            stacked = refine(method, masks, arts, cfg, data)
+            for a, mask, got in zip(arts, masks, stacked):
+                (alone,) = refine(method, [mask], [a], cfg, data)
+                assert got.rounds_used == alone.rounds_used
+                assert got.candidates == alone.candidates
+                assert got.report == alone.report
+                assert params_equal(got.params, alone.params)
+            if method == "ballot":
+                assert [r.rounds_used for r in stacked] == [2, 1, 1]

@@ -23,6 +23,9 @@ temporary directory, through one fixed command set:
 - ``gen-data`` of 2,048 rows, exactly two blocks, and a copy of it with
   the label column moved first, each evaluated the same way, so block
   edges and the label column's position are compared;
+- a copy of the 3,500-row CSV with its last line's first cell quoted,
+  evaluated the same way, so the row-wise parse of a file's last block
+  after blocks parsed in C is compared;
 - ``train`` on a config that sets every key but ``data.csv_path`` to a
   non-default value, with integral numbers for float keys and ``4.0``
   for ``train.epochs``, so the config echo is compared key by key;
@@ -78,6 +81,13 @@ def label_first(work: Path) -> None:
         for cells in (line.split(",") for line in lines)))
 
 
+def quote_last(work: Path) -> None:
+    """Copy ``long.csv`` with the first cell of its last line quoted."""
+    *lines, last = (work / "long.csv").read_text().splitlines(keepends=True)
+    first, rest = last.split(",", 1)
+    (work / "quoted-last.csv").write_text("".join(lines) + f'"{first}",{rest}')
+
+
 COMMANDS = [
     ["train", "--out", "train"],
     *[["prune", "--method", m, "--out", f"prune-{m}"]
@@ -96,6 +106,9 @@ COMMANDS = [
     *[["evaluate", "--checkpoint", "prune-ballot/checkpoints/final.ckpt",
        "--data", f"{name}.csv", "--out", f"evaluation-{name}.json"]
       for name in ("two-blocks", "label-first")],
+    quote_last,
+    ["evaluate", "--checkpoint", "prune-ballot/checkpoints/final.ckpt",
+     "--data", "quoted-last.csv", "--out", "evaluation-quoted-last.json"],
     ["train", "--config", "every-key.json", "--out", "train-every-key"],
     ["train", "--config", "csv.json", "--out", "train-csv"],
 ]
