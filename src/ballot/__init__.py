@@ -44,7 +44,6 @@ from .model import (
     LayerSpec,
     NetworkParams,
     apply_mask,
-    forward,
     init_network,
     load_checkpoint,
     save_checkpoint,

@@ -11,11 +11,9 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from ._version import __version__
 from .config import AppConfig, config_from_dict, load_config
-from .data import csv_blocks, gen_synthetic, make_dataset, require_labels_below, save_csv
+from .data import csv_blocks, gen_synthetic, make_dataset, save_csv, split_blocks
 from .errors import (
     BallotError,
     ConfigurationError,
@@ -25,15 +23,8 @@ from .errors import (
     UsageError,
 )
 from .masks import save_mask
-from .metrics import EvalReport, evaluate, report_from_predictions
-from .model import (
-    FORWARD_BLOCK_ROWS,
-    Checkpoint,
-    block_buffers,
-    forward_block,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .metrics import evaluate
+from .model import Checkpoint, load_checkpoint, save_checkpoint
 from .pipeline import METHODS, run_baseline, train_dense
 from .reporting import (
     eval_report_dict,
@@ -103,56 +94,25 @@ def _cmd_prune(args) -> int:
     return 0
 
 
-def _require_features(ck: Checkpoint, n_features: int) -> None:
-    if ck.specs[0].d_in != n_features:
-        raise ConfigurationError(
-            f"checkpoint expects {ck.specs[0].d_in} features, data has {n_features}"
-        )
-
-
-def _evaluate_csv(ck: Checkpoint, path: str, label_column: str) -> EvalReport:
-    """The report of ``ck`` on every row of a CSV file, read, inferred
-    and scored one ``csv_blocks`` block at a time.
-
-    Memory holds one block of features, the activations of one block in
-    buffers allocated once, and each row's label and predicted class.
-    A parse error raises where the reader finds it.  The other errors
-    wait for the end of the file and raise in this order, as they would
-    after loading the whole file: the first label outside the
-    checkpoint's classes, a feature count that differs from the
-    checkpoint's (no block is inferred), then a non-finite logit (no
-    block after it is inferred)."""
-    specs = ck.specs
-    bufs = block_buffers(specs, FORWARD_BLOCK_ROWS)
-    labels, preds, failure = [], [], None
-    for x, y in csv_blocks(path, label_column):
-        labels.append(y)
-        width = x.shape[1]
-        if width == specs[0].d_in and failure is None:
-            try:
-                preds.append(np.argmax(forward_block(ck.params, x, bufs), axis=1))
-            except NumericalFailure as exc:
-                failure = exc
-    y = np.concatenate(labels)
-    # the checkpoint fixes the classes; a file may lack some of them
-    n_classes = specs[-1].d_out
-    require_labels_below(y, n_classes, f"the checkpoint has {n_classes} classes")
-    _require_features(ck, width)
-    if failure is not None:
-        raise failure
-    return report_from_predictions(y, np.concatenate(preds), n_classes)
-
-
 def _cmd_evaluate(args) -> int:
-    """Evaluate a checkpoint on a config's test split or, streamed, on
-    every row of a CSV file (``_evaluate_csv``)."""
+    """Evaluate a checkpoint on a config's test split or on every row of
+    a CSV file, both through ``metrics.evaluate``.  A config's data is
+    checked against the checkpoint first: its feature count, then its
+    class count."""
     ck = load_checkpoint(args.checkpoint)
     if args.data.endswith(".json"):
-        split = make_dataset(load_config(args.data).dataset).test
-        _require_features(ck, split.X.shape[1])
-        report = evaluate(ck.params, split, ck.specs)
+        data = make_dataset(load_config(args.data).dataset)
+        n_features, n_classes = ck.specs[0].d_in, ck.specs[-1].d_out
+        if data.dim != n_features:
+            raise ConfigurationError(
+                f"checkpoint expects {n_features} features, data has {data.dim}")
+        if data.n_classes > n_classes:
+            raise DataError(f"the data has {data.n_classes} classes, "
+                            f"the checkpoint has {n_classes}")
+        blocks = split_blocks(data.test)
     else:
-        report = _evaluate_csv(ck, args.data, args.label_column)
+        blocks = csv_blocks(args.data, args.label_column)
+    report = evaluate(ck.params, blocks, ck.specs)
     payload = {
         "version": __version__,
         "checkpoint": str(args.checkpoint),
@@ -179,11 +139,8 @@ def _cmd_gen_data(args) -> int:
             "gen-data needs a synthetic data section, not csv_path"
         )
     x, y = gen_synthetic(app.dataset.synthetic)
-    out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
-    save_csv(x, y, out)
-    print(f"wrote {out}")
+    save_csv(x, y, args.out)
+    print(f"wrote {args.out}")
     return 0
 
 

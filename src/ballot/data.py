@@ -8,11 +8,13 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
 from .config import DatasetSpec, SyntheticSpec
-from .errors import DataError
+from .errors import DataError, PersistenceError
+from .fileio import atomic_open
 from .model import FORWARD_BLOCK_ROWS
 
 
@@ -39,6 +41,15 @@ class Dataset:
         return np.eye(self.n_classes)[y]
 
 
+def split_blocks(split: Split):
+    """The rows of ``split`` as ``(features, labels)`` views of
+    ``FORWARD_BLOCK_ROWS`` rows, the last one shorter, for
+    ``metrics.evaluate``."""
+    for start in range(0, split.y.shape[0], FORWARD_BLOCK_ROWS):
+        stop = start + FORWARD_BLOCK_ROWS
+        yield split.X[start:stop], split.y[start:stop]
+
+
 def gen_synthetic(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
     """Samples grouped by class, class 0 first.  The same seed always
     reproduces the same arrays bit for bit."""
@@ -57,12 +68,18 @@ def gen_synthetic(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def save_csv(x: np.ndarray, y: np.ndarray, path) -> None:
     """Header f0..f{d-1},label; floats written in shortest round-trip
-    form, so equal arrays always produce identical bytes."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(x.shape[1])] + ["label"])
-        for row, label in zip(x, y):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+    form, so equal arrays always produce identical bytes.  Missing
+    parent directories are made; the file is replaced atomically."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with atomic_open(path, newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([f"f{i}" for i in range(x.shape[1])] + ["label"])
+            for row, label in zip(x, y):
+                writer.writerow([repr(float(v)) for v in row] + [int(label)])
+    except OSError as exc:
+        raise PersistenceError(f"cannot write CSV {path}: {exc}") from exc
 
 
 # A label must fit an int64 class index; a float at or above 2**63 does not.
@@ -93,12 +110,14 @@ def csv_blocks(path, label_column: str = "label"):
     and is yielded when no line is longer than ``csv.field_size_limit()``,
     the block has one row of ``len(header)`` cells per line, every label
     is an integer in 0..2**63-1 and every feature is finite.  From the
-    first block that fails this on, ``_row_blocks`` reads the file again
-    from that block's first line: it raises the file's first error,
-    which lies in that block or after it, or it yields rows that only
-    Python's ``float`` accepts (a quoted number, ``1_0``).  So the blocks
-    hold the same bits, and a bad file fails with the same message, as
-    the row-wise pass over the whole file.
+    first block that fails this on, ``_row_blocks`` reads the file again,
+    through the same handle rewound, from that block's first line: it
+    raises the file's first error, which lies in that block or after it,
+    or it yields rows that only Python's ``float`` accepts (a quoted
+    number, ``1_0``).  So the blocks hold the same bits, and a bad file
+    fails with the same message, as the row-wise pass over the whole
+    file.  An input that cannot be rewound, such as a pipe, fails with
+    ``cannot read`` there instead.
     """
     rows = 0
     try:
@@ -110,12 +129,14 @@ def csv_blocks(path, label_column: str = "label"):
                     break
                 yield block
                 rows += n_lines
+            if n_lines == 0 and rows:
+                return  # every block of the file loaded
+            # a file without data rows gets its message here too; rewound,
+            # as a reopened pipe would wait for a new writer
+            fh.seek(0)
+            yield from _row_blocks(fh, path, label_column, rows)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if n_lines == 0 and rows:
-        return  # every block of the file loaded
-    # a file without data rows gets its message from the row-wise pass too
-    yield from _row_blocks(path, label_column, rows)
 
 
 def _read_block(fh, n_cells: int, label_idx: int):
@@ -166,7 +187,11 @@ def load_csv(path, label_column: str = "label") -> tuple[np.ndarray, np.ndarray]
 
 def _load_csv_rows(path, label_column: str = "label") -> tuple[np.ndarray, np.ndarray]:
     """``load_csv`` of the whole file row by row: the reference parser."""
-    xs, ys = zip(*_row_blocks(path, label_column))
+    try:
+        with open(path, newline="") as fh:
+            xs, ys = zip(*_row_blocks(fh, path, label_column))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
     return np.concatenate(xs), np.concatenate(ys)
 
 
@@ -201,34 +226,32 @@ def _parse_rows(reader, header: list[str], label_idx: int, first_line: int):
         yield feats, int(label)
 
 
-def _row_blocks(path, label_column: str = "label", skip: int = 0):
-    """The data rows of a CSV file after its first ``skip``, parsed by
-    ``csv`` and ``float`` and yielded in ``FORWARD_BLOCK_ROWS`` blocks:
-    the only source of line-numbered messages.  The skipped rows are
-    read as lines, one each, and not parsed.  A bad row raises when it
-    is reached; a non-finite feature raises after the last row, and no
+def _row_blocks(fh, path, label_column: str = "label", skip: int = 0):
+    """The data rows of the CSV file ``path``, read from its start
+    through ``fh``, after its first ``skip``, parsed by ``csv`` and
+    ``float`` and yielded in ``FORWARD_BLOCK_ROWS`` blocks: the only
+    source of line-numbered messages.  The skipped rows are read as
+    lines, one each, and not parsed.  A bad row raises when it is
+    reached; a non-finite feature raises after the last row, and no
     block is yielded from the one that holds it on."""
     finite, any_rows = True, False
+    reader = csv.reader(fh)
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header, label_idx = _read_header(reader, path, label_column)
-            next(itertools.islice(fh, skip, skip), None)  # reads ``skip`` lines
-            parsed = _parse_rows(reader, header, label_idx, skip + 2)
-            # a list of Python floats takes about ten times the bytes, so
-            # one block of them at a time
-            while chunk := list(itertools.islice(parsed, FORWARD_BLOCK_ROWS)):
-                feats, labels = zip(*chunk)
-                x = np.array(feats, dtype=np.float64)
-                finite = finite and bool(np.isfinite(x).all())
-                any_rows = True
-                if finite:
-                    yield x, np.array(labels, dtype=np.int64)
+        header, label_idx = _read_header(reader, path, label_column)
+        next(itertools.islice(fh, skip, skip), None)  # reads ``skip`` lines
+        parsed = _parse_rows(reader, header, label_idx, skip + 2)
+        # a list of Python floats takes about ten times the bytes, so
+        # one block of them at a time
+        while chunk := list(itertools.islice(parsed, FORWARD_BLOCK_ROWS)):
+            feats, labels = zip(*chunk)
+            x = np.array(feats, dtype=np.float64)
+            finite = finite and bool(np.isfinite(x).all())
+            any_rows = True
+            if finite:
+                yield x, np.array(labels, dtype=np.int64)
     except csv.Error as exc:
         # for example a cell over the csv module's field size limit
         raise DataError(f"malformed CSV at line {skip + reader.line_num}: {exc}") from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
     if not any_rows:
         raise DataError(f"{path} has no data rows")
     if not finite:

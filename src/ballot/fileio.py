@@ -9,9 +9,10 @@ from pathlib import Path
 
 
 @contextmanager
-def atomic_open(path, mode: str = "w"):
-    """Open ``path`` for writing ("w" or "wb") so that readers only ever
-    see the old file or the complete new one.
+def atomic_open(path, mode: str = "w", newline: str | None = None):
+    """Open ``path`` for writing ("w" or "wb", with ``open``'s
+    ``newline``) so that readers only ever see the old file or the
+    complete new one.
 
     Writes go to a fresh temp file in the same directory, which replaces
     the target when the block exits normally; on any failure the temp
@@ -20,7 +21,7 @@ def atomic_open(path, mode: str = "w"):
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
-        with open(tmp, mode.replace("w", "x")) as fh:
+        with open(tmp, mode.replace("w", "x"), newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -1,6 +1,9 @@
 """Evaluation metrics: accuracy, macro precision/recall, and the two
 fairness summaries (class-wise variance and maximum class discrepancy),
 plus the per-class loss weighting they feed.
+
+``evaluate`` is the one inference path: every report, of a split or of
+a CSV file, comes from its blocked pass through ``model.forward_block``.
 """
 
 from __future__ import annotations
@@ -9,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError
-from .model import LayerSpec, NetworkParams, forward
+from .data import require_labels_below
+from .errors import ConfigurationError, DataError, NumericalFailure
+from .model import LayerSpec, NetworkParams, block_buffers, forward_block
 
 WEIGHT_FLOOR = 0.01
 
@@ -118,16 +122,38 @@ def report_from_predictions(y_true, y_pred, n_classes: int) -> EvalReport:
     )
 
 
-def predict(params: NetworkParams, x, specs: list[LayerSpec]) -> np.ndarray:
-    """Argmax over logits; ties go to the lowest class index."""
-    return np.argmax(forward(params, x, specs), axis=1)
+def evaluate(params: NetworkParams, blocks, specs: list[LayerSpec]) -> EvalReport:
+    """The report of a network on every row of ``blocks``: ``(features,
+    labels)`` pairs of at most ``FORWARD_BLOCK_ROWS`` rows, none longer
+    than the first, from ``data.split_blocks`` or ``data.csv_blocks``.
+    The network's output width fixes the classes; the labels may lack some.
 
-
-def evaluate(params: NetworkParams, split, specs: list[LayerSpec]) -> EvalReport:
-    """Full report on a labelled split (anything with .X and .y)."""
-    y = np.asarray(split.y)
-    n_classes = specs[-1].d_out
-    return report_from_predictions(y, predict(params, split.X, specs), n_classes)
+    Each block is inferred as it arrives, into buffers sized by the first
+    block, and only its argmax is kept (ties go to the lowest class).
+    Only the reader's errors raise in the loop; after the last block the
+    others raise in this order, as after loading every row: a label
+    outside the classes, with its file line; a feature count the network
+    does not take (no block is inferred); a non-finite layer output."""
+    n_features, n_classes = specs[0].d_in, specs[-1].d_out
+    bufs, labels, preds, failure = None, [], [], None
+    for x, y in blocks:
+        labels.append(y)
+        width = x.shape[1]
+        if width == n_features and failure is None:
+            if bufs is None:
+                bufs = block_buffers(specs, x.shape[0])
+            try:
+                preds.append(np.argmax(forward_block(params, x, bufs), axis=1))
+            except NumericalFailure as exc:
+                failure = exc
+    y = np.concatenate(labels)
+    require_labels_below(y, n_classes, f"the checkpoint has {n_classes} classes")
+    if width != n_features:
+        raise ConfigurationError(
+            f"checkpoint expects {n_features} features, data has {width}")
+    if failure is not None:
+        raise failure
+    return report_from_predictions(y, np.concatenate(preds), n_classes)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Fully connected network: parameters, the training step, SGD,
-checkpoints.
+"""Fully connected network: parameters, the training step, SGD, the
+inference block, checkpoints.
 
 A network is a list of ``LayerSpec`` entries applied in order.  Every
 layer except the last feeds a ReLU; the last layer always emits raw
@@ -182,16 +182,6 @@ def stack_masks(keeps) -> np.ndarray:
     return ~np.stack(keeps)
 
 
-def _check_input(x, specs: list[LayerSpec], lead: tuple = ()) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != len(lead) + 2 or x.shape[:-2] != lead or x.shape[-1] != specs[0].d_in:
-        stacked = f" for {lead[0]} stacked networks" if lead else ""
-        raise ConfigurationError(
-            f"input shape {x.shape} does not match d_in {specs[0].d_in}{stacked}"
-        )
-    return x
-
-
 def _require_finite(a: np.ndarray, what: str) -> None:
     """Raise NumericalFailure if ``a`` holds a NaN or infinity, naming
     the first slot of its leading seed axis that does."""
@@ -215,7 +205,7 @@ def block_buffers(specs: list[LayerSpec], rows: int) -> list[np.ndarray]:
 
 def forward_block(params: NetworkParams, x: np.ndarray, bufs: list[np.ndarray]) -> np.ndarray:
     """Logits of the rows ``x``, no more than ``bufs`` has rows, whose
-    width the caller has checked.  Each layer's matmul writes into the
+    width the caller has checked; ``metrics.evaluate`` is the caller.  Each layer's matmul writes into the
     leading rows of its buffer of ``block_buffers``, where the bias and
     the ReLU are applied in place, so a pass over many blocks allocates
     its activations once.  The logits returned are a view of the last
@@ -230,23 +220,6 @@ def forward_block(params: NetworkParams, x: np.ndarray, bufs: list[np.ndarray]) 
         if i < last:
             np.maximum(h, 0.0, out=h)
     return h
-
-
-def forward(params: NetworkParams, x: np.ndarray, specs: list[LayerSpec]) -> np.ndarray:
-    """Inference pass of one network as stored, returns logits of shape
-    [n, C]; a masked network is one whose masked entries are 0.
-
-    The rows run through ``forward_block`` in blocks of
-    ``FORWARD_BLOCK_ROWS``, which share one set of buffers; every row's
-    logits are the same whatever the number of rows."""
-    x = _check_input(x, specs)
-    n = x.shape[0]
-    bufs = block_buffers(specs, min(n, FORWARD_BLOCK_ROWS))
-    logits = np.empty((n, specs[-1].d_out))
-    for start in range(0, n, FORWARD_BLOCK_ROWS):
-        block = x[start : start + FORWARD_BLOCK_ROWS]
-        logits[start : start + block.shape[0]] = forward_block(params, block, bufs)
-    return logits
 
 
 def cross_entropy(logits, onehot):
@@ -304,7 +277,10 @@ def train_step(stack: ParamStack, x, onehot, specs: list[LayerSpec], fair=None):
     pre-activation gradient reaches a weight gradient, which
     ``sgd_step`` checks.
     """
-    x = _check_input(x, specs, (stack.flat.shape[0],))
+    x, r = np.asarray(x, dtype=np.float64), stack.flat.shape[0]
+    if x.ndim != 3 or x.shape[0] != r or x.shape[2] != specs[0].d_in:
+        raise ConfigurationError(f"input shape {x.shape} does not match d_in "
+                                 f"{specs[0].d_in} for {r} stacked networks")
     if fair is not None:
         fair, shape = np.asarray(fair, dtype=np.float64), (x.shape[0], specs[-1].d_out)
         if fair.shape != shape or not np.isfinite(fair).all() or (fair <= 0.0).any():

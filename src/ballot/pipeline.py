@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import METHODS, TrainConfig
-from .data import Dataset
+from .data import Dataset, split_blocks
 from .errors import ConfigurationError, NumericalFailure
 from .masks import (
     ConflictLedger,
@@ -142,7 +142,7 @@ def _evaluate(params: NetworkParams, split, specs: list[LayerSpec],
     """``evaluate`` of the weights that ``phase`` left after ``epoch``;
     a non-finite layer output names the phase, the epoch and the seed."""
     try:
-        return evaluate(params, split, specs)
+        return evaluate(params, split_blocks(split), specs)
     except NumericalFailure as exc:
         raise _failure(phase, epoch, seed, exc) from exc
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ballot.data import DatasetSpec, SyntheticSpec, make_dataset
-from ballot.model import LayerSpec, init_network
+from ballot.model import LayerSpec, block_buffers, forward_block, init_network
 from ballot.pipeline import TrainConfig
 
 # one verdict line per acceptance criterion, echoed after the run
@@ -55,6 +55,13 @@ def random_net(rng, **kwargs):
     specs = random_specs(rng, **kwargs)
     params = init_network(specs, int(rng.integers(0, 2**31)))
     return specs, params
+
+
+def logits(params, x, specs):
+    """The logits of all the rows ``x`` by one ``forward_block`` call,
+    as a fresh array."""
+    x = np.asarray(x, dtype=np.float64)
+    return forward_block(params, x, block_buffers(specs, x.shape[0])).copy()
 
 
 def reference_loss(weights, biases, specs, x, onehot, class_w):

@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from ballot.cli import main as cli_main
-from ballot.data import DatasetSpec, Split, SyntheticSpec, make_dataset
+from ballot.data import DatasetSpec, Split, SyntheticSpec, make_dataset, split_blocks
 from ballot.errors import InfeasibleMaskError
 from ballot.masks import (
     ConflictLedger,
@@ -23,14 +23,14 @@ from ballot.masks import (
     conflict_scores,
     positive_score_threshold,
 )
-from ballot.metrics import evaluate, predict, report_from_predictions
-from ballot.model import (cross_entropy, forward, hidden_sizes, param_count, stack_params,
-                          train_step)
+from ballot.metrics import evaluate, report_from_predictions
+from ballot.model import cross_entropy, hidden_sizes, param_count, stack_params, train_step
 from ballot.pipeline import TrainConfig, refine, run_baseline, train_dense
 
 from conftest import (
     ACCEPTANCE_LINES,
     brute_force_report,
+    logits,
     random_net,
     reference_loss,
     small_config,
@@ -86,8 +86,8 @@ def test_criterion_1_metric_oracles():
         n = int(rng.integers(c, 60))
         x = rng.normal(size=(n, specs[0].d_in))
         y = np.concatenate([np.arange(c), rng.integers(0, c, n - c)])
-        rep = evaluate(params, Split(X=x, y=y), specs)
-        ref = brute_force_report(y.tolist(), predict(params, x, specs).tolist(), c)
+        rep = evaluate(params, split_blocks(Split(X=x, y=y)), specs)
+        ref = brute_force_report(y.tolist(), logits(params, x, specs).argmax(axis=1).tolist(), c)
         for key in scalar_keys:
             worst = max(worst, abs(getattr(rep, key) - ref[key]))
 
@@ -138,7 +138,7 @@ def _gradients(params, specs, x, y, class_w):
     _, means_f = train_step(stack, x[None], y[None], specs, class_w[None])
     plain = [(arr, g[0].copy()) for arr, g in zip(
         params.weights + params.biases, stack.grad_weights + stack.grad_biases)]
-    _, dlogits = cross_entropy(forward(params, x, specs)[None], y[None])
+    _, dlogits = cross_entropy(logits(params, x, specs)[None], y[None])
     fair_out = ((y @ class_w)[:, None] * dlogits[0]).sum(axis=0)
     fair_bias = [x.shape[0] * m[0] for m in means_f] + [fair_out]
     return {"a": plain, "f": list(zip(params.biases, fair_bias))}

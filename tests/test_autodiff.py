@@ -17,7 +17,6 @@ from ballot.model import (
     NetworkParams,
     apply_mask,
     cross_entropy,
-    forward,
     init_network,
     sgd_step,
     stack_masks,
@@ -25,7 +24,7 @@ from ballot.model import (
     train_step,
 )
 
-from conftest import random_net, random_specs, reference_fair_means, reference_loss
+from conftest import logits, random_net, random_specs, reference_fair_means, reference_loss
 
 
 def _net(*layers):
@@ -78,17 +77,17 @@ def _batch(rng, specs, n):
 class TestAffine:
     def test_identity(self):
         params, specs = _net((np.eye(2), [0.0, 0.0], "none"))
-        out = forward(params, [[1.0, 2.0]], specs)
+        out = logits(params, [[1.0, 2.0]], specs)
         np.testing.assert_array_equal(out, [[1.0, 2.0]])
 
     def test_hand_matrix_product(self):
         params, specs = _net(([[3.0], [5.0]], [1.0], "none"))
-        out = forward(params, [[1.0, 0.0], [0.0, 1.0]], specs)
+        out = logits(params, [[1.0, 0.0], [0.0, 1.0]], specs)
         np.testing.assert_array_equal(out, [[4.0], [6.0]])
 
     def test_zero_input_passes_bias(self):
         params, specs = _net(([[2.5, -1.0], [0.3, 4.0]], [7.0, 7.0], "none"))
-        out = forward(params, [[0.0, 0.0]], specs)
+        out = logits(params, [[0.0, 0.0]], specs)
         np.testing.assert_array_equal(out, [[7.0, 7.0]])
 
     def test_shape_mismatch_is_config_error(self):
@@ -116,13 +115,13 @@ class TestRelu:
     def test_definition(self):
         params, specs = _net((np.eye(3), [0.0] * 3, "relu"),
                              (np.eye(3), [0.0] * 3, "none"))
-        out = forward(params, [[-1.0, 0.0, 2.0]], specs)
+        out = logits(params, [[-1.0, 0.0, 2.0]], specs)
         np.testing.assert_array_equal(out, [[0.0, 0.0, 2.0]])
 
     def test_all_negative_is_all_zero(self):
         params, specs = _net((np.eye(2), [0.0, 0.0], "relu"),
                              (np.eye(2), [0.0, 0.0], "none"))
-        out = forward(params, [[-3.0, -0.5], [-1e9, -1e-9]], specs)
+        out = logits(params, [[-3.0, -0.5], [-1e9, -1e-9]], specs)
         np.testing.assert_array_equal(out, np.zeros((2, 2)))
 
     def _hidden_grad(self, x):
@@ -131,8 +130,7 @@ class TestRelu:
                              ([[1.0, -1.0], [2.0, 0.5]], [0.0, 0.0], "none"))
         y = [[1.0, 0.0]]
         _, (means, _) = _step(params, x, y, specs, np.ones(2))
-        logits = forward(params, x, specs)
-        _, dlogits = _ce(logits, y)
+        _, dlogits = _ce(logits(params, x, specs), y)
         return means[0], (dlogits @ params.weights[1].T)[0]
 
     def test_gradient_gates_negative_input(self):
@@ -221,7 +219,7 @@ class TestBackward:
         grads, (_, means_f) = _step(params, x, y, specs, cw)
         # the weighted loss's dlogits: the plain ones, row n scaled by
         # the weight of sample n's class
-        _, dlogits = _ce(forward(params, x, specs), y)
+        _, dlogits = _ce(logits(params, x, specs), y)
         dlogits_f = (y @ cw)[:, None] * dlogits
 
         # the plain loss: every parameter gradient

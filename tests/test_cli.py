@@ -6,15 +6,20 @@ Exit codes under test: 0 success, 1 configuration or usage error,
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ballot import cli, pipeline
+from ballot import cli, metrics, pipeline
 from ballot._version import __version__
 from ballot.cli import main
-from ballot.data import Split, load_csv, require_labels_below
+from ballot.data import Split, require_labels_below, split_blocks
 from ballot.errors import ConfigurationError
 from ballot.masks import load_mask
 from ballot.metrics import evaluate
@@ -263,6 +268,23 @@ class TestEvaluate:
         assert code == 1
         assert "4 features" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dim, code, message", [
+        (4, 2, "data error: the data has 4 classes, the checkpoint has 3"),
+        # the feature count is checked before the classes
+        (9, 1, "configuration error: checkpoint expects 4 features, data has 9"),
+    ])
+    def test_config_beyond_the_checkpoint_classes(self, tmp_path, pruned, capsys,
+                                                  dim, code, message):
+        more = dict(SMALL, data={"synthetic": {"counts": [30, 12, 12, 12],
+                                               "dim": dim, "std": 0.8,
+                                               "seed": 1}})
+        got = main(["evaluate",
+                    "--checkpoint", str(pruned / "checkpoints" / "final.ckpt"),
+                    "--data", write_config(tmp_path, more, "more.json"),
+                    "--out", str(tmp_path / "eval.json")])
+        err = capsys.readouterr().err
+        assert got == code and message in err and "line" not in err
+
     def test_corrupt_csv_is_data_error(self, tmp_path, pruned, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("f0,f1,f2,f3,label\n1,2,oops,4,0\n1,2,3,4,1\n")
@@ -290,16 +312,18 @@ class TestEvaluate:
         assert code == 2
 
 
-def whole_file_evaluation(ck, path, label_column):
-    """The oracle of the streamed CSV evaluation: the whole file loaded,
-    its labels and feature count checked, then one ``evaluate``."""
-    x, y = load_csv(path, label_column)
-    n_classes = ck.specs[-1].d_out
+def whole_file_evaluation(params, blocks, specs):
+    """The oracle of the streamed evaluation: every block read before any
+    inference, as if the whole file were loaded, its labels and feature
+    count checked, then one ``evaluate`` of its rows as a split."""
+    xs, ys = zip(*blocks)
+    x, y = np.concatenate(xs), np.concatenate(ys)
+    n_classes = specs[-1].d_out
     require_labels_below(y, n_classes, f"the checkpoint has {n_classes} classes")
-    if ck.specs[0].d_in != x.shape[1]:
+    if specs[0].d_in != x.shape[1]:
         raise ConfigurationError(
-            f"checkpoint expects {ck.specs[0].d_in} features, data has {x.shape[1]}")
-    return evaluate(ck.params, Split(x, y), ck.specs)
+            f"checkpoint expects {specs[0].d_in} features, data has {x.shape[1]}")
+    return evaluate(params, split_blocks(Split(x, y)), specs)
 
 
 def csv_cells(n, n_features=4, classes=3, seed=0):
@@ -343,7 +367,7 @@ class TestStreamedEvaluate:
             out = tmp_path / f"eval-{streamed}.json"
             with monkeypatch.context() as patch:
                 if not streamed:
-                    patch.setattr(cli, "_evaluate_csv", whole_file_evaluation)
+                    patch.setattr(cli, "evaluate", whole_file_evaluation)
                 with np.errstate(over="ignore", invalid="ignore"):
                     code = main(["evaluate", "--checkpoint", checkpoint,
                                  "--data", str(data), "--out", str(out)])
@@ -405,12 +429,75 @@ class TestStreamedEvaluate:
         got, err, _ = self.outcomes(monkeypatch, capsys, tmp_path, checkpoint, path)
         assert got == code and message in err
 
-    def test_no_block_exceeds_forward_block_rows(self, tmp_path, monkeypatch,
-                                                 checkpoint):
+    @staticmethod
+    def evaluate_pipe(tmp_path, checkpoint, text):
+        """``ballot evaluate`` run in a subprocess on a named pipe that a
+        thread feeds ``text`` into once."""
+        pipe = tmp_path / "pipe.csv"
+        os.mkfifo(pipe)
+
+        def feed():
+            try:
+                with open(pipe, "w") as fh:
+                    fh.write(text)
+            except BrokenPipeError:
+                pass  # the reader stopped early
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            return subprocess.run(
+                [sys.executable, "-m", "ballot.cli", "evaluate",
+                 "--checkpoint", checkpoint, "--data", str(pipe),
+                 "--out", str(tmp_path / "pipe.json")],
+                capture_output=True, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+        finally:
+            # a writer still waiting for a reader gets one that closes at once
+            os.close(os.open(pipe, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(timeout=10)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_named_pipe_that_parses_in_c_evaluates(self, tmp_path, checkpoint):
         path = tmp_path / "d.csv"
         write_cells(path, csv_cells(3500))
-        parsed, inferred = [], []
-        real_loadtxt, real_block = np.loadtxt, cli.forward_block
+        proc = self.evaluate_pipe(tmp_path, checkpoint, path.read_text())
+        assert proc.returncode == 0, proc.stderr
+        assert main(["evaluate", "--checkpoint", checkpoint, "--data", str(path),
+                     "--out", str(tmp_path / "file.json")]) == 0
+        assert (tmp_path / "pipe.json").read_bytes() == \
+            (tmp_path / "file.json").read_bytes()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_named_pipe_needing_the_row_wise_pass_fails(self, tmp_path,
+                                                        checkpoint):
+        # the quoted cell sends block 2 to the row-wise pass, which would
+        # rewind the input; a pipe cannot be rewound
+        rows = csv_cells(3500)
+        rows[1500][2] = '"3"'
+        path = tmp_path / "d.csv"
+        write_cells(path, rows)
+        proc = self.evaluate_pipe(tmp_path, checkpoint, path.read_text())
+        assert proc.returncode == 2
+        assert (f"data error: cannot read {tmp_path / 'pipe.csv'}: underlying "
+                "stream is not seekable") in proc.stderr
+
+    def test_no_block_exceeds_forward_block_rows(self, tmp_path, monkeypatch,
+                                                 checkpoint):
+        # every report, of a CSV file, of a config's test split and of
+        # each evaluation in training, scores rows that ``forward_block``
+        # inferred in blocks of at most FORWARD_BLOCK_ROWS rows
+        path = tmp_path / "d.csv"
+        write_cells(path, csv_cells(3500))
+        large = write_config(tmp_path, {
+            **SMALL, "train": {"epochs": 3, "batch": 64},
+            "refine": {"rewind_epoch": 1, "max_rounds": 1},
+            "data": {"synthetic": {"counts": [4000, 1000, 1000], "dim": 4,
+                                   "std": 0.8, "seed": 1}},
+        }, "large.json")  # a test split of 1,200 rows, a train split of 4,800
+        parsed, inferred, scored = [], [], []
+        real_loadtxt, real_block = np.loadtxt, metrics.forward_block
+        real_report = metrics.report_from_predictions
 
         def loadtxt(*args, **kwargs):
             table = real_loadtxt(*args, **kwargs)
@@ -421,12 +508,29 @@ class TestStreamedEvaluate:
             inferred.append(x.shape[0])
             return real_block(params, x, bufs)
 
+        def report_from_predictions(y_true, y_pred, n_classes):
+            scored.append(len(y_true))
+            return real_report(y_true, y_pred, n_classes)
+
         monkeypatch.setattr(np, "loadtxt", loadtxt)
-        monkeypatch.setattr(cli, "forward_block", forward_block)
-        assert main(["evaluate", "--checkpoint", checkpoint, "--data", str(path),
-                     "--out", str(tmp_path / "e.json")]) == 0
+        monkeypatch.setattr(metrics, "forward_block", forward_block)
+        monkeypatch.setattr(metrics, "report_from_predictions",
+                            report_from_predictions)
+        def run(*argv):
+            parsed.clear(), inferred.clear(), scored.clear()
+            assert main(list(argv)) == 0, argv
+            assert max(inferred) <= FORWARD_BLOCK_ROWS < max(scored), argv
+            assert sum(inferred) == sum(scored), argv
+
+        evaluate = ["evaluate", "--checkpoint", checkpoint,
+                    "--out", str(tmp_path / "e.json"), "--data"]
+        run(*evaluate, str(path))
         assert sum(parsed) == 3500 and max(parsed) <= FORWARD_BLOCK_ROWS
-        assert sum(inferred) == 3500 and max(inferred) <= FORWARD_BLOCK_ROWS
+        assert scored == [3500]
+        run(*evaluate, large)
+        assert scored == [1200]
+        run("train", "--config", large, "--out", str(tmp_path / "t"))
+        run("prune", "--config", large, "--out", str(tmp_path / "p"))
 
 
 class TestGenData:
@@ -447,6 +551,12 @@ class TestGenData:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 1
         assert "synthetic" in capsys.readouterr().err
+
+    def test_unwritable_out_is_data_error(self, tmp_path, config_path, capsys):
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "x.csv"
+        assert main(["gen-data", "--config", config_path, "--out", str(out)]) == 2
+        assert f"data error: cannot write CSV {out}" in capsys.readouterr().err
 
 
 class TestExperiment:

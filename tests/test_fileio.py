@@ -1,9 +1,12 @@
 """Every file writer replaces its target atomically."""
 
+import numpy as np
 import pytest
 
 from ballot import fileio
+from ballot.data import save_csv
 from ballot.errors import PersistenceError
+from ballot.masks import build_random_mask, save_mask
 from ballot.model import Checkpoint, LayerSpec, init_network, save_checkpoint
 from ballot.reporting import write_aggregate_csv, write_report
 
@@ -19,6 +22,8 @@ WRITERS = {
         "recall": 0.5, "cwv": 0.0, "mcd": 0.0, "retention": 1.0,
         "rounds": 0, "wall_time_s": 0.1,
     }]),
+    "csv": lambda path, v: save_csv(np.full((2, 3), v / 3), np.array([0, v]), path),
+    "mask": lambda path, v: save_mask(build_random_mask(SPECS, 0.5, v), path),
 }
 
 
@@ -26,8 +31,8 @@ class _DiskFull:
     """A file that takes half of the first write, then fails like a
     full disk."""
 
-    def __init__(self, path, mode):
-        self.fh = open(path, mode)
+    def __init__(self, path, mode, newline=None):
+        self.fh = open(path, mode, newline=newline)
 
     def write(self, data):
         self.fh.write(data[: len(data) // 2])

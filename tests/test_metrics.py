@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ballot.data import Split, split_blocks
 from ballot.errors import ConfigurationError, DataError
 from ballot.metrics import (
     bias_delta,
     confusion,
     cwv,
+    evaluate,
     macro_precision,
     macro_recall,
     mcd,
-    predict,
     report_from_predictions,
     uniform_class_weights,
     update_class_weights,
@@ -181,8 +182,9 @@ class TestReport:
             weights=[np.zeros((2, 3))], biases=[np.zeros(3)], seed=0
         )
         specs = [LayerSpec(2, 3, "none")]
-        preds = predict(params, np.ones((4, 2)), specs)
-        assert (preds == 0).all()
+        split = Split(np.ones((4, 2)), np.array([0, 1, 2, 0]))
+        rep = evaluate(params, split_blocks(split), specs)
+        assert rep.per_class_acc == (1.0, 0.0, 0.0)  # every row predicted 0
 
 
 class TestClassWeights:

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from ballot import model
+from ballot.data import Split, split_blocks
 from ballot.errors import (
     ConfigurationError,
     InfeasibleMaskError,
@@ -21,7 +21,7 @@ from ballot.masks import (
     build_random_mask,
     identity_mask,
 )
-from ballot.metrics import predict
+from ballot.metrics import evaluate, report_from_predictions
 from ballot.model import (
     FORWARD_BLOCK_ROWS,
     Checkpoint,
@@ -29,8 +29,9 @@ from ballot.model import (
     NetworkParams,
     apply_mask,
     compact_network,
+    block_buffers,
     expand_network,
-    forward,
+    forward_block,
     init_network,
     layer_views,
     live_units,
@@ -44,7 +45,7 @@ from ballot.model import (
     validate_specs,
 )
 
-from conftest import random_specs
+from conftest import logits, random_specs
 
 SPECS_222 = [LayerSpec(2, 2, "relu"), LayerSpec(2, 2, "none")]
 
@@ -244,8 +245,8 @@ class TestCompaction:
         assert small_specs == [LayerSpec(3, 0, "relu"), LayerSpec(0, 2, "none")]
         assert small.weights[0].shape == (3, 0) and small.weights[1].shape == (0, 2)
         x = np.ones((5, 3))
-        assert forward(small, x, small_specs).tobytes() == \
-            forward(masked, x, specs).tobytes()
+        assert logits(small, x, small_specs).tobytes() == \
+            logits(masked, x, specs).tobytes()
         back = expand_network(small, masked.copy(), mask)
         for got, want in zip(back.weights + back.biases,
                              masked.weights + masked.biases):
@@ -270,38 +271,45 @@ class TestForward:
         h0 = max(0.0, 1.0 * 1.0 + 1.0 * 3.0 + 0.5)
         expected = [[h0 * 5.0 + 0.0, h0 * 6.0 + 1.0]]
         np.testing.assert_array_equal(
-            forward(apply_mask(params, mask), x, SPECS_222), expected
+            logits(apply_mask(params, mask), x, SPECS_222), expected
         )
 
     def test_shape_mismatch_rejected(self):
         params = init_network(SPECS_222, 0)
-        with pytest.raises(ConfigurationError):
-            forward(params, np.zeros((1, 3)), SPECS_222)
+        split = Split(np.zeros((1, 3)), np.array([0]))
+        with pytest.raises(ConfigurationError,
+                           match="checkpoint expects 2 features, data has 3"):
+            evaluate(params, split_blocks(split), SPECS_222)
 
     def test_non_finite_params_fail_numerically(self):
         params = init_network(SPECS_222, 0)
         params.weights[0][0, 0] = np.inf
         with pytest.raises(NumericalFailure):
-            forward(params, np.ones((1, 2)), SPECS_222)
+            evaluate(params, split_blocks(Split(np.ones((1, 2)), np.array([0]))),
+                     SPECS_222)
 
-    def test_blocked_pass_equals_one_unblocked_call(self, rng, monkeypatch):
+    def test_blocked_pass_equals_one_unblocked_call(self, rng):
         specs = [LayerSpec(6, 40, "relu"), LayerSpec(40, 40, "relu"),
                  LayerSpec(40, 4, "none")]
         params = apply_mask(init_network(specs, 4), build_random_mask(specs, 0.5, 4))
         x = rng.normal(size=(2 * FORWARD_BLOCK_ROWS + 17, 6))
-        blocked = forward(params, x, specs)
-        monkeypatch.setattr(model, "FORWARD_BLOCK_ROWS", x.shape[0])
-        whole = forward(params, x, specs)
+        split = Split(x, rng.integers(0, 4, x.shape[0]))
+        bufs = block_buffers(specs, FORWARD_BLOCK_ROWS)
+        blocked = np.concatenate([forward_block(params, block, bufs).copy()
+                                  for block, _ in split_blocks(split)])
+        whole = logits(params, x, specs)
         assert blocked.tobytes() == whole.tobytes()
-        assert np.array_equal(predict(params, x, specs), whole.argmax(axis=1))
+        assert evaluate(params, split_blocks(split), specs) == \
+            report_from_predictions(split.y, whole.argmax(axis=1), 4)
 
     def test_non_finite_in_late_block_fails_numerically(self):
         params = init_network(SPECS_222, 0)
         x = np.ones((3 * FORWARD_BLOCK_ROWS, 2))
         x[-1, 0] = np.inf
+        split = Split(x, np.zeros(x.shape[0], dtype=np.int64))
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericalFailure, match="forward pass"):
-                forward(params, x, SPECS_222)
+                evaluate(params, split_blocks(split), SPECS_222)
 
 
 class TestSgdStep:

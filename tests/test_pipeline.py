@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from ballot import config_from_dict, make_dataset, pipeline
+from ballot.data import split_blocks
 from ballot.errors import ConfigurationError, NumericalFailure
 from ballot.masks import build_random_mask
 from ballot.metrics import EvalReport, evaluate
@@ -191,7 +192,7 @@ class TestRefine:
 
         oracle = round_oracle(artifacts, mask, cfg, data, 0)
         assert params_equal(outcome.params, oracle)
-        assert outcome.report == evaluate(oracle, data.test, specs)
+        assert outcome.report == evaluate(oracle, split_blocks(data.test), specs)
 
     def test_unsatisfiable_gate_runs_rounds(self, data, artifacts):
         cfg = small_config(delta=-1.0)
@@ -211,7 +212,8 @@ class TestRefine:
         mask = build_random_mask(specs, cfg.omega, seed=3)
         (outcome,) = refine("ballot", [mask], [artifacts], cfg, data)
         oracle = round_oracle(artifacts, mask, cfg, data, 1)
-        assert outcome.candidates[1] == (1, evaluate(oracle, data.test, specs))
+        assert outcome.candidates[1] == (
+            1, evaluate(oracle, split_blocks(data.test), specs))
 
     def test_selection_minimizes_cwv_among_feasible(self, data, artifacts):
         cfg = small_config(delta=-1.0)
@@ -277,7 +279,7 @@ class TestRefine:
         for r, report in outcome.candidates:
             oracle = round_oracle(artifacts, mask, cfg, data, r)
             assert_masked_entries_zero(oracle.weights + oracle.biases, mask)
-            assert report == evaluate(oracle, data.test, artifacts.specs)
+            assert report == evaluate(oracle, split_blocks(data.test), artifacts.specs)
 
     def test_exact_retention_and_metadata(self, data, artifacts):
         cfg = small_config()

@@ -15,6 +15,8 @@ temporary directory, through one fixed command set:
   ``prune.omega=0.2``, where the seeds' compacted networks differ in
   shape and retrain padded to a common width at which padding can move
   weight bits, so the reports of a padded stack are compared;
+- ``evaluate`` of the ballot ``final.ckpt`` on the default config's
+  test split, through a config file of ``{}``;
 - ``gen-data`` on the default config, then ``evaluate`` of the ballot
   ``final.ckpt`` on that CSV;
 - ``gen-data`` of 3,500 rows, more than ``model.FORWARD_BLOCK_ROWS``,
@@ -95,6 +97,8 @@ COMMANDS = [
     ["experiment", "--seeds", "5", "--out", "experiment"],
     ["experiment", "--seeds", "1", "--config", "wide.json", "--out", "wide"],
     ["experiment", "--seeds", "3", "--config", "padded.json", "--out", "padded"],
+    ["evaluate", "--checkpoint", "prune-ballot/checkpoints/final.ckpt",
+     "--data", "default.json", "--out", "evaluation-default.json"],
     ["gen-data", "--out", "data.csv"],
     ["evaluate", "--checkpoint", "prune-ballot/checkpoints/final.ckpt",
      "--data", "data.csv", "--out", "evaluation.json"],
@@ -117,8 +121,9 @@ COMMANDS = [
 def run_all(tree: Path, work: Path) -> None:
     """Run the command set with ``tree``'s sources inside ``work``; a
     callable in it is a step of this script, given ``work``."""
-    for name, raw in (("wide", WIDE), ("padded", PADDED), ("every-key", EVERY_KEY),
-                      ("csv", CSV), ("long", LONG), ("two-blocks", TWO_BLOCKS)):
+    for name, raw in (("default", {}), ("wide", WIDE), ("padded", PADDED),
+                      ("every-key", EVERY_KEY), ("csv", CSV), ("long", LONG),
+                      ("two-blocks", TWO_BLOCKS)):
         (work / f"{name}.json").write_text(json.dumps(raw))
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     for args in COMMANDS:
