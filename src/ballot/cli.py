@@ -53,7 +53,6 @@ def _load(config_path) -> AppConfig:
 
 def _write_checkpoints(out_dir: Path, artifacts, final=None) -> None:
     ck_dir = out_dir / "checkpoints"
-    ck_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(artifacts.theta0, ck_dir / "theta0.ckpt")
     save_checkpoint(artifacts.theta_k, ck_dir / "theta_k.ckpt")
     save_checkpoint(artifacts.theta_e, ck_dir / "theta_e.ckpt")

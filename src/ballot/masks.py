@@ -28,6 +28,7 @@ clear every entry of a layer.  ``save_mask`` stores a mask as
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -374,8 +375,12 @@ def identity_mask(specs: list[LayerSpec]) -> Mask:
 
 
 def save_mask(mask: Mask, path) -> None:
-    """Write ``np.packbits(mask.keep)``, the flags in flat order."""
+    """Write ``np.packbits(mask.keep)``, the flags in flat order.
+    Missing parent directories are made; the file is replaced
+    atomically."""
+    path = Path(path)
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         with atomic_open(path, "wb") as fh:
             fh.write(np.packbits(mask.keep).tobytes())
     except OSError as exc:

@@ -24,9 +24,9 @@ of one shape never changes their bytes.
 
 Masking lives in the parameters: a masked weight or bias is stored as
 exactly +0.0.  ``apply_mask`` establishes that and ``sgd_step`` keeps
-it: the subtract may move a masked entry, and re-zeroing the flat drop
-array after it writes +0.0 back.  Every other function reads the
-parameters as stored and takes no mask.
+it: a masked entry's step size is 0.0, so its finite gradient scales
+to +0.0 or -0.0 and +0.0 minus either is +0.0.  Every other function
+reads the parameters as stored and takes no mask.
 
 A masked network retrains at its compacted shape: ``compact_network``
 gathers its live hidden units into a smaller dense network, whose
@@ -45,6 +45,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -175,13 +176,6 @@ def stack_params(nets: list[NetworkParams]) -> ParamStack:
     return stack
 
 
-def stack_masks(keeps) -> np.ndarray:
-    """Drop flags [R, P] of R flat keep vectors (``Mask.keep`` or the
-    keep of ``compact_network``), computed once for the re-zeroing after
-    every step."""
-    return ~np.stack(keeps)
-
-
 def _require_finite(a: np.ndarray, what: str) -> None:
     """Raise NumericalFailure if ``a`` holds a NaN or infinity, naming
     the first slot of its leading seed axis that does."""
@@ -271,10 +265,10 @@ def train_step(stack: ParamStack, x, onehot, specs: list[LayerSpec], fair=None):
     sweep of its own.  Without ``fair`` it returns None.
 
     The parameters are used as stored, so gradients flow through exactly
-    the network that inference sees; ``sgd_step`` discards the gradients
-    of masked entries.  Each slot's arithmetic is that of a stack of
-    one.  Only the loss is checked for finiteness here; a non-finite
-    pre-activation gradient reaches a weight gradient, which
+    the network that inference sees; ``sgd_step`` gives the gradients of
+    masked entries a zero step.  Each slot's arithmetic is that of a
+    stack of one.  Only the loss is checked for finiteness here; a
+    non-finite pre-activation gradient reaches a weight gradient, which
     ``sgd_step`` checks.
     """
     x, r = np.asarray(x, dtype=np.float64), stack.flat.shape[0]
@@ -316,19 +310,18 @@ def train_step(stack: ParamStack, x, onehot, specs: list[LayerSpec], fair=None):
     return means
 
 
-def sgd_step(stack: ParamStack, lr: float, mask: np.ndarray | None = None) -> ParamStack:
-    """In-place step theta <- theta - lr * g on every network of the
-    stack, from the gradients ``train_step`` left in ``stack.grad``, then
-    re-zero masked entries.
+def sgd_step(stack: ParamStack, step) -> ParamStack:
+    """In-place step theta <- theta - step * g on every network of the
+    stack, from the gradients ``train_step`` left in ``stack.grad``.
 
-    ``mask`` is the [R, P] drop array of ``stack_masks``.  A masked
-    entry may move in the subtract, and the re-zeroing writes +0.0 back,
-    never -0.0.  ``stack.grad`` is left scaled by ``lr``."""
+    ``step`` is the learning rate, or an [R, P] array holding it at kept
+    entries and 0.0 at masked ones.  A masked entry, +0.0 on entry,
+    then subtracts g * 0.0, which is +0.0 or -0.0 for the finite
+    gradients checked here, and stays +0.0, never -0.0.  ``stack.grad``
+    is left scaled by ``step``."""
     _require_finite(stack.grad, "non-finite gradient in sgd_step")
-    stack.grad *= lr
+    stack.grad *= step
     stack.flat -= stack.grad
-    if mask is not None:
-        np.putmask(stack.flat, mask, 0.0)
     return stack
 
 
@@ -426,7 +419,8 @@ class Checkpoint:
 def save_checkpoint(ck: Checkpoint, path) -> None:
     """Binary layout: magic 'BLTC', u32 version, u64 manifest length, the
     UTF-8 JSON manifest, then per layer the weights (row-major) and bias
-    as little-endian float64."""
+    as little-endian float64.  Missing parent directories are made; the
+    file is replaced atomically."""
     validate_specs(ck.specs)
     if len(ck.params.weights) != len(ck.specs):
         raise PersistenceError("params do not match layer specs")
@@ -445,7 +439,9 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
     for w, b in zip(ck.params.weights, ck.params.biases):
         chunks.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
         chunks.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
+    path = Path(path)
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         with atomic_open(path, "wb") as fh:
             fh.write(b"".join(chunks))
     except OSError as exc:

@@ -69,7 +69,6 @@ from .model import (
     init_network,
     live_units,
     sgd_step,
-    stack_masks,
     stack_params,
     train_step,
 )
@@ -234,24 +233,26 @@ def _retrain(
 
     Each network trains at its compacted shape (``compact_network``):
     only its live hidden units, with the entries its mask trims among
-    them kept at zero after every step, padded to the widest live count
-    of the call, so all the networks train in lockstep as one stack.
+    them given a zero step size, so they stay +0.0, padded to the widest
+    live count of the call, so all the networks train in lockstep as one
+    stack.
     Each result is scattered back into its full-shape network; entries
     outside the live units keep their values."""
     widths = [max(map(len, col)) for col in zip(*map(live_units, masks))]
     smalls, small_specs, keeps = zip(
         *(compact_network(p, m, specs, widths) for p, m in zip(nets, masks))
     )
-    stack, mask = stack_params(list(smalls)), stack_masks(keeps)
+    stack, keep = stack_params(list(smalls)), np.stack(keeps)
+    step = np.empty(keep.shape)
     streams = [s + stream_offset for s in seeds]
     x, onehot = data.train.X, data.train_onehot
     for epoch in range(epochs):
-        lr = lr_fn(epoch)
+        np.multiply(keep, lr_fn(epoch), out=step)
         orders = _shuffle(streams, epoch_offset + epoch, x.shape[0])
         try:
             for idx in _batches(orders, config.batch_size):
                 train_step(stack, x[idx], onehot[idx], small_specs[0])
-                sgd_step(stack, lr, mask)
+                sgd_step(stack, step)
         except NumericalFailure as exc:
             raise _failure("retraining", epoch, seeds[exc.index], exc) from exc
     for small, params, m in zip(smalls, nets, masks):

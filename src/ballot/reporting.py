@@ -144,13 +144,32 @@ def _summary_row(method: str, seed: int, report: EvalReport, retention: float,
     }
 
 
+def _phase_runs(apps: list[AppConfig], artifacts, results: list[PruneResult]) -> list:
+    """What one phase's results leave for the files: per seed, the run's
+    directory name, its report payload, its mask and its aggregate row.
+    The results themselves, and with them their retrained weights, are
+    freed when this returns; a caller's loop variable bound to one would
+    keep it alive into the next phase."""
+    return [
+        (f"{res.method}-seed{a.seed}",
+         report_payload(app_seed, a.seed, a.dense_report, [res]),
+         res.mask,
+         _summary_row(res.method, a.seed, res.report, res.retention,
+                      res.rounds_used, res.wall_time_s))
+        for app_seed, a, res in zip(apps, artifacts, results)
+    ]
+
+
 def run_experiment(app: AppConfig, n_seeds: int, out_dir) -> Path:
     """Dense plus all four pruners for seeds base..base+n-1.
 
     The seeds run in lockstep, phase by phase: dense training, ballot,
-    then each baseline.  Writes one report per (method, seed) run under
-    runs/, the dense reports alongside them, and the sorted aggregate
-    CSV.
+    then each baseline.  A phase's results are reduced to their reports,
+    masks and aggregate rows as soon as it returns, so only one phase's
+    retrained weights are held at a time.  Every file is written after
+    the last phase, so a failing phase writes none: one report per
+    (method, seed) run under runs/, the dense reports alongside them,
+    and the sorted aggregate CSV.
     """
     if n_seeds < 1:
         raise ConfigurationError("experiment needs at least one seed")
@@ -158,29 +177,22 @@ def run_experiment(app: AppConfig, n_seeds: int, out_dir) -> Path:
     data = make_dataset(app.dataset)
     seeds = [app.train.seed + i for i in range(n_seeds)]
     artifacts = train_dense(app.train, data, seeds)
-    by_method = [run_baseline(m, app.train, data, artifacts) for m in METHODS]
+    apps = [replace(app, train=replace(app.train, seed=seed)) for seed in seeds]
+    runs = [
+        (f"dense-seed{a.seed}",
+         report_payload(app_seed, a.seed, a.dense_report, []),
+         None,
+         _summary_row("dense", a.seed, a.dense_report, 1.0, 0, a.wall_time_s))
+        for app_seed, a in zip(apps, artifacts)
+    ]
+    for method in METHODS:
+        runs += _phase_runs(apps, artifacts, run_baseline(method, app.train, data, artifacts))
 
-    rows = []
-    for r, (seed, arts) in enumerate(zip(seeds, artifacts)):
-        app_seed = replace(app, train=replace(app.train, seed=seed))
-        write_report(
-            out_dir / "runs" / f"dense-seed{seed}" / "report.json",
-            report_payload(app_seed, seed, arts.dense_report, []),
-        )
-        rows.append(
-            _summary_row("dense", seed, arts.dense_report, 1.0, 0, arts.wall_time_s)
-        )
-        for results in by_method:
-            result = results[r]
-            run_dir = out_dir / "runs" / f"{result.method}-seed{seed}"
-            write_report(run_dir / "report.json",
-                         report_payload(app_seed, seed, arts.dense_report, [result]))
-            save_mask(result.mask, run_dir / "mask.bits")
-            rows.append(
-                _summary_row(result.method, seed, result.report, result.retention,
-                             result.rounds_used, result.wall_time_s)
-            )
-
+    for name, payload, mask, _ in runs:
+        run_dir = out_dir / "runs" / name
+        write_report(run_dir / "report.json", payload)
+        if mask is not None:
+            save_mask(mask, run_dir / "mask.bits")
     csv_path = out_dir / "aggregate.csv"
-    write_aggregate_csv(csv_path, rows)
+    write_aggregate_csv(csv_path, [row for *_, row in runs])
     return csv_path

@@ -19,7 +19,6 @@ from ballot.model import (
     cross_entropy,
     init_network,
     sgd_step,
-    stack_masks,
     stack_params,
     train_step,
 )
@@ -324,8 +323,8 @@ class TestSeedStack:
         fair = rng.uniform(0.5, 2.0, (3, 3))
 
         nets = [p.copy() for p in starts]
-        stack, mask = stack_params(nets), stack_masks([m.keep for m in masks])
-        singles = [(stack_params([p]), stack_masks([m.keep]))
+        stack, step_size = stack_params(nets), 0.1 * np.stack([m.keep for m in masks])
+        singles = [(stack_params([p]), 0.1 * m.keep[None])
                    for p, m in zip(starts, masks)]
         for step in range(4):
             # every network draws its own batch; odd steps train the
@@ -333,7 +332,7 @@ class TestSeedStack:
             idx = np.stack([rng.permutation(40)[:16] for _ in range(3)])
             weights = fair if step % 2 == 0 else None
             means = train_step(stack, x[idx], y[idx], specs, weights)
-            for r, (one, one_mask) in enumerate(singles):
+            for r, (one, one_step) in enumerate(singles):
                 means1 = train_step(
                     one, x[idx[r]][None], y[idx[r]][None], specs,
                     None if weights is None else weights[r:r + 1],
@@ -346,8 +345,8 @@ class TestSeedStack:
                     got, want = got + means[0] + means[1], want + means1[0] + means1[1]
                 for a, b in zip(got, want):
                     assert a[r].tobytes() == b[0].tobytes()
-                sgd_step(one, 0.1, one_mask)
-            sgd_step(stack, 0.1, mask)
+                sgd_step(one, one_step)
+            sgd_step(stack, step_size)
         for a, b in zip(nets, starts):
             for wa, wb in zip(a.weights + a.biases, b.weights + b.biases):
                 assert wa.tobytes() == wb.tobytes()

@@ -16,11 +16,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ballot import cli, metrics, pipeline
+from ballot import cli, metrics, pipeline, reporting
 from ballot._version import __version__
 from ballot.cli import main
 from ballot.data import Split, require_labels_below, split_blocks
-from ballot.errors import ConfigurationError
+from ballot.errors import ConfigurationError, NumericalFailure
 from ballot.masks import load_mask
 from ballot.metrics import evaluate
 from ballot.model import FORWARD_BLOCK_ROWS, live_units, load_checkpoint, param_count
@@ -102,6 +102,16 @@ class TestTrain:
         assert code == 1
         assert err.startswith("ballot: configuration error:")
         assert "'train.lr0' must be finite" in err and "Traceback" not in err
+
+    def test_checkpoint_dir_that_is_a_file_is_data_error(self, tmp_path,
+                                                           config_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "checkpoints").write_text("")
+        assert main(["train", "--config", config_path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "data error: cannot write checkpoint" in err
+        assert "Traceback" not in err
 
     def test_numerical_failure(self, tmp_path, capsys):
         raw = dict(SMALL, train={"epochs": 6, "lr0": 1e200})
@@ -573,6 +583,28 @@ class TestExperiment:
         code = main(["experiment", "--seeds", "0", "--config", config_path,
                      "--out", str(tmp_path / "exp")])
         assert code == 1
+
+    def test_failing_last_phase_writes_nothing(self, tmp_path, config_path,
+                                               monkeypatch, capsys):
+        # every other phase succeeds first; no file is written before
+        # the last phase returns
+        real = reporting.run_baseline
+        methods = []
+
+        def failing(method, *args):
+            methods.append(method)
+            if method == "random":
+                raise NumericalFailure("retraining epoch 0, seed 0: injected")
+            return real(method, *args)
+
+        monkeypatch.setattr(reporting, "run_baseline", failing)
+        out = tmp_path / "exp"
+        code = main(["experiment", "--seeds", "2", "--config", config_path,
+                     "--out", str(out)])
+        assert code == 3
+        assert "numerical failure: retraining epoch 0" in capsys.readouterr().err
+        assert methods == ["ballot", "lth", "magnitude", "random"]
+        assert not out.exists() or not any(out.rglob("*"))
 
 
 class TestTopLevel:

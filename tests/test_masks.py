@@ -508,8 +508,12 @@ class TestMaskSerialization:
             load_mask(tmp_path / "absent.bits", SPECS_232)
 
     def test_unwritable_path_rejected(self, tmp_path):
+        # a missing directory is made; one that is a regular file is not
+        save_mask(identity_mask(SPECS_232), tmp_path / "new" / "mask.bits")
+        assert (tmp_path / "new" / "mask.bits").exists()
+        (tmp_path / "afile").write_text("")
         with pytest.raises(PersistenceError, match="cannot write mask"):
-            save_mask(identity_mask(SPECS_232), tmp_path / "no" / "mask.bits")
+            save_mask(identity_mask(SPECS_232), tmp_path / "afile" / "mask.bits")
 
 
 # sha256 of np.packbits(mask.keep), the bytes of ``save_mask``, for a

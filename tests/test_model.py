@@ -39,7 +39,6 @@ from ballot.model import (
     param_count,
     save_checkpoint,
     sgd_step,
-    stack_masks,
     stack_params,
     train_step,
     validate_specs,
@@ -320,7 +319,7 @@ class TestSgdStep:
         stack = stack_params([params])
         stack.grad_weights[0][...] = 0.5
         stack.grad_biases[0][...] = 0.0
-        sgd_step(stack, 0.1, None)
+        sgd_step(stack, 0.1)
         assert params.weights[0][0, 0] == 0.95
 
     def test_masked_entry_stays_zero(self):
@@ -330,16 +329,31 @@ class TestSgdStep:
         params = apply_mask(params, mask)
         stack = stack_params([params])
         stack.grad[...] = 1.0
-        sgd_step(stack, 0.1, stack_masks([mask.keep]))
+        sgd_step(stack, 0.1 * mask.keep[None])
         assert params.weights[0][0, 0] == 0.0
         assert params.weights[0][1, 1] != 0.0
+
+    def test_masked_entry_stays_positive_zero_under_any_gradient_sign(self):
+        # a trimmed +0.0 entry under a gradient of +x, -x and -0.0 (one
+        # slot each) steps by +-0.0 and stays bit-exact +0.0
+        params = init_network(SPECS_222, 0)
+        mask = identity_mask(SPECS_222)
+        mask.weight_keep[0][0, 0] = False
+        nets = [apply_mask(params, mask) for _ in range(3)]
+        stack = stack_params(nets)
+        stack.grad[...] = 0.25
+        stack.grad_weights[0][:, 0, 0] = [0.25, -0.25, -0.0]
+        sgd_step(stack, 0.1 * np.stack([mask.keep] * 3))
+        for net in nets:
+            assert net.weights[0][0, 0].tobytes() == np.float64(0.0).tobytes()
+            assert net.weights[0][1, 1] != params.weights[0][1, 1]
 
     def test_zero_lr_is_bitwise_noop(self):
         params = init_network(SPECS_222, 5)
         before = [w.copy() for w in params.weights]
         stack = stack_params([params])
         stack.grad[...] = 0.3
-        sgd_step(stack, 0.0, None)
+        sgd_step(stack, 0.0)
         for w, b in zip(params.weights, before):
             assert np.array_equal(w, b)
 
@@ -348,7 +362,7 @@ class TestSgdStep:
         stack.grad[...] = 1.0
         stack.grad_weights[0][0, 0, 0] = np.nan
         with pytest.raises(NumericalFailure):
-            sgd_step(stack, 0.1, None)
+            sgd_step(stack, 0.1)
 
     def test_non_finite_gradient_names_the_first_slot(self):
         # slot 1's bad entry is the last of its row, slot 2's the first
@@ -356,7 +370,7 @@ class TestSgdStep:
         stack.grad[1, -1] = np.inf
         stack.grad[2, 0] = np.nan
         with pytest.raises(NumericalFailure) as caught:
-            sgd_step(stack, 0.1, None)
+            sgd_step(stack, 0.1)
         assert caught.value.index == 1
 
     def test_masked_steps_match_a_per_layer_loop(self, rng):
@@ -370,24 +384,25 @@ class TestSgdStep:
         nets = [apply_mask(init_network(specs, 20 + r), m)
                 for r, m in enumerate(masks)]
         stack = stack_params(nets)
-        drop = stack_masks([m.keep for m in masks])
+        kept = np.stack([m.keep for m in masks])
         x = rng.normal(size=(3, 40, 5))
         y = np.eye(3)[rng.integers(0, 3, (3, 40))]
+        moved = np.zeros(kept.shape, dtype=bool)
         for step in range(50):
             lr = 0.5 if step < 25 else 0.05
             train_step(stack, x, y, specs)
             grads = stack.grad_weights + stack.grad_biases
             want = [[w - lr * g[r] for w, g in zip(net.weights + net.biases, grads)]
                     for r, net in enumerate(nets)]
-            sgd_step(stack, lr, drop)
+            moved |= (stack.grad != 0.0) & ~kept
+            sgd_step(stack, lr * kept)
             for net, m, expected in zip(nets, masks, want):
                 for got, exp, keep in zip(net.weights + net.biases, expected,
                                           m.weight_keep + m.bias_keep):
                     assert got[keep].tobytes() == exp[keep].tobytes()
                     assert (got[~keep] == 0.0).all()
                     assert not np.signbit(got[~keep]).any()
-        moved = [(g != 0.0) & d for g, d in zip(stack.grad, drop)]
-        assert any(m.any() for m in moved)  # masked entries did get gradients
+        assert moved.any()  # masked entries did get gradients
 
 
 class TestFlatLayout:
@@ -444,7 +459,7 @@ class TestFlatLayout:
         assert np.array_equal(keep, [True, True])
         x, y = np.ones((1, 5, 3)), np.eye(2)[[0, 1, 0, 1, 1]][None]
         train_step(stack, x, y, small_specs)
-        sgd_step(stack, 0.1, stack_masks([keep]))
+        sgd_step(stack, 0.1 * keep[None])
         assert np.array_equal(stack.grad[0], stack.grad_biases[-1][0])
 
 

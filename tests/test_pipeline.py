@@ -250,13 +250,13 @@ class TestRefine:
         real_step = pipeline.sgd_step
         steps = []
 
-        def checked_step(stack, lr, mask=None):
-            out = real_step(stack, lr, mask)
+        def checked_step(stack, step):
+            out = real_step(stack, step)
             assert len(stack.flat) == len(keeps)
             for row, keep in zip(stack.flat, keeps):
                 dropped = row[~keep]
                 assert (dropped == 0.0).all() and not np.signbit(dropped).any()
-            steps.append(lr)
+            steps.append(step)
             return out
 
         monkeypatch.setattr(pipeline, "sgd_step", checked_step)
@@ -407,9 +407,9 @@ class TestLockstep:
         real_step = pipeline.sgd_step
         steps = []
 
-        def poisoning_step(stack, lr, mask=None):
-            out = real_step(stack, lr, mask)
-            steps.append(lr)
+        def poisoning_step(stack, step):
+            out = real_step(stack, step)
+            steps.append(step)
             if len(steps) == 2 * batches:
                 stack.weights[-1][1][...] = np.inf
             return out
@@ -433,9 +433,9 @@ class TestLockstep:
         real_step = pipeline.sgd_step
         steps = []
 
-        def poisoning_step(stack, lr, mask=None):
-            out = real_step(stack, lr, mask)
-            steps.append(lr)
+        def poisoning_step(stack, step):
+            out = real_step(stack, step)
+            steps.append(step)
             if len(steps) == 2 * batches + 1:
                 stack.weights[0][1][...] = value
             return out
@@ -461,9 +461,9 @@ class TestLockstep:
         real_step = pipeline.sgd_step
         steps = []
 
-        def poisoning_step(stack, lr, mask=None):
-            out = real_step(stack, lr, mask)
-            steps.append(lr)
+        def poisoning_step(stack, step):
+            out = real_step(stack, step)
+            steps.append(step)
             if len(steps) == last_step:
                 stack.weights[0][1][...] = np.inf
             return out

@@ -1,9 +1,12 @@
 """Report files, the aggregate CSV, and the multi-seed experiment driver."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
+from ballot import reporting
 from ballot.config import config_from_dict
 from ballot.errors import ConfigurationError, PersistenceError
 from ballot.reporting import (
@@ -201,3 +204,25 @@ class TestRunExperiment:
         out = tmp_path / "offset"
         run_experiment(config_from_dict(raw), 1, out)
         assert (out / "runs" / "dense-seed5" / "report.json").exists()
+
+    def test_no_retrained_weights_outlive_their_phase(self, tmp_path, monkeypatch):
+        # every phase's retrained weights are freed before the next phase
+        # starts, and the last phase's before the run returns
+        real = reporting.run_baseline
+        phases = []
+
+        def live_refs():
+            gc.collect()
+            return [method for method, refs in phases
+                    if any(ref() is not None for ref in refs)]
+
+        def tracked(method, *args):
+            assert live_refs() == [], f"alive when {method} starts"
+            results = real(method, *args)
+            phases.append((method, [weakref.ref(r.params.weights[0]) for r in results]))
+            return results
+
+        monkeypatch.setattr(reporting, "run_baseline", tracked)
+        run_experiment(config_from_dict(APP_RAW), 2, tmp_path / "exp")
+        assert [method for method, _ in phases] == ["ballot", "lth", "magnitude", "random"]
+        assert live_refs() == []
