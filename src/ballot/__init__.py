@@ -40,7 +40,6 @@ from .metrics import (
     update_class_weights,
 )
 from .model import (
-    Checkpoint,
     LayerSpec,
     NetworkParams,
     apply_mask,

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .masks import save_mask
 from .metrics import evaluate
-from .model import Checkpoint, load_checkpoint, save_checkpoint
+from .model import load_checkpoint, save_checkpoint
 from .pipeline import METHODS, run_baseline, train_dense
 from .reporting import (
     eval_report_dict,
@@ -86,9 +86,7 @@ def _cmd_prune(args) -> int:
         report_payload(app, app.train.seed, artifacts.dense_report, [result]),
     )
     save_mask(result.mask, out / "mask.bits")
-    final = Checkpoint(result.params, artifacts.specs,
-                       epoch=result.params.epoch_tag, seed=app.train.seed)
-    _write_checkpoints(out, artifacts, final=final)
+    _write_checkpoints(out, artifacts, final=result.params)
     print(f"wrote {out / 'report.json'}")
     return 0
 
@@ -98,10 +96,10 @@ def _cmd_evaluate(args) -> int:
     a CSV file, both through ``metrics.evaluate``.  A config's data is
     checked against the checkpoint first: its feature count, then its
     class count."""
-    ck = load_checkpoint(args.checkpoint)
+    params = load_checkpoint(args.checkpoint)
     if args.data.endswith(".json"):
         data = make_dataset(load_config(args.data).dataset)
-        n_features, n_classes = ck.specs[0].d_in, ck.specs[-1].d_out
+        n_features, n_classes = params.specs[0].d_in, params.specs[-1].d_out
         if data.dim != n_features:
             raise ConfigurationError(
                 f"checkpoint expects {n_features} features, data has {data.dim}")
@@ -111,12 +109,12 @@ def _cmd_evaluate(args) -> int:
         blocks = split_blocks(data.test)
     else:
         blocks = csv_blocks(args.data, args.label_column)
-    report = evaluate(ck.params, blocks, ck.specs)
+    report = evaluate(params, blocks)
     payload = {
         "version": __version__,
         "checkpoint": str(args.checkpoint),
-        "epoch": ck.epoch,
-        "seed": ck.seed,
+        "epoch": params.epoch_tag,
+        "seed": params.seed,
         "report": eval_report_dict(report),
     }
     write_report(args.out, payload)

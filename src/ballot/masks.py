@@ -40,8 +40,7 @@ from .errors import (
     UsageError,
 )
 from .fileio import atomic_open
-from .model import (LayerSpec, NetworkParams, flat_values, hidden_sizes, layer_views,
-                    param_count, validate_specs)
+from .model import LayerSpec, NetworkParams, hidden_sizes, layer_views, param_count, validate_specs
 
 
 def conflict_scores(g_a, g_f, gamma: float) -> np.ndarray:
@@ -265,14 +264,14 @@ def build_ballot_mask(
         raise ConfigurationError("ledger does not cover this network's hidden units")
     if not ledger.epochs:
         raise UsageError("ledger has no recorded epochs")
-    if len(final_params.weights) != len(specs):
+    if final_params.specs != specs:
         raise ConfigurationError("final_params does not match the layer specs")
 
     layers, units = _unit_ids(ledger.sizes)
     order = np.lexsort(
         (units, layers, -np.concatenate(ledger.cum_scores), -np.concatenate(ledger.counts))
     )
-    magnitudes = np.abs(flat_values(final_params.weights, final_params.biases))
+    magnitudes = np.abs(final_params.flat)
     return _removal_mask(specs, order, omega, magnitudes)
 
 
@@ -338,14 +337,14 @@ def build_magnitude_mask(
     removal empties nothing is dropped, so the count stays exact.  If
     no such swap exists the retention is infeasible."""
     validate_specs(specs)
-    if len(params.weights) != len(specs):
+    if params.specs != specs:
         raise ConfigurationError("params do not match the layer specs")
     k = _target_kept(specs, omega)
     mask = Mask(specs)
     if k == mask.total_count():
         return mask
 
-    flat = flat_values(params.weights, params.biases)
+    flat = params.flat
     if not np.isfinite(flat).all():
         raise NumericalFailure("non-finite parameter values")
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import require_labels_below
 from .errors import ConfigurationError, DataError, NumericalFailure
-from .model import LayerSpec, NetworkParams, block_buffers, forward_block
+from .model import NetworkParams, block_buffers, forward_block
 
 WEIGHT_FLOOR = 0.01
 
@@ -122,7 +122,7 @@ def report_from_predictions(y_true, y_pred, n_classes: int) -> EvalReport:
     )
 
 
-def evaluate(params: NetworkParams, blocks, specs: list[LayerSpec]) -> EvalReport:
+def evaluate(params: NetworkParams, blocks) -> EvalReport:
     """The report of a network on every row of ``blocks``: ``(features,
     labels)`` pairs of at most ``FORWARD_BLOCK_ROWS`` rows, none longer
     than the first, from ``data.split_blocks`` or ``data.csv_blocks``.
@@ -134,6 +134,7 @@ def evaluate(params: NetworkParams, blocks, specs: list[LayerSpec]) -> EvalRepor
     others raise in this order, as after loading every row: a label
     outside the classes, with its file line; a feature count the network
     does not take (no block is inferred); a non-finite layer output."""
+    specs = params.specs
     n_features, n_classes = specs[0].d_in, specs[-1].d_out
     bufs, labels, preds, failure = None, [], [], None
     for x, y in blocks:

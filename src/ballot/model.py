@@ -7,11 +7,14 @@ logits.  Units of all non-final layers are the "hidden neurons" that
 pruning may remove.
 
 One flat layout serves parameters, checkpoints and masks: per layer the
-weights row-major, then the bias, layers in order.  A checkpoint stores
-a network's values in it and ``Mask.keep`` flags its entries.
-``ParamStack`` holds R networks of one architecture as one C-contiguous
-[R, P] buffer, a row per network, next to a gradient buffer of the same
-shape; the per-layer arrays the step reads and writes are views of them.
+weights row-major, then the bias, layers in order.  ``NetworkParams``
+holds one network as its specs and one [P] buffer in that layout, whose
+per-layer arrays are views; a checkpoint stores the buffer after a
+manifest of the specs, seed and epoch, and ``Mask.keep`` flags its
+entries.  ``ParamStack`` holds R networks of one architecture as one
+C-contiguous [R, P] buffer, a row per network, next to a gradient buffer
+of the same shape; the per-layer arrays the step reads and writes are
+views of them, and ``stack_params`` rebinds each network to its row.
 
 Each batch runs one forward pass and one backward pass that writes the
 cross-entropy's parameter gradients into the gradient buffer.  Dense
@@ -44,7 +47,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -92,25 +95,25 @@ def param_count(specs: list[LayerSpec]) -> int:
     return sum(s.d_in * s.d_out + s.d_out for s in specs)
 
 
-@dataclass
 class NetworkParams:
-    """Weight matrices (d_in by d_out) and bias vectors, one pair per layer."""
+    """One network: its layer ``specs`` and its values in one C-contiguous
+    [P] float64 buffer ``flat``, in the flat layout.  ``weights[i]``
+    [d_in, d_out] and ``biases[i]`` [d_out] are views into it, so writing
+    either writes ``flat``; ``epoch_tag`` counts the epochs trained."""
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    seed: int
-    epoch_tag: int = 0
+    def __init__(self, flat: np.ndarray, specs: list[LayerSpec], seed: int,
+                 epoch_tag: int = 0):
+        self.specs, self.seed, self.epoch_tag = specs, seed, epoch_tag
+        self._bind(flat)
+
+    def _bind(self, flat: np.ndarray) -> None:
+        """Hold ``flat`` as the values, with per-layer views into it."""
+        self.flat = flat
+        self.weights, self.biases = layer_views(
+            flat, [(s.d_in, s.d_out) for s in self.specs])
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.seed,
-            self.epoch_tag,
-        )
-
-    def count(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+        return NetworkParams(self.flat.copy(), self.specs, self.seed, self.epoch_tag)
 
 
 def init_network(specs: list[LayerSpec], seed: int) -> NetworkParams:
@@ -121,18 +124,11 @@ def init_network(specs: list[LayerSpec], seed: int) -> NetworkParams:
     """
     validate_specs(specs)
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for spec in specs:
+    params = NetworkParams(np.zeros(param_count(specs)), specs, seed)
+    for spec, w in zip(specs, params.weights):
         lim = math.sqrt(6.0 / spec.d_in)
-        weights.append(rng.uniform(-lim, lim, (spec.d_in, spec.d_out)))
-        biases.append(np.zeros(spec.d_out))
-    return NetworkParams(weights, biases, seed=seed, epoch_tag=0)
-
-
-def flat_values(weights, biases) -> np.ndarray:
-    """Per-layer arrays in the flat layout: per layer the weights
-    row-major, then the bias, layers in order."""
-    return np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
+        w[...] = rng.uniform(-lim, lim, w.shape)
+    return params
 
 
 def layer_views(buf: np.ndarray, shapes) -> tuple[list, list]:
@@ -166,13 +162,10 @@ class ParamStack:
 def stack_params(nets: list[NetworkParams]) -> ParamStack:
     """Stack ``nets`` in order and rebind each network's arrays to views
     of its row, so a step on the stack trains every network in place."""
-    stack = ParamStack(
-        np.stack([flat_values(net.weights, net.biases) for net in nets]),
-        [w.shape for w in nets[0].weights],
-    )
-    for r, net in enumerate(nets):
-        net.weights = [w[r] for w in stack.weights]
-        net.biases = [b[r] for b in stack.biases]
+    stack = ParamStack(np.stack([net.flat for net in nets]),
+                       [w.shape for w in nets[0].weights])
+    for net, row in zip(nets, stack.flat):
+        net._bind(row)
     return stack
 
 
@@ -329,12 +322,11 @@ def apply_mask(params: NetworkParams, mask) -> NetworkParams:
     """Fresh parameter set with masked entries set to exactly +0.0."""
     if len(mask.weight_keep) != len(params.weights):
         raise ConfigurationError("mask layer count does not match network")
-    out = params.copy()
-    for w, b, wk, bk in zip(out.weights, out.biases, mask.weight_keep, mask.bias_keep):
+    for w, b, wk, bk in zip(params.weights, params.biases, mask.weight_keep, mask.bias_keep):
         if wk.shape != w.shape or bk.shape != b.shape:
             raise ConfigurationError("mask shape does not match network")
-        w[~wk] = 0.0
-        b[~bk] = 0.0
+    out = params.copy()
+    out.flat[~mask.keep] = 0.0
     return out
 
 
@@ -359,42 +351,35 @@ def _unit_ends(mask) -> list[np.ndarray]:
 
 
 def compact_network(
-    params: NetworkParams, mask, specs: list[LayerSpec], widths=None
-) -> tuple[NetworkParams, list[LayerSpec], np.ndarray]:
+    params: NetworkParams, mask, widths=None
+) -> tuple[NetworkParams, np.ndarray]:
     """The live part of a masked network as a smaller dense network.
 
-    Returns fresh copies of the weights and biases of the live hidden
-    units (see ``live_units``), the specs of that network, whose hidden
-    layers may have width 0, and its flat keep vector in the flat layout
-    of that network: entries ``mask`` trims inside the live part stay
-    trimmed.  ``widths``, one per hidden layer and none below its live
-    count, pads each hidden layer with dead units after the live ones:
-    every entry +0.0 and not kept, so the unit's ReLU gate is closed and
-    it gets zero gradients.  ``expand_network`` scatters the result back
-    and drops the padding."""
+    Returns a fresh network of the weights and biases of the live hidden
+    units (see ``live_units``), with its own specs, whose hidden layers
+    may have width 0, and its flat keep vector in the flat layout of that
+    network: entries ``mask`` trims inside the live part stay trimmed.
+    ``widths``, one per hidden layer and none below its live count, pads
+    each hidden layer with dead units after the live ones: every entry
+    +0.0 and not kept, so the unit's ReLU gate is closed and it gets zero
+    gradients.  ``expand_network`` scatters the result back and drops the
+    padding."""
     ends = _unit_ends(mask)
     dims = [len(u) for u in ends]
     if widths is not None:
         dims[1:-1] = widths
-    blocks = [np.ix_(rows, cols) for rows, cols in zip(ends, ends[1:])]
-
-    def gather(weights, biases):
-        return (
-            [_pad(w[block], dims[i : i + 2])
-             for i, (w, block) in enumerate(zip(weights, blocks))],
-            [_pad(b[cols], dims[i + 1 : i + 2])
-             for i, (b, cols) in enumerate(zip(biases, ends[1:]))],
-        )
-
-    small = NetworkParams(*gather(params.weights, params.biases), params.seed, params.epoch_tag)
-    small_specs = [LayerSpec(d_in, d_out, spec.activation)
-                   for d_in, d_out, spec in zip(dims, dims[1:], specs)]
-    return small, small_specs, flat_values(*gather(mask.weight_keep, mask.bias_keep))
-
-
-def _pad(a: np.ndarray, shape) -> np.ndarray:
-    """``a`` followed along each axis by zeros (False) up to ``shape``."""
-    return np.pad(a, [(0, size - d) for d, size in zip(a.shape, shape)])
+    specs = [LayerSpec(d_in, d_out, spec.activation)
+             for d_in, d_out, spec in zip(dims, dims[1:], params.specs)]
+    small = NetworkParams(np.zeros(param_count(specs)), specs, params.seed, params.epoch_tag)
+    keep = np.zeros(small.flat.size, dtype=bool)
+    keep_w, keep_b = layer_views(keep, [w.shape for w in small.weights])
+    for i, (rows, cols) in enumerate(zip(ends, ends[1:])):
+        block, n, m = np.ix_(rows, cols), len(rows), len(cols)
+        small.weights[i][:n, :m] = params.weights[i][block]
+        small.biases[i][:m] = params.biases[i][cols]
+        keep_w[i][:n, :m] = mask.weight_keep[i][block]
+        keep_b[i][:m] = mask.bias_keep[i][cols]
+    return small, keep
 
 
 def expand_network(small: NetworkParams, params: NetworkParams, mask) -> NetworkParams:
@@ -408,47 +393,35 @@ def expand_network(small: NetworkParams, params: NetworkParams, mask) -> Network
     return params
 
 
-@dataclass
-class Checkpoint:
-    params: NetworkParams
-    specs: list[LayerSpec] = field(default_factory=list)
-    epoch: int = 0
-    seed: int = 0
-
-
-def save_checkpoint(ck: Checkpoint, path) -> None:
+def save_checkpoint(params: NetworkParams, path) -> None:
     """Binary layout: magic 'BLTC', u32 version, u64 manifest length, the
-    UTF-8 JSON manifest, then per layer the weights (row-major) and bias
+    UTF-8 JSON manifest (``layers``, ``seed``, ``epoch``), then ``flat``
     as little-endian float64.  Missing parent directories are made; the
     file is replaced atomically."""
-    validate_specs(ck.specs)
-    if len(ck.params.weights) != len(ck.specs):
-        raise PersistenceError("params do not match layer specs")
+    validate_specs(params.specs)
     manifest = json.dumps(
         {
             "layers": [
                 {"d_in": s.d_in, "d_out": s.d_out, "activation": s.activation}
-                for s in ck.specs
+                for s in params.specs
             ],
-            "seed": int(ck.seed),
-            "epoch": int(ck.epoch),
+            "seed": int(params.seed),
+            "epoch": int(params.epoch_tag),
         },
         sort_keys=True,
     ).encode("utf-8")
-    chunks = [_MAGIC, struct.pack("<I", _VERSION), struct.pack("<Q", len(manifest)), manifest]
-    for w, b in zip(ck.params.weights, ck.params.biases):
-        chunks.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        chunks.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
+    header = [_MAGIC, struct.pack("<I", _VERSION), struct.pack("<Q", len(manifest)), manifest]
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with atomic_open(path, "wb") as fh:
-            fh.write(b"".join(chunks))
+            fh.write(b"".join(header))
+            fh.write(params.flat.astype("<f8").tobytes())
     except OSError as exc:
         raise PersistenceError(f"cannot write checkpoint {path}: {exc}") from exc
 
 
-def load_checkpoint(path) -> Checkpoint:
+def load_checkpoint(path) -> NetworkParams:
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -491,24 +464,11 @@ def load_checkpoint(path) -> Checkpoint:
     except ConfigurationError as exc:
         raise PersistenceError(f"manifest layers invalid: {exc}") from exc
 
-    offset = 16 + mlen
-    weights, biases = [], []
-    for i, spec in enumerate(specs):
-        for name, shape in (("weights", (spec.d_in, spec.d_out)), ("bias", (spec.d_out,))):
-            nbytes = 8 * int(np.prod(shape))
-            if len(raw) < offset + nbytes:
-                raise PersistenceError(f"truncated {name} for layer {i}")
-            arr = np.frombuffer(raw, dtype="<f8", count=nbytes // 8, offset=offset)
-            offset += nbytes
-            block = arr.astype(np.float64).reshape(shape)
-            if name == "weights":
-                weights.append(block)
-            else:
-                biases.append(block)
-    if offset != len(raw):
-        raise PersistenceError(f"{len(raw) - offset} trailing bytes after last layer")
-
-    params = NetworkParams(
-        weights, biases, seed=manifest["seed"], epoch_tag=manifest["epoch"]
-    )
-    return Checkpoint(params, specs, epoch=manifest["epoch"], seed=manifest["seed"])
+    offset, nbytes = 16 + mlen, 8 * param_count(specs)
+    if len(raw) < offset + nbytes:
+        raise PersistenceError(
+            f"truncated parameters: {len(raw) - offset} bytes, expected {nbytes}")
+    if len(raw) > offset + nbytes:
+        raise PersistenceError(f"{len(raw) - offset - nbytes} trailing bytes after last layer")
+    flat = np.frombuffer(raw, dtype="<f8", offset=offset).astype(np.float64)
+    return NetworkParams(flat, specs, seed=manifest["seed"], epoch_tag=manifest["epoch"])

@@ -59,7 +59,6 @@ from .metrics import (
     update_class_weights,
 )
 from .model import (
-    Checkpoint,
     LayerSpec,
     NetworkParams,
     apply_mask,
@@ -91,13 +90,16 @@ def lr_at(epoch: int, config: TrainConfig) -> float:
 class RunArtifacts:
     """Everything dense training leaves behind for the pruners."""
 
-    theta0: Checkpoint
-    theta_k: Checkpoint
-    theta_e: Checkpoint
+    theta0: NetworkParams
+    theta_k: NetworkParams
+    theta_e: NetworkParams
     ledger: ConflictLedger
     dense_report: EvalReport
-    specs: list[LayerSpec]
     wall_time_s: float
+
+    @property
+    def specs(self) -> list[LayerSpec]:
+        return self.theta0.specs
 
     @property
     def seed(self) -> int:
@@ -136,12 +138,11 @@ def _failure(phase: str, epoch: int, seed: int, exc: NumericalFailure):
     return NumericalFailure(f"{phase} epoch {epoch}, seed {seed}: {exc}")
 
 
-def _evaluate(params: NetworkParams, split, specs: list[LayerSpec],
-              phase: str, epoch: int, seed: int) -> EvalReport:
+def _evaluate(params: NetworkParams, split, phase: str, epoch: int, seed: int) -> EvalReport:
     """``evaluate`` of the weights that ``phase`` left after ``epoch``;
     a non-finite layer output names the phase, the epoch and the seed."""
     try:
-        return evaluate(params, split_blocks(split), specs)
+        return evaluate(params, split_blocks(split))
     except NumericalFailure as exc:
         raise _failure(phase, epoch, seed, exc) from exc
 
@@ -156,7 +157,7 @@ def train_dense(
     t0 = time.perf_counter()
     specs = config.specs_for(data)
     nets = [init_network(specs, s) for s in seeds]
-    theta0 = [Checkpoint(p.copy(), specs, epoch=0, seed=s) for p, s in zip(nets, seeds)]
+    theta0 = [p.copy() for p in nets]
     theta_k = list(theta0) if config.rewind_epoch == 0 else [None] * len(seeds)
     stack = stack_params(nets)
 
@@ -186,17 +187,14 @@ def train_dense(
                 epoch, [a[r] for a in acc_a], [f[r] for f in acc_f],
                 config.gamma, config.eta,
             )
-            train_report = _evaluate(params, data.train, specs,
-                                     "dense training", epoch, seeds[r])
+            train_report = _evaluate(params, data.train, "dense training", epoch, seeds[r])
             fair_rows.append(update_class_weights(train_report, epoch).as_array())
             if epoch + 1 == config.rewind_epoch:
-                theta_k[r] = Checkpoint(
-                    params.copy(), specs, epoch=epoch + 1, seed=seeds[r]
-                )
+                theta_k[r] = params.copy()
         fair = np.stack(fair_rows)
 
     dense_reports = [
-        _evaluate(p, data.test, specs, "dense training", config.epochs - 1, s)
+        _evaluate(p, data.test, "dense training", config.epochs - 1, s)
         for p, s in zip(nets, seeds)
     ]
     share = (time.perf_counter() - t0) / len(seeds)
@@ -204,10 +202,9 @@ def train_dense(
         RunArtifacts(
             theta0=theta0[r],
             theta_k=theta_k[r],
-            theta_e=Checkpoint(p.copy(), specs, epoch=config.epochs, seed=seeds[r]),
+            theta_e=p.copy(),
             ledger=ledgers[r],
             dense_report=dense_reports[r],
-            specs=specs,
             wall_time_s=share,
         )
         for r, p in enumerate(nets)
@@ -219,7 +216,6 @@ def _retrain(
     masks: list[Mask],
     config: TrainConfig,
     data: Dataset,
-    specs: list[LayerSpec],
     seeds: list[int],
     epochs: int,
     lr_fn,
@@ -239,9 +235,7 @@ def _retrain(
     Each result is scattered back into its full-shape network; entries
     outside the live units keep their values."""
     widths = [max(map(len, col)) for col in zip(*map(live_units, masks))]
-    smalls, small_specs, keeps = zip(
-        *(compact_network(p, m, specs, widths) for p, m in zip(nets, masks))
-    )
+    smalls, keeps = zip(*(compact_network(p, m, widths) for p, m in zip(nets, masks)))
     stack, keep = stack_params(list(smalls)), np.stack(keeps)
     step = np.empty(keep.shape)
     streams = [s + stream_offset for s in seeds]
@@ -251,7 +245,7 @@ def _retrain(
         orders = _shuffle(streams, epoch_offset + epoch, x.shape[0])
         try:
             for idx in _batches(orders, config.batch_size):
-                train_step(stack, x[idx], onehot[idx], small_specs[0])
+                train_step(stack, x[idx], onehot[idx], smalls[0].specs)
                 sgd_step(stack, step)
         except NumericalFailure as exc:
             raise _failure("retraining", epoch, seeds[exc.index], exc) from exc
@@ -291,7 +285,6 @@ def refine(
     in, timed from ``since`` (a ``time.perf_counter`` reading, the call's
     start by default), so round 0's share includes the mask building of
     a caller that passes its start."""
-    specs = artifacts[0].specs
     seeds = [a.seed for a in artifacts]
     if method == "magnitude":
         final_lr = lr_at(config.epochs - 1, config)
@@ -313,15 +306,14 @@ def refine(
             for r in refining
         ]
         nets = _retrain(
-            [apply_mask(ck.params, masks[r]) for ck, r in zip(starts, refining)],
-            [masks[r] for r in refining], config, data, specs,
+            [apply_mask(net, masks[r]) for net, r in zip(starts, refining)],
+            [masks[r] for r in refining], config, data,
             [seeds[r] for r in refining], epochs, schedule,
             stream_offset=r_index, epoch_offset=offset,
         )
         still = []
         for r, params in zip(refining, nets):
-            report = _evaluate(params, data.test, specs, "retraining",
-                               epochs - 1, seeds[r])
+            report = _evaluate(params, data.test, "retraining", epochs - 1, seeds[r])
             if r_index == 0:
                 dense = artifacts[r].dense_report
                 fair_enough = bias_delta(report, dense, "cwv") <= config.delta
@@ -379,11 +371,11 @@ def run_baseline(
         )
     since = time.perf_counter()
     if method == "ballot":
-        masks = [build_ballot_mask(a.ledger, a.specs, config.omega, a.theta_e.params)
+        masks = [build_ballot_mask(a.ledger, a.specs, config.omega, a.theta_e)
                  for a in artifacts]
     elif method == "random":
         masks = [build_random_mask(a.specs, config.omega, a.seed) for a in artifacts]
     else:
-        masks = [build_magnitude_mask(a.theta_e.params, a.specs, config.omega)
+        masks = [build_magnitude_mask(a.theta_e, a.specs, config.omega)
                  for a in artifacts]
     return refine(method, masks, artifacts, config, data, since)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ballot.data import DatasetSpec, SyntheticSpec, make_dataset
-from ballot.model import LayerSpec, block_buffers, forward_block, init_network
+from ballot.model import LayerSpec, NetworkParams, block_buffers, forward_block, init_network
 from ballot.pipeline import TrainConfig
 
 # one verdict line per acceptance criterion, echoed after the run
@@ -49,6 +49,19 @@ def random_specs(rng, max_hidden_layers=2, max_units=8, n_classes=None):
         LayerSpec(dims[i], dims[i + 1], "relu" if i + 2 < len(dims) else "none")
         for i in range(len(dims) - 1)
     ]
+
+
+def net_from_layers(weights, biases, specs=None):
+    """A seed-0 network holding hand-written per-layer ``weights`` and
+    ``biases``, copied into one flat buffer; ``specs`` defaults to ReLU
+    layers of the weights' shapes ending in a logit layer."""
+    shapes = [np.shape(w) for w in weights]
+    if specs is None:
+        specs = [LayerSpec(d_in, d_out, "relu" if i + 1 < len(shapes) else "none")
+                 for i, (d_in, d_out) in enumerate(shapes)]
+    flat = np.concatenate([np.ravel(np.asarray(a, dtype=np.float64))
+                           for pair in zip(weights, biases) for a in pair])
+    return NetworkParams(flat, specs, seed=0)
 
 
 def random_net(rng, **kwargs):

@@ -86,7 +86,7 @@ def test_criterion_1_metric_oracles():
         n = int(rng.integers(c, 60))
         x = rng.normal(size=(n, specs[0].d_in))
         y = np.concatenate([np.arange(c), rng.integers(0, c, n - c)])
-        rep = evaluate(params, split_blocks(Split(X=x, y=y)), specs)
+        rep = evaluate(params, split_blocks(Split(X=x, y=y)))
         ref = brute_force_report(y.tolist(), logits(params, x, specs).argmax(axis=1).tolist(), c)
         for key in scalar_keys:
             worst = max(worst, abs(getattr(rep, key) - ref[key]))
@@ -478,10 +478,10 @@ def test_criterion_8_lth_identity_fidelity():
     (result,) = run_baseline("lth", cfg, data, [arts])
     same = all(
         np.array_equal(a, b)
-        for a, b in zip(result.params.weights, arts.theta_e.params.weights)
+        for a, b in zip(result.params.weights, arts.theta_e.weights)
     ) and all(
         np.array_equal(a, b)
-        for a, b in zip(result.params.biases, arts.theta_e.params.biases)
+        for a, b in zip(result.params.biases, arts.theta_e.biases)
     )
     identity = result.mask.kept_count() == param_count(arts.specs)
     elapsed = time.perf_counter() - start

@@ -14,7 +14,6 @@ from ballot.errors import ConfigurationError, NumericalFailure
 from ballot.masks import build_random_mask
 from ballot.model import (
     LayerSpec,
-    NetworkParams,
     apply_mask,
     cross_entropy,
     init_network,
@@ -23,7 +22,8 @@ from ballot.model import (
     train_step,
 )
 
-from conftest import logits, random_net, random_specs, reference_fair_means, reference_loss
+from conftest import (logits, net_from_layers, random_net, random_specs, reference_fair_means,
+                      reference_loss)
 
 
 def _net(*layers):
@@ -32,7 +32,7 @@ def _net(*layers):
     bs = [np.array(b, dtype=np.float64) for _, b, _ in layers]
     specs = [LayerSpec(w.shape[0], w.shape[1], act)
              for w, (_, _, act) in zip(ws, layers)]
-    return NetworkParams(ws, bs, seed=0), specs
+    return net_from_layers(ws, bs, specs), specs
 
 
 class Grads(NamedTuple):

@@ -8,6 +8,7 @@ import hashlib
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 import threading
@@ -68,7 +69,7 @@ class TestTrain:
             ck = load_checkpoint(out / "checkpoints" / f"{name}.ckpt")
             assert ck.seed == 0
         assert not (out / "mask.bits").exists()  # dense runs have no mask
-        assert load_checkpoint(out / "checkpoints" / "theta_k.ckpt").epoch == 2
+        assert load_checkpoint(out / "checkpoints" / "theta_k.ckpt").epoch_tag == 2
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["train", "--config", str(tmp_path / "nope.json"),
@@ -132,7 +133,8 @@ class TestPrune:
         (result,) = report["results"]
         assert result["method"] == "ballot"
         final = load_checkpoint(out / "checkpoints" / "final.ckpt")
-        assert final.params.epoch_tag == final.epoch
+        # retrained for 6 epochs from theta0 (epoch 0) or theta_k (epoch 2)
+        assert final.epoch_tag in (6, 8)
 
     def test_method_from_config(self, tmp_path, capsys):
         raw = dict(SMALL)
@@ -314,6 +316,22 @@ class TestEvaluate:
         assert code == 2
         assert "data error: malformed CSV at line 3" in capsys.readouterr().err
 
+    def test_oversized_manifest_layer_is_data_error(self, tmp_path, config_path,
+                                                    capsys):
+        # one 2**32 x 2**32 layer: its size is counted in Python ints, so
+        # the missing payload is reported instead of a size wrapped to 0
+        manifest = json.dumps({"layers": [{"d_in": 2**32, "d_out": 2**32,
+                                           "activation": "none"}],
+                               "seed": 0, "epoch": 0}).encode()
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(b"BLTC" + struct.pack("<I", 1)
+                         + struct.pack("<Q", len(manifest)) + manifest)
+        code = main(["evaluate", "--checkpoint", str(path), "--data", config_path,
+                     "--out", str(tmp_path / "e.json")])
+        assert code == 2
+        assert ("data error: truncated parameters: 0 bytes, expected "
+                f"{8 * (2**64 + 2**32)}") in capsys.readouterr().err
+
     def test_missing_checkpoint_is_file_error(self, tmp_path, config_path,
                                               capsys):
         code = main(["evaluate", "--checkpoint", str(tmp_path / "nope.ckpt"),
@@ -322,18 +340,19 @@ class TestEvaluate:
         assert code == 2
 
 
-def whole_file_evaluation(params, blocks, specs):
+def whole_file_evaluation(params, blocks):
     """The oracle of the streamed evaluation: every block read before any
     inference, as if the whole file were loaded, its labels and feature
     count checked, then one ``evaluate`` of its rows as a split."""
     xs, ys = zip(*blocks)
     x, y = np.concatenate(xs), np.concatenate(ys)
+    specs = params.specs
     n_classes = specs[-1].d_out
     require_labels_below(y, n_classes, f"the checkpoint has {n_classes} classes")
     if specs[0].d_in != x.shape[1]:
         raise ConfigurationError(
             f"checkpoint expects {specs[0].d_in} features, data has {x.shape[1]}")
-    return evaluate(params, split_blocks(Split(x, y)), specs)
+    return evaluate(params, split_blocks(Split(x, y)))
 
 
 def csv_cells(n, n_features=4, classes=3, seed=0):

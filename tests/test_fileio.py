@@ -7,16 +7,14 @@ from ballot import fileio
 from ballot.data import save_csv
 from ballot.errors import PersistenceError
 from ballot.masks import build_random_mask, save_mask
-from ballot.model import Checkpoint, LayerSpec, init_network, save_checkpoint
+from ballot.model import LayerSpec, init_network, save_checkpoint
 from ballot.reporting import write_aggregate_csv, write_report
 
 SPECS = [LayerSpec(3, 4, "relu"), LayerSpec(4, 2, "none")]
 
 WRITERS = {
     "report": lambda path, v: write_report(path, {"value": v}),
-    "checkpoint": lambda path, v: save_checkpoint(
-        Checkpoint(init_network(SPECS, v), SPECS, seed=v), path
-    ),
+    "checkpoint": lambda path, v: save_checkpoint(init_network(SPECS, v), path),
     "aggregate": lambda path, v: write_aggregate_csv(path, [{
         "method": "dense", "seed": v, "accuracy": 0.5, "precision": 0.5,
         "recall": 0.5, "cwv": 0.0, "mcd": 0.0, "retention": 1.0,

@@ -24,9 +24,9 @@ from ballot.masks import (
     positive_score_threshold,
     save_mask,
 )
-from ballot.model import LayerSpec, NetworkParams, init_network, param_count
+from ballot.model import LayerSpec, init_network, param_count
 
-from conftest import random_specs
+from conftest import net_from_layers, random_specs
 
 # the 17-parameter reference net: 3 hidden units, 5 entries per unit
 SPECS_232 = [LayerSpec(2, 3, "relu"), LayerSpec(3, 2, "none")]
@@ -244,10 +244,9 @@ class TestBallotMask:
 class TestMagnitudeMask:
     def test_hand_sorted_example(self):
         specs = [LayerSpec(1, 2, "relu"), LayerSpec(2, 1, "none")]
-        params = NetworkParams(
+        params = net_from_layers(
             weights=[np.array([[0.1, -0.5]]), np.array([[0.3], [-0.05]])],
             biases=[np.zeros(2), np.zeros(1)],
-            seed=0,
         )
         mask = build_magnitude_mask(params, specs, 0.45)  # k = floor(3.15) = 3
         assert mask.kept_count() == 3
@@ -264,10 +263,9 @@ class TestMagnitudeMask:
 
     def test_ties_break_to_lower_flat_index(self):
         specs = [LayerSpec(1, 2, "relu"), LayerSpec(2, 1, "none")]
-        params = NetworkParams(
+        params = net_from_layers(
             weights=[np.array([[0.5, -0.5]]), np.array([[0.5], [0.5]])],
             biases=[np.zeros(2), np.zeros(1)],
-            seed=0,
         )
         mask = build_magnitude_mask(params, specs, 0.45)  # 2 weights + out bias
         assert mask.weight_keep[0].tolist() == [[True, True]]
@@ -317,10 +315,9 @@ class TestMagnitudeMask:
 
     def test_neuron_keep_derived_from_entries(self):
         specs = [LayerSpec(1, 2, "relu"), LayerSpec(2, 1, "none")]
-        params = NetworkParams(
+        params = net_from_layers(
             weights=[np.array([[2.0, 0.01]]), np.array([[1.5], [0.02]])],
             biases=[np.array([0.03, 0.04]), np.zeros(1)],
-            seed=0,
         )
         mask = build_magnitude_mask(params, specs, 0.45)
         # unit 1 loses every entry (0.01 incoming, 0.04 bias, 0.02 out)
@@ -336,14 +333,13 @@ class TestMagnitudeMask:
             LayerSpec(1, 1, "relu"),
             LayerSpec(1, 2, "none"),
         ]
-        params = NetworkParams(
+        params = net_from_layers(
             weights=[
                 np.array([[0.9]]),
                 np.array([[0.05]]),
                 np.array([[0.03, 0.02]]),
             ],
             biases=[np.array([0.8]), np.array([0.04]), np.zeros(2)],
-            seed=0,
         )
         mask = build_magnitude_mask(params, specs, 0.5)
         assert mask.kept_count() == 4
@@ -360,14 +356,28 @@ class TestMagnitudeMask:
         # k = 2 is eaten by the exempt output biases, so the swap that
         # would revive hidden layer 0 has nothing safe to evict
         specs = [LayerSpec(1, 1, "relu"), LayerSpec(1, 2, "none")]
-        params = NetworkParams(
+        params = net_from_layers(
             weights=[np.array([[0.9]]), np.array([[0.05, 0.04]])],
             biases=[np.array([0.8]), np.zeros(2)],
-            seed=0,
         )
         with pytest.raises(InfeasibleMaskError) as exc:
             build_magnitude_mask(params, specs, 0.4)
         assert exc.value.min_retention == 0.5  # (C + hidden layers) / total
+
+
+@pytest.mark.parametrize("hidden", [5, 2])
+@pytest.mark.parametrize("builder", ["ballot", "magnitude"])
+def test_builders_reject_params_of_other_specs(builder, hidden):
+    """Params of another hidden width than the specs' raise a
+    ConfigurationError, not an IndexError or a mask of misaligned
+    magnitudes."""
+    specs = [LayerSpec(3, 4, "relu"), LayerSpec(4, 2, "none")]
+    params = init_network([LayerSpec(3, hidden, "relu"), LayerSpec(hidden, 2, "none")], 0)
+    with pytest.raises(ConfigurationError, match="match the layer specs"):
+        if builder == "ballot":
+            build_ballot_mask(ledger_with_votes([{0: 1.0}], sizes=(4,)), specs, 0.5, params)
+        else:
+            build_magnitude_mask(params, specs, 0.5)
 
 
 class TestRandomMask:

@@ -19,9 +19,9 @@ from ballot.metrics import (
     uniform_class_weights,
     update_class_weights,
 )
-from ballot.model import LayerSpec, NetworkParams
+from ballot.model import LayerSpec
 
-from conftest import brute_force_report
+from conftest import brute_force_report, net_from_layers
 
 accs = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10)
 
@@ -178,12 +178,11 @@ class TestReport:
             )
 
     def test_argmax_tie_breaks_to_lowest_class(self):
-        params = NetworkParams(
-            weights=[np.zeros((2, 3))], biases=[np.zeros(3)], seed=0
-        )
         specs = [LayerSpec(2, 3, "none")]
+        params = net_from_layers(weights=[np.zeros((2, 3))], biases=[np.zeros(3)],
+                                 specs=specs)
         split = Split(np.ones((4, 2)), np.array([0, 1, 2, 0]))
-        rep = evaluate(params, split_blocks(split), specs)
+        rep = evaluate(params, split_blocks(split))
         assert rep.per_class_acc == (1.0, 0.0, 0.0)  # every row predicted 0
 
 

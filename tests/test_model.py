@@ -24,9 +24,7 @@ from ballot.masks import (
 from ballot.metrics import evaluate, report_from_predictions
 from ballot.model import (
     FORWARD_BLOCK_ROWS,
-    Checkpoint,
     LayerSpec,
-    NetworkParams,
     apply_mask,
     compact_network,
     block_buffers,
@@ -44,7 +42,7 @@ from ballot.model import (
     validate_specs,
 )
 
-from conftest import logits, random_specs
+from conftest import logits, net_from_layers, random_specs
 
 SPECS_222 = [LayerSpec(2, 2, "relu"), LayerSpec(2, 2, "none")]
 
@@ -61,7 +59,7 @@ class TestSpecs:
             by_hand = sum(w.size for w in params.weights) + sum(
                 b.size for b in params.biases
             )
-            assert param_count(specs) == by_hand == params.count()
+            assert param_count(specs) == by_hand == params.flat.size
 
     def test_nonconforming_specs_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -165,12 +163,12 @@ class TestCompaction:
                 break
             for mask in masks:
                 masked = apply_mask(params, mask)
-                small, small_specs, keep = compact_network(masked, mask, specs)
+                small, keep = compact_network(masked, mask)
                 live = brute_force_live(mask)
                 assert [u.tolist() for u in live_units(mask)] == live
                 ends = [list(range(specs[0].d_in)), *live,
                         list(range(specs[-1].d_out))]
-                assert small_specs == [
+                assert small.specs == [
                     LayerSpec(len(a), len(b), s.activation)
                     for a, b, s in zip(ends, ends[1:], specs)
                 ]
@@ -213,9 +211,9 @@ class TestCompaction:
             masked = apply_mask(init_network(specs, trial), mask)
             live = [len(u) for u in live_units(mask)]
             widths = [n + int(rng.integers(0, 4)) for n in live]
-            small, small_specs, keep = compact_network(masked, mask, specs)
-            padded, padded_specs, padded_keep = compact_network(masked, mask, specs, widths)
-            assert [s.d_out for s in padded_specs[:-1]] == widths
+            small, keep = compact_network(masked, mask)
+            padded, padded_keep = compact_network(masked, mask, widths)
+            assert [s.d_out for s in padded.specs[:-1]] == widths
             shapes = [w.shape for w in padded.weights]
             keep_w, keep_b = layer_views(padded_keep, shapes)
             small_keep_w, small_keep_b = layer_views(keep, [w.shape for w in small.weights])
@@ -240,11 +238,11 @@ class TestCompaction:
         mask = identity_mask(specs)
         mask.weight_keep[1][:] = False  # no unit has a kept outgoing weight
         masked = apply_mask(init_network(specs, 1), mask)
-        small, small_specs, keep = compact_network(masked, mask, specs)
-        assert small_specs == [LayerSpec(3, 0, "relu"), LayerSpec(0, 2, "none")]
+        small, keep = compact_network(masked, mask)
+        assert small.specs == [LayerSpec(3, 0, "relu"), LayerSpec(0, 2, "none")]
         assert small.weights[0].shape == (3, 0) and small.weights[1].shape == (0, 2)
         x = np.ones((5, 3))
-        assert logits(small, x, small_specs).tobytes() == \
+        assert logits(small, x, small.specs).tobytes() == \
             logits(masked, x, specs).tobytes()
         back = expand_network(small, masked.copy(), mask)
         for got, want in zip(back.weights + back.biases,
@@ -254,12 +252,10 @@ class TestCompaction:
 
 class TestForward:
     def test_hand_masked_2_2_2(self):
-        params = NetworkParams(
+        params = net_from_layers(
             weights=[np.array([[1.0, 2.0], [3.0, 4.0]]),
                      np.array([[5.0, 6.0], [7.0, 8.0]])],
-            biases=[np.array([0.5, -0.5]), np.array([0.0, 1.0])],
-            seed=0,
-        )
+            biases=[np.array([0.5, -0.5]), np.array([0.0, 1.0])])
         mask = identity_mask(SPECS_222)
         # remove hidden unit 1: its incoming column, bias, outgoing row
         mask.neuron_keep[0][1] = False
@@ -278,14 +274,13 @@ class TestForward:
         split = Split(np.zeros((1, 3)), np.array([0]))
         with pytest.raises(ConfigurationError,
                            match="checkpoint expects 2 features, data has 3"):
-            evaluate(params, split_blocks(split), SPECS_222)
+            evaluate(params, split_blocks(split))
 
     def test_non_finite_params_fail_numerically(self):
         params = init_network(SPECS_222, 0)
         params.weights[0][0, 0] = np.inf
         with pytest.raises(NumericalFailure):
-            evaluate(params, split_blocks(Split(np.ones((1, 2)), np.array([0]))),
-                     SPECS_222)
+            evaluate(params, split_blocks(Split(np.ones((1, 2)), np.array([0]))))
 
     def test_blocked_pass_equals_one_unblocked_call(self, rng):
         specs = [LayerSpec(6, 40, "relu"), LayerSpec(40, 40, "relu"),
@@ -298,7 +293,7 @@ class TestForward:
                                   for block, _ in split_blocks(split)])
         whole = logits(params, x, specs)
         assert blocked.tobytes() == whole.tobytes()
-        assert evaluate(params, split_blocks(split), specs) == \
+        assert evaluate(params, split_blocks(split)) == \
             report_from_predictions(split.y, whole.argmax(axis=1), 4)
 
     def test_non_finite_in_late_block_fails_numerically(self):
@@ -308,14 +303,13 @@ class TestForward:
         split = Split(x, np.zeros(x.shape[0], dtype=np.int64))
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericalFailure, match="forward pass"):
-                evaluate(params, split_blocks(split), SPECS_222)
+                evaluate(params, split_blocks(split))
 
 
 class TestSgdStep:
     def test_hand_example(self):
-        params = NetworkParams(
-            weights=[np.array([[1.0]])], biases=[np.array([0.0])], seed=0
-        )
+        params = net_from_layers(
+            weights=[np.array([[1.0]])], biases=[np.array([0.0])])
         stack = stack_params([params])
         stack.grad_weights[0][...] = 0.5
         stack.grad_biases[0][...] = 0.0
@@ -406,11 +400,11 @@ class TestSgdStep:
 
 
 class TestFlatLayout:
-    def _payload(self, params, specs, tmp_path):
+    def _payload(self, params, tmp_path):
         """The float64 payload ``save_checkpoint`` writes: every byte
         after the manifest."""
         path = tmp_path / "net.ckpt"
-        save_checkpoint(Checkpoint(params, specs), path)
+        save_checkpoint(params, path)
         raw = path.read_bytes()
         (mlen,) = struct.unpack_from("<Q", raw, 8)
         return raw[16 + mlen:]
@@ -422,7 +416,7 @@ class TestFlatLayout:
                      for r in range(3)]
             nets = [apply_mask(init_network(specs, 3 * trial + r), m)
                     for r, m in enumerate(masks)]
-            payloads = [self._payload(p, specs, tmp_path) for p in nets]
+            payloads = [self._payload(p, tmp_path) for p in nets]
             stack = stack_params(nets)
             assert stack.flat.flags.c_contiguous and stack.flat.dtype == np.float64
             assert stack.flat.shape == stack.grad.shape == (3, param_count(specs))
@@ -446,10 +440,10 @@ class TestFlatLayout:
         mask.weight_keep[1][:] = False
         mask.weight_keep[0][0, :] = False
         masked = apply_mask(init_network(specs, 1), mask)
-        small, small_specs, keep = compact_network(masked, mask, specs)
-        assert small_specs[0].d_out == 0
+        small, keep = compact_network(masked, mask)
+        assert small.specs[0].d_out == 0
         stack = stack_params([small])
-        assert stack.flat.shape == (1, param_count(small_specs)) == (1, keep.size)
+        assert stack.flat.shape == (1, param_count(small.specs)) == (1, keep.size)
         # the checkpoint layout of the compacted network: only the output bias
         payload = b"".join(a.astype("<f8").tobytes()
                            for w, b in zip(small.weights, small.biases)
@@ -458,9 +452,60 @@ class TestFlatLayout:
         assert [w.shape for w in stack.weights] == [(1, 3, 0), (1, 0, 2)]
         assert np.array_equal(keep, [True, True])
         x, y = np.ones((1, 5, 3)), np.eye(2)[[0, 1, 0, 1, 1]][None]
-        train_step(stack, x, y, small_specs)
+        train_step(stack, x, y, small.specs)
         sgd_step(stack, 0.1 * keep[None])
         assert np.array_equal(stack.grad[0], stack.grad_biases[-1][0])
+
+
+class TestFlatBuffer:
+    """Every network holds its values in one C-contiguous [P] float64
+    buffer ``flat``, and its per-layer arrays are views into it."""
+
+    @staticmethod
+    def _views_of_flat(params):
+        assert params.flat.flags.c_contiguous and params.flat.dtype == np.float64
+        assert params.flat.shape == (param_count(params.specs),)
+        for a in params.weights + params.biases:
+            assert np.shares_memory(a, params.flat)
+
+    def test_init_and_copy(self, rng):
+        for trial in range(10):
+            params = init_network(random_specs(rng, max_hidden_layers=3), trial)
+            self._views_of_flat(params)
+            copied = params.copy()
+            self._views_of_flat(copied)
+            assert not np.shares_memory(copied.flat, params.flat)
+            assert copied.flat.tobytes() == params.flat.tobytes()
+
+    def test_load_checkpoint_round_trips_the_buffer(self, rng, tmp_path):
+        # save -> load -> save is byte-identical, and the loaded buffer
+        # is the file's tail
+        path = tmp_path / "net.ckpt"
+        for trial in range(10):
+            params = init_network(random_specs(rng, max_hidden_layers=3), trial)
+            save_checkpoint(params, path)
+            raw = path.read_bytes()
+            loaded = load_checkpoint(path)
+            self._views_of_flat(loaded)
+            assert loaded.flat.tobytes() == raw[len(raw) - 8 * params.flat.size:]
+            save_checkpoint(loaded, path)
+            assert path.read_bytes() == raw
+
+    def test_compacted_network(self, rng):
+        for trial in range(10):
+            specs = random_specs(rng, max_hidden_layers=3)
+            mask = build_random_mask(specs, float(rng.uniform(0.5, 1.0)), trial)
+            small, keep = compact_network(apply_mask(init_network(specs, trial), mask), mask)
+            self._views_of_flat(small)
+            assert keep.shape == small.flat.shape
+
+    def test_stacked_networks_are_rows_of_the_stack(self, rng):
+        specs = random_specs(rng, max_hidden_layers=3)
+        nets = [init_network(specs, s) for s in range(3)]
+        stack = stack_params(nets)
+        for row, net in zip(stack.flat, nets):
+            self._views_of_flat(net)
+            assert net.flat.ctypes.data == row.ctypes.data and net.flat.shape == row.shape
 
 
 class TestPlainFirst:
@@ -486,14 +531,15 @@ class TestCheckpoint:
         params = init_network(specs, 99)
         params.weights[0][0, 0] = -0.0  # sign of zero must survive
         path = tmp_path / "net.ckpt"
-        save_checkpoint(Checkpoint(params, specs, epoch=4, seed=99), path)
+        params.epoch_tag = 4
+        save_checkpoint(params, path)
         ck = load_checkpoint(path)
-        assert ck.epoch == 4 and ck.seed == 99
+        assert ck.epoch_tag == 4 and ck.seed == 99
         assert ck.specs == specs
-        for a, b in zip(ck.params.weights, params.weights):
+        for a, b in zip(ck.weights, params.weights):
             assert np.array_equal(a, b) and a.dtype == np.float64
             assert np.signbit(a[0, 0]) == np.signbit(b[0, 0]) or a is not b
-        for a, b in zip(ck.params.biases, params.biases):
+        for a, b in zip(ck.biases, params.biases):
             assert np.array_equal(a, b)
 
     def test_round_trip_many_random_networks(self, tmp_path, rng):
@@ -501,8 +547,9 @@ class TestCheckpoint:
         for i in range(1000):
             specs = random_specs(rng)
             params = init_network(specs, i)
-            save_checkpoint(Checkpoint(params, specs, epoch=i, seed=i), path)
-            back = load_checkpoint(path).params
+            params.epoch_tag = i
+            save_checkpoint(params, path)
+            back = load_checkpoint(path)
             ok = all(
                 np.array_equal(a, b) for a, b in zip(back.weights, params.weights)
             ) and all(
@@ -512,13 +559,13 @@ class TestCheckpoint:
 
     def test_loaded_params_are_writable(self, tmp_path):
         specs = SPECS_222
-        save_checkpoint(Checkpoint(init_network(specs, 0), specs), tmp_path / "c")
+        save_checkpoint(init_network(specs, 0), tmp_path / "c")
         ck = load_checkpoint(tmp_path / "c")
-        ck.params.weights[0][0, 0] = 42.0  # must not raise
+        ck.weights[0][0, 0] = 42.0  # must not raise
 
     def test_corrupt_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
-        save_checkpoint(Checkpoint(init_network(SPECS_222, 0), SPECS_222), path)
+        save_checkpoint(init_network(SPECS_222, 0), path)
         raw = bytearray(path.read_bytes())
         raw[:4] = b"XXXX"
         path.write_bytes(raw)
@@ -527,7 +574,7 @@ class TestCheckpoint:
 
     def test_unsupported_version_rejected(self, tmp_path):
         path = tmp_path / "v.ckpt"
-        save_checkpoint(Checkpoint(init_network(SPECS_222, 0), SPECS_222), path)
+        save_checkpoint(init_network(SPECS_222, 0), path)
         raw = bytearray(path.read_bytes())
         raw[4:8] = struct.pack("<I", 9)
         path.write_bytes(raw)
@@ -553,12 +600,13 @@ class TestCheckpoint:
             b"BLTC" + struct.pack("<I", 1) + struct.pack("<Q", len(manifest))
             + manifest + payload
         )
-        with pytest.raises(PersistenceError, match="layer 1"):
+        with pytest.raises(PersistenceError,
+                           match="truncated parameters: 96 bytes, expected 120"):
             load_checkpoint(path)
 
     def test_hidden_layer_without_relu_rejected(self, tmp_path):
         path = tmp_path / "linear.ckpt"
-        save_checkpoint(Checkpoint(init_network(SPECS_222, 0), SPECS_222), path)
+        save_checkpoint(init_network(SPECS_222, 0), path)
         raw = path.read_bytes()
         path.write_bytes(raw.replace(b'"relu"', b'"none"', 1))
         with pytest.raises(PersistenceError, match="hidden layer 0"):
@@ -566,7 +614,7 @@ class TestCheckpoint:
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "t.ckpt"
-        save_checkpoint(Checkpoint(init_network(SPECS_222, 0), SPECS_222), path)
+        save_checkpoint(init_network(SPECS_222, 0), path)
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(PersistenceError, match="trailing"):
             load_checkpoint(path)

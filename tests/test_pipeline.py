@@ -129,7 +129,7 @@ class TestConfigValidation:
 class TestTrainDense:
     def test_deterministic(self, data, artifacts):
         (again,) = train_dense(small_config(), data, [0])
-        assert params_equal(artifacts.theta_e.params, again.theta_e.params)
+        assert params_equal(artifacts.theta_e, again.theta_e)
         assert artifacts.dense_report == again.dense_report
         for a, b in zip(artifacts.ledger.counts, again.ledger.counts):
             assert np.array_equal(a, b)
@@ -139,24 +139,24 @@ class TestTrainDense:
 
     def test_checkpoint_epochs_and_seeds(self, artifacts):
         cfg = small_config()
-        assert artifacts.theta0.epoch == 0
-        assert artifacts.theta_k.epoch == cfg.rewind_epoch
-        assert artifacts.theta_e.epoch == cfg.epochs
+        assert artifacts.theta0.epoch_tag == 0
+        assert artifacts.theta_k.epoch_tag == cfg.rewind_epoch
+        assert artifacts.theta_e.epoch_tag == cfg.epochs
         assert (
             artifacts.theta0.seed
             == artifacts.theta_k.seed
             == artifacts.theta_e.seed
             == cfg.seed
         )
-        assert artifacts.theta_e.params.epoch_tag == cfg.epochs
+        assert artifacts.theta_e.epoch_tag == cfg.epochs
 
     def test_rewind_zero_reuses_theta0(self, data):
         (arts,) = train_dense(small_config(rewind_epoch=0, epochs=2), data, [0])
         assert arts.theta_k is arts.theta0
 
     def test_training_moves_weights(self, artifacts):
-        assert not params_equal(artifacts.theta0.params, artifacts.theta_e.params)
-        assert not params_equal(artifacts.theta_k.params, artifacts.theta_e.params)
+        assert not params_equal(artifacts.theta0, artifacts.theta_e)
+        assert not params_equal(artifacts.theta_k, artifacts.theta_e)
 
     def test_numerical_failure_names_epoch(self, data):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -175,8 +175,8 @@ def round_oracle(arts, mask, cfg, data, r_index):
     """Ballot's refinement round ``r_index`` of one seed, retrained on its
     own by ``_retrain``."""
     start = arts.theta0 if r_index == 0 else arts.theta_k
-    net = apply_mask(start.params, mask)
-    _retrain([net], [mask], cfg, data, arts.specs, [arts.seed], cfg.epochs,
+    net = apply_mask(start, mask)
+    _retrain([net], [mask], cfg, data, [arts.seed], cfg.epochs,
              lambda e: lr_at(e, cfg), stream_offset=r_index)
     return net
 
@@ -192,7 +192,7 @@ class TestRefine:
 
         oracle = round_oracle(artifacts, mask, cfg, data, 0)
         assert params_equal(outcome.params, oracle)
-        assert outcome.report == evaluate(oracle, split_blocks(data.test), specs)
+        assert outcome.report == evaluate(oracle, split_blocks(data.test))
 
     def test_unsatisfiable_gate_runs_rounds(self, data, artifacts):
         cfg = small_config(delta=-1.0)
@@ -213,7 +213,7 @@ class TestRefine:
         (outcome,) = refine("ballot", [mask], [artifacts], cfg, data)
         oracle = round_oracle(artifacts, mask, cfg, data, 1)
         assert outcome.candidates[1] == (
-            1, evaluate(oracle, split_blocks(data.test), specs))
+            1, evaluate(oracle, split_blocks(data.test)))
 
     def test_selection_minimizes_cwv_among_feasible(self, data, artifacts):
         cfg = small_config(delta=-1.0)
@@ -240,11 +240,11 @@ class TestRefine:
         cfg = small_config()
         specs = artifacts.specs
         masks = [build_random_mask(specs, omega, seed=7) for omega in (0.4, 0.7)]
-        starts = [apply_mask(artifacts.theta0.params, m) for m in masks]
+        starts = [apply_mask(artifacts.theta0, m) for m in masks]
         widths = [max(map(len, col)) for col in zip(*map(live_units, masks))]
         assert len({tuple(map(len, live_units(m))) for m in masks}) == 2
-        keeps = [compact_network(p, m, specs, widths)[2] for p, m in zip(starts, masks)]
-        padded = [compact_network(p, m, specs)[2].size < keep.size
+        keeps = [compact_network(p, m, widths)[1] for p, m in zip(starts, masks)]
+        padded = [compact_network(p, m)[1].size < keep.size
                   for p, m, keep in zip(starts, masks, keeps)]
         assert any(padded)
         real_step = pipeline.sgd_step
@@ -261,7 +261,7 @@ class TestRefine:
 
         monkeypatch.setattr(pipeline, "sgd_step", checked_step)
         nets = _retrain(
-            starts, masks, cfg, data, specs, [cfg.seed, cfg.seed + 1],
+            starts, masks, cfg, data, [cfg.seed, cfg.seed + 1],
             cfg.epochs, lambda e: lr_at(e, cfg),
         )
         batches = math.ceil(data.train.X.shape[0] / cfg.batch_size)
@@ -279,7 +279,7 @@ class TestRefine:
         for r, report in outcome.candidates:
             oracle = round_oracle(artifacts, mask, cfg, data, r)
             assert_masked_entries_zero(oracle.weights + oracle.biases, mask)
-            assert report == evaluate(oracle, split_blocks(data.test), artifacts.specs)
+            assert report == evaluate(oracle, split_blocks(data.test))
 
     def test_exact_retention_and_metadata(self, data, artifacts):
         cfg = small_config()
@@ -343,7 +343,7 @@ class TestBaselines:
         (arts,) = train_dense(cfg, data, [cfg.seed])
         (result,) = run_baseline("lth", cfg, data, [arts])
         assert result.mask.kept_count() == param_count(arts.specs)
-        assert params_equal(result.params, arts.theta_e.params)
+        assert params_equal(result.params, arts.theta_e)
 
     def test_magnitude_finetunes_from_theta_e(self, data, artifacts):
         cfg = small_config()
@@ -385,13 +385,13 @@ class TestLockstep:
         cfg = small_config()
         specs = artifacts.specs
         mask = build_random_mask(specs, cfg.omega, seed=3)
-        good = apply_mask(artifacts.theta0.params, mask)
+        good = apply_mask(artifacts.theta0, mask)
         bad = good.copy()
         bad.weights[0][mask.weight_keep[0]] = 1e308
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalFailure,
                                match="retraining epoch 0, seed 7: "):
-                _retrain([good, bad], [mask, mask], cfg, data, specs, [4, 7],
+                _retrain([good, bad], [mask, mask], cfg, data, [4, 7],
                          cfg.epochs, lambda e: lr_at(e, cfg))
 
     def test_divergence_in_second_shape_group_names_seed_and_epoch(
@@ -402,7 +402,7 @@ class TestLockstep:
         specs = artifacts.specs
         masks = [build_random_mask(specs, omega, seed=7) for omega in (0.4, 0.7)]
         assert len({tuple(map(len, live_units(m))) for m in masks}) == 2
-        nets = [apply_mask(artifacts.theta0.params, m) for m in masks]
+        nets = [apply_mask(artifacts.theta0, m) for m in masks]
         batches = math.ceil(data.train.X.shape[0] / cfg.batch_size)
         real_step = pipeline.sgd_step
         steps = []
@@ -418,7 +418,7 @@ class TestLockstep:
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericalFailure,
                                match="retraining epoch 2, seed 7: "):
-                _retrain(nets, masks, cfg, data, specs, [4, 7], cfg.epochs,
+                _retrain(nets, masks, cfg, data, [4, 7], cfg.epochs,
                          lambda e: lr_at(e, cfg))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, 1e308])
@@ -442,7 +442,7 @@ class TestLockstep:
 
         monkeypatch.setattr(pipeline, "sgd_step", poisoning_step)
         masks = [build_random_mask(specs, omega, seed=7) for omega in (0.4, 0.7, 0.5)]
-        nets = [apply_mask(artifacts.theta0.params, m) for m in masks]
+        nets = [apply_mask(artifacts.theta0, m) for m in masks]
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalFailure,
                                match="dense training epoch 2, seed 5: "):
@@ -450,7 +450,7 @@ class TestLockstep:
             steps.clear()
             with pytest.raises(NumericalFailure,
                                match="retraining epoch 2, seed 7: "):
-                _retrain(nets, masks, cfg, data, specs, [4, 7, 9], cfg.epochs,
+                _retrain(nets, masks, cfg, data, [4, 7, 9], cfg.epochs,
                          lambda e: lr_at(e, cfg))
 
     @staticmethod
@@ -529,10 +529,10 @@ class TestLockstep:
                          for _ in range(3)]
             starts = [apply_mask(init_network(specs, 10 * trial + r), m)
                       for r, m in enumerate(masks)]
-            together = _retrain([p.copy() for p in starts], masks, cfg, data, specs,
+            together = _retrain([p.copy() for p in starts], masks, cfg, data,
                                 [0, 1, 2], cfg.epochs, lambda e: lr_at(e, cfg))
             for seed, (start, mask, got) in enumerate(zip(starts, masks, together)):
-                (alone,) = _retrain([start.copy()], [mask], cfg, data, specs, [seed],
+                (alone,) = _retrain([start.copy()], [mask], cfg, data, [seed],
                                     cfg.epochs, lambda e: lr_at(e, cfg))
                 ends = [np.arange(specs[0].d_in), *live_units(mask),
                         np.arange(specs[-1].d_out)]
@@ -553,14 +553,14 @@ class TestLockstep:
         cfg = small_config()
         specs = artifacts.specs
         masks = [build_random_mask(specs, omega, seed=7) for omega in (0.4, 0.7, 0.4)]
-        starts = [apply_mask(artifacts.theta0.params, m) for m in masks]
-        shapes = {tuple(compact_network(p, m, specs)[1]) for p, m in zip(starts, masks)}
+        starts = [apply_mask(artifacts.theta0, m) for m in masks]
+        shapes = {tuple(compact_network(p, m)[0].specs) for p, m in zip(starts, masks)}
         assert len(shapes) == 2
-        together = _retrain([p.copy() for p in starts], masks, cfg, data, specs,
+        together = _retrain([p.copy() for p in starts], masks, cfg, data,
                             [0, 1, 2], cfg.epochs, lambda e: lr_at(e, cfg),
                             stream_offset=1)
         for seed, (start, mask, got) in enumerate(zip(starts, masks, together)):
-            (alone,) = _retrain([start.copy()], [mask], cfg, data, specs, [seed],
+            (alone,) = _retrain([start.copy()], [mask], cfg, data, [seed],
                                 cfg.epochs, lambda e: lr_at(e, cfg),
                                 stream_offset=1)
             assert got.epoch_tag == alone.epoch_tag
@@ -579,7 +579,7 @@ class TestLockstep:
         assert u not in live_units(mask)[0] and v not in live_units(mask)[1]
         start = apply_mask(init_network(specs, 3), mask)
         assert start.weights[0][:, u].any() and start.weights[2][v, :].any()
-        (net,) = _retrain([start.copy()], [mask], cfg, data, specs, [0],
+        (net,) = _retrain([start.copy()], [mask], cfg, data, [0],
                           cfg.epochs, lambda e: lr_at(e, cfg))
 
         def dead_entries(p):

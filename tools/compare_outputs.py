@@ -32,7 +32,14 @@ temporary directory, through one fixed command set:
   non-default value, with integral numbers for float keys and ``4.0``
   for ``train.epochs``, so the config echo is compared key by key;
 - ``train`` on that CSV through ``data.csv_path``, for the echo of a
-  CSV data section.
+  CSV data section;
+- on a config with ``model.hidden=[37, 29, 13]``, 11 features, 5 classes
+  and ``prune.omega=0.2``: ``prune --method`` each method, ``gen-data``
+  and ``evaluate`` of each method's ``final.ckpt`` on that CSV, and
+  ``experiment --seeds 3``.  Its odd widths start layer blocks off
+  64-byte boundaries, so per-layer views that are not aligned are
+  compared, and its third hidden layer takes compaction and expansion
+  deeper than the two-layer configs above.
 
 Seconds fields (JSON keys and CSV columns ending in ``_s``) are blanked
 as the benchmark's digest blanks them (``perfbench/checks.py``).  The
@@ -70,6 +77,9 @@ EVERY_KEY = {
     "seed": 1,
 }
 CSV = {"train": {"epochs": 3}, "data": {"csv_path": "data.csv"}}
+ODD = {"model": {"hidden": [37, 29, 13]}, "prune": {"omega": 0.2},
+       "data": {"synthetic": {"counts": [500, 120, 120, 80, 80], "dim": 11}}}
+METHODS = ("ballot", "lth", "magnitude", "random")
 # the default generator with more rows: same 20 features and 4 classes
 LONG = {"data": {"synthetic": {"counts": [2450, 350, 350, 350]}}}
 TWO_BLOCKS = {"data": {"synthetic": {"counts": [1436, 204, 204, 204]}}}
@@ -93,7 +103,7 @@ def quote_last(work: Path) -> None:
 COMMANDS = [
     ["train", "--out", "train"],
     *[["prune", "--method", m, "--out", f"prune-{m}"]
-      for m in ("ballot", "lth", "magnitude", "random")],
+      for m in METHODS],
     ["experiment", "--seeds", "5", "--out", "experiment"],
     ["experiment", "--seeds", "1", "--config", "wide.json", "--out", "wide"],
     ["experiment", "--seeds", "3", "--config", "padded.json", "--out", "padded"],
@@ -115,6 +125,13 @@ COMMANDS = [
      "--data", "quoted-last.csv", "--out", "evaluation-quoted-last.json"],
     ["train", "--config", "every-key.json", "--out", "train-every-key"],
     ["train", "--config", "csv.json", "--out", "train-csv"],
+    *[["prune", "--method", m, "--config", "odd.json", "--out", f"odd-{m}"]
+      for m in METHODS],
+    ["gen-data", "--config", "odd.json", "--out", "odd.csv"],
+    *[["evaluate", "--checkpoint", f"odd-{m}/checkpoints/final.ckpt",
+       "--data", "odd.csv", "--out", f"evaluation-odd-{m}.json"]
+      for m in METHODS],
+    ["experiment", "--seeds", "3", "--config", "odd.json", "--out", "odd-experiment"],
 ]
 
 
@@ -123,7 +140,7 @@ def run_all(tree: Path, work: Path) -> None:
     callable in it is a step of this script, given ``work``."""
     for name, raw in (("default", {}), ("wide", WIDE), ("padded", PADDED),
                       ("every-key", EVERY_KEY), ("csv", CSV), ("long", LONG),
-                      ("two-blocks", TWO_BLOCKS)):
+                      ("two-blocks", TWO_BLOCKS), ("odd", ODD)):
         (work / f"{name}.json").write_text(json.dumps(raw))
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     for args in COMMANDS:
