@@ -31,7 +31,6 @@ from .masks import (
     save_mask,
 )
 from .metrics import (
-    ClassWeights,
     EvalReport,
     bias_delta,
     cwv,

@@ -11,10 +11,16 @@ reaches the eta-quantile of the strictly positive scores get one vote
 (count) and the score added to a running total (cum_score).
 
 A mask is one flat boolean keep vector in the checkpoint's byte layout:
-per layer the weights row-major, then the bias, layers in order.  The
-per-layer ``weight_keep``/``bias_keep`` arrays are reshaped views into
-it, and the entries tied to hidden unit u of layer i are three strided
+per layer the weights row-major, then the bias, layers in order, at the
+offsets of ``model.layer_offsets``.  The per-layer
+``weight_keep``/``bias_keep`` arrays are ``model.layer_views`` of it,
+and the entries tied to hidden unit u of layer i are three strided
 slices of it: the incoming column, the bias, and the outgoing row.
+
+``build_ballot_mask(ledger, omega, final_params)`` and
+``build_magnitude_mask(params, omega)`` read the layer specs from the
+network they rank.  ``build_random_mask``, ``Mask``, ``identity_mask``
+and ``load_mask`` get no network, so they take ``specs``.
 
 Mask building removes whole hidden units worst-first and then trims
 individual weights so every method lands on exactly floor(omega * n)
@@ -40,7 +46,15 @@ from .errors import (
     UsageError,
 )
 from .fileio import atomic_open
-from .model import LayerSpec, NetworkParams, hidden_sizes, layer_views, param_count, validate_specs
+from .model import (
+    LayerSpec,
+    NetworkParams,
+    hidden_sizes,
+    layer_offsets,
+    layer_views,
+    param_count,
+    validate_specs,
+)
 
 
 def conflict_scores(g_a, g_f, gamma: float) -> np.ndarray:
@@ -125,14 +139,6 @@ class ConflictLedger:
         self._epochs.add(epoch)
 
 
-def _bases(specs: list[LayerSpec]) -> list[int]:
-    """Flat offset of every layer's block, then the total count."""
-    bases = [0]
-    for s in specs:
-        bases.append(bases[-1] + s.d_in * s.d_out + s.d_out)
-    return bases
-
-
 class Mask:
     """Keep/remove decisions: per hidden unit and per parameter entry.
 
@@ -146,10 +152,8 @@ class Mask:
 
     def __init__(self, specs: list[LayerSpec]):
         self.keep = np.ones(param_count(specs), dtype=bool)
-        self.neuron_keep = [np.ones(s.d_out, dtype=bool) for s in specs[:-1]]
-        self.weight_keep, self.bias_keep = layer_views(
-            self.keep, [(s.d_in, s.d_out) for s in specs]
-        )
+        self.neuron_keep = [np.ones(n, dtype=bool) for n in hidden_sizes(specs)]
+        self.weight_keep, self.bias_keep = layer_views(self.keep, specs)
 
     def kept_count(self) -> int:
         return int(self.keep.sum())
@@ -168,14 +172,15 @@ def _unit_ids(sizes: list[int]) -> tuple[np.ndarray, np.ndarray]:
     return layers, units
 
 
-def _unit_slices(specs: list[LayerSpec], bases: list[int], layer: int, unit: int):
+def _unit_slices(specs: list[LayerSpec], offsets: list[int], layer: int, unit: int):
     """Flat slices of every entry tied to a hidden unit: its incoming
-    column, its bias, and its outgoing row, in ascending flat order."""
+    column, its bias, and its outgoing row, in ascending flat order.
+    ``offsets`` is ``layer_offsets(specs)``."""
     s, nxt = specs[layer], specs[layer + 1]
-    bias = bases[layer] + s.d_in * s.d_out + unit
-    row = bases[layer + 1] + unit * nxt.d_out
+    bias = offsets[layer] + s.d_in * s.d_out + unit
+    row = offsets[layer + 1] + unit * nxt.d_out
     return (
-        slice(bases[layer] + unit, bias - unit, s.d_out),
+        slice(offsets[layer] + unit, bias - unit, s.d_out),
         slice(bias, bias + 1, 1),
         slice(row, row + nxt.d_out, 1),
     )
@@ -214,7 +219,7 @@ def _removal_mask(specs, order, omega, magnitudes) -> Mask:
             idx = idx[np.argsort(magnitudes[idx], kind="stable")]
         return idx[:need]
 
-    bases = _bases(specs)
+    offsets = layer_offsets(specs)
     units_left = hidden_sizes(specs)
     layers, units = _unit_ids(units_left)
     last = None
@@ -223,7 +228,7 @@ def _removal_mask(specs, order, omega, magnitudes) -> Mask:
             break
         if units_left[layer] <= 1:
             continue
-        slices = _unit_slices(specs, bases, layer, unit)
+        slices = _unit_slices(specs, offsets, layer, unit)
         was = [mask.keep[s].copy() for s in slices]
         for s in slices:
             mask.keep[s] = False
@@ -246,12 +251,10 @@ def _removal_mask(specs, order, omega, magnitudes) -> Mask:
 
 
 def build_ballot_mask(
-    ledger: ConflictLedger,
-    specs: list[LayerSpec],
-    omega: float,
-    final_params: NetworkParams,
+    ledger: ConflictLedger, omega: float, final_params: NetworkParams
 ) -> Mask:
-    """Remove the most conflict-voted hidden units first.
+    """Remove the most conflict-voted hidden units of ``final_params``
+    first.
 
     Units are ranked by vote count (descending), then cumulative score
     (descending), then (layer, unit) as the final tie-break, so the mask
@@ -259,13 +262,12 @@ def build_ballot_mask(
     repaired by undoing the last unit and trimming its entries in
     ascending |final weight| order.
     """
+    specs = final_params.specs
     validate_specs(specs)
     if ledger.sizes != hidden_sizes(specs):
         raise ConfigurationError("ledger does not cover this network's hidden units")
     if not ledger.epochs:
         raise UsageError("ledger has no recorded epochs")
-    if final_params.specs != specs:
-        raise ConfigurationError("final_params does not match the layer specs")
 
     layers, units = _unit_ids(ledger.sizes)
     order = np.lexsort(
@@ -293,9 +295,9 @@ def _repair_dead_layers(keep, flat, ranked, specs, omega, k) -> None:
     The entries tied to hidden layer i's units, its weights and bias
     plus the next layer's weights, form one contiguous span; adjacent
     spans share the connecting weights."""
-    bases = _bases(specs)
+    offsets = layer_offsets(specs)
     spans = [
-        slice(bases[i], bases[i + 1] + specs[i + 1].d_in * specs[i + 1].d_out)
+        slice(offsets[i], offsets[i + 2] - specs[i + 1].d_out)
         for i in range(len(specs) - 1)
     ]
     forced = np.zeros(keep.size, dtype=bool)
@@ -322,9 +324,7 @@ def _repair_dead_layers(keep, flat, ranked, specs, omega, k) -> None:
         keep[ranked[evictable[-1]]] = False
 
 
-def build_magnitude_mask(
-    params: NetworkParams, specs: list[LayerSpec], omega: float
-) -> Mask:
+def build_magnitude_mask(params: NetworkParams, omega: float) -> Mask:
     """Keep the globally largest-|value| entries, biases included, up to
     exactly floor(omega * n) kept parameters.  Ties break toward the
     lower flat index.  Output biases are exempt and always kept; unit
@@ -336,9 +336,8 @@ def build_magnitude_mask(
     entry tied to that layer is kept and the weakest kept entry whose
     removal empties nothing is dropped, so the count stays exact.  If
     no such swap exists the retention is infeasible."""
+    specs = params.specs
     validate_specs(specs)
-    if params.specs != specs:
-        raise ConfigurationError("params do not match the layer specs")
     k = _target_kept(specs, omega)
     mask = Mask(specs)
     if k == mask.total_count():

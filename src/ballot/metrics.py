@@ -157,34 +157,14 @@ def evaluate(params: NetworkParams, blocks) -> EvalReport:
     return report_from_predictions(y, np.concatenate(preds), n_classes)
 
 
-@dataclass(frozen=True)
-class ClassWeights:
-    """Per-class loss weights, 1 / max(accuracy, floor), from the most
-    recent evaluation."""
-
-    weights: tuple
-    source_epoch: int
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=np.float64)
-
-
-def uniform_class_weights(n_classes: int) -> ClassWeights:
-    if n_classes < 1:
-        raise ConfigurationError("need at least one class")
-    return ClassWeights(weights=(1.0,) * n_classes, source_epoch=-1)
-
-
-def update_class_weights(report: EvalReport, source_epoch: int) -> ClassWeights:
-    """Weights from ``report``'s per-class accuracies; a class absent from
+def update_class_weights(report: EvalReport) -> np.ndarray:
+    """Per-class loss weights, 1 / max(accuracy, floor), as a float64
+    array, from ``report``'s per-class accuracies; a class absent from
     the evaluated labels has no accuracy to weight by."""
     if report.absent_classes:
         raise DataError(f"class {report.absent_classes[0]} has no sample, "
                         "so it has no accuracy to weight its loss by")
-    w = tuple(
-        1.0 / max(a, WEIGHT_FLOOR) for a in report.per_class_acc
-    )
-    return ClassWeights(weights=w, source_epoch=source_epoch)
+    return 1.0 / np.maximum(report.per_class_acc, WEIGHT_FLOOR)
 
 
 def bias_delta(pruned: EvalReport, dense: EvalReport, metric: str = "cwv") -> float:

@@ -7,14 +7,18 @@ logits.  Units of all non-final layers are the "hidden neurons" that
 pruning may remove.
 
 One flat layout serves parameters, checkpoints and masks: per layer the
-weights row-major, then the bias, layers in order.  ``NetworkParams``
-holds one network as its specs and one [P] buffer in that layout, whose
-per-layer arrays are views; a checkpoint stores the buffer after a
-manifest of the specs, seed and epoch, and ``Mask.keep`` flags its
-entries.  ``ParamStack`` holds R networks of one architecture as one
-C-contiguous [R, P] buffer, a row per network, next to a gradient buffer
-of the same shape; the per-layer arrays the step reads and writes are
-views of them, and ``stack_params`` rebinds each network to its row.
+weights row-major, then the bias, layers in order.  This module is its
+only owner: ``layer_offsets`` gives each layer's block start and the
+total, and ``layer_views`` the per-layer arrays of a buffer in it.
+``NetworkParams`` holds one network as its specs and one [P] buffer in
+that layout, whose per-layer arrays are views; a checkpoint stores the
+buffer after a manifest of the specs, seed and epoch, and ``Mask.keep``
+flags its entries.  ``ParamStack`` holds R networks of one set of specs
+as one C-contiguous [R, P] buffer, a row per network, next to a
+gradient buffer of the same shape; the per-layer arrays the step reads
+and writes are views of them, and ``stack_params`` rebinds each network
+to its row.  Every function given a network or a stack reads the
+shapes from it and takes no specs of its own.
 
 Each batch runs one forward pass and one backward pass that writes the
 cross-entropy's parameter gradients into the gradient buffer.  Dense
@@ -91,8 +95,16 @@ def hidden_sizes(specs: list[LayerSpec]) -> list[int]:
     return [spec.d_out for spec in specs[:-1]]
 
 
+def layer_offsets(specs: list[LayerSpec]) -> list[int]:
+    """Flat offset of every layer's block, then the parameter count P."""
+    offsets = [0]
+    for s in specs:
+        offsets.append(offsets[-1] + s.d_in * s.d_out + s.d_out)
+    return offsets
+
+
 def param_count(specs: list[LayerSpec]) -> int:
-    return sum(s.d_in * s.d_out + s.d_out for s in specs)
+    return layer_offsets(specs)[-1]
 
 
 class NetworkParams:
@@ -109,8 +121,7 @@ class NetworkParams:
     def _bind(self, flat: np.ndarray) -> None:
         """Hold ``flat`` as the values, with per-layer views into it."""
         self.flat = flat
-        self.weights, self.biases = layer_views(
-            flat, [(s.d_in, s.d_out) for s in self.specs])
+        self.weights, self.biases = layer_views(flat, self.specs)
 
     def copy(self) -> "NetworkParams":
         return NetworkParams(self.flat.copy(), self.specs, self.seed, self.epoch_tag)
@@ -131,39 +142,37 @@ def init_network(specs: list[LayerSpec], seed: int) -> NetworkParams:
     return params
 
 
-def layer_views(buf: np.ndarray, shapes) -> tuple[list, list]:
+def layer_views(buf: np.ndarray, specs: list[LayerSpec]) -> tuple[list, list]:
     """Per-layer weight [..., d_in, d_out] and bias [..., d_out] views
-    into ``buf`` ([..., P]), which holds the flat layout on its last axis;
-    ``shapes`` holds each layer's (d_in, d_out)."""
+    into ``buf`` ([..., P]), which holds the flat layout of ``specs`` on
+    its last axis."""
     lead = buf.shape[:-1]
-    weights, biases, base = [], [], 0
-    for d_in, d_out in shapes:
-        w_end = base + d_in * d_out
-        weights.append(buf[..., base:w_end].reshape(*lead, d_in, d_out))
-        biases.append(buf[..., w_end : w_end + d_out])
-        base = w_end + d_out
+    weights, biases, offsets = [], [], layer_offsets(specs)
+    for s, base, end in zip(specs, offsets, offsets[1:]):
+        w_end = end - s.d_out
+        weights.append(buf[..., base:w_end].reshape(*lead, s.d_in, s.d_out))
+        biases.append(buf[..., w_end:end])
     return weights, biases
 
 
 class ParamStack:
-    """R networks of one architecture in one C-contiguous [R, P] float64
-    buffer ``flat``, a row per network in the flat layout, and the
-    gradients of the last ``train_step`` in ``grad``, of the same shape.
-    ``weights[i]`` [R, d_in, d_out], ``biases[i]`` [R, d_out],
+    """R networks of the layer ``specs`` in one C-contiguous [R, P]
+    float64 buffer ``flat``, a row per network in the flat layout, and
+    the gradients of the last ``train_step`` in ``grad``, of the same
+    shape.  ``weights[i]`` [R, d_in, d_out], ``biases[i]`` [R, d_out],
     ``grad_weights[i]`` and ``grad_biases[i]`` are views into them."""
 
-    def __init__(self, flat: np.ndarray, shapes):
-        self.flat = flat
+    def __init__(self, flat: np.ndarray, specs: list[LayerSpec]):
+        self.flat, self.specs = flat, specs
         self.grad = np.zeros_like(flat)
-        self.weights, self.biases = layer_views(flat, shapes)
-        self.grad_weights, self.grad_biases = layer_views(self.grad, shapes)
+        self.weights, self.biases = layer_views(flat, specs)
+        self.grad_weights, self.grad_biases = layer_views(self.grad, specs)
 
 
 def stack_params(nets: list[NetworkParams]) -> ParamStack:
     """Stack ``nets`` in order and rebind each network's arrays to views
     of its row, so a step on the stack trains every network in place."""
-    stack = ParamStack(np.stack([net.flat for net in nets]),
-                       [w.shape for w in nets[0].weights])
+    stack = ParamStack(np.stack([net.flat for net in nets]), nets[0].specs)
     for net, row in zip(nets, stack.flat):
         net._bind(row)
     return stack
@@ -241,7 +250,7 @@ def cross_entropy(logits, onehot):
     return loss, (np.exp(logp) - y) / n
 
 
-def train_step(stack: ParamStack, x, onehot, specs: list[LayerSpec], fair=None):
+def train_step(stack: ParamStack, x, onehot, fair=None):
     """One batch of R networks at once: the cross-entropy's parameter
     gradients into ``stack.grad`` and, with ``fair``, the pre-activation
     means that the conflict ledger records.
@@ -264,7 +273,7 @@ def train_step(stack: ParamStack, x, onehot, specs: list[LayerSpec], fair=None):
     non-finite pre-activation gradient reaches a weight gradient, which
     ``sgd_step`` checks.
     """
-    x, r = np.asarray(x, dtype=np.float64), stack.flat.shape[0]
+    x, r, specs = np.asarray(x, dtype=np.float64), stack.flat.shape[0], stack.specs
     if x.ndim != 3 or x.shape[0] != r or x.shape[2] != specs[0].d_in:
         raise ConfigurationError(f"input shape {x.shape} does not match d_in "
                                  f"{specs[0].d_in} for {r} stacked networks")
@@ -372,7 +381,7 @@ def compact_network(
              for d_in, d_out, spec in zip(dims, dims[1:], params.specs)]
     small = NetworkParams(np.zeros(param_count(specs)), specs, params.seed, params.epoch_tag)
     keep = np.zeros(small.flat.size, dtype=bool)
-    keep_w, keep_b = layer_views(keep, [w.shape for w in small.weights])
+    keep_w, keep_b = layer_views(keep, specs)
     for i, (rows, cols) in enumerate(zip(ends, ends[1:])):
         block, n, m = np.ix_(rows, cols), len(rows), len(cols)
         small.weights[i][:n, :m] = params.weights[i][block]
@@ -421,6 +430,16 @@ def save_checkpoint(params: NetworkParams, path) -> None:
         raise PersistenceError(f"cannot write checkpoint {path}: {exc}") from exc
 
 
+def _require_fields(obj: dict, where: str, types: dict) -> None:
+    """Raise PersistenceError unless every field of ``types`` is in
+    ``obj`` with exactly its type, so a float, a string or a bool is
+    no integer."""
+    for key, kind in types.items():
+        if type(obj.get(key)) is not kind:
+            name = "an integer" if kind is int else "a string"
+            raise PersistenceError(f"{where} field '{key}' missing or not {name}")
+
+
 def load_checkpoint(path) -> NetworkParams:
     try:
         with open(path, "rb") as fh:
@@ -445,20 +464,15 @@ def load_checkpoint(path) -> NetworkParams:
 
     if not isinstance(manifest, dict) or not isinstance(manifest.get("layers"), list):
         raise PersistenceError("manifest field 'layers' missing or not a list")
-    for key in ("seed", "epoch"):
-        if not isinstance(manifest.get(key), int):
-            raise PersistenceError(f"manifest field '{key}' missing or not an integer")
+    _require_fields(manifest, "manifest", {"seed": int, "epoch": int})
 
     specs = []
     for i, entry in enumerate(manifest["layers"]):
         if not isinstance(entry, dict):
             raise PersistenceError(f"manifest layer {i} is not an object")
-        try:
-            specs.append(
-                LayerSpec(int(entry["d_in"]), int(entry["d_out"]), str(entry["activation"]))
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PersistenceError(f"manifest layer {i} is malformed: {exc}") from exc
+        _require_fields(entry, f"manifest layer {i}",
+                        {"d_in": int, "d_out": int, "activation": str})
+        specs.append(LayerSpec(entry["d_in"], entry["d_out"], entry["activation"]))
     try:
         validate_specs(specs)
     except ConfigurationError as exc:

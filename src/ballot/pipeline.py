@@ -51,13 +51,7 @@ from .masks import (
     build_magnitude_mask,
     build_random_mask,
 )
-from .metrics import (
-    EvalReport,
-    bias_delta,
-    evaluate,
-    uniform_class_weights,
-    update_class_weights,
-)
+from .metrics import EvalReport, bias_delta, evaluate, update_class_weights
 from .model import (
     LayerSpec,
     NetworkParams,
@@ -162,7 +156,7 @@ def train_dense(
     stack = stack_params(nets)
 
     x, onehot = data.train.X, data.train_onehot
-    fair = np.stack([uniform_class_weights(data.n_classes).as_array()] * len(seeds))
+    fair = np.ones((len(seeds), data.n_classes))
     hidden = hidden_sizes(specs)
     ledgers = [ConflictLedger(hidden) for _ in seeds]
 
@@ -172,7 +166,7 @@ def train_dense(
         acc_f = [np.zeros((len(seeds), h)) for h in hidden]
         try:
             for idx in _batches(_shuffle(seeds, epoch, x.shape[0]), config.batch_size):
-                means_a, means_f = train_step(stack, x[idx], onehot[idx], specs, fair)
+                means_a, means_f = train_step(stack, x[idx], onehot[idx], fair)
                 for i, (ma, mf) in enumerate(zip(means_a, means_f)):
                     acc_a[i] += ma
                     acc_f[i] += mf
@@ -188,7 +182,7 @@ def train_dense(
                 config.gamma, config.eta,
             )
             train_report = _evaluate(params, data.train, "dense training", epoch, seeds[r])
-            fair_rows.append(update_class_weights(train_report, epoch).as_array())
+            fair_rows.append(update_class_weights(train_report))
             if epoch + 1 == config.rewind_epoch:
                 theta_k[r] = params.copy()
         fair = np.stack(fair_rows)
@@ -245,7 +239,7 @@ def _retrain(
         orders = _shuffle(streams, epoch_offset + epoch, x.shape[0])
         try:
             for idx in _batches(orders, config.batch_size):
-                train_step(stack, x[idx], onehot[idx], smalls[0].specs)
+                train_step(stack, x[idx], onehot[idx])
                 sgd_step(stack, step)
         except NumericalFailure as exc:
             raise _failure("retraining", epoch, seeds[exc.index], exc) from exc
@@ -371,11 +365,9 @@ def run_baseline(
         )
     since = time.perf_counter()
     if method == "ballot":
-        masks = [build_ballot_mask(a.ledger, a.specs, config.omega, a.theta_e)
-                 for a in artifacts]
+        masks = [build_ballot_mask(a.ledger, config.omega, a.theta_e) for a in artifacts]
     elif method == "random":
         masks = [build_random_mask(a.specs, config.omega, a.seed) for a in artifacts]
     else:
-        masks = [build_magnitude_mask(a.theta_e, a.specs, config.omega)
-                 for a in artifacts]
+        masks = [build_magnitude_mask(a.theta_e, config.omega) for a in artifacts]
     return refine(method, masks, artifacts, config, data, since)

@@ -135,7 +135,7 @@ def _gradients(params, specs, x, y, class_w):
     weight of sample n's class.  The network's arrays become views of
     the stack, so the perturbations below still reach the oracle."""
     stack = stack_params([params])
-    _, means_f = train_step(stack, x[None], y[None], specs, class_w[None])
+    _, means_f = train_step(stack, x[None], y[None], class_w[None])
     plain = [(arr, g[0].copy()) for arr, g in zip(
         params.weights + params.biases, stack.grad_weights + stack.grad_biases)]
     _, dlogits = cross_entropy(logits(params, x, specs)[None], y[None])
@@ -257,8 +257,8 @@ def test_criterion_3_mask_exactness():
                 continue
             try:
                 built = {
-                    "ballot": build_ballot_mask(ledger, specs, omega, params),
-                    "magnitude": build_magnitude_mask(params, specs, omega),
+                    "ballot": build_ballot_mask(ledger, omega, params),
+                    "magnitude": build_magnitude_mask(params, omega),
                     "random": build_random_mask(specs, omega, seed=trial),
                 }
             except InfeasibleMaskError:

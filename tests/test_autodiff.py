@@ -40,7 +40,7 @@ class Grads(NamedTuple):
     biases: list
 
 
-def _step(params, x, y, specs, fair=None):
+def _step(params, x, y, fair=None):
     """``train_step`` of one network, as a stack of one: copies of slot
     0 of the plain loss's parameter gradients, and slot 0 of the
     ``(means_a, means_f)`` pre-activation means, or None without
@@ -48,7 +48,7 @@ def _step(params, x, y, specs, fair=None):
     stack = stack_params([params.copy()])
     means = train_step(
         stack, np.asarray(x, dtype=np.float64)[None],
-        np.asarray(y, dtype=np.float64)[None], specs,
+        np.asarray(y, dtype=np.float64)[None],
         None if fair is None else np.asarray(fair, dtype=np.float64)[None],
     )
     grads = Grads([w[0].copy() for w in stack.grad_weights],
@@ -90,19 +90,18 @@ class TestAffine:
         np.testing.assert_array_equal(out, [[7.0, 7.0]])
 
     def test_shape_mismatch_is_config_error(self):
-        params, specs = _net((np.eye(2), [0.0, 0.0], "none"))
+        params, _ = _net((np.eye(2), [0.0, 0.0], "none"))
         with pytest.raises(ConfigurationError):
-            _step(params, [[1.0, 2.0, 3.0]], [[1.0, 0.0]], specs)
+            _step(params, [[1.0, 2.0, 3.0]], [[1.0, 0.0]])
 
     def test_gradients_match_hand_derivation(self):
         # z0 = 1*3 + 2*5 + 0.5 = 13.5 (active); the logits are exactly
         # [0, 0], so dlogits = (softmax - y) / n = [-0.5, 0.5], the
         # hidden gradient is -0.5*1 + 0.5*(-1) = -1, and the input
         # layer's gradients are x^T * -1 and -1.
-        params, specs = _net(([[3.0], [5.0]], [0.5], "relu"),
-                             ([[1.0, -1.0]], [-13.5, 13.5], "none"))
-        grads, (means, _) = _step(params, [[1.0, 2.0]], [[1.0, 0.0]],
-                                  specs, np.ones(2))
+        params, _ = _net(([[3.0], [5.0]], [0.5], "relu"),
+                         ([[1.0, -1.0]], [-13.5, 13.5], "none"))
+        grads, (means, _) = _step(params, [[1.0, 2.0]], [[1.0, 0.0]], np.ones(2))
         np.testing.assert_allclose(grads.weights[1], [[-6.75, 6.75]], rtol=1e-15)
         np.testing.assert_allclose(grads.biases[1], [-0.5, 0.5], rtol=1e-15)
         np.testing.assert_allclose(grads.weights[0], [[-1.0], [-2.0]], rtol=1e-15)
@@ -128,7 +127,7 @@ class TestRelu:
         params, specs = _net((np.eye(2), [0.0, 0.0], "relu"),
                              ([[1.0, -1.0], [2.0, 0.5]], [0.0, 0.0], "none"))
         y = [[1.0, 0.0]]
-        _, (means, _) = _step(params, x, y, specs, np.ones(2))
+        _, (means, _) = _step(params, x, y, np.ones(2))
         _, dlogits = _ce(logits(params, x, specs), y)
         return means[0], (dlogits @ params.weights[1].T)[0]
 
@@ -175,15 +174,15 @@ class TestCrossEntropy:
         for _ in range(20):
             specs, params = random_net(own)
             x, y = _batch(own, specs, int(own.integers(1, 9)))
-            _, (means_a, means_f) = _step(params, x, y, specs, np.ones(specs[-1].d_out))
+            _, (means_a, means_f) = _step(params, x, y, np.ones(specs[-1].d_out))
             for a, f in zip(means_a, means_f):
                 assert a.tobytes() == f.tobytes()
 
     def test_nonpositive_weights_rejected(self):
-        params, specs = _net((np.eye(2), [0.0, 0.0], "none"))
+        params, _ = _net((np.eye(2), [0.0, 0.0], "none"))
         for bad in ([0.0, 1.0], [-1.0, 1.0], [np.nan, 1.0], [1.0, 1.0, 1.0]):
             with pytest.raises(ConfigurationError, match="class_weights"):
-                _step(params, [[1.0, 2.0]], [[1.0, 0.0]], specs, bad)
+                _step(params, [[1.0, 2.0]], [[1.0, 0.0]], bad)
 
     def test_non_finite_logits_are_numerical_failure(self):
         # the loss turns non-finite: inf - inf is nan in the max shift,
@@ -215,7 +214,7 @@ class TestBackward:
         x, y = _batch(rng, specs, 4)
         c = specs[-1].d_out
         cw = rng.uniform(0.5, 2.0, c)
-        grads, (_, means_f) = _step(params, x, y, specs, cw)
+        grads, (_, means_f) = _step(params, x, y, cw)
         # the weighted loss's dlogits: the plain ones, row n scaled by
         # the weight of sample n's class
         _, dlogits = _ce(logits(params, x, specs), y)
@@ -246,9 +245,9 @@ class TestBackward:
         c = specs[-1].d_out
         ones, fair = np.ones(c), rng.uniform(0.5, 2.0, c)
 
-        grads_a, no_means = _step(params, x, y, specs)
-        grads_o, (means_a, means_o) = _step(params, x, y, specs, ones)
-        grads, (both_a, both_f) = _step(params, x, y, specs, fair)
+        grads_a, no_means = _step(params, x, y)
+        grads_o, (means_a, means_o) = _step(params, x, y, ones)
+        grads, (both_a, both_f) = _step(params, x, y, fair)
         assert no_means is None
         for got, same, want in zip(grads.weights + grads.biases,
                                    grads_o.weights + grads_o.biases,
@@ -266,8 +265,8 @@ class TestBackward:
         specs, params = random_net(rng)
         x, y = _batch(rng, specs, 3)
         c = specs[-1].d_out
-        _, (base_means, _) = _step(params, x, y, specs, np.ones(c))
-        _, (_, scaled_means) = _step(params, x, y, specs, np.full(c, 2.0))
+        _, (base_means, _) = _step(params, x, y, np.ones(c))
+        _, (_, scaled_means) = _step(params, x, y, np.full(c, 2.0))
         for got, want in zip(scaled_means, base_means):
             np.testing.assert_array_equal(got, 2.0 * want)
 
@@ -284,7 +283,7 @@ class TestBackward:
             x = rng.normal(size=(3, n, specs[0].d_in))
             y = np.eye(c)[rng.integers(0, c, (3, n))]
             fair = rng.uniform(0.2, 5.0, (3, c))
-            _, means_f = train_step(stack_params(nets), x, y, specs, fair)
+            _, means_f = train_step(stack_params(nets), x, y, fair)
             for r, start in enumerate(starts):
                 want = reference_fair_means(start.weights, start.biases, specs,
                                             x[r], y[r], fair[r])
@@ -295,8 +294,8 @@ class TestBackward:
         specs, params = random_net(rng)
         x, y = _batch(rng, specs, 5)
         fair = np.full(specs[-1].d_out, 3.0)
-        first, means_1 = _step(params, x, y, specs, fair)
-        second, means_2 = _step(params, x, y, specs, fair)
+        first, means_1 = _step(params, x, y, fair)
+        second, means_2 = _step(params, x, y, fair)
         for a, b in zip(first.weights + first.biases + means_1[0] + means_1[1],
                         second.weights + second.biases + means_2[0] + means_2[1]):
             assert np.array_equal(a, b)
@@ -308,7 +307,7 @@ class TestBackward:
         x[:] = 10.0
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalFailure):
-                _step(params, x, y, specs)
+                _step(params, x, y)
 
 
 class TestSeedStack:
@@ -331,10 +330,10 @@ class TestSeedStack:
             # plain loss alone, as retraining does
             idx = np.stack([rng.permutation(40)[:16] for _ in range(3)])
             weights = fair if step % 2 == 0 else None
-            means = train_step(stack, x[idx], y[idx], specs, weights)
+            means = train_step(stack, x[idx], y[idx], weights)
             for r, (one, one_step) in enumerate(singles):
                 means1 = train_step(
-                    one, x[idx[r]][None], y[idx[r]][None], specs,
+                    one, x[idx[r]][None], y[idx[r]][None],
                     None if weights is None else weights[r:r + 1],
                 )
                 got = stack.grad_weights + stack.grad_biases
@@ -360,5 +359,5 @@ class TestSeedStack:
         stack = stack_params([params, params.copy(), bad])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalFailure) as caught:
-                train_step(stack, np.stack([x] * 3), np.stack([y] * 3), specs)
+                train_step(stack, np.stack([x] * 3), np.stack([y] * 3))
         assert caught.value.index == 2

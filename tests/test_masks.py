@@ -157,7 +157,7 @@ class TestLedger:
 class TestBallotMask:
     def test_omega_one_keeps_everything(self):
         led = ledger_with_votes([{0: 1.0}])
-        mask = build_ballot_mask(led, SPECS_232, 1.0, params_for(SPECS_232))
+        mask = build_ballot_mask(led, 1.0, params_for(SPECS_232))
         assert mask.kept_count() == 17
         assert all(k.all() for k in mask.neuron_keep)
 
@@ -165,7 +165,7 @@ class TestBallotMask:
         led = ledger_with_votes(
             [{0: 1.0, 1: 1.0}, {0: 1.0, 1: 1.0}, {0: 2.0}, {0: 2.0}, {0: 2.0}]
         )  # counts [5, 2, 0]
-        mask = build_ballot_mask(led, SPECS_232, 0.72, params_for(SPECS_232))
+        mask = build_ballot_mask(led, 0.72, params_for(SPECS_232))
         assert mask.neuron_keep[0].tolist() == [False, True, True]
         assert mask.kept_count() == 12
         assert mask.retention() == 12 / 17
@@ -177,7 +177,7 @@ class TestBallotMask:
             [{1: 1.0, 2: 1.0}, {1: 1.0, 2: 1.0}, {1: 3.0}, {1: 3.0}]
         )  # counts [0, 4, 2]
         best = max(range(3), key=lambda u: led.counts[0][u])
-        mask = build_ballot_mask(led, SPECS_232, 0.72, params_for(SPECS_232))
+        mask = build_ballot_mask(led, 0.72, params_for(SPECS_232))
         removed = [u for u in range(3) if not mask.neuron_keep[0][u]]
         assert removed == [best]
 
@@ -185,12 +185,12 @@ class TestBallotMask:
         led = ledger_with_votes(
             [{0: 1.0}, {1: 2.0}, {0: 1.0}, {1: 2.0}, {0: 1.0}, {1: 2.0}]
         )  # counts [3, 3, 0], cums [3, 6, 0]
-        mask = build_ballot_mask(led, SPECS_232, 0.72, params_for(SPECS_232))
+        mask = build_ballot_mask(led, 0.72, params_for(SPECS_232))
         assert mask.neuron_keep[0].tolist() == [True, False, True]
 
     def test_layer_unit_breaks_full_ties(self):
         led = ledger_with_votes([{0: 1.0, 1: 1.0}])  # identical votes
-        mask = build_ballot_mask(led, SPECS_232, 0.72, params_for(SPECS_232))
+        mask = build_ballot_mask(led, 0.72, params_for(SPECS_232))
         assert mask.neuron_keep[0].tolist() == [False, True, True]
 
     def test_ranking_invariance_under_cum_score_shift(self):
@@ -198,10 +198,10 @@ class TestBallotMask:
             [{0: 1.0}, {1: 2.0}, {0: 1.0}, {1: 2.0}, {0: 1.0}, {1: 2.0}]
         )
         params = params_for(SPECS_232)
-        base = build_ballot_mask(led, SPECS_232, 0.72, params)
+        base = build_ballot_mask(led, 0.72, params)
         for layer in led.cum_scores:
             layer += 5.0
-        shifted = build_ballot_mask(led, SPECS_232, 0.72, params)
+        shifted = build_ballot_mask(led, 0.72, params)
         for a, b in zip(base.weight_keep, shifted.weight_keep):
             assert np.array_equal(a, b)
         for a, b in zip(base.bias_keep, shifted.bias_keep):
@@ -215,7 +215,7 @@ class TestBallotMask:
         params.weights[0][:, 0] = [0.9, -0.2]
         params.biases[0][0] = 0.05
         params.weights[1][0, :] = [0.4, -0.01]
-        mask = build_ballot_mask(led, SPECS_232, 13.2 / 17, params)
+        mask = build_ballot_mask(led, 13.2 / 17, params)
         assert mask.kept_count() == 13
         assert mask.neuron_keep[0].all()  # unit restored, only trimmed
         assert mask.weight_keep[0][0, 0]  # |0.9| survives
@@ -226,29 +226,26 @@ class TestBallotMask:
 
     def test_never_empties_a_layer(self):
         led = ledger_with_votes([{0: 3.0, 1: 2.0, 2: 1.0}], eta=0.1)
-        mask = build_ballot_mask(led, SPECS_232, 7 / 17 + 1e-9, params_for(SPECS_232))
+        mask = build_ballot_mask(led, 7 / 17 + 1e-9, params_for(SPECS_232))
         assert mask.neuron_keep[0].sum() >= 1
 
     def test_unrecorded_ledger_rejected(self):
         with pytest.raises(UsageError):
-            build_ballot_mask(
-                ConflictLedger([3]), SPECS_232, 0.5, params_for(SPECS_232)
-            )
+            build_ballot_mask(ConflictLedger([3]), 0.5, params_for(SPECS_232))
 
     def test_mismatched_ledger_rejected(self):
         led = ledger_with_votes([{0: 1.0}], sizes=(4,))
         with pytest.raises(ConfigurationError):
-            build_ballot_mask(led, SPECS_232, 0.5, params_for(SPECS_232))
+            build_ballot_mask(led, 0.5, params_for(SPECS_232))
 
 
 class TestMagnitudeMask:
     def test_hand_sorted_example(self):
-        specs = [LayerSpec(1, 2, "relu"), LayerSpec(2, 1, "none")]
         params = net_from_layers(
             weights=[np.array([[0.1, -0.5]]), np.array([[0.3], [-0.05]])],
             biases=[np.zeros(2), np.zeros(1)],
         )
-        mask = build_magnitude_mask(params, specs, 0.45)  # k = floor(3.15) = 3
+        mask = build_magnitude_mask(params, 0.45)  # k = floor(3.15) = 3
         assert mask.kept_count() == 3
         assert mask.weight_keep[0].tolist() == [[False, True]]  # -0.5 kept
         assert mask.weight_keep[1].tolist() == [[True], [False]]  # 0.3 kept
@@ -258,16 +255,15 @@ class TestMagnitudeMask:
 
     def test_omega_one_is_identity(self):
         params = params_for(SPECS_232)
-        mask = build_magnitude_mask(params, SPECS_232, 1.0)
+        mask = build_magnitude_mask(params, 1.0)
         assert mask.kept_count() == 17
 
     def test_ties_break_to_lower_flat_index(self):
-        specs = [LayerSpec(1, 2, "relu"), LayerSpec(2, 1, "none")]
         params = net_from_layers(
             weights=[np.array([[0.5, -0.5]]), np.array([[0.5], [0.5]])],
             biases=[np.zeros(2), np.zeros(1)],
         )
-        mask = build_magnitude_mask(params, specs, 0.45)  # 2 weights + out bias
+        mask = build_magnitude_mask(params, 0.45)  # 2 weights + out bias
         assert mask.weight_keep[0].tolist() == [[True, True]]
         assert mask.weight_keep[1].tolist() == [[False], [False]]
 
@@ -277,7 +273,7 @@ class TestMagnitudeMask:
             params = init_network(specs, int(rng.integers(10000)))
             total = param_count(specs)
             omega = float(rng.uniform(specs[-1].d_out / total + 0.05, 1.0))
-            mask = build_magnitude_mask(params, specs, omega)
+            mask = build_magnitude_mask(params, omega)
             k = math.floor(omega * total)
 
             flat, is_out_bias = [], []
@@ -314,12 +310,11 @@ class TestMagnitudeMask:
             assert set(j for j, keep in enumerate(got) if keep) == expect
 
     def test_neuron_keep_derived_from_entries(self):
-        specs = [LayerSpec(1, 2, "relu"), LayerSpec(2, 1, "none")]
         params = net_from_layers(
             weights=[np.array([[2.0, 0.01]]), np.array([[1.5], [0.02]])],
             biases=[np.array([0.03, 0.04]), np.zeros(1)],
         )
-        mask = build_magnitude_mask(params, specs, 0.45)
+        mask = build_magnitude_mask(params, 0.45)
         # unit 1 loses every entry (0.01 incoming, 0.04 bias, 0.02 out)
         assert mask.neuron_keep[0].tolist() == [True, False]
 
@@ -328,11 +323,6 @@ class TestMagnitudeMask:
         # biases, leaving hidden layer 1 with no entry.  The builder must
         # force its strongest entry (W1 = 0.05) back in and evict the
         # weakest safe kept entry (b0 = 0.8) to stay at k = 4.
-        specs = [
-            LayerSpec(1, 1, "relu"),
-            LayerSpec(1, 1, "relu"),
-            LayerSpec(1, 2, "none"),
-        ]
         params = net_from_layers(
             weights=[
                 np.array([[0.9]]),
@@ -341,7 +331,7 @@ class TestMagnitudeMask:
             ],
             biases=[np.array([0.8]), np.array([0.04]), np.zeros(2)],
         )
-        mask = build_magnitude_mask(params, specs, 0.5)
+        mask = build_magnitude_mask(params, 0.5)
         assert mask.kept_count() == 4
         assert mask.weight_keep[0].tolist() == [[True]]
         assert mask.weight_keep[1].tolist() == [[True]]
@@ -355,29 +345,13 @@ class TestMagnitudeMask:
     def test_repair_infeasible_when_budget_is_all_output_biases(self):
         # k = 2 is eaten by the exempt output biases, so the swap that
         # would revive hidden layer 0 has nothing safe to evict
-        specs = [LayerSpec(1, 1, "relu"), LayerSpec(1, 2, "none")]
         params = net_from_layers(
             weights=[np.array([[0.9]]), np.array([[0.05, 0.04]])],
             biases=[np.array([0.8]), np.zeros(2)],
         )
         with pytest.raises(InfeasibleMaskError) as exc:
-            build_magnitude_mask(params, specs, 0.4)
+            build_magnitude_mask(params, 0.4)
         assert exc.value.min_retention == 0.5  # (C + hidden layers) / total
-
-
-@pytest.mark.parametrize("hidden", [5, 2])
-@pytest.mark.parametrize("builder", ["ballot", "magnitude"])
-def test_builders_reject_params_of_other_specs(builder, hidden):
-    """Params of another hidden width than the specs' raise a
-    ConfigurationError, not an IndexError or a mask of misaligned
-    magnitudes."""
-    specs = [LayerSpec(3, 4, "relu"), LayerSpec(4, 2, "none")]
-    params = init_network([LayerSpec(3, hidden, "relu"), LayerSpec(hidden, 2, "none")], 0)
-    with pytest.raises(ConfigurationError, match="match the layer specs"):
-        if builder == "ballot":
-            build_ballot_mask(ledger_with_votes([{0: 1.0}], sizes=(4,)), specs, 0.5, params)
-        else:
-            build_magnitude_mask(params, specs, 0.5)
 
 
 class TestRandomMask:
@@ -448,8 +422,8 @@ class TestSparsityAndFeasibility:
                 omega = float(rng.uniform(specs[-1].d_out / total + 0.1, 1.0))
                 try:
                     masks = [
-                        build_ballot_mask(led, specs, omega, params),
-                        build_magnitude_mask(params, specs, omega),
+                        build_ballot_mask(led, omega, params),
+                        build_magnitude_mask(params, omega),
                         build_random_mask(specs, omega, trial),
                     ]
                 except InfeasibleMaskError:
@@ -478,8 +452,8 @@ class TestMaskSerialization:
                 10.0,
                 0.5,
             )
-            for mask in (build_ballot_mask(led, specs, omega, params),
-                         build_magnitude_mask(params, specs, omega),
+            for mask in (build_ballot_mask(led, omega, params),
+                         build_magnitude_mask(params, omega),
                          build_random_mask(specs, omega, trial),
                          identity_mask(specs)):
                 roundtrip(mask, specs, tmp_path / "mask.bits")
@@ -562,8 +536,8 @@ def test_serialized_masks_match_pinned_digests(tmp_path):
             0.95,
         )
     builders = {
-        "ballot": lambda omega: build_ballot_mask(led, specs, omega, params),
-        "magnitude": lambda omega: build_magnitude_mask(params, specs, omega),
+        "ballot": lambda omega: build_ballot_mask(led, omega, params),
+        "magnitude": lambda omega: build_magnitude_mask(params, omega),
         "random": lambda omega: build_random_mask(specs, omega, 5),
     }
     got = {}

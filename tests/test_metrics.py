@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from ballot.data import Split, split_blocks
 from ballot.errors import ConfigurationError, DataError
 from ballot.metrics import (
+    WEIGHT_FLOOR,
+    EvalReport,
     bias_delta,
     confusion,
     cwv,
@@ -16,7 +18,6 @@ from ballot.metrics import (
     macro_recall,
     mcd,
     report_from_predictions,
-    uniform_class_weights,
     update_class_weights,
 )
 from ballot.model import LayerSpec
@@ -189,29 +190,30 @@ class TestReport:
 class TestClassWeights:
     def test_inverse_accuracy(self):
         rep = report_from_predictions([0, 0, 1], [0, 1, 1], 2)  # acc [0.5, 1.0]
-        cw = update_class_weights(rep, source_epoch=3)
-        assert cw.weights == (2.0, 1.0)
-        assert cw.source_epoch == 3
+        cw = update_class_weights(rep)
+        assert cw.dtype == np.float64 and cw.tolist() == [2.0, 1.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(accs)
+    def test_matches_scalar_formula_bit_for_bit(self, acc):
+        rep = EvalReport(0.0, tuple(acc), (1,) * len(acc), 0.0, 0.0, 0.0, 0.0)
+        want = np.array([1.0 / max(a, WEIGHT_FLOOR) for a in acc])
+        assert update_class_weights(rep).tobytes() == want.tobytes()
 
     def test_floor_applies_at_zero(self):
         rep = report_from_predictions([0, 1], [1, 1], 2)  # acc [0, 1]
-        cw = update_class_weights(rep, 0)
-        assert cw.weights == (100.0, 1.0)
+        cw = update_class_weights(rep)
+        assert cw.tolist() == [100.0, 1.0]
 
     def test_equal_accuracies_give_equal_weights(self):
         rep = report_from_predictions([0, 0, 1, 1], [0, 1, 1, 0], 2)
-        cw = update_class_weights(rep, 0)
-        assert cw.weights[0] == cw.weights[1]
+        cw = update_class_weights(rep)
+        assert cw[0] == cw[1]
 
     def test_absent_class_raises_naming_it(self):
         rep = report_from_predictions([0, 1, 0], [0, 1, 1], 3)  # class 2 absent
         with pytest.raises(DataError, match="^class 2 has no sample"):
-            update_class_weights(rep, 0)
-
-    def test_uniform_weights(self):
-        assert uniform_class_weights(3).weights == (1.0, 1.0, 1.0)
-        with pytest.raises(ConfigurationError):
-            uniform_class_weights(0)
+            update_class_weights(rep)
 
 
 class TestBiasDelta:

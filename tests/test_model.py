@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ballot.data import Split, split_blocks
 from ballot.errors import (
@@ -20,6 +22,7 @@ from ballot.masks import (
     build_magnitude_mask,
     build_random_mask,
     identity_mask,
+    _unit_slices,
 )
 from ballot.metrics import evaluate, report_from_predictions
 from ballot.model import (
@@ -31,6 +34,7 @@ from ballot.model import (
     expand_network,
     forward_block,
     init_network,
+    layer_offsets,
     layer_views,
     live_units,
     load_checkpoint,
@@ -155,8 +159,8 @@ class TestCompaction:
                 # some retentions are infeasible for magnitude; redraw them
                 omega = float(rng.uniform(specs[-1].d_out / total + 0.1, 1.0))
                 try:
-                    masks = (build_ballot_mask(ledger, specs, omega, params),
-                             build_magnitude_mask(params, specs, omega),
+                    masks = (build_ballot_mask(ledger, omega, params),
+                             build_magnitude_mask(params, omega),
                              build_random_mask(specs, omega, trial))
                 except InfeasibleMaskError:
                     continue
@@ -177,7 +181,7 @@ class TestCompaction:
                     w, b = masked.weights[i], masked.biases[i]
                     assert small.weights[i].tobytes() == w[block].tobytes()
                     assert small.biases[i].tobytes() == b[cols].tobytes()
-                keep_w, keep_b = layer_views(keep, [w.shape for w in small.weights])
+                keep_w, keep_b = layer_views(keep, small.specs)
                 for i, (block, cols) in enumerate(zip(blocks, ends[1:])):
                     assert np.array_equal(keep_w[i], mask.weight_keep[i][block])
                     assert np.array_equal(keep_b[i], mask.bias_keep[i][cols])
@@ -214,9 +218,8 @@ class TestCompaction:
             small, keep = compact_network(masked, mask)
             padded, padded_keep = compact_network(masked, mask, widths)
             assert [s.d_out for s in padded.specs[:-1]] == widths
-            shapes = [w.shape for w in padded.weights]
-            keep_w, keep_b = layer_views(padded_keep, shapes)
-            small_keep_w, small_keep_b = layer_views(keep, [w.shape for w in small.weights])
+            keep_w, keep_b = layer_views(padded_keep, padded.specs)
+            small_keep_w, small_keep_b = layer_views(keep, small.specs)
             for i, (w, b) in enumerate(zip(small.weights, small.biases)):
                 for got, got_keep, want, want_keep in (
                         (padded.weights[i], keep_w[i], w, small_keep_w[i]),
@@ -384,7 +387,7 @@ class TestSgdStep:
         moved = np.zeros(kept.shape, dtype=bool)
         for step in range(50):
             lr = 0.5 if step < 25 else 0.05
-            train_step(stack, x, y, specs)
+            train_step(stack, x, y)
             grads = stack.grad_weights + stack.grad_biases
             want = [[w - lr * g[r] for w, g in zip(net.weights + net.biases, grads)]
                     for r, net in enumerate(nets)]
@@ -400,6 +403,30 @@ class TestSgdStep:
 
 
 class TestFlatLayout:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 9), min_size=2, max_size=5))
+    def test_offsets_views_and_unit_slices_agree(self, widths):
+        """``layer_offsets`` places every weight and bias where
+        ``layer_views`` finds it, and a hidden unit's ``_unit_slices``
+        are exactly its incoming column, bias and outgoing row."""
+        specs = [LayerSpec(a, b, "relu") for a, b in zip(widths[:-2], widths[1:-1])]
+        specs.append(LayerSpec(widths[-2], widths[-1], "none"))
+        offsets = layer_offsets(specs)
+        assert offsets[-1] == param_count(specs) == sum(
+            s.d_in * s.d_out + s.d_out for s in specs)
+        idx = np.arange(offsets[-1])
+        weights, biases = layer_views(idx, specs)
+        for s, w, b, base in zip(specs, weights, biases, offsets):
+            w_end = base + s.d_in * s.d_out
+            assert np.array_equal(w, np.arange(base, w_end).reshape(s.d_in, s.d_out))
+            assert np.array_equal(b, np.arange(w_end, w_end + s.d_out))
+        for layer, s in enumerate(specs[:-1]):
+            for unit in range(s.d_out):
+                got = [idx[sl] for sl in _unit_slices(specs, offsets, layer, unit)]
+                want = [weights[layer][:, unit], biases[layer][unit:unit + 1],
+                        weights[layer + 1][unit]]
+                assert all(np.array_equal(g, v) for g, v in zip(got, want))
+
     def _payload(self, params, tmp_path):
         """The float64 payload ``save_checkpoint`` writes: every byte
         after the manifest."""
@@ -452,7 +479,7 @@ class TestFlatLayout:
         assert [w.shape for w in stack.weights] == [(1, 3, 0), (1, 0, 2)]
         assert np.array_equal(keep, [True, True])
         x, y = np.ones((1, 5, 3)), np.eye(2)[[0, 1, 0, 1, 1]][None]
-        train_step(stack, x, y, small.specs)
+        train_step(stack, x, y)
         sgd_step(stack, 0.1 * keep[None])
         assert np.array_equal(stack.grad[0], stack.grad_biases[-1][0])
 
@@ -518,9 +545,8 @@ class TestPlainFirst:
             y = np.eye(c)[rng.integers(0, c, (2, 7))]
             plain = stack_params([params.copy(), params.copy()])
             fair = stack_params([params.copy(), params.copy()])
-            assert train_step(plain, x, y, specs) is None
-            means_a, means_f = train_step(fair, x, y, specs,
-                                          rng.uniform(0.5, 2.0, (2, c)))
+            assert train_step(plain, x, y) is None
+            means_a, means_f = train_step(fair, x, y, rng.uniform(0.5, 2.0, (2, c)))
             assert len(means_a) == len(means_f) == len(specs) - 1
             assert plain.grad.tobytes() == fair.grad.tobytes()
 
@@ -602,6 +628,24 @@ class TestCheckpoint:
         )
         with pytest.raises(PersistenceError,
                            match="truncated parameters: 96 bytes, expected 120"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("layer_field, key, value", [
+        (True, "d_in", 3.9), (True, "d_in", "3"), (True, "d_out", 2.0),
+        (True, "activation", None), (False, "seed", True), (False, "epoch", True),
+    ], ids=["d_in-float", "d_in-string", "d_out-float", "activation-null", "seed-bool",
+            "epoch-bool"])
+    def test_manifest_field_of_wrong_type_rejected(self, tmp_path, layer_field, key, value):
+        # a float, a numeric string or a bool is no integer, and the
+        # activation must be a string
+        layer = {"d_in": 3, "d_out": 2, "activation": "none"}
+        manifest = {"layers": [layer], "seed": 0, "epoch": 0}
+        (layer if layer_field else manifest)[key] = value
+        raw = json.dumps(manifest).encode()
+        path = tmp_path / "typed.ckpt"
+        path.write_bytes(b"BLTC" + struct.pack("<I", 1) + struct.pack("<Q", len(raw))
+                         + raw + np.zeros(8, dtype="<f8").tobytes())
+        with pytest.raises(PersistenceError, match=f"field '{key}' missing or not an? "):
             load_checkpoint(path)
 
     def test_hidden_layer_without_relu_rejected(self, tmp_path):
