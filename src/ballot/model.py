@@ -36,11 +36,12 @@ to +0.0 or -0.0 and +0.0 minus either is +0.0.  Every other function
 reads the parameters as stored and takes no mask.
 
 A masked network retrains at its compacted shape: ``compact_network``
-gathers its live hidden units into a smaller dense network, whose
-trimmed entries stay masked, and ``expand_network`` scatters the trained
-result back into full shape.  A unit that is not live contributes exact
-zeros and receives zero gradients, so training the compacted network
-leaves every entry outside it as it was.  Padding with dead units lets
+gathers the live hidden units of a network, masked or not, into a
+smaller dense network whose trimmed entries are +0.0, and
+``expand_network`` scatters the trained result back into full shape.
+A unit that is not live contributes exact zeros and receives zero
+gradients, so training the compacted network leaves every entry
+outside it as it was.  Padding with dead units lets
 networks of different live widths share one stack; it changes matmul
 shapes, so weights may move in their last bits.  These two and
 ``apply_mask`` are the only functions that know both shapes.
@@ -367,7 +368,10 @@ def compact_network(
     Returns a fresh network of the weights and biases of the live hidden
     units (see ``live_units``), with its own specs, whose hidden layers
     may have width 0, and its flat keep vector in the flat layout of that
-    network: entries ``mask`` trims inside the live part stay trimmed.
+    network: entries ``mask`` trims inside the live part stay trimmed and
+    are stored as +0.0, so ``params`` need not hold the mask's zeros and
+    the result has the bits of the ``compact_network`` of its
+    ``apply_mask``.
     ``widths``, one per hidden layer and none below its live count, pads
     each hidden layer with dead units after the live ones: every entry
     +0.0 and not kept, so the unit's ReLU gate is closed and it gets zero
@@ -388,6 +392,7 @@ def compact_network(
         small.biases[i][:m] = params.biases[i][cols]
         keep_w[i][:n, :m] = mask.weight_keep[i][block]
         keep_b[i][:m] = mask.bias_keep[i][cols]
+    small.flat[~keep] = 0.0
     return small, keep
 
 

@@ -13,7 +13,8 @@ random), rewinds, and retrains, every method through ``refine``.  For
 ballot, the refinement loop accepts the round-0 result when the pruned
 model is no less fair and nearly as accurate as the dense one;
 otherwise it retries from the early-epoch snapshot with fresh batch
-orders and keeps the fairest acceptable candidate.
+orders and keeps the fairest acceptable candidate.  Only the weights of
+the round that can still win are kept; every round's report is.
 
 Every phase takes a list of seeds and trains one network per seed in
 lockstep: the networks are stacked on a leading seed axis and stepped
@@ -21,12 +22,16 @@ together, one epoch and one batch at a time, each seed with its own
 batch order, ledger, class weights and refinement decisions; a single
 run is a list of one.
 
-Retraining after pruning runs at the compacted shape: each masked
-network is reduced to its live hidden units, padded with dead units to
-the widest live count of the call so that all seeds train in one stack,
-and scattered back into the full-shape network that checkpoints and
-reports use.  Padding changes matmul shapes, so a seed's retrained
-weights may differ in their last bits from its single-seed run.
+Each network is held once, at the shape where it is used.  Dense
+training keeps no copy of the initial weights: rewinding rebuilds them
+from the seed (``RunArtifacts.theta0``).  Retraining after pruning runs
+at the compacted shape: each start network is reduced straight to its
+masked live hidden units, padded with dead units to the widest live
+count of the call so that all seeds train in one stack, and only after
+the stack is freed scattered into the full-shape network that
+checkpoints and reports use.  Padding changes matmul shapes, so a
+seed's retrained weights may differ in their last bits from its
+single-seed run.
 
 Every source of randomness is keyed by (seed, stream, epoch), so any
 run is bit-reproducible and a retrained identity-masked network follows
@@ -55,6 +60,7 @@ from .metrics import EvalReport, bias_delta, evaluate, update_class_weights
 from .model import (
     LayerSpec,
     NetworkParams,
+    ParamStack,
     apply_mask,
     compact_network,
     expand_network,
@@ -82,9 +88,11 @@ def lr_at(epoch: int, config: TrainConfig) -> float:
 
 @dataclass
 class RunArtifacts:
-    """Everything dense training leaves behind for the pruners."""
+    """Everything dense training leaves behind for the pruners: the
+    rewind-epoch and final weights, the conflict ledger and the dense
+    test report.  The initial weights are not held; ``theta0`` rebuilds
+    them from the seed."""
 
-    theta0: NetworkParams
     theta_k: NetworkParams
     theta_e: NetworkParams
     ledger: ConflictLedger
@@ -93,11 +101,17 @@ class RunArtifacts:
 
     @property
     def specs(self) -> list[LayerSpec]:
-        return self.theta0.specs
+        return self.theta_e.specs
 
     @property
     def seed(self) -> int:
-        return self.theta0.seed
+        return self.theta_e.seed
+
+    @property
+    def theta0(self) -> NetworkParams:
+        """The initial weights, a fresh network on every call, bit for
+        bit those dense training started from (``init_network``)."""
+        return init_network(self.specs, self.seed)
 
 
 @dataclass
@@ -146,14 +160,16 @@ def train_dense(
 ) -> list[RunArtifacts]:
     """Train one freshly initialized network per seed for the full epoch
     budget, all seeds in lockstep, recording each seed's conflict ledger
-    and snapshotting its initial, rewind-epoch, and final weights.  Each
-    seed's ``wall_time_s`` is an equal share of the whole run."""
+    and snapshotting its rewind-epoch and final weights; the initial
+    weights are rebuilt from the seed when needed, not kept.  The
+    gradient buffer lives through each epoch's batches only, not through
+    the evaluations after them.  Each seed's ``wall_time_s`` is an equal
+    share of the whole run."""
     t0 = time.perf_counter()
     specs = config.specs_for(data)
     nets = [init_network(specs, s) for s in seeds]
-    theta0 = [p.copy() for p in nets]
-    theta_k = list(theta0) if config.rewind_epoch == 0 else [None] * len(seeds)
-    stack = stack_params(nets)
+    theta_k = [p.copy() for p in nets] if config.rewind_epoch == 0 else [None] * len(seeds)
+    flat = stack_params(nets).flat  # each network's arrays view its row
 
     x, onehot = data.train.X, data.train_onehot
     fair = np.ones((len(seeds), data.n_classes))
@@ -164,6 +180,7 @@ def train_dense(
         lr = lr_at(epoch, config)
         acc_a = [np.zeros((len(seeds), h)) for h in hidden]
         acc_f = [np.zeros((len(seeds), h)) for h in hidden]
+        stack = ParamStack(flat, specs)
         try:
             for idx in _batches(_shuffle(seeds, epoch, x.shape[0]), config.batch_size):
                 means_a, means_f = train_step(stack, x[idx], onehot[idx], fair)
@@ -173,6 +190,7 @@ def train_dense(
                 sgd_step(stack, lr)
         except NumericalFailure as exc:
             raise _failure("dense training", epoch, seeds[exc.index], exc) from exc
+        del stack  # its gradient buffer is idle until the next epoch
 
         fair_rows = []
         for r, (params, ledger) in enumerate(zip(nets, ledgers)):
@@ -194,7 +212,6 @@ def train_dense(
     share = (time.perf_counter() - t0) / len(seeds)
     return [
         RunArtifacts(
-            theta0=theta0[r],
             theta_k=theta_k[r],
             theta_e=p.copy(),
             ledger=ledgers[r],
@@ -206,7 +223,7 @@ def train_dense(
 
 
 def _retrain(
-    nets: list[NetworkParams],
+    start,
     masks: list[Mask],
     config: TrainConfig,
     data: Dataset,
@@ -216,20 +233,24 @@ def _retrain(
     stream_offset: int = 0,
     epoch_offset: int = 0,
 ) -> list[NetworkParams]:
-    """Masked training of ``nets``, in place, on the accuracy loss only;
-    network r's batch order comes from (seeds[r] + stream_offset,
-    epoch_offset + epoch).  ``nets`` must already hold their masks' zeros
-    (``apply_mask``).
+    """Masked training of one network per mask on the accuracy loss
+    only; network i starts from ``start(i)``, a full-shape network that
+    need not hold the mask's zeros and is left unchanged, and its batch
+    order comes from (seeds[i] + stream_offset, epoch_offset + epoch).
 
     Each network trains at its compacted shape (``compact_network``):
     only its live hidden units, with the entries its mask trims among
-    them given a zero step size, so they stay +0.0, padded to the widest
-    live count of the call, so all the networks train in lockstep as one
-    stack.
-    Each result is scattered back into its full-shape network; entries
-    outside the live units keep their values."""
+    them stored as +0.0 and given a zero step size, so they stay +0.0,
+    padded to the widest live count of the call, so all the networks
+    train in lockstep as one stack.  ``start(i)`` is called once before
+    training and once after, so no full-shape network is held while the
+    stack trains, and a start rebuilt on each call (``theta0``) is not
+    held at all.  Once the stack, its gradient and its step buffer are
+    freed, each result is scattered into a fresh ``apply_mask`` of its
+    start: entries outside the live units keep their masked start
+    values."""
     widths = [max(map(len, col)) for col in zip(*map(live_units, masks))]
-    smalls, keeps = zip(*(compact_network(p, m, widths) for p, m in zip(nets, masks)))
+    smalls, keeps = zip(*(compact_network(start(i), m, widths) for i, m in enumerate(masks)))
     stack, keep = stack_params(list(smalls)), np.stack(keeps)
     step = np.empty(keep.shape)
     streams = [s + stream_offset for s in seeds]
@@ -243,14 +264,30 @@ def _retrain(
                 sgd_step(stack, step)
         except NumericalFailure as exc:
             raise _failure("retraining", epoch, seeds[exc.index], exc) from exc
-    for small, params, m in zip(smalls, nets, masks):
-        expand_network(small, params, m)
+    del stack, step, keep  # the smalls still view the stacked weights
+    nets = []
+    for i, (small, m) in enumerate(zip(smalls, masks)):
+        params = expand_network(small, apply_mask(start(i), m), m)
         params.epoch_tag += epochs
+        nets.append(params)
     return nets
 
 
 def finetune_epochs(total_epochs: int) -> int:
     return max(1, total_epochs // 5)
+
+
+def _wins(report: EvalReport, best: EvalReport, dense_accuracy: float,
+          epsilon: float) -> bool:
+    """Whether a refinement round's ``report`` displaces ``best``, the
+    winner of the rounds before it.  A round is feasible when it loses
+    at most ``epsilon`` of ``dense_accuracy``; the winner is the feasible
+    round of least CWV, else the most accurate round, and the earliest
+    round wins a tie."""
+    feasible = dense_accuracy - report.accuracy <= epsilon
+    if dense_accuracy - best.accuracy <= epsilon:
+        return feasible and report.cwv < best.cwv
+    return feasible or report.accuracy > best.accuracy
 
 
 def refine(
@@ -272,13 +309,17 @@ def refine(
                 early once a round stops improving the best CWV, and the
                 fairest candidate that keeps the accuracy bound wins
                 (falling back to the most accurate candidate when none
-                does).  Round r trains only the seeds still refining,
-                and each round's report is kept in ``candidates``.
+                does; see ``_wins``).  Round r trains only the seeds
+                still refining, and each round's report is kept in
+                ``candidates``; the weights of a round are dropped as
+                soon as a round beats it, so at most one full-shape
+                candidate per seed outlives its round.
 
-    Each seed's ``wall_time_s`` is its share of every round it took part
-    in, timed from ``since`` (a ``time.perf_counter`` reading, the call's
-    start by default), so round 0's share includes the mask building of
-    a caller that passes its start."""
+    The initial weights are rebuilt from each seed (``theta0``) as round
+    0 needs them.  Each seed's ``wall_time_s`` is its share of every
+    round it took part in, timed from ``since`` (a ``time.perf_counter``
+    reading, the call's start by default), so round 0's share includes
+    the mask building of a caller that passes its start."""
     seeds = [a.seed for a in artifacts]
     if method == "magnitude":
         final_lr = lr_at(config.epochs - 1, config)
@@ -290,17 +331,15 @@ def refine(
     clock = time.perf_counter() if since is None else since
 
     refining = list(range(len(artifacts)))
-    candidates = [[] for _ in artifacts]  # (params, report) per round
+    reports = [[] for _ in artifacts]  # every round's report
+    best = [None] * len(artifacts)  # (params, report) of the round that can still win
     for r_index in range(config.max_rounds + 1 if method == "ballot" else 1):
         if not refining:
             break
-        starts = [
-            artifacts[r].theta_e if method == "magnitude"
-            else artifacts[r].theta_k if r_index else artifacts[r].theta0
-            for r in refining
-        ]
+        snapshot = ("theta_e" if method == "magnitude"
+                    else "theta_k" if r_index else "theta0")
         nets = _retrain(
-            [apply_mask(net, masks[r]) for net, r in zip(starts, refining)],
+            lambda i: getattr(artifacts[refining[i]], snapshot),
             [masks[r] for r in refining], config, data,
             [seeds[r] for r in refining], epochs, schedule,
             stream_offset=r_index, epoch_offset=offset,
@@ -308,41 +347,36 @@ def refine(
         still = []
         for r, params in zip(refining, nets):
             report = _evaluate(params, data.test, "retraining", epochs - 1, seeds[r])
+            dense = artifacts[r].dense_report
             if r_index == 0:
-                dense = artifacts[r].dense_report
                 fair_enough = bias_delta(report, dense, "cwv") <= config.delta
                 accurate_enough = dense.accuracy - report.accuracy <= config.epsilon
                 keep_going = not (fair_enough and accurate_enough)
             else:
-                keep_going = report.cwv < candidates[r][-1][1].cwv
-            candidates[r].append((params, report))
+                keep_going = report.cwv < reports[r][-1].cwv
+            if r_index == 0 or _wins(report, best[r][1], dense.accuracy, config.epsilon):
+                best[r] = (params, report)
+            reports[r].append(report)
             if keep_going:
                 still.append(r)
+        del nets, params  # a losing round's weights must not outlive it
         now = time.perf_counter()
         for r in refining:
             spent[r] += (now - clock) / len(refining)
         clock, refining = now, still
 
     results = []
-    for a, mask, cands, wall in zip(artifacts, masks, candidates, spent):
-        dense = a.dense_report
-        # the earliest round wins a tie
-        feasible = [c for c in cands if dense.accuracy - c[1].accuracy <= config.epsilon]
-        if feasible:
-            params, report = min(feasible, key=lambda c: c[1].cwv)
-        else:
-            params, report = max(cands, key=lambda c: c[1].accuracy)
+    for a, mask, (params, report), reps, wall in zip(artifacts, masks, best, reports, spent):
         results.append(PruneResult(
             method=method,
             mask=mask,
             params=params,
             report=report,
-            dense_report=dense,
-            rounds_used=len(cands) - 1,
+            dense_report=a.dense_report,
+            rounds_used=len(reps) - 1,
             retention=mask.retention(),
             wall_time_s=wall,
-            candidates=[(i, rep) for i, (_, rep) in enumerate(cands)]
-            if method == "ballot" else [],
+            candidates=list(enumerate(reps)) if method == "ballot" else [],
         ))
     return results
 

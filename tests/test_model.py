@@ -252,6 +252,26 @@ class TestCompaction:
                              masked.weights + masked.biases):
             assert got.tobytes() == want.tobytes()
 
+    def test_unmasked_network_compacts_to_the_bits_of_its_masked_copy(self):
+        # retraining compacts its start network without masking it first:
+        # the trimmed entries of the live part come out +0.0, padded or not
+        rng = np.random.default_rng(43)
+        for trial in range(30):
+            specs = random_specs(rng, max_hidden_layers=3)
+            params = init_network(specs, trial)
+            params.flat += 1.0  # no entry, bias included, starts at zero
+            mask = build_random_mask(specs, float(rng.uniform(0.3, 1.0)), trial)
+            mask.keep &= rng.random(mask.keep.size) < 0.8  # trims inside live units
+            widths = [len(u) + int(rng.integers(0, 3)) for u in live_units(mask)]
+            for w in (None, widths):
+                small, keep = compact_network(params, mask, w)
+                want, want_keep = compact_network(apply_mask(params, mask), mask, w)
+                assert small.specs == want.specs
+                assert small.flat.tobytes() == want.flat.tobytes()
+                assert np.array_equal(keep, want_keep)
+                trimmed = small.flat[~keep]
+                assert (trimmed == 0.0).all() and not np.signbit(trimmed).any()
+
 
 class TestForward:
     def test_hand_masked_2_2_2(self):

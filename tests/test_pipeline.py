@@ -5,10 +5,15 @@ hidden layer, so the whole file stays fast while exercising the real
 training loops.
 """
 
+import dataclasses
 import math
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ballot import config_from_dict, make_dataset, pipeline
 from ballot.data import split_blocks
@@ -16,6 +21,7 @@ from ballot.errors import ConfigurationError, NumericalFailure
 from ballot.masks import build_random_mask
 from ballot.metrics import EvalReport, evaluate
 from ballot.model import (
+    NetworkParams,
     apply_mask,
     compact_network,
     init_network,
@@ -24,8 +30,10 @@ from ballot.model import (
 )
 from ballot.pipeline import (
     METHODS,
+    RunArtifacts,
     TrainConfig,
     _retrain,
+    _wins,
     finetune_epochs,
     lr_at,
     refine,
@@ -51,6 +59,28 @@ def params_equal(a, b):
     return all(np.array_equal(x, y) for x, y in zip(a.weights, b.weights)) and all(
         np.array_equal(x, y) for x, y in zip(a.biases, b.biases)
     )
+
+
+@pytest.fixture
+def new_networks(monkeypatch):
+    """Weak references to every network made from here on; a network
+    holds no reference cycle, so it dies as soon as nothing holds it."""
+    refs = []
+    real_init = NetworkParams.__init__
+
+    def tracking_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(NetworkParams, "__init__", tracking_init)
+    return refs
+
+
+def alive_full_shape(refs, specs):
+    """The networks of ``refs`` still alive at the full shape ``specs``
+    (compacted networks carry specs of their own)."""
+    return [net for net in (ref() for ref in refs)
+            if net is not None and net.specs is specs]
 
 
 def assert_masked_entries_zero(arrays, mask):
@@ -152,7 +182,19 @@ class TestTrainDense:
 
     def test_rewind_zero_reuses_theta0(self, data):
         (arts,) = train_dense(small_config(rewind_epoch=0, epochs=2), data, [0])
-        assert arts.theta_k is arts.theta0
+        assert arts.theta_k.flat.tobytes() == arts.theta0.flat.tobytes()
+        assert arts.theta_k.epoch_tag == arts.theta0.epoch_tag == 0
+
+    def test_theta0_is_rebuilt_from_the_seed(self, data):
+        # dense training keeps no copy of the initial weights
+        assert "theta0" not in {f.name for f in dataclasses.fields(RunArtifacts)}
+        for arts in train_dense(small_config(), data, [3, 4]):
+            theta0 = arts.theta0
+            want = init_network(arts.specs, arts.seed)
+            assert theta0.flat.tobytes() == want.flat.tobytes()
+            assert theta0.specs == want.specs
+            assert (theta0.seed, theta0.epoch_tag) == (arts.seed, 0)
+            assert arts.theta0 is not theta0  # a fresh network per call
 
     def test_training_moves_weights(self, artifacts):
         assert not params_equal(artifacts.theta0, artifacts.theta_e)
@@ -175,9 +217,9 @@ def round_oracle(arts, mask, cfg, data, r_index):
     """Ballot's refinement round ``r_index`` of one seed, retrained on its
     own by ``_retrain``."""
     start = arts.theta0 if r_index == 0 else arts.theta_k
-    net = apply_mask(start, mask)
-    _retrain([net], [mask], cfg, data, [arts.seed], cfg.epochs,
-             lambda e: lr_at(e, cfg), stream_offset=r_index)
+    (net,) = _retrain([apply_mask(start, mask)].__getitem__, [mask], cfg, data,
+                      [arts.seed], cfg.epochs, lambda e: lr_at(e, cfg),
+                      stream_offset=r_index)
     return net
 
 
@@ -261,7 +303,7 @@ class TestRefine:
 
         monkeypatch.setattr(pipeline, "sgd_step", checked_step)
         nets = _retrain(
-            starts, masks, cfg, data, [cfg.seed, cfg.seed + 1],
+            starts.__getitem__, masks, cfg, data, [cfg.seed, cfg.seed + 1],
             cfg.epochs, lambda e: lr_at(e, cfg),
         )
         batches = math.ceil(data.train.X.shape[0] / cfg.batch_size)
@@ -308,6 +350,82 @@ class TestRefine:
         (result,) = run_baseline("ballot", cfg, data, [arts])
         assert result.mask.kept_count() == total - 1
         assert abs(result.report.accuracy - arts.dense_report.accuracy) <= 0.15
+
+
+@given(st.lists(st.tuples(st.sampled_from([0.6, 0.7, 0.75, 0.8, 0.9]),
+                          st.sampled_from([0.0, 0.01, 0.02, 0.05])),
+                min_size=1, max_size=6),
+       st.sampled_from([0.0, 0.05, 0.1, 0.2]))
+def test_incremental_winner_matches_brute_force_selection(rounds, epsilon):
+    # keeping one winner round by round selects what a choice over every
+    # round's (accuracy, cwv) would: the least cwv among the feasible
+    # rounds, else the most accurate round, the earliest on ties
+    dense_accuracy = 0.8
+    reports = [SimpleNamespace(accuracy=a, cwv=c) for a, c in rounds]
+    best = 0
+    for i, report in enumerate(reports[1:], 1):
+        if _wins(report, reports[best], dense_accuracy, epsilon):
+            best = i
+    feasible = [i for i, r in enumerate(reports)
+                if dense_accuracy - r.accuracy <= epsilon]
+    if feasible:
+        want = min(feasible, key=lambda i: (reports[i].cwv, i))
+    else:
+        want = min(range(len(reports)), key=lambda i: (-reports[i].accuracy, i))
+    assert best == want
+
+
+class TestNetworksHeldOnce:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_no_full_shape_network_alive_during_retraining_steps(
+            self, data, monkeypatch, new_networks, method):
+        # the gate accepts ballot's round 0, so every method runs one
+        # round; while its stack trains, the only full-shape networks of
+        # the seeds are the artifacts' own snapshots, made before
+        cfg = small_config(delta=1.0, epsilon=1.0)
+        arts = train_dense(cfg, data, [0, 1])
+        specs = arts[0].specs
+        del new_networks[:]
+        real_step = pipeline.sgd_step
+        alive = []
+
+        def checked_step(stack, step):
+            alive.append(len(alive_full_shape(new_networks, specs)))
+            return real_step(stack, step)
+
+        monkeypatch.setattr(pipeline, "sgd_step", checked_step)
+        results = run_baseline(method, cfg, data, arts)
+        assert [r.rounds_used for r in results] == [0, 0]
+        assert alive and set(alive) == {0}
+
+    def test_ballot_holds_one_candidate_per_seed_after_each_round(
+            self, data, monkeypatch, new_networks):
+        # the gate is blocked, so seed 0 runs rounds 0-2 and seeds 1 and 2
+        # rounds 0-1; before each round trains and after the last, each
+        # seed holds the weights of the one round that can still win
+        cfg = small_config(delta=-1.0, max_rounds=3)
+        arts = train_dense(cfg, data, [0, 1, 2])
+        specs = arts[0].specs
+        masks = [build_random_mask(a.specs, cfg.omega, seed=3) for a in arts]
+        del new_networks[:]
+        real_retrain = pipeline._retrain
+        per_round = []
+
+        def held_per_seed():
+            seeds = [net.seed for net in alive_full_shape(new_networks, specs)]
+            return [seeds.count(a.seed) for a in arts]
+
+        def tracked_retrain(*args, **kwargs):
+            per_round.append(held_per_seed())
+            return real_retrain(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "_retrain", tracked_retrain)
+        results = refine("ballot", masks, arts, cfg, data)
+        per_round.append(held_per_seed())
+        assert [r.rounds_used for r in results] == [2, 1, 1]
+        assert per_round == [[0, 0, 0], [1, 1, 1], [1, 1, 1], [1, 1, 1]]
+        for got in results:
+            assert len(got.candidates) == got.rounds_used + 1
 
 
 class TestBaselines:
@@ -391,7 +509,7 @@ class TestLockstep:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalFailure,
                                match="retraining epoch 0, seed 7: "):
-                _retrain([good, bad], [mask, mask], cfg, data, [4, 7],
+                _retrain([good, bad].__getitem__, [mask, mask], cfg, data, [4, 7],
                          cfg.epochs, lambda e: lr_at(e, cfg))
 
     def test_divergence_in_second_shape_group_names_seed_and_epoch(
@@ -418,7 +536,7 @@ class TestLockstep:
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericalFailure,
                                match="retraining epoch 2, seed 7: "):
-                _retrain(nets, masks, cfg, data, [4, 7], cfg.epochs,
+                _retrain(nets.__getitem__, masks, cfg, data, [4, 7], cfg.epochs,
                          lambda e: lr_at(e, cfg))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, 1e308])
@@ -450,7 +568,7 @@ class TestLockstep:
             steps.clear()
             with pytest.raises(NumericalFailure,
                                match="retraining epoch 2, seed 7: "):
-                _retrain(nets, masks, cfg, data, [4, 7, 9], cfg.epochs,
+                _retrain(nets.__getitem__, masks, cfg, data, [4, 7, 9], cfg.epochs,
                          lambda e: lr_at(e, cfg))
 
     @staticmethod
@@ -529,10 +647,10 @@ class TestLockstep:
                          for _ in range(3)]
             starts = [apply_mask(init_network(specs, 10 * trial + r), m)
                       for r, m in enumerate(masks)]
-            together = _retrain([p.copy() for p in starts], masks, cfg, data,
+            together = _retrain([p.copy() for p in starts].__getitem__, masks, cfg, data,
                                 [0, 1, 2], cfg.epochs, lambda e: lr_at(e, cfg))
             for seed, (start, mask, got) in enumerate(zip(starts, masks, together)):
-                (alone,) = _retrain([start.copy()], [mask], cfg, data, [seed],
+                (alone,) = _retrain([start.copy()].__getitem__, [mask], cfg, data, [seed],
                                     cfg.epochs, lambda e: lr_at(e, cfg))
                 ends = [np.arange(specs[0].d_in), *live_units(mask),
                         np.arange(specs[-1].d_out)]
@@ -556,11 +674,11 @@ class TestLockstep:
         starts = [apply_mask(artifacts.theta0, m) for m in masks]
         shapes = {tuple(compact_network(p, m)[0].specs) for p, m in zip(starts, masks)}
         assert len(shapes) == 2
-        together = _retrain([p.copy() for p in starts], masks, cfg, data,
+        together = _retrain([p.copy() for p in starts].__getitem__, masks, cfg, data,
                             [0, 1, 2], cfg.epochs, lambda e: lr_at(e, cfg),
                             stream_offset=1)
         for seed, (start, mask, got) in enumerate(zip(starts, masks, together)):
-            (alone,) = _retrain([start.copy()], [mask], cfg, data, [seed],
+            (alone,) = _retrain([start.copy()].__getitem__, [mask], cfg, data, [seed],
                                 cfg.epochs, lambda e: lr_at(e, cfg),
                                 stream_offset=1)
             assert got.epoch_tag == alone.epoch_tag
@@ -579,7 +697,7 @@ class TestLockstep:
         assert u not in live_units(mask)[0] and v not in live_units(mask)[1]
         start = apply_mask(init_network(specs, 3), mask)
         assert start.weights[0][:, u].any() and start.weights[2][v, :].any()
-        (net,) = _retrain([start.copy()], [mask], cfg, data, [0],
+        (net,) = _retrain([start.copy()].__getitem__, [mask], cfg, data, [0],
                           cfg.epochs, lambda e: lr_at(e, cfg))
 
         def dead_entries(p):

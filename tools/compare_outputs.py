@@ -9,6 +9,10 @@ temporary directory, through one fixed command set:
 
 - ``train`` and ``prune --method {ballot,lth,magnitude,random}`` on the
   default config;
+- ``prune --method ballot`` with ``refine.rewind_epoch=0``, where the
+  rewind snapshot is the initial weights and ``theta0.ckpt`` is rebuilt
+  from the seed, so ``theta0.ckpt``, ``theta_k.ckpt`` and ``final.ckpt``
+  on that path are compared;
 - ``experiment --seeds 5`` on the default config;
 - ``experiment --seeds 1`` with ``model.hidden=[512, 512]``;
 - ``experiment --seeds 3`` with ``model.hidden=[128, 128]`` and
@@ -77,6 +81,7 @@ EVERY_KEY = {
     "seed": 1,
 }
 CSV = {"train": {"epochs": 3}, "data": {"csv_path": "data.csv"}}
+REWIND0 = {"refine": {"rewind_epoch": 0}}
 ODD = {"model": {"hidden": [37, 29, 13]}, "prune": {"omega": 0.2},
        "data": {"synthetic": {"counts": [500, 120, 120, 80, 80], "dim": 11}}}
 METHODS = ("ballot", "lth", "magnitude", "random")
@@ -104,6 +109,7 @@ COMMANDS = [
     ["train", "--out", "train"],
     *[["prune", "--method", m, "--out", f"prune-{m}"]
       for m in METHODS],
+    ["prune", "--method", "ballot", "--config", "rewind0.json", "--out", "prune-rewind0"],
     ["experiment", "--seeds", "5", "--out", "experiment"],
     ["experiment", "--seeds", "1", "--config", "wide.json", "--out", "wide"],
     ["experiment", "--seeds", "3", "--config", "padded.json", "--out", "padded"],
@@ -140,7 +146,7 @@ def run_all(tree: Path, work: Path) -> None:
     callable in it is a step of this script, given ``work``."""
     for name, raw in (("default", {}), ("wide", WIDE), ("padded", PADDED),
                       ("every-key", EVERY_KEY), ("csv", CSV), ("long", LONG),
-                      ("two-blocks", TWO_BLOCKS), ("odd", ODD)):
+                      ("two-blocks", TWO_BLOCKS), ("odd", ODD), ("rewind0", REWIND0)):
         (work / f"{name}.json").write_text(json.dumps(raw))
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     for args in COMMANDS:
