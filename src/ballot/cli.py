@@ -99,7 +99,7 @@ def _cmd_evaluate(args) -> int:
     params = load_checkpoint(args.checkpoint)
     if args.data.endswith(".json"):
         data = make_dataset(load_config(args.data).dataset)
-        n_features, n_classes = params.specs[0].d_in, params.specs[-1].d_out
+        n_features, n_classes = params.dims[0], params.dims[-1]
         if data.dim != n_features:
             raise ConfigurationError(
                 f"checkpoint expects {n_features} features, data has {data.dim}")

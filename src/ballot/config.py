@@ -18,13 +18,9 @@ import operator
 from dataclasses import dataclass
 from functools import partial
 from numbers import Integral, Real
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import ConfigurationError
-from .model import LayerSpec
-
-if TYPE_CHECKING:
-    from .data import Dataset
 
 METHODS = ("ballot", "lth", "magnitude", "random")
 
@@ -214,13 +210,6 @@ class TrainConfig:
                 f"'refine.rewind_epoch' must be below train.epochs "
                 f"({self.epochs}), got {self.rewind_epoch}"
             )
-
-    def specs_for(self, data: Dataset) -> list[LayerSpec]:
-        dims = [data.dim, *self.hidden, data.n_classes]
-        return [
-            LayerSpec(dims[i], dims[i + 1], "relu" if i + 2 < len(dims) else "none")
-            for i in range(len(dims) - 1)
-        ]
 
 
 @_owner("app")

@@ -12,7 +12,7 @@ class BallotError(Exception):
 
 
 class ConfigurationError(BallotError):
-    """Invalid configuration: bad shapes, bad hyperparameters, bad specs."""
+    """Invalid configuration: bad shapes, bad hyperparameters, bad widths."""
 
 
 class DataError(BallotError):

@@ -18,9 +18,10 @@ and the entries tied to hidden unit u of layer i are three strided
 slices of it: the incoming column, the bias, and the outgoing row.
 
 ``build_ballot_mask(ledger, omega, final_params)`` and
-``build_magnitude_mask(params, omega)`` read the layer specs from the
-network they rank.  ``build_random_mask``, ``Mask``, ``identity_mask``
-and ``load_mask`` get no network, so they take ``specs``.
+``build_magnitude_mask(params, omega)`` read the layer widths ``dims``
+from the network they rank.  ``build_random_mask``, ``Mask``,
+``identity_mask`` and ``load_mask`` get no network, so they take
+``dims``; every mask stores its own.
 
 Mask building removes whole hidden units worst-first and then trims
 individual weights so every method lands on exactly floor(omega * n)
@@ -46,15 +47,7 @@ from .errors import (
     UsageError,
 )
 from .fileio import atomic_open
-from .model import (
-    LayerSpec,
-    NetworkParams,
-    hidden_sizes,
-    layer_offsets,
-    layer_views,
-    param_count,
-    validate_specs,
-)
+from .model import NetworkParams, check_dims, layer_offsets, layer_views, param_count
 
 
 def conflict_scores(g_a, g_f, gamma: float) -> np.ndarray:
@@ -146,14 +139,16 @@ class Mask:
     ``weight_keep[i]`` and ``bias_keep[i]`` are views into it shaped
     like layer i's weight matrix and bias.  ``neuron_keep`` covers
     hidden layers only.  A removed unit always has every incoming
-    weight, outgoing weight, and its bias marked removed.  A new mask
+    weight, outgoing weight, and its bias marked removed.  ``dims`` is
+    the tuple of layer widths of the networks the mask fits.  A new mask
     keeps everything.
     """
 
-    def __init__(self, specs: list[LayerSpec]):
-        self.keep = np.ones(param_count(specs), dtype=bool)
-        self.neuron_keep = [np.ones(n, dtype=bool) for n in hidden_sizes(specs)]
-        self.weight_keep, self.bias_keep = layer_views(self.keep, specs)
+    def __init__(self, dims):
+        self.dims = tuple(dims)
+        self.keep = np.ones(param_count(dims), dtype=bool)
+        self.neuron_keep = [np.ones(n, dtype=bool) for n in dims[1:-1]]
+        self.weight_keep, self.bias_keep = layer_views(self.keep, dims)
 
     def kept_count(self) -> int:
         return int(self.keep.sum())
@@ -172,24 +167,24 @@ def _unit_ids(sizes: list[int]) -> tuple[np.ndarray, np.ndarray]:
     return layers, units
 
 
-def _unit_slices(specs: list[LayerSpec], offsets: list[int], layer: int, unit: int):
+def _unit_slices(dims, offsets: list[int], layer: int, unit: int):
     """Flat slices of every entry tied to a hidden unit: its incoming
     column, its bias, and its outgoing row, in ascending flat order.
-    ``offsets`` is ``layer_offsets(specs)``."""
-    s, nxt = specs[layer], specs[layer + 1]
-    bias = offsets[layer] + s.d_in * s.d_out + unit
-    row = offsets[layer + 1] + unit * nxt.d_out
+    ``offsets`` is ``layer_offsets(dims)``."""
+    d_in, d_out, d_next = dims[layer : layer + 3]
+    bias = offsets[layer] + d_in * d_out + unit
+    row = offsets[layer + 1] + unit * d_next
     return (
-        slice(offsets[layer] + unit, bias - unit, s.d_out),
+        slice(offsets[layer] + unit, bias - unit, d_out),
         slice(bias, bias + 1, 1),
-        slice(row, row + nxt.d_out, 1),
+        slice(row, row + d_next, 1),
     )
 
 
-def _target_kept(specs: list[LayerSpec], omega: float) -> int:
-    total = param_count(specs)
+def _target_kept(dims, omega: float) -> int:
+    total = param_count(dims)
     k = math.floor(omega * total)
-    n_out = specs[-1].d_out
+    n_out = dims[-1]
     if k < n_out:
         raise InfeasibleMaskError(
             f"retention {omega} needs {k} of {total} parameters, below the "
@@ -200,7 +195,7 @@ def _target_kept(specs: list[LayerSpec], omega: float) -> int:
     return k
 
 
-def _removal_mask(specs, order, omega, magnitudes) -> Mask:
+def _removal_mask(dims, order, omega, magnitudes) -> Mask:
     """Removal loop shared by the unit-ranking builders: remove whole
     units in ``order`` (flat unit indices, layer by layer) until the
     kept count first reaches floor(omega * n) or below, skip any
@@ -208,8 +203,8 @@ def _removal_mask(specs, order, omega, magnitudes) -> Mask:
     trimming single entries so the count is exact.
     Trimming takes the smallest ``magnitudes`` first, ties and a None
     ``magnitudes`` going by ascending flat index."""
-    k = _target_kept(specs, omega)
-    mask = Mask(specs)
+    k = _target_kept(dims, omega)
+    mask = Mask(dims)
     kept = mask.total_count()
     if k == kept:
         return mask
@@ -219,8 +214,8 @@ def _removal_mask(specs, order, omega, magnitudes) -> Mask:
             idx = idx[np.argsort(magnitudes[idx], kind="stable")]
         return idx[:need]
 
-    offsets = layer_offsets(specs)
-    units_left = hidden_sizes(specs)
+    offsets = layer_offsets(dims)
+    units_left = list(dims[1:-1])
     layers, units = _unit_ids(units_left)
     last = None
     for layer, unit in zip(layers[order].tolist(), units[order].tolist()):
@@ -228,7 +223,7 @@ def _removal_mask(specs, order, omega, magnitudes) -> Mask:
             break
         if units_left[layer] <= 1:
             continue
-        slices = _unit_slices(specs, offsets, layer, unit)
+        slices = _unit_slices(dims, offsets, layer, unit)
         was = [mask.keep[s].copy() for s in slices]
         for s in slices:
             mask.keep[s] = False
@@ -245,7 +240,7 @@ def _removal_mask(specs, order, omega, magnitudes) -> Mask:
         flipped = np.r_[slices][np.concatenate(was)]
         mask.keep[cheapest(flipped, kept + flipped.size - k)] = False
     elif kept > k:
-        candidates = np.flatnonzero(mask.keep[: -specs[-1].d_out])
+        candidates = np.flatnonzero(mask.keep[: -dims[-1]])
         mask.keep[cheapest(candidates, kept - k)] = False
     return mask
 
@@ -262,9 +257,8 @@ def build_ballot_mask(
     repaired by undoing the last unit and trimming its entries in
     ascending |final weight| order.
     """
-    specs = final_params.specs
-    validate_specs(specs)
-    if ledger.sizes != hidden_sizes(specs):
+    dims = final_params.dims
+    if ledger.sizes != list(dims[1:-1]):
         raise ConfigurationError("ledger does not cover this network's hidden units")
     if not ledger.epochs:
         raise UsageError("ledger has no recorded epochs")
@@ -274,19 +268,20 @@ def build_ballot_mask(
         (units, layers, -np.concatenate(ledger.cum_scores), -np.concatenate(ledger.counts))
     )
     magnitudes = np.abs(final_params.flat)
-    return _removal_mask(specs, order, omega, magnitudes)
+    return _removal_mask(dims, order, omega, magnitudes)
 
 
-def build_random_mask(specs: list[LayerSpec], omega: float, seed: int) -> Mask:
-    """Remove hidden units in a seed-determined uniform random order;
-    overshoot is trimmed in ascending flat-index order."""
-    validate_specs(specs)
+def build_random_mask(dims, omega: float, seed: int) -> Mask:
+    """Remove hidden units of a network of layer widths ``dims`` in a
+    seed-determined uniform random order; overshoot is trimmed in
+    ascending flat-index order."""
+    check_dims(dims)
     rng = np.random.default_rng(seed)
-    order = rng.permutation(sum(hidden_sizes(specs)))
-    return _removal_mask(specs, order, omega, None)
+    order = rng.permutation(sum(dims[1:-1]))
+    return _removal_mask(dims, order, omega, None)
 
 
-def _repair_dead_layers(keep, flat, ranked, specs, omega, k) -> None:
+def _repair_dead_layers(keep, flat, ranked, dims, omega, k) -> None:
     """Swap entries until every hidden layer has at least one kept
     entry.  Forced additions take the strongest excluded entry of the
     dead layer; the matching eviction takes the weakest kept entry that
@@ -295,10 +290,10 @@ def _repair_dead_layers(keep, flat, ranked, specs, omega, k) -> None:
     The entries tied to hidden layer i's units, its weights and bias
     plus the next layer's weights, form one contiguous span; adjacent
     spans share the connecting weights."""
-    offsets = layer_offsets(specs)
+    offsets = layer_offsets(dims)
     spans = [
-        slice(offsets[i], offsets[i + 2] - specs[i + 1].d_out)
-        for i in range(len(specs) - 1)
+        slice(offsets[i], offsets[i + 2] - dims[i + 2])
+        for i in range(len(dims) - 2)
     ]
     forced = np.zeros(keep.size, dtype=bool)
     for span in spans:
@@ -313,8 +308,7 @@ def _repair_dead_layers(keep, flat, ranked, specs, omega, k) -> None:
                 blocked[s] = True
         evictable = np.flatnonzero((keep & ~blocked)[ranked])
         if evictable.size == 0:
-            n_out = specs[-1].d_out
-            floor = (n_out + len(spans)) / keep.size
+            floor = (dims[-1] + len(spans)) / keep.size
             raise InfeasibleMaskError(
                 f"retention {omega} keeps {k} of {keep.size} parameters, "
                 f"too few to keep every hidden layer alive; retention "
@@ -336,10 +330,9 @@ def build_magnitude_mask(params: NetworkParams, omega: float) -> Mask:
     entry tied to that layer is kept and the weakest kept entry whose
     removal empties nothing is dropped, so the count stays exact.  If
     no such swap exists the retention is infeasible."""
-    specs = params.specs
-    validate_specs(specs)
-    k = _target_kept(specs, omega)
-    mask = Mask(specs)
+    dims = params.dims
+    k = _target_kept(dims, omega)
+    mask = Mask(dims)
     if k == mask.total_count():
         return mask
 
@@ -347,11 +340,11 @@ def build_magnitude_mask(params: NetworkParams, omega: float) -> Mask:
     if not np.isfinite(flat).all():
         raise NumericalFailure("non-finite parameter values")
 
-    n_out = specs[-1].d_out
+    n_out = dims[-1]
     ranked = np.argsort(-np.abs(flat[:-n_out]), kind="stable")
     mask.keep[:-n_out] = False
     mask.keep[ranked[: k - n_out]] = True
-    _repair_dead_layers(mask.keep, flat, ranked, specs, omega, k)
+    _repair_dead_layers(mask.keep, flat, ranked, dims, omega, k)
     _derive_units(mask)
     return mask
 
@@ -366,10 +359,11 @@ def _derive_units(mask: Mask) -> None:
         )
 
 
-def identity_mask(specs: list[LayerSpec]) -> Mask:
-    """A mask that keeps every parameter."""
-    validate_specs(specs)
-    return Mask(specs)
+def identity_mask(dims) -> Mask:
+    """A mask that keeps every parameter of a network of layer widths
+    ``dims``."""
+    check_dims(dims)
+    return Mask(dims)
 
 
 def save_mask(mask: Mask, path) -> None:
@@ -385,13 +379,13 @@ def save_mask(mask: Mask, path) -> None:
         raise PersistenceError(f"cannot write mask {path}: {exc}") from exc
 
 
-def load_mask(path, specs: list[LayerSpec]) -> Mask:
-    """Read a ``save_mask`` file for a network of ``specs``, deriving the
-    unit flags from the entries.  Raises PersistenceError when the file
-    cannot be read, has the wrong length, sets a padding bit or removes
-    an output bias."""
-    validate_specs(specs)
-    mask = Mask(specs)
+def load_mask(path, dims) -> Mask:
+    """Read a ``save_mask`` file for a network of layer widths ``dims``,
+    deriving the unit flags from the entries.  Raises PersistenceError
+    when the file cannot be read, has the wrong length, sets a padding
+    bit or removes an output bias."""
+    check_dims(dims)
+    mask = Mask(dims)
     n = mask.total_count()
     try:
         with open(path, "rb") as fh:

@@ -134,15 +134,15 @@ def evaluate(params: NetworkParams, blocks) -> EvalReport:
     others raise in this order, as after loading every row: a label
     outside the classes, with its file line; a feature count the network
     does not take (no block is inferred); a non-finite layer output."""
-    specs = params.specs
-    n_features, n_classes = specs[0].d_in, specs[-1].d_out
+    dims = params.dims
+    n_features, n_classes = dims[0], dims[-1]
     bufs, labels, preds, failure = None, [], [], None
     for x, y in blocks:
         labels.append(y)
         width = x.shape[1]
         if width == n_features and failure is None:
             if bufs is None:
-                bufs = block_buffers(specs, x.shape[0])
+                bufs = block_buffers(dims, x.shape[0])
             try:
                 preds.append(np.argmax(forward_block(params, x, bufs), axis=1))
             except NumericalFailure as exc:

@@ -1,24 +1,25 @@
 """Fully connected network: parameters, the training step, SGD, the
 inference block, checkpoints.
 
-A network is a list of ``LayerSpec`` entries applied in order.  Every
-layer except the last feeds a ReLU; the last layer always emits raw
-logits.  Units of all non-final layers are the "hidden neurons" that
-pruning may remove.
+A network's shape is one tuple of layer widths, ``dims = (d_in, h_1,
+..., h_L, C)``: layer i maps ``dims[i]`` inputs to ``dims[i + 1]``
+outputs.  Every layer except the last feeds a ReLU; the last layer
+always emits raw logits.  Units of all non-final layers are the "hidden
+neurons" that pruning may remove.
 
 One flat layout serves parameters, checkpoints and masks: per layer the
 weights row-major, then the bias, layers in order.  This module is its
 only owner: ``layer_offsets`` gives each layer's block start and the
 total, and ``layer_views`` the per-layer arrays of a buffer in it.
-``NetworkParams`` holds one network as its specs and one [P] buffer in
+``NetworkParams`` holds one network as its dims and one [P] buffer in
 that layout, whose per-layer arrays are views; a checkpoint stores the
-buffer after a manifest of the specs, seed and epoch, and ``Mask.keep``
-flags its entries.  ``ParamStack`` holds R networks of one set of specs
+buffer after a manifest of the layers, seed and epoch, and ``Mask.keep``
+flags its entries.  ``ParamStack`` holds R networks of one shape
 as one C-contiguous [R, P] buffer, a row per network, next to a
 gradient buffer of the same shape; the per-layer arrays the step reads
 and writes are views of them, and ``stack_params`` rebinds each network
 to its row.  Every function given a network or a stack reads the
-shapes from it and takes no specs of its own.
+shape from it and takes no dims of its own.
 
 Each batch runs one forward pass and one backward pass that writes the
 cross-entropy's parameter gradients into the gradient buffer.  Dense
@@ -52,7 +53,6 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -64,116 +64,95 @@ _MAGIC = b"BLTC"
 _VERSION = 1
 
 
-@dataclass(frozen=True)
-class LayerSpec:
-    d_in: int
-    d_out: int
-    activation: str = "relu"
-
-
-def validate_specs(specs: list[LayerSpec]) -> None:
-    """Reject empty, non-conforming, or non-logit-terminated stacks."""
-    if not specs:
+def check_dims(dims) -> None:
+    """Raise ConfigurationError unless ``dims`` holds at least two
+    widths, every one of them positive."""
+    if len(dims) < 2:
         raise ConfigurationError("network needs at least one layer")
-    for i, spec in enumerate(specs):
-        if spec.d_in < 1 or spec.d_out < 1:
+    for i, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
+        if d_in < 1 or d_out < 1:
             raise ConfigurationError(f"layer {i} has non-positive dimensions")
-        if i < len(specs) - 1 and spec.activation != "relu":
-            raise ConfigurationError(
-                f"hidden layer {i} activation must be 'relu', "
-                f"got {spec.activation!r}"
-            )
-        if i > 0 and spec.d_in != specs[i - 1].d_out:
-            raise ConfigurationError(
-                f"layer {i} d_in {spec.d_in} does not match "
-                f"layer {i - 1} d_out {specs[i - 1].d_out}"
-            )
-    if specs[-1].activation != "none":
-        raise ConfigurationError("output layer must use activation 'none'")
 
 
-def hidden_sizes(specs: list[LayerSpec]) -> list[int]:
-    return [spec.d_out for spec in specs[:-1]]
-
-
-def layer_offsets(specs: list[LayerSpec]) -> list[int]:
+def layer_offsets(dims) -> list[int]:
     """Flat offset of every layer's block, then the parameter count P."""
     offsets = [0]
-    for s in specs:
-        offsets.append(offsets[-1] + s.d_in * s.d_out + s.d_out)
+    for d_in, d_out in zip(dims, dims[1:]):
+        offsets.append(offsets[-1] + d_in * d_out + d_out)
     return offsets
 
 
-def param_count(specs: list[LayerSpec]) -> int:
-    return layer_offsets(specs)[-1]
+def param_count(dims) -> int:
+    return layer_offsets(dims)[-1]
 
 
 class NetworkParams:
-    """One network: its layer ``specs`` and its values in one C-contiguous
-    [P] float64 buffer ``flat``, in the flat layout.  ``weights[i]``
-    [d_in, d_out] and ``biases[i]`` [d_out] are views into it, so writing
-    either writes ``flat``; ``epoch_tag`` counts the epochs trained."""
+    """One network: its layer widths ``dims``, a tuple, and its values in
+    one C-contiguous [P] float64 buffer ``flat``, in the flat layout.
+    ``weights[i]`` [dims[i], dims[i + 1]] and ``biases[i]`` [dims[i + 1]]
+    are views into it, so writing either writes ``flat``; ``epoch_tag``
+    counts the epochs trained.  A compacted network's hidden widths may
+    be 0."""
 
-    def __init__(self, flat: np.ndarray, specs: list[LayerSpec], seed: int,
-                 epoch_tag: int = 0):
-        self.specs, self.seed, self.epoch_tag = specs, seed, epoch_tag
+    def __init__(self, flat: np.ndarray, dims, seed: int, epoch_tag: int = 0):
+        self.dims, self.seed, self.epoch_tag = tuple(dims), seed, epoch_tag
         self._bind(flat)
 
     def _bind(self, flat: np.ndarray) -> None:
         """Hold ``flat`` as the values, with per-layer views into it."""
         self.flat = flat
-        self.weights, self.biases = layer_views(flat, self.specs)
+        self.weights, self.biases = layer_views(flat, self.dims)
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams(self.flat.copy(), self.specs, self.seed, self.epoch_tag)
+        return NetworkParams(self.flat.copy(), self.dims, self.seed, self.epoch_tag)
 
 
-def init_network(specs: list[LayerSpec], seed: int) -> NetworkParams:
+def init_network(dims, seed: int) -> NetworkParams:
     """He-style uniform init, U(-sqrt(6/d_in), +sqrt(6/d_in)), zero biases.
 
     The draw order is fixed (layer by layer, weights row-major), so the
     same seed always reproduces the same parameters bit for bit.
     """
-    validate_specs(specs)
+    check_dims(dims)
     rng = np.random.default_rng(seed)
-    params = NetworkParams(np.zeros(param_count(specs)), specs, seed)
-    for spec, w in zip(specs, params.weights):
-        lim = math.sqrt(6.0 / spec.d_in)
+    params = NetworkParams(np.zeros(param_count(dims)), dims, seed)
+    for d_in, w in zip(dims, params.weights):
+        lim = math.sqrt(6.0 / d_in)
         w[...] = rng.uniform(-lim, lim, w.shape)
     return params
 
 
-def layer_views(buf: np.ndarray, specs: list[LayerSpec]) -> tuple[list, list]:
-    """Per-layer weight [..., d_in, d_out] and bias [..., d_out] views
-    into ``buf`` ([..., P]), which holds the flat layout of ``specs`` on
-    its last axis."""
+def layer_views(buf: np.ndarray, dims) -> tuple[list, list]:
+    """Per-layer weight [..., dims[i], dims[i + 1]] and bias
+    [..., dims[i + 1]] views into ``buf`` ([..., P]), which holds the
+    flat layout of ``dims`` on its last axis."""
     lead = buf.shape[:-1]
-    weights, biases, offsets = [], [], layer_offsets(specs)
-    for s, base, end in zip(specs, offsets, offsets[1:]):
-        w_end = end - s.d_out
-        weights.append(buf[..., base:w_end].reshape(*lead, s.d_in, s.d_out))
+    weights, biases, offsets = [], [], layer_offsets(dims)
+    for d_in, d_out, base, end in zip(dims, dims[1:], offsets, offsets[1:]):
+        w_end = end - d_out
+        weights.append(buf[..., base:w_end].reshape(*lead, d_in, d_out))
         biases.append(buf[..., w_end:end])
     return weights, biases
 
 
 class ParamStack:
-    """R networks of the layer ``specs`` in one C-contiguous [R, P]
+    """R networks of the layer widths ``dims`` in one C-contiguous [R, P]
     float64 buffer ``flat``, a row per network in the flat layout, and
     the gradients of the last ``train_step`` in ``grad``, of the same
     shape.  ``weights[i]`` [R, d_in, d_out], ``biases[i]`` [R, d_out],
     ``grad_weights[i]`` and ``grad_biases[i]`` are views into them."""
 
-    def __init__(self, flat: np.ndarray, specs: list[LayerSpec]):
-        self.flat, self.specs = flat, specs
+    def __init__(self, flat: np.ndarray, dims):
+        self.flat, self.dims = flat, dims
         self.grad = np.zeros_like(flat)
-        self.weights, self.biases = layer_views(flat, specs)
-        self.grad_weights, self.grad_biases = layer_views(self.grad, specs)
+        self.weights, self.biases = layer_views(flat, dims)
+        self.grad_weights, self.grad_biases = layer_views(self.grad, dims)
 
 
 def stack_params(nets: list[NetworkParams]) -> ParamStack:
     """Stack ``nets`` in order and rebind each network's arrays to views
     of its row, so a step on the stack trains every network in place."""
-    stack = ParamStack(np.stack([net.flat for net in nets]), nets[0].specs)
+    stack = ParamStack(np.stack([net.flat for net in nets]), nets[0].dims)
     for net, row in zip(nets, stack.flat):
         net._bind(row)
     return stack
@@ -194,10 +173,10 @@ def _require_finite(a: np.ndarray, what: str) -> None:
 FORWARD_BLOCK_ROWS = 1024
 
 
-def block_buffers(specs: list[LayerSpec], rows: int) -> list[np.ndarray]:
+def block_buffers(dims, rows: int) -> list[np.ndarray]:
     """Per layer an uninitialised [rows, d_out] float64 buffer, for
     ``forward_block`` to write that layer's output into."""
-    return [np.empty((rows, spec.d_out)) for spec in specs]
+    return [np.empty((rows, d_out)) for d_out in dims[1:]]
 
 
 def forward_block(params: NetworkParams, x: np.ndarray, bufs: list[np.ndarray]) -> np.ndarray:
@@ -274,17 +253,17 @@ def train_step(stack: ParamStack, x, onehot, fair=None):
     non-finite pre-activation gradient reaches a weight gradient, which
     ``sgd_step`` checks.
     """
-    x, r, specs = np.asarray(x, dtype=np.float64), stack.flat.shape[0], stack.specs
-    if x.ndim != 3 or x.shape[0] != r or x.shape[2] != specs[0].d_in:
+    x, r, dims = np.asarray(x, dtype=np.float64), stack.flat.shape[0], stack.dims
+    if x.ndim != 3 or x.shape[0] != r or x.shape[2] != dims[0]:
         raise ConfigurationError(f"input shape {x.shape} does not match d_in "
-                                 f"{specs[0].d_in} for {r} stacked networks")
+                                 f"{dims[0]} for {r} stacked networks")
     if fair is not None:
-        fair, shape = np.asarray(fair, dtype=np.float64), (x.shape[0], specs[-1].d_out)
+        fair, shape = np.asarray(fair, dtype=np.float64), (x.shape[0], dims[-1])
         if fair.shape != shape or not np.isfinite(fair).all() or (fair <= 0.0).any():
             raise ConfigurationError(
                 f"class_weights must be finite and positive, of shape {shape}"
             )
-    ws, n, last = stack.weights, x.shape[1], len(specs) - 1
+    ws, n, last = stack.weights, x.shape[1], len(dims) - 2
     inputs, gates = [], []
     h = x
     for i, (w, b) in enumerate(zip(ws, stack.biases)):
@@ -330,11 +309,8 @@ def sgd_step(stack: ParamStack, step) -> ParamStack:
 
 def apply_mask(params: NetworkParams, mask) -> NetworkParams:
     """Fresh parameter set with masked entries set to exactly +0.0."""
-    if len(mask.weight_keep) != len(params.weights):
-        raise ConfigurationError("mask layer count does not match network")
-    for w, b, wk, bk in zip(params.weights, params.biases, mask.weight_keep, mask.bias_keep):
-        if wk.shape != w.shape or bk.shape != b.shape:
-            raise ConfigurationError("mask shape does not match network")
+    if mask.dims != params.dims:
+        raise ConfigurationError("mask shape does not match network")
     out = params.copy()
     out.flat[~mask.keep] = 0.0
     return out
@@ -366,7 +342,7 @@ def compact_network(
     """The live part of a masked network as a smaller dense network.
 
     Returns a fresh network of the weights and biases of the live hidden
-    units (see ``live_units``), with its own specs, whose hidden layers
+    units (see ``live_units``), with its own dims, whose hidden layers
     may have width 0, and its flat keep vector in the flat layout of that
     network: entries ``mask`` trims inside the live part stay trimmed and
     are stored as +0.0, so ``params`` need not hold the mask's zeros and
@@ -381,11 +357,9 @@ def compact_network(
     dims = [len(u) for u in ends]
     if widths is not None:
         dims[1:-1] = widths
-    specs = [LayerSpec(d_in, d_out, spec.activation)
-             for d_in, d_out, spec in zip(dims, dims[1:], params.specs)]
-    small = NetworkParams(np.zeros(param_count(specs)), specs, params.seed, params.epoch_tag)
+    small = NetworkParams(np.zeros(param_count(dims)), dims, params.seed, params.epoch_tag)
     keep = np.zeros(small.flat.size, dtype=bool)
-    keep_w, keep_b = layer_views(keep, specs)
+    keep_w, keep_b = layer_views(keep, dims)
     for i, (rows, cols) in enumerate(zip(ends, ends[1:])):
         block, n, m = np.ix_(rows, cols), len(rows), len(cols)
         small.weights[i][:n, :m] = params.weights[i][block]
@@ -410,14 +384,18 @@ def expand_network(small: NetworkParams, params: NetworkParams, mask) -> Network
 def save_checkpoint(params: NetworkParams, path) -> None:
     """Binary layout: magic 'BLTC', u32 version, u64 manifest length, the
     UTF-8 JSON manifest (``layers``, ``seed``, ``epoch``), then ``flat``
-    as little-endian float64.  Missing parent directories are made; the
-    file is replaced atomically."""
-    validate_specs(params.specs)
+    as little-endian float64.  Each ``layers`` record holds a layer's
+    ``d_in`` and ``d_out`` and its ``activation``, written by position:
+    "relu" for a hidden layer, "none" for the output layer.  Missing
+    parent directories are made; the file is replaced atomically."""
+    dims = params.dims
+    check_dims(dims)
     manifest = json.dumps(
         {
             "layers": [
-                {"d_in": s.d_in, "d_out": s.d_out, "activation": s.activation}
-                for s in params.specs
+                {"d_in": d_in, "d_out": d_out,
+                 "activation": "relu" if i + 2 < len(dims) else "none"}
+                for i, (d_in, d_out) in enumerate(zip(dims, dims[1:]))
             ],
             "seed": int(params.seed),
             "epoch": int(params.epoch_tag),
@@ -443,6 +421,30 @@ def _require_fields(obj: dict, where: str, types: dict) -> None:
         if type(obj.get(key)) is not kind:
             name = "an integer" if kind is int else "a string"
             raise PersistenceError(f"{where} field '{key}' missing or not {name}")
+
+
+def _manifest_dims(layers: list[dict]) -> tuple[int, ...]:
+    """The layer widths of a manifest's ``layers`` records.  Raises
+    PersistenceError, naming the first offending layer, unless the
+    records are a non-empty chain of positive widths, each ``d_in`` the
+    ``d_out`` before it, with ReLU hidden layers and a logit output."""
+    def invalid(why: str) -> PersistenceError:
+        return PersistenceError(f"manifest layers invalid: {why}")
+
+    if not layers:
+        raise invalid("network needs at least one layer")
+    for i, entry in enumerate(layers):
+        if entry["d_in"] < 1 or entry["d_out"] < 1:
+            raise invalid(f"layer {i} has non-positive dimensions")
+        if i < len(layers) - 1 and entry["activation"] != "relu":
+            raise invalid(f"hidden layer {i} activation must be 'relu', "
+                          f"got {entry['activation']!r}")
+        if i > 0 and entry["d_in"] != layers[i - 1]["d_out"]:
+            raise invalid(f"layer {i} d_in {entry['d_in']} does not match "
+                          f"layer {i - 1} d_out {layers[i - 1]['d_out']}")
+    if layers[-1]["activation"] != "none":
+        raise invalid("output layer must use activation 'none'")
+    return (layers[0]["d_in"], *(entry["d_out"] for entry in layers))
 
 
 def load_checkpoint(path) -> NetworkParams:
@@ -471,23 +473,19 @@ def load_checkpoint(path) -> NetworkParams:
         raise PersistenceError("manifest field 'layers' missing or not a list")
     _require_fields(manifest, "manifest", {"seed": int, "epoch": int})
 
-    specs = []
-    for i, entry in enumerate(manifest["layers"]):
+    layers = manifest["layers"]
+    for i, entry in enumerate(layers):
         if not isinstance(entry, dict):
             raise PersistenceError(f"manifest layer {i} is not an object")
         _require_fields(entry, f"manifest layer {i}",
                         {"d_in": int, "d_out": int, "activation": str})
-        specs.append(LayerSpec(entry["d_in"], entry["d_out"], entry["activation"]))
-    try:
-        validate_specs(specs)
-    except ConfigurationError as exc:
-        raise PersistenceError(f"manifest layers invalid: {exc}") from exc
+    dims = _manifest_dims(layers)
 
-    offset, nbytes = 16 + mlen, 8 * param_count(specs)
+    offset, nbytes = 16 + mlen, 8 * param_count(dims)
     if len(raw) < offset + nbytes:
         raise PersistenceError(
             f"truncated parameters: {len(raw) - offset} bytes, expected {nbytes}")
     if len(raw) > offset + nbytes:
         raise PersistenceError(f"{len(raw) - offset - nbytes} trailing bytes after last layer")
     flat = np.frombuffer(raw, dtype="<f8", offset=offset).astype(np.float64)
-    return NetworkParams(flat, specs, seed=manifest["seed"], epoch_tag=manifest["epoch"])
+    return NetworkParams(flat, dims, seed=manifest["seed"], epoch_tag=manifest["epoch"])

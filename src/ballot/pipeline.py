@@ -29,9 +29,10 @@ at the compacted shape: each start network is reduced straight to its
 masked live hidden units, padded with dead units to the widest live
 count of the call so that all seeds train in one stack, and only after
 the stack is freed scattered into the full-shape network that
-checkpoints and reports use.  Padding changes matmul shapes, so a
-seed's retrained weights may differ in their last bits from its
-single-seed run.
+checkpoints and reports use, one seed at a time: each result is
+evaluated, and kept or dropped, before the next one is expanded.
+Padding changes matmul shapes, so a seed's retrained weights may differ
+in their last bits from its single-seed run.
 
 Every source of randomness is keyed by (seed, stream, epoch), so any
 run is bit-reproducible and a retrained identity-masked network follows
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,13 +60,11 @@ from .masks import (
 )
 from .metrics import EvalReport, bias_delta, evaluate, update_class_weights
 from .model import (
-    LayerSpec,
     NetworkParams,
     ParamStack,
     apply_mask,
     compact_network,
     expand_network,
-    hidden_sizes,
     init_network,
     live_units,
     sgd_step,
@@ -100,8 +100,8 @@ class RunArtifacts:
     wall_time_s: float
 
     @property
-    def specs(self) -> list[LayerSpec]:
-        return self.theta_e.specs
+    def dims(self) -> tuple[int, ...]:
+        return self.theta_e.dims
 
     @property
     def seed(self) -> int:
@@ -111,7 +111,7 @@ class RunArtifacts:
     def theta0(self) -> NetworkParams:
         """The initial weights, a fresh network on every call, bit for
         bit those dense training started from (``init_network``)."""
-        return init_network(self.specs, self.seed)
+        return init_network(self.dims, self.seed)
 
 
 @dataclass
@@ -162,25 +162,26 @@ def train_dense(
     budget, all seeds in lockstep, recording each seed's conflict ledger
     and snapshotting its rewind-epoch and final weights; the initial
     weights are rebuilt from the seed when needed, not kept.  The
-    gradient buffer lives through each epoch's batches only, not through
-    the evaluations after them.  Each seed's ``wall_time_s`` is an equal
-    share of the whole run."""
+    network's layer widths are ``(data.dim, *config.hidden,
+    data.n_classes)``.  The gradient buffer lives through each epoch's
+    batches only, not through the evaluations after them.  Each seed's
+    ``wall_time_s`` is an equal share of the whole run."""
     t0 = time.perf_counter()
-    specs = config.specs_for(data)
-    nets = [init_network(specs, s) for s in seeds]
-    theta_k = [p.copy() for p in nets] if config.rewind_epoch == 0 else [None] * len(seeds)
+    dims = (data.dim, *config.hidden, data.n_classes)
+    nets = [init_network(dims, s) for s in seeds]
     flat = stack_params(nets).flat  # each network's arrays view its row
 
     x, onehot = data.train.X, data.train_onehot
     fair = np.ones((len(seeds), data.n_classes))
-    hidden = hidden_sizes(specs)
-    ledgers = [ConflictLedger(hidden) for _ in seeds]
+    ledgers = [ConflictLedger(config.hidden) for _ in seeds]
 
     for epoch in range(config.epochs):
+        if epoch == config.rewind_epoch:
+            theta_k = [p.copy() for p in nets]
         lr = lr_at(epoch, config)
-        acc_a = [np.zeros((len(seeds), h)) for h in hidden]
-        acc_f = [np.zeros((len(seeds), h)) for h in hidden]
-        stack = ParamStack(flat, specs)
+        acc_a = [np.zeros((len(seeds), h)) for h in config.hidden]
+        acc_f = [np.zeros((len(seeds), h)) for h in config.hidden]
+        stack = ParamStack(flat, dims)
         try:
             for idx in _batches(_shuffle(seeds, epoch, x.shape[0]), config.batch_size):
                 means_a, means_f = train_step(stack, x[idx], onehot[idx], fair)
@@ -201,8 +202,6 @@ def train_dense(
             )
             train_report = _evaluate(params, data.train, "dense training", epoch, seeds[r])
             fair_rows.append(update_class_weights(train_report))
-            if epoch + 1 == config.rewind_epoch:
-                theta_k[r] = params.copy()
         fair = np.stack(fair_rows)
 
     dense_reports = [
@@ -232,11 +231,13 @@ def _retrain(
     lr_fn,
     stream_offset: int = 0,
     epoch_offset: int = 0,
-) -> list[NetworkParams]:
+) -> Iterator[NetworkParams]:
     """Masked training of one network per mask on the accuracy loss
     only; network i starts from ``start(i)``, a full-shape network that
     need not hold the mask's zeros and is left unchanged, and its batch
     order comes from (seeds[i] + stream_offset, epoch_offset + epoch).
+    Training runs in the call, which returns an iterator of the results
+    in mask order.
 
     Each network trains at its compacted shape (``compact_network``):
     only its live hidden units, with the entries its mask trims among
@@ -247,8 +248,9 @@ def _retrain(
     stack trains, and a start rebuilt on each call (``theta0``) is not
     held at all.  Once the stack, its gradient and its step buffer are
     freed, each result is scattered into a fresh ``apply_mask`` of its
-    start: entries outside the live units keep their masked start
-    values."""
+    start, only as the iterator reaches it, so a caller that drops each
+    result before taking the next holds one full-shape result at a time:
+    entries outside the live units keep their masked start values."""
     widths = [max(map(len, col)) for col in zip(*map(live_units, masks))]
     smalls, keeps = zip(*(compact_network(start(i), m, widths) for i, m in enumerate(masks)))
     stack, keep = stack_params(list(smalls)), np.stack(keeps)
@@ -265,12 +267,12 @@ def _retrain(
         except NumericalFailure as exc:
             raise _failure("retraining", epoch, seeds[exc.index], exc) from exc
     del stack, step, keep  # the smalls still view the stacked weights
-    nets = []
-    for i, (small, m) in enumerate(zip(smalls, masks)):
-        params = expand_network(small, apply_mask(start(i), m), m)
+
+    def expand(i: int) -> NetworkParams:
+        params = expand_network(smalls[i], apply_mask(start(i), masks[i]), masks[i])
         params.epoch_tag += epochs
-        nets.append(params)
-    return nets
+        return params
+    return map(expand, range(len(masks)))
 
 
 def finetune_epochs(total_epochs: int) -> int:
@@ -313,7 +315,8 @@ def refine(
                 still refining, and each round's report is kept in
                 ``candidates``; the weights of a round are dropped as
                 soon as a round beats it, so at most one full-shape
-                candidate per seed outlives its round.
+                candidate per seed outlives its round, and a round
+                holds one new full-shape result at a time besides them.
 
     The initial weights are rebuilt from each seed (``theta0``) as round
     0 needs them.  Each seed's ``wall_time_s`` is its share of every
@@ -359,7 +362,9 @@ def refine(
             reports[r].append(report)
             if keep_going:
                 still.append(r)
-        del nets, params  # a losing round's weights must not outlive it
+            # a losing result must not outlive its evaluation
+            del params
+        del nets
         now = time.perf_counter()
         for r in refining:
             spent[r] += (now - clock) / len(refining)
@@ -401,7 +406,7 @@ def run_baseline(
     if method == "ballot":
         masks = [build_ballot_mask(a.ledger, config.omega, a.theta_e) for a in artifacts]
     elif method == "random":
-        masks = [build_random_mask(a.specs, config.omega, a.seed) for a in artifacts]
+        masks = [build_random_mask(a.dims, config.omega, a.seed) for a in artifacts]
     else:
         masks = [build_magnitude_mask(a.theta_e, config.omega) for a in artifacts]
     return refine(method, masks, artifacts, config, data, since)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ballot.data import DatasetSpec, SyntheticSpec, make_dataset
-from ballot.model import LayerSpec, NetworkParams, block_buffers, forward_block, init_network
+from ballot.model import NetworkParams, block_buffers, forward_block, init_network
 from ballot.pipeline import TrainConfig
 
 # one verdict line per acceptance criterion, echoed after the run
@@ -39,51 +39,45 @@ def small_config(**overrides):
     return TrainConfig(**base)
 
 
-def random_specs(rng, max_hidden_layers=2, max_units=8, n_classes=None):
-    """A conforming random MLP spec list with at least one hidden layer."""
+def random_dims(rng, max_hidden_layers=2, max_units=8, n_classes=None):
+    """Random MLP layer widths with at least one hidden layer."""
     d_in = int(rng.integers(1, 6))
     n_hidden = int(rng.integers(1, max_hidden_layers + 1))
-    dims = [d_in] + [int(rng.integers(1, max_units + 1)) for _ in range(n_hidden)]
-    dims.append(int(n_classes if n_classes else rng.integers(2, 5)))
-    return [
-        LayerSpec(dims[i], dims[i + 1], "relu" if i + 2 < len(dims) else "none")
-        for i in range(len(dims) - 1)
-    ]
+    hidden = [int(rng.integers(1, max_units + 1)) for _ in range(n_hidden)]
+    return (d_in, *hidden, int(n_classes if n_classes else rng.integers(2, 5)))
 
 
-def net_from_layers(weights, biases, specs=None):
+def net_from_layers(weights, biases):
     """A seed-0 network holding hand-written per-layer ``weights`` and
-    ``biases``, copied into one flat buffer; ``specs`` defaults to ReLU
-    layers of the weights' shapes ending in a logit layer."""
-    shapes = [np.shape(w) for w in weights]
-    if specs is None:
-        specs = [LayerSpec(d_in, d_out, "relu" if i + 1 < len(shapes) else "none")
-                 for i, (d_in, d_out) in enumerate(shapes)]
+    ``biases``, copied into one flat buffer; its widths are the weights'
+    shapes."""
+    dims = (np.shape(weights[0])[0], *(np.shape(w)[1] for w in weights))
     flat = np.concatenate([np.ravel(np.asarray(a, dtype=np.float64))
                            for pair in zip(weights, biases) for a in pair])
-    return NetworkParams(flat, specs, seed=0)
+    return NetworkParams(flat, dims, seed=0)
 
 
 def random_net(rng, **kwargs):
-    specs = random_specs(rng, **kwargs)
-    params = init_network(specs, int(rng.integers(0, 2**31)))
-    return specs, params
+    dims = random_dims(rng, **kwargs)
+    params = init_network(dims, int(rng.integers(0, 2**31)))
+    return dims, params
 
 
-def logits(params, x, specs):
+def logits(params, x):
     """The logits of all the rows ``x`` by one ``forward_block`` call,
     as a fresh array."""
     x = np.asarray(x, dtype=np.float64)
-    return forward_block(params, x, block_buffers(specs, x.shape[0])).copy()
+    return forward_block(params, x, block_buffers(params.dims, x.shape[0])).copy()
 
 
-def reference_loss(weights, biases, specs, x, onehot, class_w):
+def reference_loss(weights, biases, x, onehot, class_w):
     """Plain-numpy forward plus weighted cross-entropy, written
-    independently of the training kernel: the finite-difference oracle."""
+    independently of the training kernel: the finite-difference oracle.
+    Every layer but the last feeds a ReLU."""
     h = x
-    for spec, w, b in zip(specs, weights, biases):
+    for i, (w, b) in enumerate(zip(weights, biases)):
         z = h @ w + b
-        h = np.maximum(z, 0.0) if spec.activation == "relu" else z
+        h = np.maximum(z, 0.0) if i + 1 < len(weights) else z
     zmax = h.max(axis=1, keepdims=True)
     shifted = h - zmax
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -91,16 +85,16 @@ def reference_loss(weights, biases, specs, x, onehot, class_w):
     return float(np.mean(-sample_w * (onehot * logp).sum(axis=1)))
 
 
-def reference_fair_means(weights, biases, specs, x, onehot, class_w):
+def reference_fair_means(weights, biases, x, onehot, class_w):
     """The fairness loss's batch-mean gradient of every hidden
     pre-activation, by that loss's own backward sweep: the class-weighted
     dlogits pushed back through the layers and their ReLU gates, one
     network, x [n, d_in] and onehot [n, C].  The training kernel derives
     these means from the plain loss's sweep instead."""
     h, gates = x, []
-    for spec, w, b in zip(specs, weights, biases):
+    for i, (w, b) in enumerate(zip(weights, biases)):
         z = h @ w + b
-        if spec.activation == "relu":
+        if i + 1 < len(weights):
             gates.append(z > 0.0)
             h = np.maximum(z, 0.0)
         else:
@@ -110,7 +104,7 @@ def reference_fair_means(weights, biases, specs, x, onehot, class_w):
     logp = h - (np.log(np.exp(h - zmax).sum(axis=1, keepdims=True)) + zmax)
     g = (onehot @ class_w)[:, None] * (np.exp(logp) - onehot) / n
     means = []
-    for i in range(len(specs) - 1, 0, -1):
+    for i in range(len(weights) - 1, 0, -1):
         g = (g @ weights[i].T) * gates[i - 1]
         means.insert(0, g.sum(axis=0) / n)
     return means

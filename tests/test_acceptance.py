@@ -24,7 +24,7 @@ from ballot.masks import (
     positive_score_threshold,
 )
 from ballot.metrics import evaluate, report_from_predictions
-from ballot.model import cross_entropy, hidden_sizes, param_count, stack_params, train_step
+from ballot.model import cross_entropy, param_count, stack_params, train_step
 from ballot.pipeline import TrainConfig, refine, run_baseline, train_dense
 
 from conftest import (
@@ -81,13 +81,13 @@ def test_criterion_1_metric_oracles():
 
     # the same recount also pins the full evaluate() chain on live nets
     for _ in range(20):
-        specs, params = random_net(rng, max_units=6)
-        c = specs[-1].d_out
+        dims, params = random_net(rng, max_units=6)
+        c = dims[-1]
         n = int(rng.integers(c, 60))
-        x = rng.normal(size=(n, specs[0].d_in))
+        x = rng.normal(size=(n, dims[0]))
         y = np.concatenate([np.arange(c), rng.integers(0, c, n - c)])
         rep = evaluate(params, split_blocks(Split(X=x, y=y)))
-        ref = brute_force_report(y.tolist(), logits(params, x, specs).argmax(axis=1).tolist(), c)
+        ref = brute_force_report(y.tolist(), logits(params, x).argmax(axis=1).tolist(), c)
         for key in scalar_keys:
             worst = max(worst, abs(getattr(rep, key) - ref[key]))
 
@@ -105,15 +105,15 @@ def _smallest_clearing_shift(col, margin):
     return min(ok, key=abs)
 
 
-def _clear_relu_margins(params, specs, x, margin=0.1):
+def _clear_relu_margins(params, x, margin=0.1):
     """Shift biases until every relu pre-activation clears the margin.
 
     Finite differences are only valid away from the relu kink; the
     margin comfortably covers the reach of a 1e-5 parameter step."""
-    h = x
-    for li, spec in enumerate(specs):
+    h, last = x, len(params.weights) - 1
+    for li in range(last + 1):
         z = h @ params.weights[li] + params.biases[li]
-        if spec.activation != "relu":
+        if li == last:
             h = z
             continue
         for u in range(z.shape[1]):
@@ -125,7 +125,7 @@ def _clear_relu_margins(params, specs, x, margin=0.1):
         h = np.maximum(z, 0.0)
 
 
-def _gradients(params, specs, x, y, class_w):
+def _gradients(params, x, y, class_w):
     """What one ``train_step`` computes of each loss, on a stack of one,
     slot 0, as (array, analytic gradient) pairs.  The plain loss: every
     parameter's gradient.  The weighted loss: every bias's, which is the
@@ -138,7 +138,7 @@ def _gradients(params, specs, x, y, class_w):
     _, means_f = train_step(stack, x[None], y[None], class_w[None])
     plain = [(arr, g[0].copy()) for arr, g in zip(
         params.weights + params.biases, stack.grad_weights + stack.grad_biases)]
-    _, dlogits = cross_entropy(logits(params, x, specs)[None], y[None])
+    _, dlogits = cross_entropy(logits(params, x)[None], y[None])
     fair_out = ((y @ class_w)[:, None] * dlogits[0]).sum(axis=0)
     fair_bias = [x.shape[0] * m[0] for m in means_f] + [fair_out]
     return {"a": plain, "f": list(zip(params.biases, fair_bias))}
@@ -151,27 +151,25 @@ def test_criterion_2_gradients_match_finite_differences():
     worst = 0.0
 
     for _ in range(50):
-        specs, params = random_net(rng, max_hidden_layers=2, max_units=32)
-        c = specs[-1].d_out
+        dims, params = random_net(rng, max_hidden_layers=2, max_units=32)
+        c = dims[-1]
         batch = int(rng.integers(1, 17))
-        x = rng.normal(size=(batch, specs[0].d_in))
+        x = rng.normal(size=(batch, dims[0]))
         y = np.eye(c)[rng.integers(0, c, batch)]
         weights_f = rng.uniform(0.2, 5.0, c)
-        _clear_relu_margins(params, specs, x)
+        _clear_relu_margins(params, x)
 
         losses = {"a": np.ones(c), "f": weights_f}
-        grads = _gradients(params, specs, x, y, weights_f)
+        grads = _gradients(params, x, y, weights_f)
 
         for name, cw in losses.items():
             for arr, analytic in grads[name]:
                 for idx in np.ndindex(*arr.shape):
                     orig = arr[idx]
                     arr[idx] = orig + h
-                    up = reference_loss(params.weights, params.biases,
-                                        specs, x, y, cw)
+                    up = reference_loss(params.weights, params.biases, x, y, cw)
                     arr[idx] = orig - h
-                    down = reference_loss(params.weights, params.biases,
-                                          specs, x, y, cw)
+                    down = reference_loss(params.weights, params.biases, x, y, cw)
                     arr[idx] = orig
                     fd = (up - down) / (2 * h)
                     rel = abs(analytic[idx] - fd) / max(1.0, abs(fd))
@@ -184,20 +182,20 @@ def test_criterion_2_gradients_match_finite_differences():
     assert ok
 
 
-def _magnitude_oracle(params, specs, k):
+def _magnitude_oracle(params, dims, k):
     """Brute-force top-k-|weight|: sort every maskable entry, keep the
     strongest, force output biases, then apply the same layer-alive
     swap rule the builder documents.  Plain lists throughout."""
     vals = _flat_values(params).tolist()
     total = len(vals)
-    n_out = specs[-1].d_out
+    n_out = dims[-1]
     base, off = [], 0
-    for s in specs:
+    for d_in, d_out in zip(dims, dims[1:]):
         base.append(off)
-        off += s.d_in * s.d_out + s.d_out
+        off += d_in * d_out + d_out
     spans = [
-        (base[i], base[i + 1] + specs[i + 1].d_in * specs[i + 1].d_out)
-        for i in range(len(specs) - 1)
+        (base[i], base[i + 1] + dims[i + 1] * dims[i + 2])
+        for i in range(len(dims) - 2)
     ]
 
     keep = [False] * total
@@ -236,11 +234,11 @@ def test_criterion_3_mask_exactness():
     violations = []
 
     for trial in range(100):
-        specs, params = random_net(rng, max_hidden_layers=2, max_units=8)
-        total = param_count(specs)
-        n_out = specs[-1].d_out
+        dims, params = random_net(rng, max_hidden_layers=2, max_units=8)
+        total = param_count(dims)
+        n_out = dims[-1]
 
-        ledger = ConflictLedger(hidden_sizes(specs))
+        ledger = ConflictLedger(dims[1:-1])
         for epoch in range(3):
             ledger.record_epoch(
                 epoch,
@@ -259,7 +257,7 @@ def test_criterion_3_mask_exactness():
                 built = {
                     "ballot": build_ballot_mask(ledger, omega, params),
                     "magnitude": build_magnitude_mask(params, omega),
-                    "random": build_random_mask(specs, omega, seed=trial),
+                    "random": build_random_mask(dims, omega, seed=trial),
                 }
             except InfeasibleMaskError:
                 continue
@@ -272,7 +270,7 @@ def test_criterion_3_mask_exactness():
                 if not keep.any():
                     violations.append((trial, name, "emptied layer", layer))
 
-        oracle = _magnitude_oracle(params, specs, k)
+        oracle = _magnitude_oracle(params, dims, k)
         if oracle is None or not np.array_equal(
             _flat_keep(built["magnitude"]), oracle
         ):
@@ -280,7 +278,7 @@ def test_criterion_3_mask_exactness():
 
     elapsed = time.perf_counter() - start
     ok = not violations and elapsed < 30.0
-    _verdict(3, ok, f"3 builders x 100 specs exact, "
+    _verdict(3, ok, f"3 builders x 100 networks exact, "
                     f"{len(violations)} violations, {elapsed:.1f}s of 30s")
     assert ok, violations[:5]
 
@@ -383,7 +381,7 @@ def test_criterion_6_refinement_semantics():
 
     cfg = small_config(delta=-1.0, max_rounds=3)
     (arts,) = train_dense(cfg, data, [cfg.seed])
-    mask = build_random_mask(arts.specs, cfg.omega, seed=3)
+    mask = build_random_mask(arts.dims, cfg.omega, seed=3)
     (blocked,) = refine("ballot", [mask], [arts], cfg, data)
     rounds = [r for r, _ in blocked.candidates]
     if rounds != list(range(blocked.rounds_used + 1)):
@@ -483,7 +481,7 @@ def test_criterion_8_lth_identity_fidelity():
         np.array_equal(a, b)
         for a, b in zip(result.params.biases, arts.theta_e.biases)
     )
-    identity = result.mask.kept_count() == param_count(arts.specs)
+    identity = result.mask.kept_count() == param_count(arts.dims)
     elapsed = time.perf_counter() - start
     ok = same and identity
     _verdict(8, ok, f"lth at omega=1 bit-identical to fresh dense training "

@@ -13,7 +13,6 @@ import pytest
 from ballot.errors import ConfigurationError, NumericalFailure
 from ballot.masks import build_random_mask
 from ballot.model import (
-    LayerSpec,
     apply_mask,
     cross_entropy,
     init_network,
@@ -22,17 +21,15 @@ from ballot.model import (
     train_step,
 )
 
-from conftest import (logits, net_from_layers, random_net, random_specs, reference_fair_means,
+from conftest import (logits, net_from_layers, random_net, random_dims, reference_fair_means,
                       reference_loss)
 
 
 def _net(*layers):
-    """Parameters and specs from (weights, bias, activation) triples."""
-    ws = [np.array(w, dtype=np.float64) for w, _, _ in layers]
-    bs = [np.array(b, dtype=np.float64) for _, b, _ in layers]
-    specs = [LayerSpec(w.shape[0], w.shape[1], act)
-             for w, (_, _, act) in zip(ws, layers)]
-    return net_from_layers(ws, bs, specs), specs
+    """Parameters from (weights, bias) pairs, a ReLU after every layer
+    but the last."""
+    return net_from_layers([np.array(w, dtype=np.float64) for w, _ in layers],
+                           [np.array(b, dtype=np.float64) for _, b in layers])
 
 
 class Grads(NamedTuple):
@@ -67,30 +64,30 @@ def _ce(logits, onehot):
     return float(loss[0]), dlogits[0]
 
 
-def _batch(rng, specs, n):
-    x = rng.normal(size=(n, specs[0].d_in))
-    y = np.eye(specs[-1].d_out)[rng.integers(0, specs[-1].d_out, n)]
+def _batch(rng, dims, n):
+    x = rng.normal(size=(n, dims[0]))
+    y = np.eye(dims[-1])[rng.integers(0, dims[-1], n)]
     return x, y
 
 
 class TestAffine:
     def test_identity(self):
-        params, specs = _net((np.eye(2), [0.0, 0.0], "none"))
-        out = logits(params, [[1.0, 2.0]], specs)
+        params = _net((np.eye(2), [0.0, 0.0]))
+        out = logits(params, [[1.0, 2.0]])
         np.testing.assert_array_equal(out, [[1.0, 2.0]])
 
     def test_hand_matrix_product(self):
-        params, specs = _net(([[3.0], [5.0]], [1.0], "none"))
-        out = logits(params, [[1.0, 0.0], [0.0, 1.0]], specs)
+        params = _net(([[3.0], [5.0]], [1.0]))
+        out = logits(params, [[1.0, 0.0], [0.0, 1.0]])
         np.testing.assert_array_equal(out, [[4.0], [6.0]])
 
     def test_zero_input_passes_bias(self):
-        params, specs = _net(([[2.5, -1.0], [0.3, 4.0]], [7.0, 7.0], "none"))
-        out = logits(params, [[0.0, 0.0]], specs)
+        params = _net(([[2.5, -1.0], [0.3, 4.0]], [7.0, 7.0]))
+        out = logits(params, [[0.0, 0.0]])
         np.testing.assert_array_equal(out, [[7.0, 7.0]])
 
     def test_shape_mismatch_is_config_error(self):
-        params, _ = _net((np.eye(2), [0.0, 0.0], "none"))
+        params = _net((np.eye(2), [0.0, 0.0]))
         with pytest.raises(ConfigurationError):
             _step(params, [[1.0, 2.0, 3.0]], [[1.0, 0.0]])
 
@@ -99,8 +96,8 @@ class TestAffine:
         # [0, 0], so dlogits = (softmax - y) / n = [-0.5, 0.5], the
         # hidden gradient is -0.5*1 + 0.5*(-1) = -1, and the input
         # layer's gradients are x^T * -1 and -1.
-        params, _ = _net(([[3.0], [5.0]], [0.5], "relu"),
-                         ([[1.0, -1.0]], [-13.5, 13.5], "none"))
+        params = _net(([[3.0], [5.0]], [0.5]),
+                      ([[1.0, -1.0]], [-13.5, 13.5]))
         grads, (means, _) = _step(params, [[1.0, 2.0]], [[1.0, 0.0]], np.ones(2))
         np.testing.assert_allclose(grads.weights[1], [[-6.75, 6.75]], rtol=1e-15)
         np.testing.assert_allclose(grads.biases[1], [-0.5, 0.5], rtol=1e-15)
@@ -111,24 +108,24 @@ class TestAffine:
 
 class TestRelu:
     def test_definition(self):
-        params, specs = _net((np.eye(3), [0.0] * 3, "relu"),
-                             (np.eye(3), [0.0] * 3, "none"))
-        out = logits(params, [[-1.0, 0.0, 2.0]], specs)
+        params = _net((np.eye(3), [0.0] * 3),
+                      (np.eye(3), [0.0] * 3))
+        out = logits(params, [[-1.0, 0.0, 2.0]])
         np.testing.assert_array_equal(out, [[0.0, 0.0, 2.0]])
 
     def test_all_negative_is_all_zero(self):
-        params, specs = _net((np.eye(2), [0.0, 0.0], "relu"),
-                             (np.eye(2), [0.0, 0.0], "none"))
-        out = logits(params, [[-3.0, -0.5], [-1e9, -1e-9]], specs)
+        params = _net((np.eye(2), [0.0, 0.0]),
+                      (np.eye(2), [0.0, 0.0]))
+        out = logits(params, [[-3.0, -0.5], [-1e9, -1e-9]])
         np.testing.assert_array_equal(out, np.zeros((2, 2)))
 
     def _hidden_grad(self, x):
         # identity hidden layer, so the hidden pre-activations equal x
-        params, specs = _net((np.eye(2), [0.0, 0.0], "relu"),
-                             ([[1.0, -1.0], [2.0, 0.5]], [0.0, 0.0], "none"))
+        params = _net((np.eye(2), [0.0, 0.0]),
+                      ([[1.0, -1.0], [2.0, 0.5]], [0.0, 0.0]))
         y = [[1.0, 0.0]]
         _, (means, _) = _step(params, x, y, np.ones(2))
-        _, dlogits = _ce(logits(params, x, specs), y)
+        _, dlogits = _ce(logits(params, x), y)
         return means[0], (dlogits @ params.weights[1].T)[0]
 
     def test_gradient_gates_negative_input(self):
@@ -172,14 +169,14 @@ class TestCrossEntropy:
             assert np.array_equal(dlogits, (np.exp(z - lse) - y) / n)
         own = np.random.default_rng(21)
         for _ in range(20):
-            specs, params = random_net(own)
-            x, y = _batch(own, specs, int(own.integers(1, 9)))
-            _, (means_a, means_f) = _step(params, x, y, np.ones(specs[-1].d_out))
+            dims, params = random_net(own)
+            x, y = _batch(own, dims, int(own.integers(1, 9)))
+            _, (means_a, means_f) = _step(params, x, y, np.ones(dims[-1]))
             for a, f in zip(means_a, means_f):
                 assert a.tobytes() == f.tobytes()
 
     def test_nonpositive_weights_rejected(self):
-        params, _ = _net((np.eye(2), [0.0, 0.0], "none"))
+        params = _net((np.eye(2), [0.0, 0.0]))
         for bad in ([0.0, 1.0], [-1.0, 1.0], [np.nan, 1.0], [1.0, 1.0, 1.0]):
             with pytest.raises(ConfigurationError, match="class_weights"):
                 _step(params, [[1.0, 2.0]], [[1.0, 0.0]], bad)
@@ -196,36 +193,36 @@ class TestCrossEntropy:
             _ce([[0.0, 0.0]], [[1.0, 0.0, 0.0]])
 
 
-def _fd(params, specs, x, y, class_w, arr, idx, h=1e-5):
+def _fd(params, x, y, class_w, arr, idx, h=1e-5):
     """Central difference of the reference loss in entry ``idx`` of
     ``arr``, one of ``params``' arrays."""
     orig = arr[idx]
     arr[idx] = orig + h
-    up = reference_loss(params.weights, params.biases, specs, x, y, class_w)
+    up = reference_loss(params.weights, params.biases, x, y, class_w)
     arr[idx] = orig - h
-    down = reference_loss(params.weights, params.biases, specs, x, y, class_w)
+    down = reference_loss(params.weights, params.biases, x, y, class_w)
     arr[idx] = orig
     return (up - down) / (2 * h)
 
 
 class TestBackward:
     def test_finite_difference_oracle_on_random_net(self, rng):
-        specs, params = random_net(rng, max_units=6)
-        x, y = _batch(rng, specs, 4)
-        c = specs[-1].d_out
+        dims, params = random_net(rng, max_units=6)
+        x, y = _batch(rng, dims, 4)
+        c = dims[-1]
         cw = rng.uniform(0.5, 2.0, c)
         grads, (_, means_f) = _step(params, x, y, cw)
         # the weighted loss's dlogits: the plain ones, row n scaled by
         # the weight of sample n's class
-        _, dlogits = _ce(logits(params, x, specs), y)
+        _, dlogits = _ce(logits(params, x), y)
         dlogits_f = (y @ cw)[:, None] * dlogits
 
         # the plain loss: every parameter gradient
-        for li in range(len(specs)):
+        for li in range(len(dims) - 1):
             for arr, g in ((params.weights[li], grads.weights[li]),
                            (params.biases[li], grads.biases[li])):
                 for idx in np.ndindex(*arr.shape):
-                    fd = _fd(params, specs, x, y, np.ones(c), arr, idx)
+                    fd = _fd(params, x, y, np.ones(c), arr, idx)
                     assert abs(g[idx] - fd) / max(1.0, abs(fd)) <= 1e-5
 
         # the weighted loss: a bias's derivative is the batch sum of its
@@ -234,15 +231,15 @@ class TestBackward:
         fair_bias = [n * m for m in means_f] + [dlogits_f.sum(axis=0)]
         for li, g in enumerate(fair_bias):
             for idx in np.ndindex(*params.biases[li].shape):
-                fd = _fd(params, specs, x, y, cw, params.biases[li], idx)
+                fd = _fd(params, x, y, cw, params.biases[li], idx)
                 assert abs(g[idx] - fd) / max(1.0, abs(fd)) <= 1e-5
 
     def test_two_backward_passes_are_independent(self, rng):
         # the fairness means ride on the plain backward pass: asking for
         # them leaves every parameter gradient and plain mean unchanged
-        specs, params = random_net(rng)
-        x, y = _batch(rng, specs, 3)
-        c = specs[-1].d_out
+        dims, params = random_net(rng)
+        x, y = _batch(rng, dims, 3)
+        c = dims[-1]
         ones, fair = np.ones(c), rng.uniform(0.5, 2.0, c)
 
         grads_a, no_means = _step(params, x, y)
@@ -262,9 +259,9 @@ class TestBackward:
 
     def test_scaled_loss_scales_gradients(self, rng):
         # scaling every class weight by 2 is exact in floating point
-        specs, params = random_net(rng)
-        x, y = _batch(rng, specs, 3)
-        c = specs[-1].d_out
+        dims, params = random_net(rng)
+        x, y = _batch(rng, dims, 3)
+        c = dims[-1]
         _, (base_means, _) = _step(params, x, y, np.ones(c))
         _, (_, scaled_means) = _step(params, x, y, np.full(c, 2.0))
         for got, want in zip(scaled_means, base_means):
@@ -276,24 +273,24 @@ class TestBackward:
         # backward sweep within 1e-12 of the layer's largest mean
         rng = np.random.default_rng(22)
         for _ in range(40):
-            specs = random_specs(rng, max_hidden_layers=3, max_units=12)
-            nets = [init_network(specs, int(s)) for s in rng.integers(0, 2**31, 3)]
+            dims = random_dims(rng, max_hidden_layers=3, max_units=12)
+            nets = [init_network(dims, int(s)) for s in rng.integers(0, 2**31, 3)]
             starts = [p.copy() for p in nets]
-            n, c = int(rng.integers(1, 17)), specs[-1].d_out
-            x = rng.normal(size=(3, n, specs[0].d_in))
+            n, c = int(rng.integers(1, 17)), dims[-1]
+            x = rng.normal(size=(3, n, dims[0]))
             y = np.eye(c)[rng.integers(0, c, (3, n))]
             fair = rng.uniform(0.2, 5.0, (3, c))
             _, means_f = train_step(stack_params(nets), x, y, fair)
             for r, start in enumerate(starts):
-                want = reference_fair_means(start.weights, start.biases, specs,
+                want = reference_fair_means(start.weights, start.biases,
                                             x[r], y[r], fair[r])
                 for got, ref in zip(means_f, want):
                     assert np.abs(got[r] - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_deterministic_gradients(self, rng):
-        specs, params = random_net(rng)
-        x, y = _batch(rng, specs, 5)
-        fair = np.full(specs[-1].d_out, 3.0)
+        dims, params = random_net(rng)
+        x, y = _batch(rng, dims, 5)
+        fair = np.full(dims[-1], 3.0)
         first, means_1 = _step(params, x, y, fair)
         second, means_2 = _step(params, x, y, fair)
         for a, b in zip(first.weights + first.biases + means_1[0] + means_1[1],
@@ -301,9 +298,9 @@ class TestBackward:
             assert np.array_equal(a, b)
 
     def test_non_finite_layer_output_is_numerical_failure(self, rng):
-        specs, params = random_net(rng)
+        dims, params = random_net(rng)
         params.weights[0][:] = 1e308
-        x, y = _batch(rng, specs, 2)
+        x, y = _batch(rng, dims, 2)
         x[:] = 10.0
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalFailure):
@@ -312,12 +309,11 @@ class TestBackward:
 
 class TestSeedStack:
     def test_three_stacked_steps_equal_three_single_steps(self, rng):
-        specs = [LayerSpec(5, 7, "relu"), LayerSpec(7, 6, "relu"),
-                 LayerSpec(6, 3, "none")]
-        x, y = _batch(rng, specs, 40)
-        masks = [build_random_mask(specs, omega, seed)
+        dims = (5, 7, 6, 3)
+        x, y = _batch(rng, dims, 40)
+        masks = [build_random_mask(dims, omega, seed)
                  for omega, seed in ((0.3, 1), (0.6, 2), (1.0, 3))]
-        starts = [apply_mask(init_network(specs, s), m)
+        starts = [apply_mask(init_network(dims, s), m)
                   for s, m in zip((11, 12, 13), masks)]
         fair = rng.uniform(0.5, 2.0, (3, 3))
 
@@ -351,10 +347,10 @@ class TestSeedStack:
                 assert wa.tobytes() == wb.tobytes()
 
     def test_failure_names_the_slot(self, rng):
-        specs, params = random_net(rng)
+        dims, params = random_net(rng)
         bad = params.copy()
         bad.weights[0][:] = 1e308
-        x, y = _batch(rng, specs, 2)
+        x, y = _batch(rng, dims, 2)
         x[:] = 10.0
         stack = stack_params([params, params.copy(), bad])
         with np.errstate(over="ignore", invalid="ignore"):

@@ -153,9 +153,9 @@ class TestPrune:
         assert main(["prune", "--method", method, "--config",
                      write_config(tmp_path, raw), "--out", str(out)]) == 0
         summary = load_report(out / "report.json")["results"][0]["mask"]
-        specs = load_checkpoint(out / "checkpoints" / "final.ckpt").specs
-        mask = load_mask(out / "mask.bits", specs)
-        total = param_count(specs)
+        dims = load_checkpoint(out / "checkpoints" / "final.ckpt").dims
+        mask = load_mask(out / "mask.bits", dims)
+        total = param_count(dims)
         assert set(summary) == {"live_units", "weights_kept", "biases_kept"}
         assert sum(summary["weights_kept"]) + sum(summary["biases_kept"]) \
             == mask.kept_count() == int(np.floor(0.4 * total))
@@ -346,12 +346,12 @@ def whole_file_evaluation(params, blocks):
     count checked, then one ``evaluate`` of its rows as a split."""
     xs, ys = zip(*blocks)
     x, y = np.concatenate(xs), np.concatenate(ys)
-    specs = params.specs
-    n_classes = specs[-1].d_out
+    dims = params.dims
+    n_classes = dims[-1]
     require_labels_below(y, n_classes, f"the checkpoint has {n_classes} classes")
-    if specs[0].d_in != x.shape[1]:
+    if dims[0] != x.shape[1]:
         raise ConfigurationError(
-            f"checkpoint expects {specs[0].d_in} features, data has {x.shape[1]}")
+            f"checkpoint expects {dims[0]} features, data has {x.shape[1]}")
     return evaluate(params, split_blocks(Split(x, y)))
 
 
@@ -681,8 +681,8 @@ class TestLockstep:
                                                    monkeypatch):
         real_init = pipeline.init_network
 
-        def seed_1_overflows(specs, seed):
-            params = real_init(specs, seed)
+        def seed_1_overflows(dims, seed):
+            params = real_init(dims, seed)
             if seed == 1:
                 params.weights[0][:] = 1e308
             return params

@@ -7,21 +7,21 @@ from ballot import fileio
 from ballot.data import save_csv
 from ballot.errors import PersistenceError
 from ballot.masks import build_random_mask, save_mask
-from ballot.model import LayerSpec, init_network, save_checkpoint
+from ballot.model import init_network, save_checkpoint
 from ballot.reporting import write_aggregate_csv, write_report
 
-SPECS = [LayerSpec(3, 4, "relu"), LayerSpec(4, 2, "none")]
+DIMS = (3, 4, 2)
 
 WRITERS = {
     "report": lambda path, v: write_report(path, {"value": v}),
-    "checkpoint": lambda path, v: save_checkpoint(init_network(SPECS, v), path),
+    "checkpoint": lambda path, v: save_checkpoint(init_network(DIMS, v), path),
     "aggregate": lambda path, v: write_aggregate_csv(path, [{
         "method": "dense", "seed": v, "accuracy": 0.5, "precision": 0.5,
         "recall": 0.5, "cwv": 0.0, "mcd": 0.0, "retention": 1.0,
         "rounds": 0, "wall_time_s": 0.1,
     }]),
     "csv": lambda path, v: save_csv(np.full((2, 3), v / 3), np.array([0, v]), path),
-    "mask": lambda path, v: save_mask(build_random_mask(SPECS, 0.5, v), path),
+    "mask": lambda path, v: save_mask(build_random_mask(DIMS, 0.5, v), path),
 }
 
 

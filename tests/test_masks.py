@@ -24,24 +24,24 @@ from ballot.masks import (
     positive_score_threshold,
     save_mask,
 )
-from ballot.model import LayerSpec, init_network, param_count
+from ballot.model import init_network, param_count
 
-from conftest import net_from_layers, random_specs
+from conftest import net_from_layers, random_dims
 
 # the 17-parameter reference net: 3 hidden units, 5 entries per unit
-SPECS_232 = [LayerSpec(2, 3, "relu"), LayerSpec(3, 2, "none")]
+DIMS_232 = (2, 3, 2)
 
 
-def params_for(specs, seed=0):
-    return init_network(specs, seed)
+def params_for(dims, seed=0):
+    return init_network(dims, seed)
 
 
-def roundtrip(mask, specs, path):
+def roundtrip(mask, dims, path):
     """Save and load ``mask``; the flags come back exactly and each unit
     flag is set exactly when some entry tied to the unit is kept."""
     save_mask(mask, path)
-    assert path.stat().st_size == math.ceil(param_count(specs) / 8)
-    back = load_mask(path, specs)
+    assert path.stat().st_size == math.ceil(param_count(dims) / 8)
+    back = load_mask(path, dims)
     assert np.array_equal(back.keep, mask.keep)
     for i, units in enumerate(back.neuron_keep):
         tied = (back.weight_keep[i].any(axis=0) | back.bias_keep[i]
@@ -157,7 +157,7 @@ class TestLedger:
 class TestBallotMask:
     def test_omega_one_keeps_everything(self):
         led = ledger_with_votes([{0: 1.0}])
-        mask = build_ballot_mask(led, 1.0, params_for(SPECS_232))
+        mask = build_ballot_mask(led, 1.0, params_for(DIMS_232))
         assert mask.kept_count() == 17
         assert all(k.all() for k in mask.neuron_keep)
 
@@ -165,7 +165,7 @@ class TestBallotMask:
         led = ledger_with_votes(
             [{0: 1.0, 1: 1.0}, {0: 1.0, 1: 1.0}, {0: 2.0}, {0: 2.0}, {0: 2.0}]
         )  # counts [5, 2, 0]
-        mask = build_ballot_mask(led, 0.72, params_for(SPECS_232))
+        mask = build_ballot_mask(led, 0.72, params_for(DIMS_232))
         assert mask.neuron_keep[0].tolist() == [False, True, True]
         assert mask.kept_count() == 12
         assert mask.retention() == 12 / 17
@@ -177,7 +177,7 @@ class TestBallotMask:
             [{1: 1.0, 2: 1.0}, {1: 1.0, 2: 1.0}, {1: 3.0}, {1: 3.0}]
         )  # counts [0, 4, 2]
         best = max(range(3), key=lambda u: led.counts[0][u])
-        mask = build_ballot_mask(led, 0.72, params_for(SPECS_232))
+        mask = build_ballot_mask(led, 0.72, params_for(DIMS_232))
         removed = [u for u in range(3) if not mask.neuron_keep[0][u]]
         assert removed == [best]
 
@@ -185,19 +185,19 @@ class TestBallotMask:
         led = ledger_with_votes(
             [{0: 1.0}, {1: 2.0}, {0: 1.0}, {1: 2.0}, {0: 1.0}, {1: 2.0}]
         )  # counts [3, 3, 0], cums [3, 6, 0]
-        mask = build_ballot_mask(led, 0.72, params_for(SPECS_232))
+        mask = build_ballot_mask(led, 0.72, params_for(DIMS_232))
         assert mask.neuron_keep[0].tolist() == [True, False, True]
 
     def test_layer_unit_breaks_full_ties(self):
         led = ledger_with_votes([{0: 1.0, 1: 1.0}])  # identical votes
-        mask = build_ballot_mask(led, 0.72, params_for(SPECS_232))
+        mask = build_ballot_mask(led, 0.72, params_for(DIMS_232))
         assert mask.neuron_keep[0].tolist() == [False, True, True]
 
     def test_ranking_invariance_under_cum_score_shift(self):
         led = ledger_with_votes(
             [{0: 1.0}, {1: 2.0}, {0: 1.0}, {1: 2.0}, {0: 1.0}, {1: 2.0}]
         )
-        params = params_for(SPECS_232)
+        params = params_for(DIMS_232)
         base = build_ballot_mask(led, 0.72, params)
         for layer in led.cum_scores:
             layer += 5.0
@@ -211,7 +211,7 @@ class TestBallotMask:
         # k=13: removing the voted unit reaches 12 < 13, so the builder
         # undoes it and trims its 4 smallest-|final| entries instead
         led = ledger_with_votes([{0: 1.0}])
-        params = params_for(SPECS_232)
+        params = params_for(DIMS_232)
         params.weights[0][:, 0] = [0.9, -0.2]
         params.biases[0][0] = 0.05
         params.weights[1][0, :] = [0.4, -0.01]
@@ -226,17 +226,17 @@ class TestBallotMask:
 
     def test_never_empties_a_layer(self):
         led = ledger_with_votes([{0: 3.0, 1: 2.0, 2: 1.0}], eta=0.1)
-        mask = build_ballot_mask(led, 7 / 17 + 1e-9, params_for(SPECS_232))
+        mask = build_ballot_mask(led, 7 / 17 + 1e-9, params_for(DIMS_232))
         assert mask.neuron_keep[0].sum() >= 1
 
     def test_unrecorded_ledger_rejected(self):
         with pytest.raises(UsageError):
-            build_ballot_mask(ConflictLedger([3]), 0.5, params_for(SPECS_232))
+            build_ballot_mask(ConflictLedger([3]), 0.5, params_for(DIMS_232))
 
     def test_mismatched_ledger_rejected(self):
         led = ledger_with_votes([{0: 1.0}], sizes=(4,))
         with pytest.raises(ConfigurationError):
-            build_ballot_mask(led, 0.5, params_for(SPECS_232))
+            build_ballot_mask(led, 0.5, params_for(DIMS_232))
 
 
 class TestMagnitudeMask:
@@ -254,7 +254,7 @@ class TestMagnitudeMask:
         assert mask.neuron_keep[0].tolist() == [True, True]
 
     def test_omega_one_is_identity(self):
-        params = params_for(SPECS_232)
+        params = params_for(DIMS_232)
         mask = build_magnitude_mask(params, 1.0)
         assert mask.kept_count() == 17
 
@@ -269,42 +269,42 @@ class TestMagnitudeMask:
 
     def test_matches_brute_force_oracle(self, rng):
         for _ in range(20):
-            specs = random_specs(rng)
-            params = init_network(specs, int(rng.integers(10000)))
-            total = param_count(specs)
-            omega = float(rng.uniform(specs[-1].d_out / total + 0.05, 1.0))
+            dims = random_dims(rng)
+            params = init_network(dims, int(rng.integers(10000)))
+            total = param_count(dims)
+            omega = float(rng.uniform(dims[-1] / total + 0.05, 1.0))
             mask = build_magnitude_mask(params, omega)
             k = math.floor(omega * total)
 
             flat, is_out_bias = [], []
-            for i, s in enumerate(specs):
+            for i, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
                 flat.extend(params.weights[i].reshape(-1).tolist())
-                is_out_bias.extend([False] * (s.d_in * s.d_out))
+                is_out_bias.extend([False] * (d_in * d_out))
                 flat.extend(params.biases[i].tolist())
-                is_out_bias.extend([i == len(specs) - 1] * s.d_out)
+                is_out_bias.extend([i == len(dims) - 2] * d_out)
             ranked = sorted(
                 (j for j in range(total) if not is_out_bias[j]),
                 key=lambda j: (-abs(flat[j]), j),
             )
             expect = set(j for j in range(total) if is_out_bias[j])
-            expect.update(ranked[: k - specs[-1].d_out])
+            expect.update(ranked[: k - dims[-1]])
 
             # the builder deviates from plain top-k only when that ranking
             # would empty a hidden layer; those corner draws are covered by
             # the hand-built repair tests below
             bases, off = [], 0
-            for s in specs:
+            for d_in, d_out in zip(dims, dims[1:]):
                 bases.append(off)
-                off += s.d_in * s.d_out + s.d_out
+                off += d_in * d_out + d_out
             spans = [
-                (bases[i], bases[i + 1] + specs[i + 1].d_in * specs[i + 1].d_out)
-                for i in range(len(specs) - 1)
+                (bases[i], bases[i + 1] + dims[i + 1] * dims[i + 2])
+                for i in range(len(dims) - 2)
             ]
             if any(expect.isdisjoint(range(lo, hi)) for lo, hi in spans):
                 continue
 
             got = []
-            for i, s in enumerate(specs):
+            for i in range(len(dims) - 1):
                 got.extend(mask.weight_keep[i].reshape(-1).tolist())
                 got.extend(mask.bias_keep[i].tolist())
             assert set(j for j, keep in enumerate(got) if keep) == expect
@@ -356,22 +356,22 @@ class TestMagnitudeMask:
 
 class TestRandomMask:
     def test_same_seed_identical(self):
-        a = build_random_mask(SPECS_232, 0.5, seed=4)
-        b = build_random_mask(SPECS_232, 0.5, seed=4)
+        a = build_random_mask(DIMS_232, 0.5, seed=4)
+        b = build_random_mask(DIMS_232, 0.5, seed=4)
         for wa, wb in zip(a.weight_keep, b.weight_keep):
             assert np.array_equal(wa, wb)
 
     def test_exact_retention(self):
-        total = param_count(SPECS_232)
+        total = param_count(DIMS_232)
         for omega in (0.3, 0.5, 0.77, 0.99):
-            mask = build_random_mask(SPECS_232, omega, seed=1)
+            mask = build_random_mask(DIMS_232, omega, seed=1)
             assert mask.kept_count() == math.floor(omega * total)
 
     def test_every_unit_removed_somewhere(self):
-        specs = [LayerSpec(4, 8, "relu"), LayerSpec(8, 2, "none")]
+        dims = (4, 8, 2)
         seen_removed = np.zeros(8, dtype=bool)
         for seed in range(100):
-            mask = build_random_mask(specs, 0.5, seed)
+            mask = build_random_mask(dims, 0.5, seed)
             seen_removed |= ~mask.neuron_keep[0]
             assert mask.neuron_keep[0].any()
         assert seen_removed.all()
@@ -379,10 +379,10 @@ class TestRandomMask:
 
 class TestSparsityAndFeasibility:
     def test_identity_mask_sparsity(self):
-        assert identity_mask(SPECS_232).retention() == 1.0
+        assert identity_mask(DIMS_232).retention() == 1.0
 
     def test_single_removal_hand_count(self):
-        mask = identity_mask(SPECS_232)
+        mask = identity_mask(DIMS_232)
         mask.weight_keep[0][:, 0] = False
         mask.bias_keep[0][0] = False
         mask.weight_keep[1][0, :] = False
@@ -391,40 +391,40 @@ class TestSparsityAndFeasibility:
 
     def test_sparsity_matches_brute_force(self, rng):
         for _ in range(20):
-            specs = random_specs(rng)
-            mask = build_random_mask(specs, float(rng.uniform(0.4, 1.0)), 3)
+            dims = random_dims(rng)
+            mask = build_random_mask(dims, float(rng.uniform(0.4, 1.0)), 3)
             kept = sum(int(w.sum()) for w in mask.weight_keep) + sum(
                 int(b.sum()) for b in mask.bias_keep
             )
-            assert mask.retention() == kept / param_count(specs)
+            assert mask.retention() == kept / param_count(dims)
 
     def test_infeasible_omega_reports_minimum(self):
         with pytest.raises(InfeasibleMaskError) as exc_info:
-            build_random_mask(SPECS_232, 0.05, seed=0)
+            build_random_mask(DIMS_232, 0.05, seed=0)
         assert exc_info.value.min_retention == 2 / 17
 
     def test_all_builders_land_on_identical_retention(self, rng):
         for trial in range(10):
-            specs = random_specs(rng)
-            total = param_count(specs)
-            params = init_network(specs, trial)
-            led = ConflictLedger([s.d_out for s in specs[:-1]])
+            dims = random_dims(rng)
+            total = param_count(dims)
+            params = init_network(dims, trial)
+            led = ConflictLedger(dims[1:-1])
             for e in range(3):
                 led.record_epoch(
                     e,
-                    [rng.normal(size=s.d_out) for s in specs[:-1]],
-                    [rng.normal(size=s.d_out) for s in specs[:-1]],
+                    [rng.normal(size=n) for n in dims[1:-1]],
+                    [rng.normal(size=n) for n in dims[1:-1]],
                     10.0,
                     0.95,
                 )
             while True:
                 # some retentions are infeasible for magnitude; redraw them
-                omega = float(rng.uniform(specs[-1].d_out / total + 0.1, 1.0))
+                omega = float(rng.uniform(dims[-1] / total + 0.1, 1.0))
                 try:
                     masks = [
                         build_ballot_mask(led, omega, params),
                         build_magnitude_mask(params, omega),
-                        build_random_mask(specs, omega, trial),
+                        build_random_mask(dims, omega, trial),
                     ]
                 except InfeasibleMaskError:
                     continue
@@ -439,35 +439,35 @@ class TestMaskSerialization:
         rng = np.random.default_rng(8)
         sizes = set()
         for trial in range(20):
-            specs = random_specs(rng)
-            total = param_count(specs)
+            dims = random_dims(rng)
+            total = param_count(dims)
             sizes.add(total % 8)
-            omega = float(rng.uniform(specs[-1].d_out / total + 0.1, 1.0))
-            params = init_network(specs, trial)
-            led = ConflictLedger([s.d_out for s in specs[:-1]])
+            omega = float(rng.uniform(dims[-1] / total + 0.1, 1.0))
+            params = init_network(dims, trial)
+            led = ConflictLedger(dims[1:-1])
             led.record_epoch(
                 0,
-                [rng.normal(size=s.d_out) for s in specs[:-1]],
-                [rng.normal(size=s.d_out) for s in specs[:-1]],
+                [rng.normal(size=n) for n in dims[1:-1]],
+                [rng.normal(size=n) for n in dims[1:-1]],
                 10.0,
                 0.5,
             )
             for mask in (build_ballot_mask(led, omega, params),
                          build_magnitude_mask(params, omega),
-                         build_random_mask(specs, omega, trial),
-                         identity_mask(specs)):
-                roundtrip(mask, specs, tmp_path / "mask.bits")
+                         build_random_mask(dims, omega, trial),
+                         identity_mask(dims)):
+                roundtrip(mask, dims, tmp_path / "mask.bits")
         assert sizes - {0}  # some parameter counts are not multiples of 8
 
     def test_bits_are_flat_keep_flags_msb_first(self, tmp_path):
         # 17 entries: byte 0 holds flat 0-7, byte 2's top bit flat 16
-        mask = identity_mask(SPECS_232)
+        mask = identity_mask(DIMS_232)
         mask.keep[[0, 9]] = False
         save_mask(mask, tmp_path / "mask.bits")
         assert (tmp_path / "mask.bits").read_bytes() == bytes([0x7F, 0xBF, 0x80])
 
     def test_bad_flags_rejected(self, tmp_path):
-        # SPECS_232 has 17 entries, so 3 bytes; flat 15 and 16 are the
+        # DIMS_232 has 17 entries, so 3 bytes; flat 15 and 16 are the
         # output biases and the last 7 bits of byte 2 are padding
         good = bytes([0xFF, 0xFF, 0x80])
         bad_files = [
@@ -483,21 +483,21 @@ class TestMaskSerialization:
         for raw in bad_files:
             path.write_bytes(raw)
             with pytest.raises(PersistenceError):
-                load_mask(path, SPECS_232)
+                load_mask(path, DIMS_232)
         path.write_bytes(good)
-        assert load_mask(path, SPECS_232).kept_count() == 17
+        assert load_mask(path, DIMS_232).kept_count() == 17
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(PersistenceError, match="cannot read mask"):
-            load_mask(tmp_path / "absent.bits", SPECS_232)
+            load_mask(tmp_path / "absent.bits", DIMS_232)
 
     def test_unwritable_path_rejected(self, tmp_path):
         # a missing directory is made; one that is a regular file is not
-        save_mask(identity_mask(SPECS_232), tmp_path / "new" / "mask.bits")
+        save_mask(identity_mask(DIMS_232), tmp_path / "new" / "mask.bits")
         assert (tmp_path / "new" / "mask.bits").exists()
         (tmp_path / "afile").write_text("")
         with pytest.raises(PersistenceError, match="cannot write mask"):
-            save_mask(identity_mask(SPECS_232), tmp_path / "afile" / "mask.bits")
+            save_mask(identity_mask(DIMS_232), tmp_path / "afile" / "mask.bits")
 
 
 # sha256 of np.packbits(mask.keep), the bytes of ``save_mask``, for a
@@ -519,12 +519,8 @@ PINNED_DIGESTS = {
 
 
 def test_serialized_masks_match_pinned_digests(tmp_path):
-    specs = [
-        LayerSpec(10, 48, "relu"),
-        LayerSpec(48, 48, "relu"),
-        LayerSpec(48, 4, "none"),
-    ]
-    params = init_network(specs, 3)
+    dims = (10, 48, 48, 4)
+    params = init_network(dims, 3)
     rng = np.random.default_rng(11)
     led = ConflictLedger([48, 48])
     for e in range(4):
@@ -538,7 +534,7 @@ def test_serialized_masks_match_pinned_digests(tmp_path):
     builders = {
         "ballot": lambda omega: build_ballot_mask(led, omega, params),
         "magnitude": lambda omega: build_magnitude_mask(params, omega),
-        "random": lambda omega: build_random_mask(specs, omega, 5),
+        "random": lambda omega: build_random_mask(dims, omega, 5),
     }
     got = {}
     path = tmp_path / "mask.bits"

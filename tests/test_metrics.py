@@ -20,7 +20,6 @@ from ballot.metrics import (
     report_from_predictions,
     update_class_weights,
 )
-from ballot.model import LayerSpec
 
 from conftest import brute_force_report, net_from_layers
 
@@ -179,9 +178,7 @@ class TestReport:
             )
 
     def test_argmax_tie_breaks_to_lowest_class(self):
-        specs = [LayerSpec(2, 3, "none")]
-        params = net_from_layers(weights=[np.zeros((2, 3))], biases=[np.zeros(3)],
-                                 specs=specs)
+        params = net_from_layers(weights=[np.zeros((2, 3))], biases=[np.zeros(3)])
         split = Split(np.ones((4, 2)), np.array([0, 1, 2, 0]))
         rep = evaluate(params, split_blocks(split))
         assert rep.per_class_acc == (1.0, 0.0, 0.0)  # every row predicted 0

@@ -76,11 +76,11 @@ def new_networks(monkeypatch):
     return refs
 
 
-def alive_full_shape(refs, specs):
-    """The networks of ``refs`` still alive at the full shape ``specs``
-    (compacted networks carry specs of their own)."""
+def alive_full_shape(refs, dims):
+    """The networks of ``refs`` still alive at the full shape ``dims``
+    (compacted networks carry dims of their own)."""
     return [net for net in (ref() for ref in refs)
-            if net is not None and net.specs is specs]
+            if net is not None and net.dims is dims]
 
 
 def assert_masked_entries_zero(arrays, mask):
@@ -150,11 +150,6 @@ class TestConfigValidation:
         assert cfg.max_rounds == 3
         assert cfg.hidden == (64, 64)
 
-    def test_specs_for_shapes(self, data):
-        specs = small_config(hidden=(8, 5)).specs_for(data)
-        assert [(s.d_in, s.d_out) for s in specs] == [(4, 8), (8, 5), (5, 3)]
-        assert [s.activation for s in specs] == ["relu", "relu", "none"]
-
 
 class TestTrainDense:
     def test_deterministic(self, data, artifacts):
@@ -180,6 +175,12 @@ class TestTrainDense:
         )
         assert artifacts.theta_e.epoch_tag == cfg.epochs
 
+    def test_network_dims_are_features_hidden_classes(self, data):
+        cfg = small_config(hidden=(8, 5), epochs=2, rewind_epoch=1)
+        (arts,) = train_dense(cfg, data, [0])
+        assert arts.dims == arts.theta_k.dims == arts.theta0.dims == (4, 8, 5, 3)
+        assert arts.ledger.sizes == [8, 5]
+
     def test_rewind_zero_reuses_theta0(self, data):
         (arts,) = train_dense(small_config(rewind_epoch=0, epochs=2), data, [0])
         assert arts.theta_k.flat.tobytes() == arts.theta0.flat.tobytes()
@@ -190,9 +191,9 @@ class TestTrainDense:
         assert "theta0" not in {f.name for f in dataclasses.fields(RunArtifacts)}
         for arts in train_dense(small_config(), data, [3, 4]):
             theta0 = arts.theta0
-            want = init_network(arts.specs, arts.seed)
+            want = init_network(arts.dims, arts.seed)
             assert theta0.flat.tobytes() == want.flat.tobytes()
-            assert theta0.specs == want.specs
+            assert theta0.dims == want.dims
             assert (theta0.seed, theta0.epoch_tag) == (arts.seed, 0)
             assert arts.theta0 is not theta0  # a fresh network per call
 
@@ -226,8 +227,8 @@ def round_oracle(arts, mask, cfg, data, r_index):
 class TestRefine:
     def test_gate_short_circuit_is_round_zero_training(self, data, artifacts):
         cfg = small_config(delta=1.0, epsilon=1.0)
-        specs = artifacts.specs
-        mask = build_random_mask(specs, cfg.omega, seed=3)
+        dims = artifacts.dims
+        mask = build_random_mask(dims, cfg.omega, seed=3)
         (outcome,) = refine("ballot", [mask], [artifacts], cfg, data)
         assert outcome.rounds_used == 0
         assert len(outcome.candidates) == 1
@@ -238,7 +239,7 @@ class TestRefine:
 
     def test_unsatisfiable_gate_runs_rounds(self, data, artifacts):
         cfg = small_config(delta=-1.0)
-        mask = build_random_mask(artifacts.specs, cfg.omega, seed=3)
+        mask = build_random_mask(artifacts.dims, cfg.omega, seed=3)
         (outcome,) = refine("ballot", [mask], [artifacts], cfg, data)
         rounds = [r for r, _ in outcome.candidates]
         assert rounds == list(range(len(rounds)))
@@ -250,8 +251,8 @@ class TestRefine:
 
     def test_rewind_rounds_start_from_theta_k(self, data, artifacts):
         cfg = small_config(delta=-1.0, max_rounds=1)
-        specs = artifacts.specs
-        mask = build_random_mask(specs, cfg.omega, seed=3)
+        dims = artifacts.dims
+        mask = build_random_mask(dims, cfg.omega, seed=3)
         (outcome,) = refine("ballot", [mask], [artifacts], cfg, data)
         oracle = round_oracle(artifacts, mask, cfg, data, 1)
         assert outcome.candidates[1] == (
@@ -259,7 +260,7 @@ class TestRefine:
 
     def test_selection_minimizes_cwv_among_feasible(self, data, artifacts):
         cfg = small_config(delta=-1.0)
-        mask = build_random_mask(artifacts.specs, cfg.omega, seed=3)
+        mask = build_random_mask(artifacts.dims, cfg.omega, seed=3)
         (outcome,) = refine("ballot", [mask], [artifacts], cfg, data)
         dense_acc = artifacts.dense_report.accuracy
         feasible = [
@@ -280,8 +281,8 @@ class TestRefine:
         # the two masks compact to two shapes, so the narrower network
         # is padded, and its padding units must stay +0.0 as well
         cfg = small_config()
-        specs = artifacts.specs
-        masks = [build_random_mask(specs, omega, seed=7) for omega in (0.4, 0.7)]
+        dims = artifacts.dims
+        masks = [build_random_mask(dims, omega, seed=7) for omega in (0.4, 0.7)]
         starts = [apply_mask(artifacts.theta0, m) for m in masks]
         widths = [max(map(len, col)) for col in zip(*map(live_units, masks))]
         assert len({tuple(map(len, live_units(m))) for m in masks}) == 2
@@ -315,7 +316,7 @@ class TestRefine:
         # every round's network, rebuilt by its oracle, holds the mask's
         # zeros and gives the round's logged report
         cfg = small_config(delta=-1.0)
-        mask = build_random_mask(artifacts.specs, cfg.omega, seed=3)
+        mask = build_random_mask(artifacts.dims, cfg.omega, seed=3)
         (outcome,) = refine("ballot", [mask], [artifacts], cfg, data)
         assert_masked_entries_zero(outcome.params.weights + outcome.params.biases, mask)
         for r, report in outcome.candidates:
@@ -326,7 +327,7 @@ class TestRefine:
     def test_exact_retention_and_metadata(self, data, artifacts):
         cfg = small_config()
         (result,) = run_baseline("ballot", cfg, data, [artifacts])
-        total = param_count(artifacts.specs)
+        total = param_count(artifacts.dims)
         assert result.method == "ballot"
         assert result.retention == (int(cfg.omega * total) // 1) / total
         assert result.mask.kept_count() == int(np.floor(cfg.omega * total))
@@ -346,7 +347,7 @@ class TestRefine:
         # a dense retrain closely
         cfg = small_config(hidden=(12,), omega=0.999, epochs=5, rewind_epoch=2)
         (arts,) = train_dense(cfg, data, [cfg.seed])
-        total = param_count(arts.specs)
+        total = param_count(arts.dims)
         (result,) = run_baseline("ballot", cfg, data, [arts])
         assert result.mask.kept_count() == total - 1
         assert abs(result.report.accuracy - arts.dense_report.accuracy) <= 0.15
@@ -384,13 +385,13 @@ class TestNetworksHeldOnce:
         # the seeds are the artifacts' own snapshots, made before
         cfg = small_config(delta=1.0, epsilon=1.0)
         arts = train_dense(cfg, data, [0, 1])
-        specs = arts[0].specs
+        dims = arts[0].dims
         del new_networks[:]
         real_step = pipeline.sgd_step
         alive = []
 
         def checked_step(stack, step):
-            alive.append(len(alive_full_shape(new_networks, specs)))
+            alive.append(len(alive_full_shape(new_networks, dims)))
             return real_step(stack, step)
 
         monkeypatch.setattr(pipeline, "sgd_step", checked_step)
@@ -405,14 +406,14 @@ class TestNetworksHeldOnce:
         # seed holds the weights of the one round that can still win
         cfg = small_config(delta=-1.0, max_rounds=3)
         arts = train_dense(cfg, data, [0, 1, 2])
-        specs = arts[0].specs
-        masks = [build_random_mask(a.specs, cfg.omega, seed=3) for a in arts]
+        dims = arts[0].dims
+        masks = [build_random_mask(a.dims, cfg.omega, seed=3) for a in arts]
         del new_networks[:]
         real_retrain = pipeline._retrain
         per_round = []
 
         def held_per_seed():
-            seeds = [net.seed for net in alive_full_shape(new_networks, specs)]
+            seeds = [net.seed for net in alive_full_shape(new_networks, dims)]
             return [seeds.count(a.seed) for a in arts]
 
         def tracked_retrain(*args, **kwargs):
@@ -426,6 +427,42 @@ class TestNetworksHeldOnce:
         assert per_round == [[0, 0, 0], [1, 1, 1], [1, 1, 1], [1, 1, 1]]
         for got in results:
             assert len(got.candidates) == got.rounds_used + 1
+
+    def test_ballot_evaluates_each_new_result_before_expanding_the_next(
+            self, data, monkeypatch, new_networks):
+        # the gate is blocked, so three seeds run several rounds; at each
+        # evaluation of a retrained result, no other result of its round
+        # is alive unless it was evaluated first and won, and each seed
+        # holds at most one result besides the one being evaluated
+        cfg = small_config(delta=-1.0, max_rounds=3)
+        arts = train_dense(cfg, data, [0, 1, 2])
+        dims = arts[0].dims
+        masks = [build_random_mask(a.dims, cfg.omega, seed=3) for a in arts]
+        del new_networks[:]
+        real_retrain, real_evaluate = pipeline._retrain, pipeline._evaluate
+        rounds, evaluated, checked, problems = [], weakref.WeakSet(), [], []
+
+        def tracked_retrain(*args, **kwargs):
+            rounds.append(len(new_networks))  # where this round's networks start
+            return real_retrain(*args, **kwargs)
+
+        def checked_evaluate(params, *args):
+            if args[1] == "retraining":
+                alive = [n for n in alive_full_shape(new_networks[rounds[-1]:], dims)
+                         if n is not params]
+                problems.extend(n.seed for n in alive if n not in evaluated)
+                held = [n.seed for n in alive_full_shape(new_networks, dims)
+                        if n is not params]
+                problems.extend(s for s in set(held) if held.count(s) > 1)
+                evaluated.add(params)
+                checked.append(params.seed)
+            return real_evaluate(params, *args)
+
+        monkeypatch.setattr(pipeline, "_retrain", tracked_retrain)
+        monkeypatch.setattr(pipeline, "_evaluate", checked_evaluate)
+        results = refine("ballot", masks, arts, cfg, data)
+        assert [r.rounds_used for r in results] == [2, 1, 1]
+        assert checked == [0, 1, 2, 0, 1, 2, 0] and problems == []
 
 
 class TestBaselines:
@@ -460,7 +497,7 @@ class TestBaselines:
         cfg = small_config(omega=1.0)
         (arts,) = train_dense(cfg, data, [cfg.seed])
         (result,) = run_baseline("lth", cfg, data, [arts])
-        assert result.mask.kept_count() == param_count(arts.specs)
+        assert result.mask.kept_count() == param_count(arts.dims)
         assert params_equal(result.params, arts.theta_e)
 
     def test_magnitude_finetunes_from_theta_e(self, data, artifacts):
@@ -473,7 +510,7 @@ class TestBaselines:
     def test_random_trains_from_theta0(self, data, artifacts):
         cfg = small_config()
         (result,) = run_baseline("random", cfg, data, [artifacts])
-        oracle_mask = build_random_mask(artifacts.specs, cfg.omega, cfg.seed)
+        oracle_mask = build_random_mask(artifacts.dims, cfg.omega, cfg.seed)
         for a, b in zip(result.mask.weight_keep, oracle_mask.weight_keep):
             assert np.array_equal(a, b)
 
@@ -501,8 +538,8 @@ class TestBaselines:
 class TestLockstep:
     def test_retraining_failure_names_seed_and_epoch(self, data, artifacts):
         cfg = small_config()
-        specs = artifacts.specs
-        mask = build_random_mask(specs, cfg.omega, seed=3)
+        dims = artifacts.dims
+        mask = build_random_mask(dims, cfg.omega, seed=3)
         good = apply_mask(artifacts.theta0, mask)
         bad = good.copy()
         bad.weights[0][mask.weight_keep[0]] = 1e308
@@ -517,8 +554,8 @@ class TestLockstep:
         # the two masks compact to two shapes and train as one padded
         # stack; seed 7, in slot 1, diverges in its epoch 2
         cfg = small_config()
-        specs = artifacts.specs
-        masks = [build_random_mask(specs, omega, seed=7) for omega in (0.4, 0.7)]
+        dims = artifacts.dims
+        masks = [build_random_mask(dims, omega, seed=7) for omega in (0.4, 0.7)]
         assert len({tuple(map(len, live_units(m))) for m in masks}) == 2
         nets = [apply_mask(artifacts.theta0, m) for m in masks]
         batches = math.ceil(data.train.X.shape[0] / cfg.batch_size)
@@ -546,7 +583,7 @@ class TestLockstep:
         # step of epoch 2, in dense training and in a padded retraining
         # stack; either check (the loss or the gradient buffer) catches it
         cfg = small_config()
-        specs = artifacts.specs
+        dims = artifacts.dims
         batches = math.ceil(data.train.X.shape[0] / cfg.batch_size)
         real_step = pipeline.sgd_step
         steps = []
@@ -559,7 +596,7 @@ class TestLockstep:
             return out
 
         monkeypatch.setattr(pipeline, "sgd_step", poisoning_step)
-        masks = [build_random_mask(specs, omega, seed=7) for omega in (0.4, 0.7, 0.5)]
+        masks = [build_random_mask(dims, omega, seed=7) for omega in (0.4, 0.7, 0.5)]
         nets = [apply_mask(artifacts.theta0, m) for m in masks]
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalFailure,
@@ -605,7 +642,7 @@ class TestLockstep:
             self, data, monkeypatch):
         cfg = small_config()
         arts = train_dense(cfg, data, [4, 5])
-        masks = [build_random_mask(a.specs, cfg.omega, seed=3) for a in arts]
+        masks = [build_random_mask(a.dims, cfg.omega, seed=3) for a in arts]
         batches = math.ceil(data.train.X.shape[0] / cfg.batch_size)
         self._poison_after_step(monkeypatch, cfg.epochs * batches)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -639,21 +676,21 @@ class TestLockstep:
         for trial in range(8):
             hidden = tuple(int(u) for u in rng.integers(2, 13, rng.integers(1, 3)))
             cfg = small_config(hidden=hidden, epochs=3)
-            specs = cfg.specs_for(data)
+            dims = (data.dim, *cfg.hidden, data.n_classes)
             masks = []
             while len({tuple(map(len, live_units(m))) for m in masks}) < 2:
-                masks = [build_random_mask(specs, float(rng.uniform(0.3, 0.9)),
+                masks = [build_random_mask(dims, float(rng.uniform(0.3, 0.9)),
                                            int(rng.integers(0, 2**31)))
                          for _ in range(3)]
-            starts = [apply_mask(init_network(specs, 10 * trial + r), m)
+            starts = [apply_mask(init_network(dims, 10 * trial + r), m)
                       for r, m in enumerate(masks)]
             together = _retrain([p.copy() for p in starts].__getitem__, masks, cfg, data,
                                 [0, 1, 2], cfg.epochs, lambda e: lr_at(e, cfg))
             for seed, (start, mask, got) in enumerate(zip(starts, masks, together)):
                 (alone,) = _retrain([start.copy()].__getitem__, [mask], cfg, data, [seed],
                                     cfg.epochs, lambda e: lr_at(e, cfg))
-                ends = [np.arange(specs[0].d_in), *live_units(mask),
-                        np.arange(specs[-1].d_out)]
+                ends = [np.arange(dims[0]), *live_units(mask),
+                        np.arange(dims[-1])]
                 for i, (rows, cols) in enumerate(zip(ends, ends[1:])):
                     inside_w = np.zeros(start.weights[i].shape, dtype=bool)
                     inside_w[np.ix_(rows, cols)] = True
@@ -669,10 +706,10 @@ class TestLockstep:
             self, data, artifacts):
         # seeds 0 and 2 share a mask and a stack; seed 1 trains alone
         cfg = small_config()
-        specs = artifacts.specs
-        masks = [build_random_mask(specs, omega, seed=7) for omega in (0.4, 0.7, 0.4)]
+        dims = artifacts.dims
+        masks = [build_random_mask(dims, omega, seed=7) for omega in (0.4, 0.7, 0.4)]
         starts = [apply_mask(artifacts.theta0, m) for m in masks]
-        shapes = {tuple(compact_network(p, m)[0].specs) for p, m in zip(starts, masks)}
+        shapes = {tuple(compact_network(p, m)[0].dims) for p, m in zip(starts, masks)}
         assert len(shapes) == 2
         together = _retrain([p.copy() for p in starts].__getitem__, masks, cfg, data,
                             [0, 1, 2], cfg.epochs, lambda e: lr_at(e, cfg),
@@ -687,15 +724,15 @@ class TestLockstep:
 
     def test_dead_units_leave_retraining_bit_identical(self, data):
         cfg = small_config(hidden=(8, 6))
-        specs = cfg.specs_for(data)
-        mask = build_random_mask(specs, 0.8, seed=5)
+        dims = (data.dim, *cfg.hidden, data.n_classes)
+        mask = build_random_mask(dims, 0.8, seed=5)
         u = int(np.flatnonzero(mask.neuron_keep[0])[0])
         v = int(np.flatnonzero(mask.neuron_keep[1])[0])
         mask.weight_keep[1][u, :] = False  # u keeps its inputs, feeds nothing
         mask.weight_keep[1][:, v] = False  # v keeps its outputs, is fed nothing
         mask.bias_keep[1][v] = False
         assert u not in live_units(mask)[0] and v not in live_units(mask)[1]
-        start = apply_mask(init_network(specs, 3), mask)
+        start = apply_mask(init_network(dims, 3), mask)
         assert start.weights[0][:, u].any() and start.weights[2][v, :].any()
         (net,) = _retrain([start.copy()].__getitem__, [mask], cfg, data, [0],
                           cfg.epochs, lambda e: lr_at(e, cfg))
@@ -738,7 +775,7 @@ class TestLockstep:
         # ballot's gate is blocked, so its later rounds train subsets
         cfg = small_config(delta=-1.0, max_rounds=3)
         arts = train_dense(cfg, data, [0, 1, 2])
-        masks = [build_random_mask(a.specs, cfg.omega, seed=3) for a in arts]
+        masks = [build_random_mask(a.dims, cfg.omega, seed=3) for a in arts]
         for method in METHODS:
             stacked = refine(method, masks, arts, cfg, data)
             for a, mask, got in zip(arts, masks, stacked):

@@ -45,6 +45,14 @@ temporary directory, through one fixed command set:
   compared, and its third hidden layer takes compaction and expansion
   deeper than the two-layer configs above.
 
+Then each command of ``FAILING`` runs, expected to fail: ``evaluate`` of
+copies of the ballot ``final.ckpt`` whose manifest breaks one layer rule
+each (no layers, a zero width, a broken d_in/d_out chain, a hidden layer
+without ReLU, an output layer with one), and ``train`` with
+``model.hidden=[0]``.  Its exit code and stderr are written to
+``failures/NAME.txt``, so a change that moves a check is compared by
+the message and exit code it gives.
+
 Seconds fields (JSON keys and CSV columns ending in ``_s``) are blanked
 as the benchmark's digest blanks them (``perfbench/checks.py``).  The
 script prints every file that differs, with the largest absolute
@@ -82,6 +90,7 @@ EVERY_KEY = {
 }
 CSV = {"train": {"epochs": 3}, "data": {"csv_path": "data.csv"}}
 REWIND0 = {"refine": {"rewind_epoch": 0}}
+HIDDEN_ZERO = {"model": {"hidden": [0]}}
 ODD = {"model": {"hidden": [37, 29, 13]}, "prune": {"omega": 0.2},
        "data": {"synthetic": {"counts": [500, 120, 120, 80, 80], "dim": 11}}}
 METHODS = ("ballot", "lth", "magnitude", "random")
@@ -90,12 +99,40 @@ LONG = {"data": {"synthetic": {"counts": [2450, 350, 350, 350]}}}
 TWO_BLOCKS = {"data": {"synthetic": {"counts": [1436, 204, 204, 204]}}}
 
 
+def layer_records(dims, activations=("relu", "relu", "none")) -> list[dict]:
+    """Manifest ``layers`` records of the widths ``dims``."""
+    return [{"d_in": a, "d_out": b, "activation": act}
+            for a, b, act in zip(dims, dims[1:], activations)]
+
+
+# manifest layers that each break one rule of ``load_checkpoint``, for
+# copies of the default config's 20-64-64-4 ballot ``final.ckpt``
+BAD_LAYERS = {
+    "empty": [],
+    "zero-width": layer_records([20, 0, 64, 4]),
+    "chain": layer_records([20, 64]) + layer_records([65, 64, 4], ("relu", "none")),
+    "hidden-none": layer_records([20, 64, 64, 4], ("relu", "none", "none")),
+    "output-relu": layer_records([20, 64, 64, 4], ("relu", "relu", "relu")),
+}
+
+
 def label_first(work: Path) -> None:
     """Copy ``two-blocks.csv`` with its last column, the label, moved first."""
     lines = (work / "two-blocks.csv").read_text().splitlines()
     (work / "label-first.csv").write_text("".join(
         ",".join([cells[-1], *cells[:-1]]) + "\n"
         for cells in (line.split(",") for line in lines)))
+
+
+def bad_manifests(work: Path) -> None:
+    """Copy the ballot ``final.ckpt`` as ``bad-NAME.ckpt`` for each entry
+    of ``BAD_LAYERS``, with its manifest ``layers`` replaced."""
+    raw = (work / "prune-ballot" / "checkpoints" / "final.ckpt").read_bytes()
+    manifest, values = checkpoint_payload(raw)
+    for name, layers in BAD_LAYERS.items():
+        new = json.dumps({**json.loads(manifest), "layers": layers}, sort_keys=True).encode()
+        (work / f"bad-{name}.ckpt").write_bytes(
+            raw[:8] + struct.pack("<Q", len(new)) + new + values.tobytes())
 
 
 def quote_last(work: Path) -> None:
@@ -138,15 +175,25 @@ COMMANDS = [
        "--data", "odd.csv", "--out", f"evaluation-odd-{m}.json"]
       for m in METHODS],
     ["experiment", "--seeds", "3", "--config", "odd.json", "--out", "odd-experiment"],
+    bad_manifests,
+]
+FAILING = [
+    *[(f"bad-{name}", ["evaluate", "--checkpoint", f"bad-{name}.ckpt",
+                       "--data", "default.json", "--out", f"failures/bad-{name}.json"])
+      for name in BAD_LAYERS],
+    ("train-hidden-zero", ["train", "--config", "hidden-zero.json",
+                           "--out", "failures/train-hidden-zero"]),
 ]
 
 
 def run_all(tree: Path, work: Path) -> None:
     """Run the command set with ``tree``'s sources inside ``work``; a
-    callable in it is a step of this script, given ``work``."""
+    callable in it is a step of this script, given ``work``.  Then run
+    the failing commands and record each one's exit code and stderr."""
     for name, raw in (("default", {}), ("wide", WIDE), ("padded", PADDED),
                       ("every-key", EVERY_KEY), ("csv", CSV), ("long", LONG),
-                      ("two-blocks", TWO_BLOCKS), ("odd", ODD), ("rewind0", REWIND0)):
+                      ("two-blocks", TWO_BLOCKS), ("odd", ODD), ("rewind0", REWIND0),
+                      ("hidden-zero", HIDDEN_ZERO)):
         (work / f"{name}.json").write_text(json.dumps(raw))
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     for args in COMMANDS:
@@ -155,6 +202,13 @@ def run_all(tree: Path, work: Path) -> None:
             continue
         subprocess.run([sys.executable, "-m", "ballot.cli", *args], cwd=work,
                        env=env, check=True, stdout=subprocess.DEVNULL)
+    (work / "failures").mkdir()
+    for name, args in FAILING:
+        done = subprocess.run([sys.executable, "-m", "ballot.cli", *args], cwd=work,
+                              env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True)
+        (work / "failures" / f"{name}.txt").write_text(
+            f"exit {done.returncode}\n{done.stderr}")
 
 
 def checkpoint_payload(raw: bytes) -> tuple[bytes, np.ndarray]:
