@@ -45,17 +45,9 @@ def mcd(per_class_acc) -> float:
 
 
 def confusion(y_true, y_pred, n_classes: int) -> np.ndarray:
-    """Counts indexed [true, predicted]."""
+    """Counts indexed [true, predicted] of the vectors ``evaluate`` builds."""
     yt = np.asarray(y_true)
     yp = np.asarray(y_pred)
-    if yt.shape != yp.shape or yt.ndim != 1:
-        raise DataError("labels and predictions must be equal-length vectors")
-    if yt.size == 0:
-        raise DataError("empty prediction set")
-    if (yt < 0).any() or (yt >= n_classes).any():
-        raise DataError("label outside [0, n_classes)")
-    if (yp < 0).any() or (yp >= n_classes).any():
-        raise DataError("prediction outside [0, n_classes)")
     m = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(m, (yt, yp), 1)
     return m
@@ -65,8 +57,6 @@ def macro_precision(conf: np.ndarray) -> float:
     """Unweighted mean over classes of TP / (TP + FP); a class that is
     never predicted contributes 0."""
     conf = np.asarray(conf)
-    if conf.sum() == 0:
-        raise DataError("confusion matrix is all zero")
     tp = np.diag(conf).astype(np.float64)
     col = conf.sum(axis=0).astype(np.float64)
     out = np.divide(tp, col, out=np.zeros_like(tp), where=col > 0)
@@ -77,8 +67,6 @@ def macro_recall(conf: np.ndarray) -> float:
     """Unweighted mean of TP / (TP + FN) over the classes present, those
     with at least one true sample."""
     conf = np.asarray(conf)
-    if conf.sum() == 0:
-        raise DataError("confusion matrix is all zero")
     row = conf.sum(axis=1)
     present = row > 0
     tp = np.diag(conf)[present].astype(np.float64)
@@ -167,12 +155,8 @@ def update_class_weights(report: EvalReport) -> np.ndarray:
     return 1.0 / np.maximum(report.per_class_acc, WEIGHT_FLOOR)
 
 
-def bias_delta(pruned: EvalReport, dense: EvalReport, metric: str = "cwv") -> float:
-    """Signed fairness change, pruned minus dense; negative is fairer."""
+def bias_delta(pruned: EvalReport, dense: EvalReport) -> float:
+    """Signed CWV change, pruned minus dense; negative is fairer."""
     if len(pruned.per_class_acc) != len(dense.per_class_acc):
         raise DataError("reports cover different class counts")
-    if metric == "cwv":
-        return pruned.cwv - dense.cwv
-    if metric == "mcd":
-        return pruned.mcd - dense.mcd
-    raise ConfigurationError(f"unknown fairness metric '{metric}'")
+    return pruned.cwv - dense.cwv

@@ -32,8 +32,8 @@ of one shape never changes their bytes.
 
 Masking lives in the parameters: a masked weight or bias is stored as
 exactly +0.0.  ``apply_mask`` establishes that and ``sgd_step`` keeps
-it: a masked entry's step size is 0.0, so its finite gradient scales
-to +0.0 or -0.0 and +0.0 minus either is +0.0.  Every other function
+it: a stack's keep flags scale a masked entry's finite gradient to
++0.0 or -0.0, and +0.0 minus either is +0.0.  Every other function
 reads the parameters as stored and takes no mask.
 
 A masked network retrains at its compacted shape: ``compact_network``
@@ -57,7 +57,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, NumericalFailure, PersistenceError
+from .errors import ConfigurationError, NumericalFailure, PersistenceError
 from .fileio import atomic_open
 
 _MAGIC = b"BLTC"
@@ -137,22 +137,23 @@ def layer_views(buf: np.ndarray, dims) -> tuple[list, list]:
 
 class ParamStack:
     """R networks of the layer widths ``dims`` in one C-contiguous [R, P]
-    float64 buffer ``flat``, a row per network in the flat layout, and
-    the gradients of the last ``train_step`` in ``grad``, of the same
-    shape.  ``weights[i]`` [R, d_in, d_out], ``biases[i]`` [R, d_out],
-    ``grad_weights[i]`` and ``grad_biases[i]`` are views into them."""
+    float64 buffer ``flat``, a row per network in the flat layout, the
+    last ``train_step``'s gradients ``grad`` and bool keep flags ``keep``
+    (or None), both [R, P].  ``weights[i]`` [R, d_in, d_out], ``biases[i]``
+    [R, d_out], ``grad_weights[i]`` and ``grad_biases[i]`` are views."""
 
-    def __init__(self, flat: np.ndarray, dims):
-        self.flat, self.dims = flat, dims
+    def __init__(self, flat: np.ndarray, dims, keep: np.ndarray | None = None):
+        self.flat, self.dims, self.keep = flat, dims, keep
         self.grad = np.zeros_like(flat)
         self.weights, self.biases = layer_views(flat, dims)
         self.grad_weights, self.grad_biases = layer_views(self.grad, dims)
 
 
-def stack_params(nets: list[NetworkParams]) -> ParamStack:
-    """Stack ``nets`` in order and rebind each network's arrays to views
-    of its row, so a step on the stack trains every network in place."""
-    stack = ParamStack(np.stack([net.flat for net in nets]), nets[0].dims)
+def stack_params(nets: list[NetworkParams], keeps=None) -> ParamStack:
+    """Stack ``nets`` in order, with ``keeps`` as keep flags, and rebind
+    each network's arrays to views of its row, so a step trains it in place."""
+    stack = ParamStack(np.stack([net.flat for net in nets]), nets[0].dims,
+                       None if keeps is None else np.stack(keeps))
     for net, row in zip(nets, stack.flat):
         net._bind(row)
     return stack
@@ -202,25 +203,15 @@ def cross_entropy(logits, onehot):
     """Batch-mean softmax cross-entropy of R networks, and its gradient
     with respect to the logits.
 
-    ``logits`` and ``onehot`` are [R, n, C]; ``onehot`` must be exactly
-    one-hot rows, as ``Dataset.train_onehot`` checks once; they are not
-    re-checked here.  Returns ``(loss, dlogits)``, the loss of shape [R]
-    and dlogits [R, n, C].  The log-sum-exp uses max subtraction, so
-    extreme but finite logits stay finite.  Any NaN or infinite logit,
-    -inf through ``y * logp``, makes the loss non-finite, which raises
-    NumericalFailure naming the slot.
+    ``logits`` and ``onehot`` are float64 [R, n, C], n >= 1, and
+    ``onehot`` holds exactly one-hot rows, as ``Dataset.train_onehot``
+    checks once; neither is re-checked here.  Returns ``(loss,
+    dlogits)``, the loss of shape [R] and dlogits [R, n, C].  The
+    log-sum-exp uses max subtraction, so extreme but finite logits stay
+    finite.  Any NaN or infinite logit, -inf through ``y * logp``, makes
+    the loss non-finite, which raises NumericalFailure naming the slot.
     """
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 3:
-        raise ConfigurationError("logits must have shape [R, n, C]")
-    y = np.asarray(onehot, dtype=np.float64)
-    if y.shape != z.shape:
-        raise ConfigurationError(
-            f"targets shape {y.shape} does not match logits {z.shape}"
-        )
-    n = z.shape[1]
-    if n == 0:
-        raise DataError("empty batch")
+    z, y, n = logits, onehot, logits.shape[1]
     # the ufuncs' own reduce: ``.max`` and ``.sum`` add a Python wrapper
     zmax = np.maximum.reduce(z, axis=2, keepdims=True)
     lse = np.log(np.add.reduce(np.exp(z - zmax), axis=2, keepdims=True)) + zmax
@@ -241,29 +232,21 @@ def train_step(stack: ParamStack, x, onehot, fair=None):
     With ``fair``, an [R, C] array of finite, strictly positive class
     weights, it returns ``(means_a, means_f)``, [R, units] per hidden
     layer: the batch-mean gradient of each hidden pre-activation under
-    the plain loss and under the fairness loss, which weights sample n
-    by its class's weight s_n.  The backward pass is linear per sample,
-    so the latter's gradient is s_n times the former's and needs no
-    sweep of its own.  Without ``fair`` it returns None.
+    the plain loss, its bias gradient over n, and under the fairness
+    loss, which weights sample n by its class's weight s_n; the backward
+    pass is linear per sample, so the latter is s_n times the former
+    and needs no sweep of its own.  Without ``fair`` it returns None.
 
     The parameters are used as stored, so gradients flow through exactly
     the network that inference sees; ``sgd_step`` gives the gradients of
     masked entries a zero step.  Each slot's arithmetic is that of a
-    stack of one.  Only the loss is checked for finiteness here; a
-    non-finite pre-activation gradient reaches a weight gradient, which
-    ``sgd_step`` checks.
+    stack of one.  Only the class weights and the loss are checked, for
+    finiteness; a non-finite pre-activation gradient reaches a weight
+    gradient, which ``sgd_step`` checks.
     """
-    x, r, dims = np.asarray(x, dtype=np.float64), stack.flat.shape[0], stack.dims
-    if x.ndim != 3 or x.shape[0] != r or x.shape[2] != dims[0]:
-        raise ConfigurationError(f"input shape {x.shape} does not match d_in "
-                                 f"{dims[0]} for {r} stacked networks")
-    if fair is not None:
-        fair, shape = np.asarray(fair, dtype=np.float64), (x.shape[0], dims[-1])
-        if fair.shape != shape or not np.isfinite(fair).all() or (fair <= 0.0).any():
-            raise ConfigurationError(
-                f"class_weights must be finite and positive, of shape {shape}"
-            )
-    ws, n, last = stack.weights, x.shape[1], len(dims) - 2
+    if fair is not None and not np.isfinite(fair).all():
+        raise ConfigurationError("class_weights must be finite")
+    ws, n, last = stack.weights, x.shape[1], len(stack.dims) - 2
     inputs, gates = [], []
     h = x
     for i, (w, b) in enumerate(zip(ws, stack.biases)):
@@ -283,26 +266,26 @@ def train_step(stack: ParamStack, x, onehot, fair=None):
     for i in range(last, -1, -1):
         np.matmul(inputs[i].swapaxes(1, 2), g, out=stack.grad_weights[i])
         np.add.reduce(g, axis=1, out=stack.grad_biases[i])
+        if means is not None and i < last:
+            means[0].insert(0, stack.grad_biases[i] / n)
+            means[1].insert(0, np.add.reduce(g * s, axis=1) / n)
         if i > 0:
             g = g @ ws[i].swapaxes(1, 2)
             g *= gates[i - 1]
-            if means is not None:
-                means[0].insert(0, np.add.reduce(g, axis=1) / n)
-                means[1].insert(0, np.add.reduce(g * s, axis=1) / n)
     return means
 
 
-def sgd_step(stack: ParamStack, step) -> ParamStack:
-    """In-place step theta <- theta - step * g on every network of the
-    stack, from the gradients ``train_step`` left in ``stack.grad``.
-
-    ``step`` is the learning rate, or an [R, P] array holding it at kept
-    entries and 0.0 at masked ones.  A masked entry, +0.0 on entry,
-    then subtracts g * 0.0, which is +0.0 or -0.0 for the finite
-    gradients checked here, and stays +0.0, never -0.0.  ``stack.grad``
-    is left scaled by ``step``."""
+def sgd_step(stack: ParamStack, lr: float) -> ParamStack:
+    """In-place step theta <- theta - lr * g on every network of the
+    stack, from the gradients ``train_step`` left in ``stack.grad``; with
+    ``stack.keep``, g is first multiplied by its flag.  x * 1.0 is exact,
+    and a masked entry, +0.0 on entry, subtracts (g * 0.0) * lr, +0.0 or
+    -0.0 for the finite gradients checked here, so it stays +0.0, never
+    -0.0.  ``stack.grad`` is left scaled by the flags and ``lr``."""
     _require_finite(stack.grad, "non-finite gradient in sgd_step")
-    stack.grad *= step
+    if stack.keep is not None:
+        stack.grad *= stack.keep
+    stack.grad *= lr
     stack.flat -= stack.grad
     return stack
 

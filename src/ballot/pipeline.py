@@ -12,9 +12,9 @@ Pruning then builds a mask (conflict votes, weight magnitude, or
 random), rewinds, and retrains, every method through ``refine``.  For
 ballot, the refinement loop accepts the round-0 result when the pruned
 model is no less fair and nearly as accurate as the dense one;
-otherwise it retries from the early-epoch snapshot with fresh batch
-orders and keeps the fairest acceptable candidate.  Only the weights of
-the round that can still win are kept; every round's report is.
+otherwise it retries from the early-epoch snapshot with a shifted
+seed's batch orders and keeps the fairest acceptable candidate.  Only
+the weights of the round that can still win are kept; all reports are.
 
 Every phase takes a list of seeds and trains one network per seed in
 lockstep: the networks are stacked on a leading seed axis and stepped
@@ -34,9 +34,12 @@ evaluated, and kept or dropped, before the next one is expanded.
 Padding changes matmul shapes, so a seed's retrained weights may differ
 in their last bits from its single-seed run.
 
-Every source of randomness is keyed by (seed, stream, epoch), so any
-run is bit-reproducible and a retrained identity-masked network follows
-the exact arithmetic of a fresh dense training.
+Every source of randomness is keyed by a seed, so any run is
+bit-reproducible and a retrained identity-masked network follows the
+exact arithmetic of a fresh dense training.  Batch orders are keyed by
+(seed + round, 0, epoch): ballot's round r of seed s reuses seed s + r's.
+``init_network``, ``build_random_mask`` and, if the data seed is the
+same, ``gen_synthetic`` all draw from ``default_rng(seed)``.
 """
 
 from __future__ import annotations
@@ -241,32 +244,31 @@ def _retrain(
 
     Each network trains at its compacted shape (``compact_network``):
     only its live hidden units, with the entries its mask trims among
-    them stored as +0.0 and given a zero step size, so they stay +0.0,
-    padded to the widest live count of the call, so all the networks
-    train in lockstep as one stack.  ``start(i)`` is called once before
-    training and once after, so no full-shape network is held while the
-    stack trains, and a start rebuilt on each call (``theta0``) is not
-    held at all.  Once the stack, its gradient and its step buffer are
-    freed, each result is scattered into a fresh ``apply_mask`` of its
-    start, only as the iterator reaches it, so a caller that drops each
-    result before taking the next holds one full-shape result at a time:
-    entries outside the live units keep their masked start values."""
+    them stored as +0.0 and flagged in the stack's keep flags, so they
+    stay +0.0, padded to the widest live count of the call, so all the
+    networks train in lockstep as one stack.  ``start(i)`` is called once
+    before training and once after, so no full-shape network is held
+    while the stack trains, and a start rebuilt on each call (``theta0``)
+    is not held at all.  Once the stack, its gradient and its keep flags
+    are freed, each result is scattered into a fresh ``apply_mask`` of
+    its start, only as the iterator reaches it, so a caller that drops
+    each result before taking the next holds one full-shape result at a
+    time: entries outside the live units keep their masked start values."""
     widths = [max(map(len, col)) for col in zip(*map(live_units, masks))]
     smalls, keeps = zip(*(compact_network(start(i), m, widths) for i, m in enumerate(masks)))
-    stack, keep = stack_params(list(smalls)), np.stack(keeps)
-    step = np.empty(keep.shape)
+    stack = stack_params(list(smalls), keeps)
     streams = [s + stream_offset for s in seeds]
     x, onehot = data.train.X, data.train_onehot
     for epoch in range(epochs):
-        np.multiply(keep, lr_fn(epoch), out=step)
+        lr = lr_fn(epoch)
         orders = _shuffle(streams, epoch_offset + epoch, x.shape[0])
         try:
             for idx in _batches(orders, config.batch_size):
                 train_step(stack, x[idx], onehot[idx])
-                sgd_step(stack, step)
+                sgd_step(stack, lr)
         except NumericalFailure as exc:
             raise _failure("retraining", epoch, seeds[exc.index], exc) from exc
-    del stack, step, keep  # the smalls still view the stacked weights
+    del stack  # the smalls still view the stacked weights
 
     def expand(i: int) -> NetworkParams:
         params = expand_network(smalls[i], apply_mask(start(i), masks[i]), masks[i])
@@ -307,16 +309,17 @@ def refine(
     ballot:     as lth.  If the result is within delta of dense fairness
                 and epsilon of dense accuracy it is accepted as-is.
                 Otherwise up to max_rounds retries restart from the
-                rewind-epoch weights with fresh batch orders, stopping
-                early once a round stops improving the best CWV, and the
-                fairest candidate that keeps the accuracy bound wins
-                (falling back to the most accurate candidate when none
-                does; see ``_wins``).  Round r trains only the seeds
-                still refining, and each round's report is kept in
+                rewind-epoch weights, round r with the batch orders of
+                seed + r (see the module notes), stopping early once a
+                round stops improving the best CWV, and the fairest
+                candidate that keeps the accuracy bound wins (falling
+                back to the most accurate candidate when none does; see
+                ``_wins``).  Round r trains only the seeds still
+                refining, and each round's report is kept in
                 ``candidates``; the weights of a round are dropped as
                 soon as a round beats it, so at most one full-shape
-                candidate per seed outlives its round, and a round
-                holds one new full-shape result at a time besides them.
+                candidate per seed outlives its round, and a round holds
+                one new full-shape result at a time besides them.
 
     The initial weights are rebuilt from each seed (``theta0``) as round
     0 needs them.  Each seed's ``wall_time_s`` is its share of every
@@ -352,7 +355,7 @@ def refine(
             report = _evaluate(params, data.test, "retraining", epochs - 1, seeds[r])
             dense = artifacts[r].dense_report
             if r_index == 0:
-                fair_enough = bias_delta(report, dense, "cwv") <= config.delta
+                fair_enough = bias_delta(report, dense) <= config.delta
                 accurate_enough = dense.accuracy - report.accuracy <= config.epsilon
                 keep_going = not (fair_enough and accurate_enough)
             else:

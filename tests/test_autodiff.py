@@ -9,6 +9,8 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ballot.errors import ConfigurationError, NumericalFailure
 from ballot.masks import build_random_mask
@@ -85,11 +87,6 @@ class TestAffine:
         params = _net(([[2.5, -1.0], [0.3, 4.0]], [7.0, 7.0]))
         out = logits(params, [[0.0, 0.0]])
         np.testing.assert_array_equal(out, [[7.0, 7.0]])
-
-    def test_shape_mismatch_is_config_error(self):
-        params = _net((np.eye(2), [0.0, 0.0]))
-        with pytest.raises(ConfigurationError):
-            _step(params, [[1.0, 2.0, 3.0]], [[1.0, 0.0]])
 
     def test_gradients_match_hand_derivation(self):
         # z0 = 1*3 + 2*5 + 0.5 = 13.5 (active); the logits are exactly
@@ -175,9 +172,9 @@ class TestCrossEntropy:
             for a, f in zip(means_a, means_f):
                 assert a.tobytes() == f.tobytes()
 
-    def test_nonpositive_weights_rejected(self):
+    def test_non_finite_weights_rejected(self):
         params = _net((np.eye(2), [0.0, 0.0]))
-        for bad in ([0.0, 1.0], [-1.0, 1.0], [np.nan, 1.0], [1.0, 1.0, 1.0]):
+        for bad in ([np.nan, 1.0], [1.0, np.inf], [-np.inf, 1.0]):
             with pytest.raises(ConfigurationError, match="class_weights"):
                 _step(params, [[1.0, 2.0]], [[1.0, 0.0]], bad)
 
@@ -187,10 +184,6 @@ class TestCrossEntropy:
         for logits in ([np.inf, 0.0], [np.nan, 0.0], [0.0, -np.inf]):
             with np.errstate(invalid="ignore"), pytest.raises(NumericalFailure):
                 _ce([logits], [[1.0, 0.0]])
-
-    def test_target_logits_shape_mismatch_is_config_error(self):
-        with pytest.raises(ConfigurationError):
-            _ce([[0.0, 0.0]], [[1.0, 0.0, 0.0]])
 
 
 def _fd(params, x, y, class_w, arr, idx, h=1e-5):
@@ -318,16 +311,15 @@ class TestSeedStack:
         fair = rng.uniform(0.5, 2.0, (3, 3))
 
         nets = [p.copy() for p in starts]
-        stack, step_size = stack_params(nets), 0.1 * np.stack([m.keep for m in masks])
-        singles = [(stack_params([p]), 0.1 * m.keep[None])
-                   for p, m in zip(starts, masks)]
+        stack = stack_params(nets, [m.keep for m in masks])
+        singles = [stack_params([p], [m.keep]) for p, m in zip(starts, masks)]
         for step in range(4):
             # every network draws its own batch; odd steps train the
             # plain loss alone, as retraining does
             idx = np.stack([rng.permutation(40)[:16] for _ in range(3)])
             weights = fair if step % 2 == 0 else None
             means = train_step(stack, x[idx], y[idx], weights)
-            for r, (one, one_step) in enumerate(singles):
+            for r, one in enumerate(singles):
                 means1 = train_step(
                     one, x[idx[r]][None], y[idx[r]][None],
                     None if weights is None else weights[r:r + 1],
@@ -340,8 +332,8 @@ class TestSeedStack:
                     got, want = got + means[0] + means[1], want + means1[0] + means1[1]
                 for a, b in zip(got, want):
                     assert a[r].tobytes() == b[0].tobytes()
-                sgd_step(one, one_step)
-            sgd_step(stack, step_size)
+                sgd_step(one, 0.1)
+            sgd_step(stack, 0.1)
         for a, b in zip(nets, starts):
             for wa, wb in zip(a.weights + a.biases, b.weights + b.biases):
                 assert wa.tobytes() == wb.tobytes()
@@ -357,3 +349,61 @@ class TestSeedStack:
             with pytest.raises(NumericalFailure) as caught:
                 train_step(stack, np.stack([x] * 3), np.stack([y] * 3))
         assert caught.value.index == 2
+
+
+def _second_reduction_means(stack, x, onehot, fair):
+    """The pre-activation means as the kernel computed them while it
+    reduced each hidden layer's gradient a second time for them: plain
+    numpy on the stack's weights, before any step, in the kernel's
+    order of operations."""
+    ws, n, last = stack.weights, x.shape[1], len(stack.dims) - 2
+    inputs, gates, h = [], [], x
+    for i, (w, b) in enumerate(zip(ws, stack.biases)):
+        inputs.append(h)
+        h = h @ w
+        h += b[:, None, :]
+        if i < last:
+            gates.append(h > 0.0)
+            np.maximum(h, 0.0, out=h)
+    _, g = cross_entropy(h, onehot)
+    s = np.add.reduce(onehot * fair[:, None, :], axis=2)[:, :, None]
+    means_a, means_f = [], []
+    for i in range(last, 0, -1):
+        g = g @ ws[i].swapaxes(1, 2)
+        g *= gates[i - 1]
+        means_a.insert(0, np.add.reduce(g, axis=1) / n)
+        means_f.insert(0, np.add.reduce(g * s, axis=1) / n)
+    return means_a, means_f
+
+
+class TestOneReduction:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), r=st.integers(1, 4), n=st.integers(1, 24))
+    def test_plain_means_and_masked_step_match_their_references(self, seed, r, n):
+        # random dims, stack sizes and batch sizes: the plain means are
+        # the bias gradients over n and a second reduction's bytes, the
+        # fairness means too, and a masked step is theta - (keep * lr) * g
+        # with every masked entry left at +0.0; a retention of 0.5 or
+        # more is feasible at every such dims
+        rng = np.random.default_rng(seed)
+        dims = random_dims(rng, max_hidden_layers=3, max_units=12)
+        masks = [build_random_mask(dims, float(rng.uniform(0.5, 1.0)), int(s))
+                 for s in rng.integers(0, 2**31, r)]
+        nets = [apply_mask(init_network(dims, int(s)), m)
+                for s, m in zip(rng.integers(0, 2**31, r), masks)]
+        stack = stack_params(nets, [m.keep for m in masks])
+        x = rng.normal(size=(r, n, dims[0]))
+        y = np.eye(dims[-1])[rng.integers(0, dims[-1], (r, n))]
+        fair = rng.uniform(0.2, 5.0, (r, dims[-1]))
+        want_a, want_f = _second_reduction_means(stack, x, y, fair)
+        means_a, means_f = train_step(stack, x, y, fair)
+        for i, (a, f, wa, wf) in enumerate(zip(means_a, means_f, want_a, want_f)):
+            assert a.tobytes() == (stack.grad_biases[i] / n).tobytes() == wa.tobytes()
+            assert f.tobytes() == wf.tobytes()
+
+        lr, keep = float(rng.uniform(0.001, 1.0)), stack.keep
+        want = stack.flat - (keep * lr) * stack.grad
+        sgd_step(stack, lr)
+        assert stack.flat.tobytes() == want.tobytes()
+        masked = stack.flat[~keep]
+        assert (masked == 0.0).all() and not np.signbit(masked).any()

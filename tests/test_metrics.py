@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ballot.data import Split, split_blocks
-from ballot.errors import ConfigurationError, DataError
+from ballot.errors import DataError
 from ballot.metrics import (
     WEIGHT_FLOOR,
     EvalReport,
@@ -114,19 +114,9 @@ class TestConfusionAverages:
         conf = np.array([[4, 0], [2, 0]])  # class 1 never predicted
         assert macro_precision(conf) == pytest.approx(0.5 * (4 / 6), abs=1e-12)
 
-    def test_all_zero_rejected(self):
-        with pytest.raises(DataError):
-            macro_precision(np.zeros((2, 2), dtype=int))
-        with pytest.raises(DataError):
-            macro_recall(np.zeros((2, 2), dtype=int))
-
     def test_confusion_counts(self):
         conf = confusion([0, 0, 1, 1], [0, 1, 1, 1], 2)
         np.testing.assert_array_equal(conf, [[1, 1], [0, 2]])
-
-    def test_label_out_of_range_rejected(self):
-        with pytest.raises(DataError):
-            confusion([0, 2], [0, 1], 2)
 
 
 class TestReport:
@@ -225,19 +215,13 @@ class TestBiasDelta:
 
     def test_identical_reports_give_zero(self):
         rep = self._rep([0.8, 0.6])
-        assert bias_delta(rep, rep, "cwv") == 0.0
-        assert bias_delta(rep, rep, "mcd") == 0.0
+        assert bias_delta(rep, rep) == 0.0
 
     def test_signed_subtraction(self):
         pruned = self._rep([0.9, 0.7])  # cwv 0.01
         dense = self._rep([0.9, 0.9])  # cwv 0
-        assert bias_delta(pruned, dense, "cwv") == pytest.approx(0.01, abs=1e-12)
+        assert bias_delta(pruned, dense) == pytest.approx(0.01, abs=1e-12)
 
     def test_class_count_mismatch_rejected(self):
         with pytest.raises(DataError):
             bias_delta(self._rep([0.5, 0.5]), self._rep([0.5, 0.5, 0.5]))
-
-    def test_unknown_metric_rejected(self):
-        rep = self._rep([0.5, 0.5])
-        with pytest.raises(ConfigurationError):
-            bias_delta(rep, rep, "accuracy")

@@ -351,9 +351,9 @@ class TestSgdStep:
         mask = identity_mask(DIMS_222)
         mask.weight_keep[0][0, 0] = False
         params = apply_mask(params, mask)
-        stack = stack_params([params])
+        stack = stack_params([params], [mask.keep])
         stack.grad[...] = 1.0
-        sgd_step(stack, 0.1 * mask.keep[None])
+        sgd_step(stack, 0.1)
         assert params.weights[0][0, 0] == 0.0
         assert params.weights[0][1, 1] != 0.0
 
@@ -364,10 +364,10 @@ class TestSgdStep:
         mask = identity_mask(DIMS_222)
         mask.weight_keep[0][0, 0] = False
         nets = [apply_mask(params, mask) for _ in range(3)]
-        stack = stack_params(nets)
+        stack = stack_params(nets, [mask.keep] * 3)
         stack.grad[...] = 0.25
         stack.grad_weights[0][:, 0, 0] = [0.25, -0.25, -0.0]
-        sgd_step(stack, 0.1 * np.stack([mask.keep] * 3))
+        sgd_step(stack, 0.1)
         for net in nets:
             assert net.weights[0][0, 0].tobytes() == np.float64(0.0).tobytes()
             assert net.weights[0][1, 1] != params.weights[0][1, 1]
@@ -406,8 +406,8 @@ class TestSgdStep:
                  for s, omega in enumerate((0.3, 0.5, 0.8))]
         nets = [apply_mask(init_network(dims, 20 + r), m)
                 for r, m in enumerate(masks)]
-        stack = stack_params(nets)
-        kept = np.stack([m.keep for m in masks])
+        stack = stack_params(nets, [m.keep for m in masks])
+        kept = stack.keep
         x = rng.normal(size=(3, 40, 5))
         y = np.eye(3)[rng.integers(0, 3, (3, 40))]
         moved = np.zeros(kept.shape, dtype=bool)
@@ -418,7 +418,7 @@ class TestSgdStep:
             want = [[w - lr * g[r] for w, g in zip(net.weights + net.biases, grads)]
                     for r, net in enumerate(nets)]
             moved |= (stack.grad != 0.0) & ~kept
-            sgd_step(stack, lr * kept)
+            sgd_step(stack, lr)
             for net, m, expected in zip(nets, masks, want):
                 for got, exp, keep in zip(net.weights + net.biases, expected,
                                           m.weight_keep + m.bias_keep):
@@ -494,7 +494,7 @@ class TestFlatLayout:
         masked = apply_mask(init_network(dims, 1), mask)
         small, keep = compact_network(masked, mask)
         assert small.dims[1] == 0
-        stack = stack_params([small])
+        stack = stack_params([small], [keep])
         assert stack.flat.shape == (1, param_count(small.dims)) == (1, keep.size)
         # the checkpoint layout of the compacted network: only the output bias
         payload = b"".join(a.astype("<f8").tobytes()
@@ -505,7 +505,7 @@ class TestFlatLayout:
         assert np.array_equal(keep, [True, True])
         x, y = np.ones((1, 5, 3)), np.eye(2)[[0, 1, 0, 1, 1]][None]
         train_step(stack, x, y)
-        sgd_step(stack, 0.1 * keep[None])
+        sgd_step(stack, 0.1)
         assert np.array_equal(stack.grad[0], stack.grad_biases[-1][0])
 
 

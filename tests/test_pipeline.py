@@ -293,13 +293,13 @@ class TestRefine:
         real_step = pipeline.sgd_step
         steps = []
 
-        def checked_step(stack, step):
-            out = real_step(stack, step)
-            assert len(stack.flat) == len(keeps)
+        def checked_step(stack, lr):
+            out = real_step(stack, lr)
+            assert isinstance(lr, float) and np.array_equal(stack.keep, keeps)
             for row, keep in zip(stack.flat, keeps):
                 dropped = row[~keep]
                 assert (dropped == 0.0).all() and not np.signbit(dropped).any()
-            steps.append(step)
+            steps.append(lr)
             return out
 
         monkeypatch.setattr(pipeline, "sgd_step", checked_step)
@@ -390,9 +390,9 @@ class TestNetworksHeldOnce:
         real_step = pipeline.sgd_step
         alive = []
 
-        def checked_step(stack, step):
+        def checked_step(stack, lr):
             alive.append(len(alive_full_shape(new_networks, dims)))
-            return real_step(stack, step)
+            return real_step(stack, lr)
 
         monkeypatch.setattr(pipeline, "sgd_step", checked_step)
         results = run_baseline(method, cfg, data, arts)
@@ -562,9 +562,9 @@ class TestLockstep:
         real_step = pipeline.sgd_step
         steps = []
 
-        def poisoning_step(stack, step):
-            out = real_step(stack, step)
-            steps.append(step)
+        def poisoning_step(stack, lr):
+            out = real_step(stack, lr)
+            steps.append(lr)
             if len(steps) == 2 * batches:
                 stack.weights[-1][1][...] = np.inf
             return out
@@ -588,9 +588,9 @@ class TestLockstep:
         real_step = pipeline.sgd_step
         steps = []
 
-        def poisoning_step(stack, step):
-            out = real_step(stack, step)
-            steps.append(step)
+        def poisoning_step(stack, lr):
+            out = real_step(stack, lr)
+            steps.append(lr)
             if len(steps) == 2 * batches + 1:
                 stack.weights[0][1][...] = value
             return out
@@ -616,9 +616,9 @@ class TestLockstep:
         real_step = pipeline.sgd_step
         steps = []
 
-        def poisoning_step(stack, step):
-            out = real_step(stack, step)
-            steps.append(step)
+        def poisoning_step(stack, lr):
+            out = real_step(stack, lr)
+            steps.append(lr)
             if len(steps) == last_step:
                 stack.weights[0][1][...] = np.inf
             return out

@@ -14,7 +14,9 @@ temporary directory, through one fixed command set:
   from the seed, so ``theta0.ckpt``, ``theta_k.ckpt`` and ``final.ckpt``
   on that path are compared;
 - ``experiment --seeds 5`` on the default config;
-- ``experiment --seeds 1`` with ``model.hidden=[512, 512]``;
+- ``experiment --seeds 1`` with ``model.hidden=[512, 512]``, and
+  ``prune --method {lth,random}`` on that config, so the ``final.ckpt``
+  of a wide masked retrain is compared byte for byte too;
 - ``experiment --seeds 3`` with ``model.hidden=[128, 128]`` and
   ``prune.omega=0.2``, where the seeds' compacted networks differ in
   shape and retrain padded to a common width at which padding can move
@@ -149,6 +151,8 @@ COMMANDS = [
     ["prune", "--method", "ballot", "--config", "rewind0.json", "--out", "prune-rewind0"],
     ["experiment", "--seeds", "5", "--out", "experiment"],
     ["experiment", "--seeds", "1", "--config", "wide.json", "--out", "wide"],
+    *[["prune", "--method", m, "--config", "wide.json", "--out", f"wide-{m}"]
+      for m in ("lth", "random")],
     ["experiment", "--seeds", "3", "--config", "padded.json", "--out", "padded"],
     ["evaluate", "--checkpoint", "prune-ballot/checkpoints/final.ckpt",
      "--data", "default.json", "--out", "evaluation-default.json"],
