@@ -8,7 +8,10 @@ the unit's pre-activation.  A unit whose two gradients disagree in sign
 is pulling accuracy and fairness in opposite directions; its conflict
 score for the epoch is |g_a| + gamma * |g_f|, and units whose score
 reaches the eta-quantile of the strictly positive scores get one vote
-(count) and the score added to a running total (cum_score).
+(count) and the score added to a running total (cum_score).  Hidden
+units have one layer-major order from ``model.train_step``'s means to
+the ranking; only ``ConflictLedger.sizes`` and ``_unit_ids`` know where
+a layer ends.
 
 A mask is one flat boolean keep vector in the checkpoint's byte layout:
 per layer the weights row-major, then the bias, layers in order, at the
@@ -35,6 +38,7 @@ clear every entry of a layer.  ``save_mask`` stores a mask as
 from __future__ import annotations
 
 import math
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -80,55 +84,45 @@ def positive_score_threshold(scores: np.ndarray, eta: float) -> float | None:
 
 
 class ConflictLedger:
-    """Per-unit vote counts and cumulative conflict scores over training."""
+    """Per-unit vote counts and cumulative conflict scores over training,
+    flat [H] arrays over the layer-major units of the hidden widths
+    ``sizes``, any sequence of positive integers."""
 
-    def __init__(self, sizes: list[int]):
-        if not sizes or any(int(s) < 1 for s in sizes):
-            raise ConfigurationError("hidden layer sizes must be positive")
+    def __init__(self, sizes):
+        sizes = list(sizes)
+        if not sizes or not all(isinstance(s, Integral) and not isinstance(s, bool)
+                                and s >= 1 for s in sizes):
+            raise ConfigurationError("hidden layer sizes must be positive integers")
         self.sizes = [int(s) for s in sizes]
-        self.counts = [np.zeros(s, dtype=np.int64) for s in self.sizes]
-        self.cum_scores = [np.zeros(s) for s in self.sizes]
+        self.counts = np.zeros(sum(self.sizes), dtype=np.int64)
+        self.cum_scores = np.zeros(self.counts.size)
         self._epochs: set[int] = set()
 
     @property
     def epochs(self) -> list[int]:
         return sorted(self._epochs)
 
-    def _check_layers(self, vecs, name: str) -> list[np.ndarray]:
-        if len(vecs) != len(self.sizes):
-            raise ConfigurationError(f"{name} must cover {len(self.sizes)} layers")
-        out = []
-        for i, (vec, size) in enumerate(zip(vecs, self.sizes)):
-            arr = np.asarray(vec, dtype=np.float64)
-            if arr.shape != (size,):
-                raise ConfigurationError(
-                    f"{name} layer {i} has shape {arr.shape}, expected ({size},)"
-                )
-            out.append(arr)
-        return out
-
     def record_epoch(self, epoch: int, g_a, g_f, gamma: float, eta: float) -> None:
         """Score one epoch's gradient aggregates and update the votes.
 
-        Every recorded unit must be covered.  An epoch can only be
-        recorded once.  ``gamma`` and ``eta`` are taken as given:
-        ``TrainConfig`` checks them.
+        ``g_a`` and ``g_f`` are flat [H] vectors that cover every unit.
+        An epoch can only be recorded once.  ``gamma`` and ``eta`` are
+        taken as given: ``TrainConfig`` checks them.
         """
         epoch = int(epoch)
         if epoch < 0:
             raise ConfigurationError("epoch must be non-negative")
         if epoch in self._epochs:
             raise UsageError(f"epoch {epoch} already recorded")
-        ga = self._check_layers(g_a, "g_a")
-        gf = self._check_layers(g_f, "g_f")
-
-        per_layer = [conflict_scores(a, f, gamma) for a, f in zip(ga, gf)]
-        threshold = positive_score_threshold(np.concatenate(per_layer), eta)
+        if not np.shape(g_a) == np.shape(g_f) == self.counts.shape:
+            raise ConfigurationError(f"g_a and g_f must cover the {self.counts.size} hidden "
+                                     f"units, got shapes {np.shape(g_a)} and {np.shape(g_f)}")
+        scores = conflict_scores(g_a, g_f, gamma)
+        threshold = positive_score_threshold(scores, eta)
         if threshold is not None:
-            for i, s in enumerate(per_layer):
-                hit = (s > 0.0) & (s >= threshold)
-                self.counts[i][hit] += 1
-                self.cum_scores[i][hit] += s[hit]
+            hit = (scores > 0.0) & (scores >= threshold)
+            self.counts[hit] += 1
+            self.cum_scores[hit] += scores[hit]
         self._epochs.add(epoch)
 
 
@@ -197,17 +191,16 @@ def _target_kept(dims, omega: float) -> int:
 
 def _removal_mask(dims, order, omega, magnitudes) -> Mask:
     """Removal loop shared by the unit-ranking builders: remove whole
-    units in ``order`` (flat unit indices, layer by layer) until the
-    kept count first reaches floor(omega * n) or below, skip any
-    removal that would empty a hidden layer, then repair overshoot by
-    trimming single entries so the count is exact.
+    units in ``order`` (flat unit indices, layer by layer) while more
+    than k = floor(omega * n) are kept, skip any removal that would
+    empty a hidden layer, and trim single entries so the count is exact:
+    of the unit whose removal would go below k, which then stays, or
+    else of the whole network but its output biases.
     Trimming takes the smallest ``magnitudes`` first, ties and a None
     ``magnitudes`` going by ascending flat index."""
     k = _target_kept(dims, omega)
     mask = Mask(dims)
     kept = mask.total_count()
-    if k == kept:
-        return mask
 
     def cheapest(idx: np.ndarray, need: int) -> np.ndarray:
         if magnitudes is not None:
@@ -217,29 +210,22 @@ def _removal_mask(dims, order, omega, magnitudes) -> Mask:
     offsets = layer_offsets(dims)
     units_left = list(dims[1:-1])
     layers, units = _unit_ids(units_left)
-    last = None
     for layer, unit in zip(layers[order].tolist(), units[order].tolist()):
         if kept <= k:
             break
         if units_left[layer] <= 1:
             continue
-        slices = _unit_slices(dims, offsets, layer, unit)
-        was = [mask.keep[s].copy() for s in slices]
-        for s in slices:
-            mask.keep[s] = False
-        kept -= sum(int(w.sum()) for w in was)
+        idx = np.r_[_unit_slices(dims, offsets, layer, unit)]
+        idx = idx[mask.keep[idx]]
+        if kept - idx.size < k:
+            mask.keep[cheapest(idx, kept - k)] = False
+            return mask
+        mask.keep[idx] = False
+        kept -= idx.size
         mask.neuron_keep[layer][unit] = False
         units_left[layer] -= 1
-        last = (layer, unit, slices, was)
 
-    if kept < k:
-        layer, unit, slices, was = last
-        for s, w in zip(slices, was):
-            mask.keep[s] = w
-        mask.neuron_keep[layer][unit] = True
-        flipped = np.r_[slices][np.concatenate(was)]
-        mask.keep[cheapest(flipped, kept + flipped.size - k)] = False
-    elif kept > k:
+    if kept > k:
         candidates = np.flatnonzero(mask.keep[: -dims[-1]])
         mask.keep[cheapest(candidates, kept - k)] = False
     return mask
@@ -253,8 +239,9 @@ def build_ballot_mask(
 
     Units are ranked by vote count (descending), then cumulative score
     (descending), then (layer, unit) as the final tie-break, so the mask
-    depends on counts and scores only through that order.  Overshoot is
-    repaired by undoing the last unit and trimming its entries in
+    depends on counts and scores only through that order; the stable
+    ``np.lexsort`` keeps tied units in the flat, (layer, unit), order.
+    The unit that would overshoot stays, its entries trimmed in
     ascending |final weight| order.
     """
     dims = final_params.dims
@@ -263,10 +250,7 @@ def build_ballot_mask(
     if not ledger.epochs:
         raise UsageError("ledger has no recorded epochs")
 
-    layers, units = _unit_ids(ledger.sizes)
-    order = np.lexsort(
-        (units, layers, -np.concatenate(ledger.cum_scores), -np.concatenate(ledger.counts))
-    )
+    order = np.lexsort((-ledger.cum_scores, -ledger.counts))
     magnitudes = np.abs(final_params.flat)
     return _removal_mask(dims, order, omega, magnitudes)
 

@@ -23,9 +23,9 @@ shape from it and takes no dims of its own.
 
 Each batch runs one forward pass and one backward pass that writes the
 cross-entropy's parameter gradients into the gradient buffer.  Dense
-training also asks for the pre-activation means of the class-weighted
-fairness loss, which the conflict ledger records; they follow from the
-same backward pass by linearity, so that loss is never formed.
+training also asks for the hidden units' pre-activation means of both
+losses, one array for the conflict ledger; the fairness loss's follow
+from the same backward pass by linearity, so that loss is never formed.
 ``sgd_step`` updates the whole buffer in one call.  Every matmul runs
 slot by slot with the shapes of a single network, so stacking networks
 of one shape never changes their bytes.
@@ -230,12 +230,12 @@ def train_step(stack: ParamStack, x, onehot, fair=None):
     array belongs to network r.  The gradients are written in place,
     into the views ``stack.grad_weights`` and ``stack.grad_biases``.
     With ``fair``, an [R, C] array of finite, strictly positive class
-    weights, it returns ``(means_a, means_f)``, [R, units] per hidden
-    layer: the batch-mean gradient of each hidden pre-activation under
-    the plain loss, its bias gradient over n, and under the fairness
-    loss, which weights sample n by its class's weight s_n; the backward
-    pass is linear per sample, so the latter is s_n times the former
-    and needs no sweep of its own.  Without ``fair`` it returns None.
+    weights, it returns one [2, R, H] array over the hidden units,
+    layer-major: row 0 the batch-mean gradient of each pre-activation
+    under the plain loss, its bias gradient over n, row 1 under the
+    fairness loss, which weights sample n by its class's weight s_n; the
+    backward pass is linear per sample, so the latter is s_n times the
+    former and needs no sweep of its own.  Without ``fair``, None.
 
     The parameters are used as stored, so gradients flow through exactly
     the network that inference sees; ``sgd_step`` gives the gradients of
@@ -262,13 +262,14 @@ def train_step(stack: ParamStack, x, onehot, fair=None):
     if fair is not None:
         # exact: every row of onehot has a single 1 and zeros elsewhere
         s = np.add.reduce(onehot * fair[:, None, :], axis=2)[:, :, None]
-        means = ([], [])
+        means = np.empty((2, x.shape[0], sum(stack.dims[1:-1])))
     for i in range(last, -1, -1):
         np.matmul(inputs[i].swapaxes(1, 2), g, out=stack.grad_weights[i])
         np.add.reduce(g, axis=1, out=stack.grad_biases[i])
         if means is not None and i < last:
-            means[0].insert(0, stack.grad_biases[i] / n)
-            means[1].insert(0, np.add.reduce(g * s, axis=1) / n)
+            cols = slice(sum(stack.dims[1 : i + 1]), sum(stack.dims[1 : i + 2]))
+            np.divide(stack.grad_biases[i], n, out=means[0, :, cols])
+            np.divide(np.add.reduce(g * s, axis=1), n, out=means[1, :, cols])
         if i > 0:
             g = g @ ws[i].swapaxes(1, 2)
             g *= gates[i - 1]

@@ -3,8 +3,8 @@
 Dense training optimizes the plain cross-entropy.  Each batch runs one
 forward and one backward pass, which drives the SGD step and yields
 per-unit pre-activation gradients of the plain and of the weighted
-fairness loss, both accumulated into the conflict ledger, one record
-per epoch.  The fairness loss reweights classes by the inverse of their
+fairness loss as one [2, seeds, hidden units] array, summed over the
+epoch into the conflict ledgers, one record per epoch.  The fairness loss reweights classes by the inverse of their
 previous-epoch accuracy, so it only starts to differ from the accuracy
 loss once per-class accuracies diverge.
 
@@ -182,15 +182,11 @@ def train_dense(
         if epoch == config.rewind_epoch:
             theta_k = [p.copy() for p in nets]
         lr = lr_at(epoch, config)
-        acc_a = [np.zeros((len(seeds), h)) for h in config.hidden]
-        acc_f = [np.zeros((len(seeds), h)) for h in config.hidden]
+        acc = np.zeros((2, len(seeds), sum(config.hidden)))
         stack = ParamStack(flat, dims)
         try:
             for idx in _batches(_shuffle(seeds, epoch, x.shape[0]), config.batch_size):
-                means_a, means_f = train_step(stack, x[idx], onehot[idx], fair)
-                for i, (ma, mf) in enumerate(zip(means_a, means_f)):
-                    acc_a[i] += ma
-                    acc_f[i] += mf
+                acc += train_step(stack, x[idx], onehot[idx], fair)
                 sgd_step(stack, lr)
         except NumericalFailure as exc:
             raise _failure("dense training", epoch, seeds[exc.index], exc) from exc
@@ -199,10 +195,7 @@ def train_dense(
         fair_rows = []
         for r, (params, ledger) in enumerate(zip(nets, ledgers)):
             params.epoch_tag = epoch + 1
-            ledger.record_epoch(
-                epoch, [a[r] for a in acc_a], [f[r] for f in acc_f],
-                config.gamma, config.eta,
-            )
+            ledger.record_epoch(epoch, acc[0, r], acc[1, r], config.gamma, config.eta)
             train_report = _evaluate(params, data.train, "dense training", epoch, seeds[r])
             fair_rows.append(update_class_weights(train_report))
         fair = np.stack(fair_rows)

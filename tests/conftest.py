@@ -85,6 +85,13 @@ def reference_loss(weights, biases, x, onehot, class_w):
     return float(np.mean(-sample_w * (onehot * logp).sum(axis=1)))
 
 
+def per_layer(units, dims):
+    """Split the last axis of ``units``, the hidden units of a network of
+    layer widths ``dims`` in layer-major order, into one view per hidden
+    layer."""
+    return np.split(units, np.cumsum(dims[1:-2]), axis=-1)
+
+
 def reference_fair_means(weights, biases, x, onehot, class_w):
     """The fairness loss's batch-mean gradient of every hidden
     pre-activation, by that loss's own backward sweep: the class-weighted

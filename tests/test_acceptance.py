@@ -31,6 +31,7 @@ from conftest import (
     ACCEPTANCE_LINES,
     brute_force_report,
     logits,
+    per_layer,
     random_net,
     reference_loss,
     small_config,
@@ -130,17 +131,18 @@ def _gradients(params, x, y, class_w):
     slot 0, as (array, analytic gradient) pairs.  The plain loss: every
     parameter's gradient.  The weighted loss: every bias's, which is the
     batch sum of its unit's pre-activation gradient, n times the mean
-    the step returns for a hidden unit, and for an output unit the
-    batch sum of ``cross_entropy``'s dlogits with row n scaled by the
-    weight of sample n's class.  The network's arrays become views of
-    the stack, so the perturbations below still reach the oracle."""
+    the step returns for a hidden unit, sliced layer by layer from its
+    flat means, and for an output unit the batch sum of
+    ``cross_entropy``'s dlogits with row n scaled by the weight of sample
+    n's class.  The network's arrays become views of the stack, so the
+    perturbations below still reach the oracle."""
     stack = stack_params([params])
-    _, means_f = train_step(stack, x[None], y[None], class_w[None])
+    means_f = train_step(stack, x[None], y[None], class_w[None])[1, 0]
     plain = [(arr, g[0].copy()) for arr, g in zip(
         params.weights + params.biases, stack.grad_weights + stack.grad_biases)]
     _, dlogits = cross_entropy(logits(params, x)[None], y[None])
     fair_out = ((y @ class_w)[:, None] * dlogits[0]).sum(axis=0)
-    fair_bias = [x.shape[0] * m[0] for m in means_f] + [fair_out]
+    fair_bias = [x.shape[0] * m for m in per_layer(means_f, params.dims)] + [fair_out]
     return {"a": plain, "f": list(zip(params.biases, fair_bias))}
 
 
@@ -242,8 +244,8 @@ def test_criterion_3_mask_exactness():
         for epoch in range(3):
             ledger.record_epoch(
                 epoch,
-                [rng.normal(size=s) for s in ledger.sizes],
-                [rng.normal(size=s) for s in ledger.sizes],
+                np.concatenate([rng.normal(size=s) for s in ledger.sizes]),
+                np.concatenate([rng.normal(size=s) for s in ledger.sizes]),
                 gamma=10.0,
                 eta=0.95,
             )
@@ -296,8 +298,8 @@ def test_criterion_4_conflict_rule():
         c = float(2.0 ** rng.integers(-8, 9))
         epochs = [
             (
-                [_sprinkle_zeros(rng.normal(size=s), rng) for s in sizes],
-                [_sprinkle_zeros(rng.normal(size=s), rng) for s in sizes],
+                np.concatenate([_sprinkle_zeros(rng.normal(size=s), rng) for s in sizes]),
+                np.concatenate([_sprinkle_zeros(rng.normal(size=s), rng) for s in sizes]),
             )
             for _ in range(3)
         ]
@@ -306,15 +308,13 @@ def test_criterion_4_conflict_rule():
         scaled = ConflictLedger(sizes)
         for epoch, (ga, gf) in enumerate(epochs):
             base.record_epoch(epoch, ga, gf, gamma, eta)
-            scaled.record_epoch(epoch, ga, [c * v for v in gf], gamma / c, eta)
-        for a, b in zip(base.counts, scaled.counts):
-            if not np.array_equal(a, b):
-                violations.append((trial, "counts not scale-invariant"))
-        for a, b in zip(base.cum_scores, scaled.cum_scores):
-            if not np.array_equal(a, b):
-                violations.append((trial, "scores not scale-invariant"))
+            scaled.record_epoch(epoch, ga, c * gf, gamma / c, eta)
+        if not np.array_equal(base.counts, scaled.counts):
+            violations.append((trial, "counts not scale-invariant"))
+        if not np.array_equal(base.cum_scores, scaled.cum_scores):
+            violations.append((trial, "scores not scale-invariant"))
 
-        ga, gf = (np.concatenate(v) for v in epochs[0])
+        ga, gf = epochs[0]
         scores = conflict_scores(ga, gf, gamma)
         opposed = np.sign(ga) * np.sign(gf) < 0
         if not (scores[~opposed] == 0.0).all():

@@ -23,8 +23,8 @@ from ballot.model import (
     train_step,
 )
 
-from conftest import (logits, net_from_layers, random_net, random_dims, reference_fair_means,
-                      reference_loss)
+from conftest import (logits, net_from_layers, per_layer, random_net, random_dims,
+                      reference_fair_means, reference_loss)
 
 
 def _net(*layers):
@@ -42,8 +42,8 @@ class Grads(NamedTuple):
 def _step(params, x, y, fair=None):
     """``train_step`` of one network, as a stack of one: copies of slot
     0 of the plain loss's parameter gradients, and slot 0 of the
-    ``(means_a, means_f)`` pre-activation means, or None without
-    ``fair``."""
+    ``(means_a, means_f)`` pre-activation means split into one array per
+    hidden layer, or None without ``fair``."""
     stack = stack_params([params.copy()])
     means = train_step(
         stack, np.asarray(x, dtype=np.float64)[None],
@@ -54,7 +54,7 @@ def _step(params, x, y, fair=None):
                   [b[0].copy() for b in stack.grad_biases])
     if means is None:
         return grads, None
-    return grads, [[m[0] for m in layer_means] for layer_means in means]
+    return grads, [per_layer(m[0], params.dims) for m in means]
 
 
 def _ce(logits, onehot):
@@ -273,7 +273,7 @@ class TestBackward:
             x = rng.normal(size=(3, n, dims[0]))
             y = np.eye(c)[rng.integers(0, c, (3, n))]
             fair = rng.uniform(0.2, 5.0, (3, c))
-            _, means_f = train_step(stack_params(nets), x, y, fair)
+            means_f = per_layer(train_step(stack_params(nets), x, y, fair)[1], dims)
             for r, start in enumerate(starts):
                 want = reference_fair_means(start.weights, start.biases,
                                             x[r], y[r], fair[r])
@@ -329,7 +329,7 @@ class TestSeedStack:
                 if weights is None:
                     assert means is None and means1 is None
                 else:
-                    got, want = got + means[0] + means[1], want + means1[0] + means1[1]
+                    got, want = got + list(means), want + list(means1)
                 for a, b in zip(got, want):
                     assert a[r].tobytes() == b[0].tobytes()
                 sgd_step(one, 0.1)
@@ -396,7 +396,7 @@ class TestOneReduction:
         y = np.eye(dims[-1])[rng.integers(0, dims[-1], (r, n))]
         fair = rng.uniform(0.2, 5.0, (r, dims[-1]))
         want_a, want_f = _second_reduction_means(stack, x, y, fair)
-        means_a, means_f = train_step(stack, x, y, fair)
+        means_a, means_f = (per_layer(m, dims) for m in train_step(stack, x, y, fair))
         for i, (a, f, wa, wf) in enumerate(zip(means_a, means_f, want_a, want_f)):
             assert a.tobytes() == (stack.grad_biases[i] / n).tobytes() == wa.tobytes()
             assert f.tobytes() == wf.tobytes()

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ballot.errors import (
     ConfigurationError,
@@ -15,6 +17,11 @@ from ballot.errors import (
 )
 from ballot.masks import (
     ConflictLedger,
+    Mask,
+    _removal_mask,
+    _target_kept,
+    _unit_ids,
+    _unit_slices,
     build_ballot_mask,
     build_magnitude_mask,
     build_random_mask,
@@ -24,7 +31,7 @@ from ballot.masks import (
     positive_score_threshold,
     save_mask,
 )
-from ballot.model import init_network, param_count
+from ballot.model import init_network, layer_offsets, param_count
 
 from conftest import net_from_layers, random_dims
 
@@ -52,15 +59,16 @@ def roundtrip(mask, dims, path):
 
 def ledger_with_votes(per_epoch_units, sizes=(3,), eta=0.5):
     """Record one epoch per entry; each entry maps unit -> score for the
-    single hidden layer.  Tied scores within an epoch are all counted,
-    so vote patterns are fully controlled."""
+    first hidden layer, whose units lead the flat order.  Tied scores
+    within an epoch are all counted, so vote patterns are fully
+    controlled."""
     led = ConflictLedger(list(sizes))
     for epoch, unit_scores in enumerate(per_epoch_units):
-        g_a = [np.zeros(s) for s in sizes]
-        g_f = [np.zeros(s) for s in sizes]
+        g_a = np.zeros(sum(sizes))
+        g_f = np.zeros(sum(sizes))
         for unit, score in unit_scores.items():
-            g_a[0][unit] = score / 2.0
-            g_f[0][unit] = -score / 2.0  # gamma=1: |a| + |f| = score
+            g_a[unit] = score / 2.0
+            g_f[unit] = -score / 2.0  # gamma=1: |a| + |f| = score
         led.record_epoch(epoch, g_a, g_f, gamma=1.0, eta=eta)
     return led
 
@@ -126,32 +134,60 @@ class TestThreshold:
 
 
 class TestLedger:
+    @pytest.mark.parametrize("sizes, want", [
+        (np.array([64, 64]), [64, 64]),
+        ((np.int64(3), 2), [3, 2]),
+        ([2.7], None),
+        ([2.0], None),
+        (np.array([2.5]), None),
+        ([True], None),
+        ([0], None),
+        ([], None),
+    ])
+    def test_sizes_are_positive_integers(self, sizes, want):
+        # any sequence of integers, NumPy's included, is held as a list
+        # of Python ints; a fraction is never truncated
+        if want is None:
+            with pytest.raises(ConfigurationError, match="positive integers"):
+                ConflictLedger(sizes)
+        else:
+            led = ConflictLedger(sizes)
+            assert led.sizes == want and all(type(s) is int for s in led.sizes)
+            assert led.counts.shape == led.cum_scores.shape == (sum(want),)
+
     def test_counts_and_cum_scores(self):
         led = ledger_with_votes(
             [{0: 1.0, 1: 1.0}, {0: 1.0, 1: 1.0}, {0: 2.0}, {0: 2.0}, {0: 2.0}]
         )
-        assert led.counts[0].tolist() == [5, 2, 0]
-        assert led.cum_scores[0].tolist() == [8.0, 2.0, 0.0]
+        assert led.counts.tolist() == [5, 2, 0]
+        assert led.cum_scores.tolist() == [8.0, 2.0, 0.0]
         assert led.epochs == [0, 1, 2, 3, 4]
 
     def test_duplicate_epoch_rejected(self):
         led = ConflictLedger([3])
-        led.record_epoch(0, [np.ones(3)], [-np.ones(3)], 1.0, 0.5)
+        led.record_epoch(0, np.ones(3), -np.ones(3), 1.0, 0.5)
         with pytest.raises(UsageError):
-            led.record_epoch(0, [np.ones(3)], [-np.ones(3)], 1.0, 0.5)
+            led.record_epoch(0, np.ones(3), -np.ones(3), 1.0, 0.5)
 
     def test_count_bounded_by_epochs(self, rng):
         led = ConflictLedger([6])
         for e in range(7):
             led.record_epoch(
-                e, [rng.normal(size=6)], [rng.normal(size=6)], 2.0, 0.6
+                e, rng.normal(size=6), rng.normal(size=6), 2.0, 0.6
             )
-        assert (led.counts[0] <= 7).all()
+        assert (led.counts <= 7).all()
 
     def test_layer_shape_mismatch_rejected(self):
         led = ConflictLedger([3])
-        with pytest.raises(ConfigurationError):
-            led.record_epoch(0, [np.ones(2)], [np.ones(2)], 1.0, 0.5)
+        with pytest.raises(ConfigurationError, match="cover the 3 hidden units"):
+            led.record_epoch(0, np.ones(2), np.ones(2), 1.0, 0.5)
+        # per-layer lists are not the flat vector, even when they hold
+        # every unit
+        with pytest.raises(ConfigurationError, match=r"got shapes \(1, 3\)"):
+            led.record_epoch(0, [np.ones(3)], [np.ones(3)], 1.0, 0.5)
+        with pytest.raises(ConfigurationError, match=r"\(3,\) and \(2,\)"):
+            led.record_epoch(0, np.ones(3), np.ones(2), 1.0, 0.5)
+        assert led.epochs == []
 
 
 class TestBallotMask:
@@ -176,7 +212,7 @@ class TestBallotMask:
         led = ledger_with_votes(
             [{1: 1.0, 2: 1.0}, {1: 1.0, 2: 1.0}, {1: 3.0}, {1: 3.0}]
         )  # counts [0, 4, 2]
-        best = max(range(3), key=lambda u: led.counts[0][u])
+        best = max(range(3), key=lambda u: led.counts[u])
         mask = build_ballot_mask(led, 0.72, params_for(DIMS_232))
         removed = [u for u in range(3) if not mask.neuron_keep[0][u]]
         assert removed == [best]
@@ -199,8 +235,7 @@ class TestBallotMask:
         )
         params = params_for(DIMS_232)
         base = build_ballot_mask(led, 0.72, params)
-        for layer in led.cum_scores:
-            layer += 5.0
+        led.cum_scores += 5.0
         shifted = build_ballot_mask(led, 0.72, params)
         for a, b in zip(base.weight_keep, shifted.weight_keep):
             assert np.array_equal(a, b)
@@ -208,8 +243,8 @@ class TestBallotMask:
             assert np.array_equal(a, b)
 
     def test_undershoot_trims_smallest_final_weights(self):
-        # k=13: removing the voted unit reaches 12 < 13, so the builder
-        # undoes it and trims its 4 smallest-|final| entries instead
+        # k=13: removing the voted unit would reach 12 < 13, so the
+        # builder keeps it and trims its 4 smallest-|final| entries instead
         led = ledger_with_votes([{0: 1.0}])
         params = params_for(DIMS_232)
         params.weights[0][:, 0] = [0.9, -0.2]
@@ -217,7 +252,7 @@ class TestBallotMask:
         params.weights[1][0, :] = [0.4, -0.01]
         mask = build_ballot_mask(led, 13.2 / 17, params)
         assert mask.kept_count() == 13
-        assert mask.neuron_keep[0].all()  # unit restored, only trimmed
+        assert mask.neuron_keep[0].all()  # unit kept, only trimmed
         assert mask.weight_keep[0][0, 0]  # |0.9| survives
         assert not mask.weight_keep[0][1, 0]
         assert not mask.bias_keep[0][0]
@@ -412,8 +447,8 @@ class TestSparsityAndFeasibility:
             for e in range(3):
                 led.record_epoch(
                     e,
-                    [rng.normal(size=n) for n in dims[1:-1]],
-                    [rng.normal(size=n) for n in dims[1:-1]],
+                    np.concatenate([rng.normal(size=n) for n in dims[1:-1]]),
+                    np.concatenate([rng.normal(size=n) for n in dims[1:-1]]),
                     10.0,
                     0.95,
                 )
@@ -447,8 +482,8 @@ class TestMaskSerialization:
             led = ConflictLedger(dims[1:-1])
             led.record_epoch(
                 0,
-                [rng.normal(size=n) for n in dims[1:-1]],
-                [rng.normal(size=n) for n in dims[1:-1]],
+                np.concatenate([rng.normal(size=n) for n in dims[1:-1]]),
+                np.concatenate([rng.normal(size=n) for n in dims[1:-1]]),
                 10.0,
                 0.5,
             )
@@ -501,10 +536,10 @@ class TestMaskSerialization:
 
 
 # sha256 of np.packbits(mask.keep), the bytes of ``save_mask``, for a
-# 10-48-48-4 net; the cases run the ballot overshoot trim (0.006), the
-# ballot undo and trim (0.2), the magnitude dead-layer repair (0.006,
-# 0.05), and the random overshoot trim (0.006) and undo and trim (0.05,
-# 0.2)
+# 10-48-48-4 net; the cases run the ballot whole-network trim (0.006),
+# the ballot last-unit trim (0.2), the magnitude dead-layer repair
+# (0.006, 0.05), and the random whole-network trim (0.006) and
+# last-unit trim (0.05, 0.2)
 PINNED_DIGESTS = {
     ("ballot", 0.006): "98c5493f3d4c4cea0e6d82f918c547ad2fa89037eb4f8f36afb8b5df052cb818",
     ("magnitude", 0.006): "fabe3640668cc463e19c9fecbc253ee2ed4c81ab784c0b389001605279118cf6",
@@ -526,8 +561,8 @@ def test_serialized_masks_match_pinned_digests(tmp_path):
     for e in range(4):
         led.record_epoch(
             e,
-            [rng.normal(size=48) for _ in range(2)],
-            [rng.normal(size=48) for _ in range(2)],
+            np.concatenate([rng.normal(size=48) for _ in range(2)]),
+            np.concatenate([rng.normal(size=48) for _ in range(2)]),
             10.0,
             0.95,
         )
@@ -542,3 +577,137 @@ def test_serialized_masks_match_pinned_digests(tmp_path):
         save_mask(builders[name](omega), path)
         got[name, omega] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert got == PINNED_DIGESTS
+
+
+def _per_layer_record(counts, cum_scores, g_a, g_f, gamma, eta):
+    """The ledger update as it was before the ledger went flat: score
+    each layer on its own, take the threshold over the concatenated
+    scores, then count hits layer by layer into per-layer arrays."""
+    per_layer = [conflict_scores(a, f, gamma) for a, f in zip(g_a, g_f)]
+    threshold = positive_score_threshold(np.concatenate(per_layer), eta)
+    if threshold is not None:
+        for i, s in enumerate(per_layer):
+            hit = (s > 0.0) & (s >= threshold)
+            counts[i][hit] += 1
+            cum_scores[i][hit] += s[hit]
+
+
+def _undoing_removal_mask(dims, order, omega, magnitudes):
+    """The removal loop as it was before it decided the last unit up
+    front: remove whole units, and when the last removal overshoots,
+    restore that unit and trim its cheapest previously kept entries."""
+    k = _target_kept(dims, omega)
+    mask = Mask(dims)
+    kept = mask.total_count()
+    if k == kept:
+        return mask
+
+    def cheapest(idx, need):
+        if magnitudes is not None:
+            idx = idx[np.argsort(magnitudes[idx], kind="stable")]
+        return idx[:need]
+
+    offsets = layer_offsets(dims)
+    units_left = list(dims[1:-1])
+    layers, units = _unit_ids(units_left)
+    last = None
+    for layer, unit in zip(layers[order].tolist(), units[order].tolist()):
+        if kept <= k:
+            break
+        if units_left[layer] <= 1:
+            continue
+        slices = _unit_slices(dims, offsets, layer, unit)
+        was = [mask.keep[s].copy() for s in slices]
+        for s in slices:
+            mask.keep[s] = False
+        kept -= sum(int(w.sum()) for w in was)
+        mask.neuron_keep[layer][unit] = False
+        units_left[layer] -= 1
+        last = (layer, unit, slices, was)
+
+    if kept < k:
+        layer, unit, slices, was = last
+        for s, w in zip(slices, was):
+            mask.keep[s] = w
+        mask.neuron_keep[layer][unit] = True
+        flipped = np.r_[slices][np.concatenate(was)]
+        mask.keep[cheapest(flipped, kept + flipped.size - k)] = False
+    elif kept > k:
+        candidates = np.flatnonzero(mask.keep[: -dims[-1]])
+        mask.keep[cheapest(candidates, kept - k)] = False
+    return mask
+
+
+def _target_omega(rng, dims, low: bool) -> float:
+    """A retention whose floor(omega * n) is a uniform k of at least the
+    output biases: with ``low``, at most what every hidden layer at one
+    unit keeps, so whole-unit removal cannot reach it."""
+    total = param_count(dims)
+    floor = param_count((dims[0], *[1] * (len(dims) - 2), dims[-1]))
+    k = int(rng.integers(dims[-1], (floor if low else total) + 1))
+    return (k + 0.5) / total
+
+
+class TestFlatRewritesMatchTheirReferences:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), epochs=st.integers(1, 4),
+           sizes=st.lists(st.integers(1, 9), min_size=1, max_size=4))
+    def test_flat_ledger_matches_the_per_layer_ledger(self, seed, epochs, sizes):
+        # random sizes, gamma and eta, some gradients exactly zero and
+        # some rounded so that scores tie at the threshold
+        rng = np.random.default_rng(seed)
+        gamma = float(rng.uniform(0.1, 20.0))
+        eta = float(rng.uniform(0.05, 0.95))
+        led = ConflictLedger(sizes)
+        counts = [np.zeros(s, dtype=np.int64) for s in sizes]
+        cum_scores = [np.zeros(s) for s in sizes]
+        for epoch in range(epochs):
+            g_a, g_f = ([self._draw(rng, s) for s in sizes] for _ in range(2))
+            _per_layer_record(counts, cum_scores, g_a, g_f, gamma, eta)
+            led.record_epoch(epoch, np.concatenate(g_a), np.concatenate(g_f), gamma, eta)
+        assert led.sizes == sizes
+        assert led.counts.tobytes() == np.concatenate(counts).tobytes()
+        assert led.cum_scores.tobytes() == np.concatenate(cum_scores).tobytes()
+
+    @staticmethod
+    def _draw(rng, size):
+        vec = rng.normal(size=size)
+        if rng.random() < 0.5:
+            vec = np.round(vec, 1)
+        vec[rng.random(size) < 0.15] = 0.0
+        return vec
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), low=st.booleans(), weighted=st.booleans())
+    def test_removal_matches_remove_then_undo(self, seed, low, weighted):
+        rng = np.random.default_rng(seed)
+        dims = random_dims(rng, max_hidden_layers=3, max_units=8)
+        order = rng.permutation(sum(dims[1:-1]))
+        omega = _target_omega(rng, dims, low)
+        # rounded magnitudes tie, so the stable order of the trim shows
+        magnitudes = (np.round(np.abs(rng.normal(size=param_count(dims))), 1)
+                      if weighted else None)
+        got = _removal_mask(dims, order, omega, magnitudes)
+        want = _undoing_removal_mask(dims, order, omega, magnitudes)
+        assert np.array_equal(got.keep, want.keep)
+        for a, b in zip(got.neuron_keep, want.neuron_keep):
+            assert np.array_equal(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), low=st.booleans())
+    def test_ballot_ranking_matches_the_four_key_sort(self, seed, low):
+        # few distinct counts and scores, so most units tie on both keys
+        # and the (layer, unit) tie-break decides
+        rng = np.random.default_rng(seed)
+        dims = random_dims(rng, max_hidden_layers=3, max_units=8)
+        params = init_network(dims, seed)
+        led = ConflictLedger(dims[1:-1])
+        led.record_epoch(0, np.zeros(sum(dims[1:-1])), np.zeros(sum(dims[1:-1])), 1.0, 0.5)
+        led.counts[:] = rng.integers(0, 3, led.counts.size)
+        led.cum_scores[:] = rng.integers(0, 3, led.counts.size) / 2.0
+        layers, units = _unit_ids(led.sizes)
+        order = np.lexsort((units, layers, -led.cum_scores, -led.counts))
+        omega = _target_omega(rng, dims, low)
+        got = build_ballot_mask(led, omega, params)
+        want = _undoing_removal_mask(dims, order, omega, np.abs(params.flat))
+        assert np.array_equal(got.keep, want.keep)

@@ -164,8 +164,8 @@ class TestCompaction:
             total = param_count(dims)
             params = init_network(dims, trial)
             ledger = ConflictLedger(dims[1:-1])
-            ledger.record_epoch(0, [rng.normal(size=n) for n in dims[1:-1]],
-                                [rng.normal(size=n) for n in dims[1:-1]],
+            ledger.record_epoch(0, np.concatenate([rng.normal(size=n) for n in dims[1:-1]]),
+                                np.concatenate([rng.normal(size=n) for n in dims[1:-1]]),
                                 10.0, 0.5)
             while True:
                 # some retentions are infeasible for magnitude; redraw them
@@ -571,8 +571,8 @@ class TestPlainFirst:
             plain = stack_params([params.copy(), params.copy()])
             fair = stack_params([params.copy(), params.copy()])
             assert train_step(plain, x, y) is None
-            means_a, means_f = train_step(fair, x, y, rng.uniform(0.5, 2.0, (2, c)))
-            assert len(means_a) == len(means_f) == len(dims) - 2
+            means = train_step(fair, x, y, rng.uniform(0.5, 2.0, (2, c)))
+            assert means.shape == (2, 2, sum(dims[1:-1]))
             assert plain.grad.tobytes() == fair.grad.tobytes()
 
 

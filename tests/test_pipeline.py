@@ -156,8 +156,8 @@ class TestTrainDense:
         (again,) = train_dense(small_config(), data, [0])
         assert params_equal(artifacts.theta_e, again.theta_e)
         assert artifacts.dense_report == again.dense_report
-        for a, b in zip(artifacts.ledger.counts, again.ledger.counts):
-            assert np.array_equal(a, b)
+        assert np.array_equal(artifacts.ledger.counts, again.ledger.counts)
+        assert np.array_equal(artifacts.ledger.cum_scores, again.ledger.cum_scores)
 
     def test_ledger_has_exactly_e_epochs(self, artifacts):
         assert artifacts.ledger.epochs == list(range(small_config().epochs))

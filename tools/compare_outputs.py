@@ -21,6 +21,9 @@ temporary directory, through one fixed command set:
   ``prune.omega=0.2``, where the seeds' compacted networks differ in
   shape and retrain padded to a common width at which padding can move
   weight bits, so the reports of a padded stack are compared;
+- ``experiment --seeds 3`` with ``prune.omega=0.004``, where unit
+  removal cuts every hidden layer to one unit and still keeps too many
+  entries, so the unit-ranking builders trim across the whole network;
 - ``evaluate`` of the ballot ``final.ckpt`` on the default config's
   test split, through a config file of ``{}``;
 - ``gen-data`` on the default config, then ``evaluate`` of the ballot
@@ -80,6 +83,7 @@ from checks import strip_timing  # noqa: E402
 
 WIDE = {"model": {"hidden": [512, 512]}, "seed": 0}
 PADDED = {"model": {"hidden": [128, 128]}, "prune": {"omega": 0.2}}
+SPARSEST = {"prune": {"omega": 0.004}}
 EVERY_KEY = {
     "model": {"hidden": [16, 8]},
     "train": {"epochs": 4.0, "lr0": 0.05, "batch": 16, "milestones": [0.5]},
@@ -154,6 +158,7 @@ COMMANDS = [
     *[["prune", "--method", m, "--config", "wide.json", "--out", f"wide-{m}"]
       for m in ("lth", "random")],
     ["experiment", "--seeds", "3", "--config", "padded.json", "--out", "padded"],
+    ["experiment", "--seeds", "3", "--config", "sparsest.json", "--out", "sparsest"],
     ["evaluate", "--checkpoint", "prune-ballot/checkpoints/final.ckpt",
      "--data", "default.json", "--out", "evaluation-default.json"],
     ["gen-data", "--out", "data.csv"],
@@ -195,6 +200,7 @@ def run_all(tree: Path, work: Path) -> None:
     callable in it is a step of this script, given ``work``.  Then run
     the failing commands and record each one's exit code and stderr."""
     for name, raw in (("default", {}), ("wide", WIDE), ("padded", PADDED),
+                      ("sparsest", SPARSEST),
                       ("every-key", EVERY_KEY), ("csv", CSV), ("long", LONG),
                       ("two-blocks", TWO_BLOCKS), ("odd", ODD), ("rewind0", REWIND0),
                       ("hidden-zero", HIDDEN_ZERO)):
