@@ -12,7 +12,6 @@ span fields sit beside the table, in ``__post_init__``.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -21,6 +20,7 @@ from numbers import Integral, Real
 from typing import Callable, NamedTuple
 
 from .errors import ConfigurationError
+from .fileio import read_json
 
 METHODS = ("ballot", "lth", "magnitude", "random")
 
@@ -250,14 +250,7 @@ def config_from_dict(raw: dict) -> AppConfig:
 
 
 def load_config(path) -> AppConfig:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(raw)
+    return config_from_dict(read_json(path, "config", ConfigurationError))
 
 
 def effective_dict(app: AppConfig) -> dict:

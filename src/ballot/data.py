@@ -8,13 +8,12 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
 from .config import DatasetSpec, SyntheticSpec
-from .errors import DataError, PersistenceError
-from .fileio import atomic_open
+from .errors import DataError
+from .fileio import reading, writing
 from .model import FORWARD_BLOCK_ROWS
 
 
@@ -70,16 +69,11 @@ def save_csv(x: np.ndarray, y: np.ndarray, path) -> None:
     """Header f0..f{d-1},label; floats written in shortest round-trip
     form, so equal arrays always produce identical bytes.  Missing
     parent directories are made; the file is replaced atomically."""
-    path = Path(path)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with atomic_open(path, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"f{i}" for i in range(x.shape[1])] + ["label"])
-            for row, label in zip(x, y):
-                writer.writerow([repr(float(v)) for v in row] + [int(label)])
-    except OSError as exc:
-        raise PersistenceError(f"cannot write CSV {path}: {exc}") from exc
+    with writing(path, "CSV", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"f{i}" for i in range(x.shape[1])] + ["label"])
+        for row, label in zip(x, y):
+            writer.writerow([repr(float(v)) for v in row] + [int(label)])
 
 
 # A label must fit an int64 class index; a float at or above 2**63 does not.
@@ -120,23 +114,20 @@ def csv_blocks(path, label_column: str = "label"):
     ``cannot read`` there instead.
     """
     rows = 0
-    try:
-        with open(path, newline="") as fh:
-            header, label_idx = _read_header(csv.reader(fh), path, label_column)
-            while True:
-                n_lines, block = _read_block(fh, len(header), label_idx)
-                if block is None:
-                    break
-                yield block
-                rows += n_lines
-            if n_lines == 0 and rows:
-                return  # every block of the file loaded
-            # a file without data rows gets its message here too; rewound,
-            # as a reopened pipe would wait for a new writer
-            fh.seek(0)
-            yield from _row_blocks(fh, path, label_column, rows)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    with reading(path, "", DataError, newline="") as fh:
+        header, label_idx = _read_header(csv.reader(fh), path, label_column)
+        while True:
+            n_lines, block = _read_block(fh, len(header), label_idx)
+            if block is None:
+                break
+            yield block
+            rows += n_lines
+        if n_lines == 0 and rows:
+            return  # every block of the file loaded
+        # a file without data rows gets its message here too; rewound,
+        # as a reopened pipe would wait for a new writer
+        fh.seek(0)
+        yield from _row_blocks(fh, path, label_column, rows)
 
 
 def _read_block(fh, n_cells: int, label_idx: int):
@@ -187,11 +178,8 @@ def load_csv(path, label_column: str = "label") -> tuple[np.ndarray, np.ndarray]
 
 def _load_csv_rows(path, label_column: str = "label") -> tuple[np.ndarray, np.ndarray]:
     """``load_csv`` of the whole file row by row: the reference parser."""
-    try:
-        with open(path, newline="") as fh:
-            xs, ys = zip(*_row_blocks(fh, path, label_column))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    with reading(path, "", DataError, newline="") as fh:
+        xs, ys = zip(*_row_blocks(fh, path, label_column))
     return np.concatenate(xs), np.concatenate(ys)
 
 

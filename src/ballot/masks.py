@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from numbers import Integral
-from pathlib import Path
 
 import numpy as np
 
@@ -50,7 +49,7 @@ from .errors import (
     PersistenceError,
     UsageError,
 )
-from .fileio import atomic_open
+from .fileio import reading, writing
 from .model import NetworkParams, check_dims, layer_offsets, layer_views, param_count
 
 
@@ -354,13 +353,8 @@ def save_mask(mask: Mask, path) -> None:
     """Write ``np.packbits(mask.keep)``, the flags in flat order.
     Missing parent directories are made; the file is replaced
     atomically."""
-    path = Path(path)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with atomic_open(path, "wb") as fh:
-            fh.write(np.packbits(mask.keep).tobytes())
-    except OSError as exc:
-        raise PersistenceError(f"cannot write mask {path}: {exc}") from exc
+    with writing(path, "mask", "wb") as fh:
+        fh.write(np.packbits(mask.keep).tobytes())
 
 
 def load_mask(path, dims) -> Mask:
@@ -371,11 +365,8 @@ def load_mask(path, dims) -> Mask:
     check_dims(dims)
     mask = Mask(dims)
     n = mask.total_count()
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise PersistenceError(f"cannot read mask {path}: {exc}") from exc
+    with reading(path, "mask", PersistenceError, "rb") as fh:
+        raw = fh.read()
     if len(raw) != (n + 7) // 8:
         raise PersistenceError(f"mask {path} has {len(raw)} bytes, expected {(n + 7) // 8}")
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8)).astype(bool)

@@ -53,12 +53,11 @@ from __future__ import annotations
 import json
 import math
 import struct
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericalFailure, PersistenceError
-from .fileio import atomic_open
+from .fileio import reading, writing
 
 _MAGIC = b"BLTC"
 _VERSION = 1
@@ -387,14 +386,9 @@ def save_checkpoint(params: NetworkParams, path) -> None:
         sort_keys=True,
     ).encode("utf-8")
     header = [_MAGIC, struct.pack("<I", _VERSION), struct.pack("<Q", len(manifest)), manifest]
-    path = Path(path)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with atomic_open(path, "wb") as fh:
-            fh.write(b"".join(header))
-            fh.write(params.flat.astype("<f8").tobytes())
-    except OSError as exc:
-        raise PersistenceError(f"cannot write checkpoint {path}: {exc}") from exc
+    with writing(path, "checkpoint", "wb") as fh:
+        fh.write(b"".join(header))
+        fh.write(params.flat.astype("<f8").tobytes())
 
 
 def _require_fields(obj: dict, where: str, types: dict) -> None:
@@ -432,11 +426,8 @@ def _manifest_dims(layers: list[dict]) -> tuple[int, ...]:
 
 
 def load_checkpoint(path) -> NetworkParams:
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise PersistenceError(f"cannot read checkpoint {path}: {exc}") from exc
+    with reading(path, "checkpoint", PersistenceError, "rb") as fh:
+        raw = fh.read()
 
     if len(raw) < 16:
         raise PersistenceError("truncated header")

@@ -15,7 +15,7 @@ from ._version import __version__
 from .config import AppConfig, effective_dict
 from .data import make_dataset
 from .errors import ConfigurationError, PersistenceError
-from .fileio import atomic_open
+from .fileio import read_json, writing
 from .masks import save_mask
 from .metrics import EvalReport
 from .model import live_units
@@ -90,24 +90,13 @@ def report_payload(
 
 
 def write_report(path, payload: dict) -> None:
-    path = Path(path)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with atomic_open(path) as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise PersistenceError(f"cannot write report {path}: {exc}") from exc
+    with writing(path, "report") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def load_report(path) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise PersistenceError(f"cannot read report {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise PersistenceError(f"report {path} is not valid JSON: {exc}") from exc
+    return read_json(path, "report", PersistenceError)
 
 
 def _csv_cell(value) -> str:
@@ -121,11 +110,8 @@ def write_aggregate_csv(path, rows: list[dict]) -> None:
     lines = [CSV_HEADER]
     for row in ordered:
         lines.append(",".join(_csv_cell(row[k]) for k in CSV_HEADER.split(",")))
-    try:
-        with atomic_open(path) as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise PersistenceError(f"cannot write {path}: {exc}") from exc
+    with writing(path, "") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _summary_row(method: str, seed: int, report: EvalReport, retention: float,

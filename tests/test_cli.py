@@ -24,7 +24,14 @@ from ballot.data import Split, require_labels_below, split_blocks
 from ballot.errors import ConfigurationError, NumericalFailure
 from ballot.masks import load_mask
 from ballot.metrics import evaluate
-from ballot.model import FORWARD_BLOCK_ROWS, live_units, load_checkpoint, param_count
+from ballot.model import (
+    FORWARD_BLOCK_ROWS,
+    init_network,
+    live_units,
+    load_checkpoint,
+    param_count,
+    save_checkpoint,
+)
 from ballot.reporting import CSV_HEADER, load_report
 
 WALL_TIME = re.compile(rb'(?<="wall_time_s": )[^,\n]+')
@@ -624,6 +631,26 @@ class TestExperiment:
         assert "numerical failure: retraining epoch 0" in capsys.readouterr().err
         assert methods == ["ballot", "lth", "magnitude", "random"]
         assert not out.exists() or not any(out.rglob("*"))
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("command", ["train", "prune", "experiment", "evaluate"])
+    def test_invalid_utf8_is_one_configuration_error_line(self, tmp_path, capsys,
+                                                          command):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{"seed": "\xff"}')
+        if command == "evaluate":
+            ck = tmp_path / "n.ckpt"
+            save_checkpoint(init_network((4, 8, 3), 0), ck)
+            argv = ["evaluate", "--checkpoint", str(ck), "--data", str(path)]
+        else:
+            argv = [command, "--config", str(path)]
+        code = main([*argv, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"ballot: configuration error: cannot read config "
+                              f"{path}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestTopLevel:

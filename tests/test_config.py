@@ -282,3 +282,10 @@ class TestLoadConfig:
         path.write_text("{nope")
         with pytest.raises(ConfigurationError, match="not valid JSON"):
             load_config(path)
+
+    def test_invalid_utf8(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{"seed": "\xff"}')
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"cannot read config {path}: 'utf-8'")):
+            load_config(path)

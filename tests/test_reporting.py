@@ -96,6 +96,12 @@ class TestReportFiles:
         with pytest.raises(PersistenceError, match="not valid JSON"):
             load_report(path)
 
+    def test_load_invalid_utf8(self, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_bytes(b'{"x": "\xff"}')
+        with pytest.raises(PersistenceError, match="cannot read report .*'utf-8'"):
+            load_report(path)
+
 
 class TestAggregateCsv:
     def test_sorts_by_method_then_seed(self, tmp_path):
@@ -129,8 +135,9 @@ class TestAggregateCsv:
                               "retention,rounds,wall_time_s")
 
     def test_unwritable_path(self, tmp_path):
+        (tmp_path / "afile").write_text("")
         with pytest.raises(PersistenceError, match="cannot write"):
-            write_aggregate_csv(tmp_path / "no" / "dir" / "agg.csv", [])
+            write_aggregate_csv(tmp_path / "afile" / "agg.csv", [])
 
 
 @pytest.fixture(scope="module")

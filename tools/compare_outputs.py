@@ -53,10 +53,14 @@ temporary directory, through one fixed command set:
 Then each command of ``FAILING`` runs, expected to fail: ``evaluate`` of
 copies of the ballot ``final.ckpt`` whose manifest breaks one layer rule
 each (no layers, a zero width, a broken d_in/d_out chain, a hidden layer
-without ReLU, an output layer with one), and ``train`` with
-``model.hidden=[0]``.  Its exit code and stderr are written to
-``failures/NAME.txt``, so a change that moves a check is compared by
-the message and exit code it gives.
+without ReLU, an output layer with one), ``train`` with
+``model.hidden=[0]``, and the file errors: ``train`` with a missing
+``--config`` and with a config holding a byte that is not UTF-8,
+``evaluate`` of a missing checkpoint and of a missing ``--data`` CSV,
+``train --out`` where ``checkpoints`` is a regular file, and
+``gen-data --out`` under that file.  Its exit code and stderr are
+written to ``failures/NAME.txt``, so a change that moves a check is
+compared by the message and exit code it gives.
 
 Seconds fields (JSON keys and CSV columns ending in ``_s``) are blanked
 as the benchmark's digest blanks them (``perfbench/checks.py``).  The
@@ -192,6 +196,16 @@ FAILING = [
       for name in BAD_LAYERS],
     ("train-hidden-zero", ["train", "--config", "hidden-zero.json",
                            "--out", "failures/train-hidden-zero"]),
+    ("missing-config", ["train", "--config", "nope.json", "--out", "failures/missing-config"]),
+    ("config-not-utf8", ["train", "--config", "not-utf8.json",
+                         "--out", "failures/config-not-utf8"]),
+    ("missing-checkpoint", ["evaluate", "--checkpoint", "nope.ckpt", "--data", "default.json",
+                            "--out", "failures/missing-checkpoint.json"]),
+    ("missing-csv", ["evaluate", "--checkpoint", "prune-ballot/checkpoints/final.ckpt",
+                     "--data", "nope.csv", "--out", "failures/missing-csv.json"]),
+    # ``blocked/checkpoints`` is a regular file
+    ("checkpoints-is-a-file", ["train", "--out", "blocked"]),
+    ("gen-data-under-a-file", ["gen-data", "--out", "blocked/checkpoints/data.csv"]),
 ]
 
 
@@ -213,6 +227,9 @@ def run_all(tree: Path, work: Path) -> None:
         subprocess.run([sys.executable, "-m", "ballot.cli", *args], cwd=work,
                        env=env, check=True, stdout=subprocess.DEVNULL)
     (work / "failures").mkdir()
+    (work / "not-utf8.json").write_bytes(b'{"seed": "\xff"}')
+    (work / "blocked").mkdir()
+    (work / "blocked" / "checkpoints").write_text("")
     for name, args in FAILING:
         done = subprocess.run([sys.executable, "-m", "ballot.cli", *args], cwd=work,
                               env=env, stdout=subprocess.DEVNULL,
