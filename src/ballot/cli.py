@@ -163,7 +163,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True,
                    help="a config JSON (test split is used) or a CSV file")
-    p.add_argument("--label-column", default="label")
+    p.add_argument("--label-column", default="label",
+                   help="label column of a CSV --data (default: label); a "
+                        "config JSON names its own in data.label_column")
     p.add_argument("--out", default="evaluation.json")
     p.set_defaults(func=_cmd_evaluate)
 

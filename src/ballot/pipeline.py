@@ -4,17 +4,20 @@ Dense training optimizes the plain cross-entropy.  Each batch runs one
 forward and one backward pass, which drives the SGD step and yields
 per-unit pre-activation gradients of the plain and of the weighted
 fairness loss as one [2, seeds, hidden units] array, summed over the
-epoch into the conflict ledgers, one record per epoch.  The fairness loss reweights classes by the inverse of their
-previous-epoch accuracy, so it only starts to differ from the accuracy
-loss once per-class accuracies diverge.
+epoch into the conflict ledgers, one record per epoch.  The fairness
+loss reweights classes by the inverse of their previous-epoch accuracy,
+so it only starts to differ from the accuracy loss once per-class
+accuracies diverge.
 
 Pruning then builds a mask (conflict votes, weight magnitude, or
 random), rewinds, and retrains, every method through ``refine``.  For
 ballot, the refinement loop accepts the round-0 result when the pruned
 model is no less fair and nearly as accurate as the dense one;
 otherwise it retries from the early-epoch snapshot with a shifted
-seed's batch orders and keeps the fairest acceptable candidate.  Only
-the weights of the round that can still win are kept; all reports are.
+seed's batch orders and keeps the fairest acceptable round.  Only the
+weights of the round that can still win are kept; all reports are.  A
+``PruneResult`` holds only what ``refine`` decided; its retention and
+round count are derived by ``reporting``.
 
 Every phase takes a list of seeds and trains one network per seed in
 lockstep: the networks are stacked on a leading seed axis and stepped
@@ -47,7 +50,7 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,15 +122,16 @@ class RunArtifacts:
 
 @dataclass
 class PruneResult:
+    """What ``refine`` decided for one seed: the mask, the winning round's
+    weights and test report, and every round's test report in round
+    order, round 0 first."""
+
     method: str
     mask: Mask
     params: NetworkParams
     report: EvalReport
-    dense_report: EvalReport
-    rounds_used: int
-    retention: float
+    round_reports: list[EvalReport]
     wall_time_s: float
-    candidates: list = field(default_factory=list)
 
 
 def _shuffle(stream_seeds: list[int], epoch: int, n: int) -> np.ndarray:
@@ -274,17 +278,14 @@ def finetune_epochs(total_epochs: int) -> int:
     return max(1, total_epochs // 5)
 
 
-def _wins(report: EvalReport, best: EvalReport, dense_accuracy: float,
-          epsilon: float) -> bool:
-    """Whether a refinement round's ``report`` displaces ``best``, the
-    winner of the rounds before it.  A round is feasible when it loses
-    at most ``epsilon`` of ``dense_accuracy``; the winner is the feasible
-    round of least CWV, else the most accurate round, and the earliest
-    round wins a tie."""
+def _standing(report: EvalReport, dense_accuracy: float, epsilon: float) -> tuple:
+    """A refinement round's sort key, least best.  A round is feasible
+    when it loses at most ``epsilon`` of ``dense_accuracy``; the winner
+    is the feasible round of least CWV, else the most accurate round.  A
+    round displaces the winner of the rounds before it only on a strictly
+    smaller key, so the earliest round wins a tie."""
     feasible = dense_accuracy - report.accuracy <= epsilon
-    if dense_accuracy - best.accuracy <= epsilon:
-        return feasible and report.cwv < best.cwv
-    return feasible or report.accuracy > best.accuracy
+    return (not feasible, report.cwv if feasible else -report.accuracy)
 
 
 def refine(
@@ -305,15 +306,16 @@ def refine(
                 rewind-epoch weights, round r with the batch orders of
                 seed + r (see the module notes), stopping early once a
                 round stops improving the best CWV, and the fairest
-                candidate that keeps the accuracy bound wins (falling
-                back to the most accurate candidate when none does; see
-                ``_wins``).  Round r trains only the seeds still
-                refining, and each round's report is kept in
-                ``candidates``; the weights of a round are dropped as
-                soon as a round beats it, so at most one full-shape
-                candidate per seed outlives its round, and a round holds
-                one new full-shape result at a time besides them.
+                round that keeps the accuracy bound wins (falling back
+                to the most accurate round when none does; see
+                ``_standing``).  Round r trains only the seeds still
+                refining; the weights of a round are dropped as soon as
+                a round beats it, so at most one full-shape candidate
+                per seed outlives its round, and a round holds one new
+                full-shape result at a time besides them.
 
+    Every method's result keeps each round's test report in
+    ``round_reports``, round 0 first; all but ballot run round 0 only.
     The initial weights are rebuilt from each seed (``theta0``) as round
     0 needs them.  Each seed's ``wall_time_s`` is its share of every
     round it took part in, timed from ``since`` (a ``time.perf_counter``
@@ -331,7 +333,8 @@ def refine(
 
     refining = list(range(len(artifacts)))
     reports = [[] for _ in artifacts]  # every round's report
-    best = [None] * len(artifacts)  # (params, report) of the round that can still win
+    # per seed, (standing, params, report) of the round that can still win
+    best = [None] * len(artifacts)
     for r_index in range(config.max_rounds + 1 if method == "ballot" else 1):
         if not refining:
             break
@@ -347,14 +350,14 @@ def refine(
         for r, params in zip(refining, nets):
             report = _evaluate(params, data.test, "retraining", epochs - 1, seeds[r])
             dense = artifacts[r].dense_report
+            standing = _standing(report, dense.accuracy, config.epsilon)
             if r_index == 0:
-                fair_enough = bias_delta(report, dense) <= config.delta
-                accurate_enough = dense.accuracy - report.accuracy <= config.epsilon
-                keep_going = not (fair_enough and accurate_enough)
+                # the gate: accept round 0 if it is fair and accurate enough
+                keep_going = bias_delta(report, dense) > config.delta or standing[0]
             else:
                 keep_going = report.cwv < reports[r][-1].cwv
-            if r_index == 0 or _wins(report, best[r][1], dense.accuracy, config.epsilon):
-                best[r] = (params, report)
+            if r_index == 0 or standing < best[r][0]:
+                best[r] = (standing, params, report)
             reports[r].append(report)
             if keep_going:
                 still.append(r)
@@ -366,20 +369,11 @@ def refine(
             spent[r] += (now - clock) / len(refining)
         clock, refining = now, still
 
-    results = []
-    for a, mask, (params, report), reps, wall in zip(artifacts, masks, best, reports, spent):
-        results.append(PruneResult(
-            method=method,
-            mask=mask,
-            params=params,
-            report=report,
-            dense_report=a.dense_report,
-            rounds_used=len(reps) - 1,
-            retention=mask.retention(),
-            wall_time_s=wall,
-            candidates=list(enumerate(reps)) if method == "ballot" else [],
-        ))
-    return results
+    return [
+        PruneResult(method=method, mask=mask, params=params, report=report,
+                    round_reports=reps, wall_time_s=wall)
+        for mask, (_, params, report), reps, wall in zip(masks, best, reports, spent)
+    ]
 
 
 def run_baseline(

@@ -8,7 +8,7 @@ wall-clock times is a pure function of config, data, and seed.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from ._version import __version__
@@ -26,50 +26,36 @@ CSV_HEADER = "method,seed,accuracy,precision,recall,cwv,mcd,retention,rounds,wal
 
 def eval_report_dict(report: EvalReport) -> dict:
     """The report's fields; ``absent_classes`` only when a class is absent."""
-    out = {
-        "accuracy": report.accuracy,
-        "per_class_acc": list(report.per_class_acc),
-        "class_counts": list(report.class_counts),
-        "macro_precision": report.macro_precision,
-        "macro_recall": report.macro_recall,
-        "cwv": report.cwv,
-        "mcd": report.mcd,
-    }
-    if report.absent_classes:
-        out["absent_classes"] = list(report.absent_classes)
+    out = asdict(report)
+    if not report.absent_classes:
+        del out["absent_classes"]
     return out
 
 
 def result_dict(result: PruneResult) -> dict:
-    """One pruned run.  Its mask appears as per-layer counts only; the
-    flags themselves are written to ``mask.bits`` by ``save_mask``."""
+    """One pruned run: its test report's metrics, its retention, its
+    refinement round count and, for ballot, the only method that runs
+    refinement rounds, each round's test metrics.  Its mask appears as
+    per-layer counts only; the flags themselves are written to
+    ``mask.bits`` by ``save_mask``."""
     mask = result.mask
     out = {
+        **asdict(result.report),
         "method": result.method,
-        "accuracy": result.report.accuracy,
-        "macro_precision": result.report.macro_precision,
-        "macro_recall": result.report.macro_recall,
-        "cwv": result.report.cwv,
-        "mcd": result.report.mcd,
-        "retention": result.retention,
-        "rounds": result.rounds_used,
+        "retention": mask.retention(),
+        "rounds": len(result.round_reports) - 1,
         "wall_time_s": result.wall_time_s,
-        "per_class_acc": list(result.report.per_class_acc),
         "mask": {
             "live_units": [int(u.size) for u in live_units(mask)],
             "weights_kept": [int(wk.sum()) for wk in mask.weight_keep],
             "biases_kept": [int(bk.sum()) for bk in mask.bias_keep],
         },
     }
-    if result.candidates:
+    del out["class_counts"], out["absent_classes"]
+    if result.method == "ballot":
         out["rounds_log"] = [
-            {
-                "round": r,
-                "accuracy": rep.accuracy,
-                "cwv": rep.cwv,
-                "mcd": rep.mcd,
-            }
-            for r, rep in result.candidates
+            {"round": r, "accuracy": rep.accuracy, "cwv": rep.cwv, "mcd": rep.mcd}
+            for r, rep in enumerate(result.round_reports)
         ]
     return out
 
@@ -114,20 +100,11 @@ def write_aggregate_csv(path, rows: list[dict]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _summary_row(method: str, seed: int, report: EvalReport, retention: float,
-                 rounds: int, wall_time_s: float) -> dict:
-    return {
-        "method": method,
-        "seed": seed,
-        "accuracy": report.accuracy,
-        "precision": report.macro_precision,
-        "recall": report.macro_recall,
-        "cwv": report.cwv,
-        "mcd": report.mcd,
-        "retention": retention,
-        "rounds": rounds,
-        "wall_time_s": wall_time_s,
-    }
+def _summary_row(seed: int, run: dict) -> dict:
+    """A run's aggregate CSV row, from its fields as ``result_dict``
+    names them."""
+    return {**run, "seed": seed,
+            "precision": run["macro_precision"], "recall": run["macro_recall"]}
 
 
 def _phase_runs(apps: list[AppConfig], artifacts, results: list[PruneResult]) -> list:
@@ -136,14 +113,12 @@ def _phase_runs(apps: list[AppConfig], artifacts, results: list[PruneResult]) ->
     The results themselves, and with them their retrained weights, are
     freed when this returns; a caller's loop variable bound to one would
     keep it alive into the next phase."""
-    return [
-        (f"{res.method}-seed{a.seed}",
-         report_payload(app_seed, a.seed, a.dense_report, [res]),
-         res.mask,
-         _summary_row(res.method, a.seed, res.report, res.retention,
-                      res.rounds_used, res.wall_time_s))
-        for app_seed, a, res in zip(apps, artifacts, results)
-    ]
+    runs = []
+    for app_seed, a, res in zip(apps, artifacts, results):
+        payload = report_payload(app_seed, a.seed, a.dense_report, [res])
+        runs.append((f"{res.method}-seed{a.seed}", payload, res.mask,
+                     _summary_row(a.seed, payload["results"][0])))
+    return runs
 
 
 def run_experiment(app: AppConfig, n_seeds: int, out_dir) -> Path:
@@ -168,7 +143,9 @@ def run_experiment(app: AppConfig, n_seeds: int, out_dir) -> Path:
         (f"dense-seed{a.seed}",
          report_payload(app_seed, a.seed, a.dense_report, []),
          None,
-         _summary_row("dense", a.seed, a.dense_report, 1.0, 0, a.wall_time_s))
+         _summary_row(a.seed, {**asdict(a.dense_report), "method": "dense",
+                               "retention": 1.0, "rounds": 0,
+                               "wall_time_s": a.wall_time_s}))
         for app_seed, a in zip(apps, artifacts)
     ]
     for method in METHODS:

@@ -26,6 +26,7 @@ from ballot.masks import (
 from ballot.metrics import evaluate, report_from_predictions
 from ballot.model import cross_entropy, param_count, stack_params, train_step
 from ballot.pipeline import TrainConfig, refine, run_baseline, train_dense
+from ballot.reporting import result_dict
 
 from conftest import (
     ACCEPTANCE_LINES,
@@ -383,37 +384,41 @@ def test_criterion_6_refinement_semantics():
     (arts,) = train_dense(cfg, data, [cfg.seed])
     mask = build_random_mask(arts.dims, cfg.omega, seed=3)
     (blocked,) = refine("ballot", [mask], [arts], cfg, data)
-    rounds = [r for r, _ in blocked.candidates]
-    if rounds != list(range(blocked.rounds_used + 1)):
+    logged = result_dict(blocked)
+    rounds_used = logged["rounds"]
+    rounds = [entry["round"] for entry in logged["rounds_log"]]
+    if rounds != list(range(rounds_used + 1)):
         problems.append(f"round log {rounds} does not match "
-                        f"rounds_used {blocked.rounds_used}")
-    if blocked.rounds_used < cfg.max_rounds:
-        cwv_log = [report.cwv for _, report in blocked.candidates]
+                        f"rounds_used {rounds_used}")
+    if rounds_used < cfg.max_rounds:
+        cwv_log = [report.cwv for report in blocked.round_reports]
         if cwv_log[-1] < min(cwv_log[:-1]):
             problems.append("stopped early despite an improving round")
-    elif blocked.rounds_used != cfg.max_rounds:
-        problems.append(f"ran {blocked.rounds_used} rounds past the cap")
+    elif rounds_used != cfg.max_rounds:
+        problems.append(f"ran {rounds_used} rounds past the cap")
 
     feasible = [
-        (r, report) for r, report in blocked.candidates
+        (r, report) for r, report in enumerate(blocked.round_reports)
         if arts.dense_report.accuracy - report.accuracy <= cfg.epsilon
     ]
     if feasible:
         best = min(feasible, key=lambda cand: (cand[1].cwv, cand[0]))
     else:
-        best = min(blocked.candidates, key=lambda cand: (-cand[1].accuracy, cand[0]))
+        best = min(enumerate(blocked.round_reports),
+                   key=lambda cand: (-cand[1].accuracy, cand[0]))
     if blocked.report != best[1]:
         problems.append("returned candidate is not the log minimizer")
 
     open_cfg = small_config(delta=1.0, epsilon=1.0, max_rounds=3)
     (passed,) = refine("ballot", [mask],
                        train_dense(open_cfg, data, [open_cfg.seed]), open_cfg, data)
-    if passed.rounds_used != 0:
-        problems.append(f"satisfied gate still used {passed.rounds_used} rounds")
+    if len(passed.round_reports) != 1:
+        problems.append(f"satisfied gate still used "
+                        f"{len(passed.round_reports) - 1} rounds")
 
     elapsed = time.perf_counter() - start
     ok = not problems and elapsed < 180.0
-    _verdict(6, ok, f"blocked gate ran {blocked.rounds_used} of "
+    _verdict(6, ok, f"blocked gate ran {rounds_used} of "
                     f"{cfg.max_rounds} rounds, open gate 0; "
                     f"{len(problems)} problems, {elapsed:.1f}s of 180s")
     assert ok, problems

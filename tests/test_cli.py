@@ -237,6 +237,31 @@ class TestEvaluate:
         assert code == 0, capsys.readouterr().err
         assert load_report(out)["report"]["class_counts"] == [30, 1, 12]
 
+    def test_csv_label_column_is_named_by_the_flag(self, tmp_path, config_path,
+                                                   pruned, capsys):
+        # a CSV --data reads its labels from --label-column, "label" by
+        # default; a config --data takes its own data.label_column
+        full = tmp_path / "d.csv"
+        assert main(["gen-data", "--config", config_path,
+                     "--out", str(full)]) == 0
+        header, *rows = full.read_text().splitlines()
+        features, label = header.rsplit(",", 1)
+        assert label == "label"
+        target = tmp_path / "target.csv"
+        target.write_text("\n".join([f"{features},target", *rows]) + "\n")
+        file_counts = np.bincount([int(r.rsplit(",", 1)[1]) for r in rows]).tolist()
+        ck = str(pruned / "checkpoints" / "final.ckpt")
+        out = tmp_path / "eval.json"
+        code = main(["evaluate", "--checkpoint", ck, "--data", str(target),
+                     "--label-column", "target", "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        assert load_report(out)["report"]["class_counts"] == file_counts == [30, 12, 12]
+        code = main(["evaluate", "--checkpoint", ck, "--data", str(target),
+                     "--out", str(tmp_path / "e.json")])
+        assert code == 2
+        assert ("data error: label column 'label' not found in header"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("absent, counts", [
         (2, [30, 12, 0]),  # the last class is missing
         (1, [30, 0, 12]),  # a gap: labels 0 and 2 only

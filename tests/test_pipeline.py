@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ballot import config_from_dict, make_dataset, pipeline
@@ -33,7 +33,7 @@ from ballot.pipeline import (
     RunArtifacts,
     TrainConfig,
     _retrain,
-    _wins,
+    _standing,
     finetune_epochs,
     lr_at,
     refine,
@@ -230,8 +230,7 @@ class TestRefine:
         dims = artifacts.dims
         mask = build_random_mask(dims, cfg.omega, seed=3)
         (outcome,) = refine("ballot", [mask], [artifacts], cfg, data)
-        assert outcome.rounds_used == 0
-        assert len(outcome.candidates) == 1
+        assert outcome.round_reports == [outcome.report]
 
         oracle = round_oracle(artifacts, mask, cfg, data, 0)
         assert params_equal(outcome.params, oracle)
@@ -241,12 +240,11 @@ class TestRefine:
         cfg = small_config(delta=-1.0)
         mask = build_random_mask(artifacts.dims, cfg.omega, seed=3)
         (outcome,) = refine("ballot", [mask], [artifacts], cfg, data)
-        rounds = [r for r, _ in outcome.candidates]
-        assert rounds == list(range(len(rounds)))
-        assert 1 <= outcome.rounds_used <= cfg.max_rounds
-        if outcome.rounds_used < cfg.max_rounds:
+        rounds_used = len(outcome.round_reports) - 1
+        assert 1 <= rounds_used <= cfg.max_rounds
+        if rounds_used < cfg.max_rounds:
             # early stop: the last round failed to improve the best cwv
-            cwvs = [report.cwv for _, report in outcome.candidates]
+            cwvs = [report.cwv for report in outcome.round_reports]
             assert cwvs[-1] >= min(cwvs[:-1])
 
     def test_rewind_rounds_start_from_theta_k(self, data, artifacts):
@@ -255,8 +253,7 @@ class TestRefine:
         mask = build_random_mask(dims, cfg.omega, seed=3)
         (outcome,) = refine("ballot", [mask], [artifacts], cfg, data)
         oracle = round_oracle(artifacts, mask, cfg, data, 1)
-        assert outcome.candidates[1] == (
-            1, evaluate(oracle, split_blocks(data.test)))
+        assert outcome.round_reports[1] == evaluate(oracle, split_blocks(data.test))
 
     def test_selection_minimizes_cwv_among_feasible(self, data, artifacts):
         cfg = small_config(delta=-1.0)
@@ -264,13 +261,14 @@ class TestRefine:
         (outcome,) = refine("ballot", [mask], [artifacts], cfg, data)
         dense_acc = artifacts.dense_report.accuracy
         feasible = [
-            (r, report) for r, report in outcome.candidates
+            (r, report) for r, report in enumerate(outcome.round_reports)
             if dense_acc - report.accuracy <= cfg.epsilon
         ]
         if feasible:
             best = min(feasible, key=lambda c: (c[1].cwv, c[0]))
         else:
-            best = min(outcome.candidates, key=lambda c: (-c[1].accuracy, c[0]))
+            best = min(enumerate(outcome.round_reports),
+                       key=lambda c: (-c[1].accuracy, c[0]))
         assert outcome.report == best[1]
         oracle = round_oracle(artifacts, mask, cfg, data, best[0])
         assert params_equal(outcome.params, oracle)
@@ -319,7 +317,7 @@ class TestRefine:
         mask = build_random_mask(artifacts.dims, cfg.omega, seed=3)
         (outcome,) = refine("ballot", [mask], [artifacts], cfg, data)
         assert_masked_entries_zero(outcome.params.weights + outcome.params.biases, mask)
-        for r, report in outcome.candidates:
+        for r, report in enumerate(outcome.round_reports):
             oracle = round_oracle(artifacts, mask, cfg, data, r)
             assert_masked_entries_zero(oracle.weights + oracle.biases, mask)
             assert report == evaluate(oracle, split_blocks(data.test))
@@ -328,11 +326,11 @@ class TestRefine:
         cfg = small_config()
         (result,) = run_baseline("ballot", cfg, data, [artifacts])
         total = param_count(artifacts.dims)
-        assert result.method == "ballot"
-        assert result.retention == (int(cfg.omega * total) // 1) / total
+        report = result_dict(result)
+        assert result.method == report["method"] == "ballot"
+        assert report["retention"] == (int(cfg.omega * total) // 1) / total
         assert result.mask.kept_count() == int(np.floor(cfg.omega * total))
-        assert result.dense_report == artifacts.dense_report
-        assert result.candidates[0][0] == 0
+        assert report["rounds_log"][0]["round"] == 0
 
     def test_deterministic(self, data):
         cfg = small_config()
@@ -340,7 +338,7 @@ class TestRefine:
         (b,) = run_baseline("ballot", cfg, data, train_dense(cfg, data, [cfg.seed]))
         assert params_equal(a.params, b.params)
         assert a.report == b.report
-        assert a.rounds_used == b.rounds_used
+        assert a.round_reports == b.round_reports
 
     def test_near_identity_omega(self, data):
         # omega 0.999 trims a single entry; the pruned run should track
@@ -353,19 +351,25 @@ class TestRefine:
         assert abs(result.report.accuracy - arts.dense_report.accuracy) <= 0.15
 
 
-@given(st.lists(st.tuples(st.sampled_from([0.6, 0.7, 0.75, 0.8, 0.9]),
+@given(st.lists(st.tuples(st.sampled_from([0.5, 0.6, 0.7, 0.75, 0.8, 0.9]),
                           st.sampled_from([0.0, 0.01, 0.02, 0.05])),
                 min_size=1, max_size=6),
-       st.sampled_from([0.0, 0.05, 0.1, 0.2]))
-def test_incremental_winner_matches_brute_force_selection(rounds, epsilon):
-    # keeping one winner round by round selects what a choice over every
-    # round's (accuracy, cwv) would: the least cwv among the feasible
-    # rounds, else the most accurate round, the earliest on ties
-    dense_accuracy = 0.8
+       st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.25]),
+       st.sampled_from([0.8, 0.75]))
+# 0.75 - 0.5 == 0.25 exactly: round 1 is feasible only on the bound
+@example([(0.9, 0.05), (0.5, 0.0)], 0.25, 0.75)
+def test_incremental_winner_matches_brute_force_selection(rounds, epsilon, dense_accuracy):
+    # keeping one winner round by round, displaced only by a strictly
+    # smaller standing, selects what a choice over every round's
+    # (accuracy, cwv) would: the least cwv among the feasible rounds,
+    # else the most accurate round, the earliest on ties.  The bound is
+    # inclusive, and dense 0.75 draws it at a nonzero epsilon
+    assert 0.75 - 0.5 == 0.25
     reports = [SimpleNamespace(accuracy=a, cwv=c) for a, c in rounds]
     best = 0
     for i, report in enumerate(reports[1:], 1):
-        if _wins(report, reports[best], dense_accuracy, epsilon):
+        if (_standing(report, dense_accuracy, epsilon)
+                < _standing(reports[best], dense_accuracy, epsilon)):
             best = i
     feasible = [i for i, r in enumerate(reports)
                 if dense_accuracy - r.accuracy <= epsilon]
@@ -396,7 +400,7 @@ class TestNetworksHeldOnce:
 
         monkeypatch.setattr(pipeline, "sgd_step", checked_step)
         results = run_baseline(method, cfg, data, arts)
-        assert [r.rounds_used for r in results] == [0, 0]
+        assert [len(r.round_reports) for r in results] == [1, 1]
         assert alive and set(alive) == {0}
 
     def test_ballot_holds_one_candidate_per_seed_after_each_round(
@@ -423,10 +427,8 @@ class TestNetworksHeldOnce:
         monkeypatch.setattr(pipeline, "_retrain", tracked_retrain)
         results = refine("ballot", masks, arts, cfg, data)
         per_round.append(held_per_seed())
-        assert [r.rounds_used for r in results] == [2, 1, 1]
+        assert [len(r.round_reports) for r in results] == [3, 2, 2]
         assert per_round == [[0, 0, 0], [1, 1, 1], [1, 1, 1], [1, 1, 1]]
-        for got in results:
-            assert len(got.candidates) == got.rounds_used + 1
 
     def test_ballot_evaluates_each_new_result_before_expanding_the_next(
             self, data, monkeypatch, new_networks):
@@ -461,7 +463,7 @@ class TestNetworksHeldOnce:
         monkeypatch.setattr(pipeline, "_retrain", tracked_retrain)
         monkeypatch.setattr(pipeline, "_evaluate", checked_evaluate)
         results = refine("ballot", masks, arts, cfg, data)
-        assert [r.rounds_used for r in results] == [2, 1, 1]
+        assert [len(r.round_reports) for r in results] == [3, 2, 2]
         assert checked == [0, 1, 2, 0, 1, 2, 0] and problems == []
 
 
@@ -505,7 +507,7 @@ class TestBaselines:
         (result,) = run_baseline("magnitude", cfg, data, [artifacts])
         expected_tag = cfg.epochs + finetune_epochs(cfg.epochs)
         assert result.params.epoch_tag == expected_tag
-        assert result.rounds_used == 0
+        assert len(result.round_reports) == 1
 
     def test_random_trains_from_theta0(self, data, artifacts):
         cfg = small_config()
@@ -519,11 +521,12 @@ class TestBaselines:
         for method in METHODS:
             (result,) = run_baseline(method, cfg, data, [artifacts])
             report = result_dict(result)
+            assert report["rounds"] == len(result.round_reports) - 1
             if method == "ballot":
-                assert result.rounds_used >= 1
-                assert len(report["rounds_log"]) == result.rounds_used + 1
+                assert report["rounds"] >= 1
+                assert len(report["rounds_log"]) == report["rounds"] + 1
             else:
-                assert result.rounds_used == 0 and result.candidates == []
+                assert report["rounds"] == 0
                 assert "rounds_log" not in report
 
     def test_lth_and_magnitude_share_the_mask(self, data, artifacts):
@@ -780,9 +783,8 @@ class TestLockstep:
             stacked = refine(method, masks, arts, cfg, data)
             for a, mask, got in zip(arts, masks, stacked):
                 (alone,) = refine(method, [mask], [a], cfg, data)
-                assert got.rounds_used == alone.rounds_used
-                assert got.candidates == alone.candidates
+                assert got.round_reports == alone.round_reports
                 assert got.report == alone.report
                 assert params_equal(got.params, alone.params)
             if method == "ballot":
-                assert [r.rounds_used for r in stacked] == [2, 1, 1]
+                assert [len(r.round_reports) for r in stacked] == [3, 2, 2]

@@ -15,8 +15,11 @@ temporary directory, through one fixed command set:
   on that path are compared;
 - ``experiment --seeds 5`` on the default config;
 - ``experiment --seeds 1`` with ``model.hidden=[512, 512]``, and
-  ``prune --method {lth,random}`` on that config, so the ``final.ckpt``
-  of a wide masked retrain is compared byte for byte too;
+  ``prune --method`` each method on that config, so the ``final.ckpt``
+  of each wide masked retrain is compared byte for byte too: lth's and
+  random's full retrains, magnitude's fine-tune from ``theta_e``, and
+  the round ``refine`` picks for ballot after a refinement round (seed
+  0 runs one there);
 - ``experiment --seeds 3`` with ``model.hidden=[128, 128]`` and
   ``prune.omega=0.2``, where the seeds' compacted networks differ in
   shape and retrain padded to a common width at which padding can move
@@ -160,7 +163,7 @@ COMMANDS = [
     ["experiment", "--seeds", "5", "--out", "experiment"],
     ["experiment", "--seeds", "1", "--config", "wide.json", "--out", "wide"],
     *[["prune", "--method", m, "--config", "wide.json", "--out", f"wide-{m}"]
-      for m in ("lth", "random")],
+      for m in METHODS],
     ["experiment", "--seeds", "3", "--config", "padded.json", "--out", "padded"],
     ["experiment", "--seeds", "3", "--config", "sparsest.json", "--out", "sparsest"],
     ["evaluate", "--checkpoint", "prune-ballot/checkpoints/final.ckpt",
