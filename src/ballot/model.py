@@ -169,8 +169,9 @@ def _require_finite(a: np.ndarray, what: str) -> None:
 
 # Rows per block of an inference pass and of a streamed CSV.  A larger
 # input runs block by block, so its hidden activations never exceed this
-# many rows; the matmul shapes, and so the logits' bits, depend on it.
-FORWARD_BLOCK_ROWS = 1024
+# many rows.  The matmul shapes, and so the logits' last bits, depend on
+# it; the reports keep only each row's argmax.
+FORWARD_BLOCK_ROWS = 256
 
 
 def block_buffers(dims, rows: int) -> list[np.ndarray]:
@@ -181,11 +182,12 @@ def block_buffers(dims, rows: int) -> list[np.ndarray]:
 
 def forward_block(params: NetworkParams, x: np.ndarray, bufs: list[np.ndarray]) -> np.ndarray:
     """Logits of the rows ``x``, no more than ``bufs`` has rows, whose
-    width the caller has checked; ``metrics.evaluate`` is the caller.  Each layer's matmul writes into the
-    leading rows of its buffer of ``block_buffers``, where the bias and
-    the ReLU are applied in place, so a pass over many blocks allocates
-    its activations once.  The logits returned are a view of the last
-    buffer, valid until the next call with ``bufs``."""
+    width the caller has checked; ``metrics.evaluate`` is the caller.
+    Each layer's matmul writes into the leading rows of its buffer of
+    ``block_buffers``, where the bias and the ReLU are applied in place,
+    so a pass over many blocks allocates its activations once.  The
+    logits returned are a view of the last buffer, valid until the next
+    call with ``bufs``."""
     h = x
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):

@@ -440,6 +440,9 @@ class TestStreamedEvaluate:
     @pytest.mark.parametrize("n, at, absent", [
         (1, -1, None), (1023, 0, None), (1024, 2, 1), (1025, -1, 2),
         (2048, 0, 0), (3500, 2, None),
+        # the block edges, wherever FORWARD_BLOCK_ROWS puts them
+        (FORWARD_BLOCK_ROWS - 1, 1, None), (FORWARD_BLOCK_ROWS, -1, 0),
+        (FORWARD_BLOCK_ROWS + 1, 0, 2), (2 * FORWARD_BLOCK_ROWS, 2, 1),
     ])
     def test_report_bytes_equal_the_whole_file_oracle(
             self, tmp_path, monkeypatch, capsys, checkpoint, n, at, absent):
@@ -459,19 +462,19 @@ class TestStreamedEvaluate:
     HUGE = [repr(1.7e308)] * 4
 
     @pytest.mark.parametrize("edits, n_features, code, message", [
-        # a parse error in block 3 outranks a label error in block 1
+        # a parse error in a later block outranks a label error in an earlier one
         ({10: {4: "7"}, 2100: {1: "oops"}}, 4, 2,
          "non-numeric value 'oops' in column 'f1' at line 2102"),
         # a label error outranks a feature-count mismatch
         ({3000: {5: "3"}}, 5, 2,
          "label 3 at line 3002 is outside 0..2 (the checkpoint has 3 classes)"),
-        # a parse error in block 2 outranks a non-finite logit in block 1
+        # a parse error in a later block outranks a non-finite logit in an earlier one
         ({5: dict(enumerate(HUGE)), 1500: {0: "#"}}, 4, 2,
          "non-numeric value '#' in column 'f0' at line 1502"),
         # a label error outranks a non-finite logit before it
         ({5: dict(enumerate(HUGE)), 3400: {4: "9"}}, 4, 2,
          "label 9 at line 3402 is outside 0..2"),
-        # a quoted cell in block 2 loads through the row-wise pass
+        # a quoted cell in a middle block loads through the row-wise pass
         ({1500: {2: '"3"'}}, 4, 0, ""),
         ({2000: dict(enumerate(HUGE))}, 4, 3,
          "numerical failure: non-finite layer output in forward pass"),
@@ -532,8 +535,8 @@ class TestStreamedEvaluate:
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     def test_named_pipe_needing_the_row_wise_pass_fails(self, tmp_path,
                                                         checkpoint):
-        # the quoted cell sends block 2 to the row-wise pass, which would
-        # rewind the input; a pipe cannot be rewound
+        # the quoted cell sends its block to the row-wise pass, which
+        # would rewind the input; a pipe cannot be rewound
         rows = csv_cells(3500)
         rows[1500][2] = '"3"'
         path = tmp_path / "d.csv"

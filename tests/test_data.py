@@ -302,9 +302,10 @@ class TestCsvFastPath:
         assert x2.tobytes() == x.tobytes() and y2.tobytes() == y.tobytes()
 
     def test_quoted_last_line_resumes_at_its_block(self, tmp_path, monkeypatch):
-        # 3,000 rows: two blocks load in C, and the row-wise parser reads
-        # only the third, which holds the quoted cell
-        x, y = gen_synthetic(synth(counts=(2000, 500, 500)))
+        # two and a half blocks: two load in C, and the row-wise parser
+        # reads only the third, which holds the quoted cell
+        done, half = 2 * FORWARD_BLOCK_ROWS, FORWARD_BLOCK_ROWS // 2
+        x, y = gen_synthetic(synth(counts=(done - half, half, half)))
         path = tmp_path / "d.csv"
         save_csv(x, y, path)
         *lines, last = path.read_text().splitlines(keepends=True)
@@ -322,15 +323,16 @@ class TestCsvFastPath:
         got = load_csv(path)
         assert got[0].tobytes() == ref[0].tobytes() == x.tobytes()
         assert got[1].tobytes() == ref[1].tobytes() == y.tobytes()
-        done = 2 * FORWARD_BLOCK_ROWS
         assert starts == [done + 2] * (y.size - done)
 
     def test_error_after_loaded_blocks_names_its_line(self, tmp_path):
-        # line numbers of the row-wise pass count the rows loaded before it
+        # line numbers of the row-wise pass count the rows loaded before it:
+        # the header, two blocks and five rows precede the bad line
         good = "0.5,1\n" * (2 * FORWARD_BLOCK_ROWS + 5)
+        line = 2 * FORWARD_BLOCK_ROWS + 7
         path = tmp_path / "d.csv"
-        for bad, message in (("x" * 200_000 + ",1\n", "malformed CSV at line 2055: "),
-                             ('"1",0\n2,0.5\n', "label '0.5' at line 2056 is not")):
+        for bad, message in (("x" * 200_000 + ",1\n", f"malformed CSV at line {line}: "),
+                             ('"1",0\n2,0.5\n', f"label '0.5' at line {line + 1} is not")):
             path.write_text("a,label\n" + good + bad)
             assert same_outcome(path)[1].startswith(message)
 

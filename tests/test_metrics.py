@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ballot import data
 from ballot.data import Split, split_blocks
 from ballot.errors import DataError
 from ballot.metrics import (
@@ -20,6 +21,7 @@ from ballot.metrics import (
     report_from_predictions,
     update_class_weights,
 )
+from ballot.model import init_network
 
 from conftest import brute_force_report, net_from_layers
 
@@ -172,6 +174,17 @@ class TestReport:
         split = Split(np.ones((4, 2)), np.array([0, 1, 2, 0]))
         rep = evaluate(params, split_blocks(split))
         assert rep.per_class_acc == (1.0, 0.0, 0.0)  # every row predicted 0
+
+    def test_report_does_not_depend_on_the_block_size(self, monkeypatch):
+        # the block size moves the logits' last bits through the matmul
+        # shapes, but no prediction, at the benchmark's 512-512 width
+        rng = np.random.default_rng(7)
+        split = Split(rng.normal(size=(5000, 20)), rng.integers(0, 4, 5000))
+        params = init_network((20, 512, 512, 4), seed=3)
+        shipped = evaluate(params, split_blocks(split))
+        monkeypatch.setattr(data, "FORWARD_BLOCK_ROWS", 1024)
+        assert next(split_blocks(split))[0].shape[0] == 1024
+        assert evaluate(params, split_blocks(split)) == shipped
 
 
 class TestClassWeights:

@@ -33,10 +33,12 @@ temporary directory, through one fixed command set:
   ``final.ckpt`` on that CSV;
 - ``gen-data`` of 3,500 rows, more than ``model.FORWARD_BLOCK_ROWS``,
   then ``evaluate`` of the ballot ``final.ckpt`` on it, so the blocked
-  inference pass and a longer CSV parse are compared too;
-- ``gen-data`` of 2,048 rows, exactly two blocks, and a copy of it with
-  the label column moved first, each evaluated the same way, so block
-  edges and the label column's position are compared;
+  inference pass and a longer CSV parse are compared too, and
+  ``evaluate`` of the 512-512 ballot ``final.ckpt`` on it, so blocked
+  inference at the benchmark's width is compared byte for byte;
+- ``gen-data`` of 2,048 rows, a whole number of blocks, and a copy of
+  it with the label column moved first, each evaluated the same way, so
+  block edges and the label column's position are compared;
 - a copy of the 3,500-row CSV with its last line's first cell quoted,
   evaluated the same way, so the row-wise parse of a file's last block
   after blocks parsed in C is compared;
@@ -109,7 +111,7 @@ ODD = {"model": {"hidden": [37, 29, 13]}, "prune": {"omega": 0.2},
 METHODS = ("ballot", "lth", "magnitude", "random")
 # the default generator with more rows: same 20 features and 4 classes
 LONG = {"data": {"synthetic": {"counts": [2450, 350, 350, 350]}}}
-TWO_BLOCKS = {"data": {"synthetic": {"counts": [1436, 204, 204, 204]}}}
+WHOLE_BLOCKS = {"data": {"synthetic": {"counts": [1436, 204, 204, 204]}}}
 
 
 def layer_records(dims, activations=("relu", "relu", "none")) -> list[dict]:
@@ -130,8 +132,8 @@ BAD_LAYERS = {
 
 
 def label_first(work: Path) -> None:
-    """Copy ``two-blocks.csv`` with its last column, the label, moved first."""
-    lines = (work / "two-blocks.csv").read_text().splitlines()
+    """Copy ``whole-blocks.csv`` with its last column, the label, moved first."""
+    lines = (work / "whole-blocks.csv").read_text().splitlines()
     (work / "label-first.csv").write_text("".join(
         ",".join([cells[-1], *cells[:-1]]) + "\n"
         for cells in (line.split(",") for line in lines)))
@@ -174,11 +176,13 @@ COMMANDS = [
     ["gen-data", "--config", "long.json", "--out", "long.csv"],
     ["evaluate", "--checkpoint", "prune-ballot/checkpoints/final.ckpt",
      "--data", "long.csv", "--out", "evaluation-long.json"],
-    ["gen-data", "--config", "two-blocks.json", "--out", "two-blocks.csv"],
+    ["evaluate", "--checkpoint", "wide-ballot/checkpoints/final.ckpt",
+     "--data", "long.csv", "--out", "evaluation-wide-long.json"],
+    ["gen-data", "--config", "whole-blocks.json", "--out", "whole-blocks.csv"],
     label_first,
     *[["evaluate", "--checkpoint", "prune-ballot/checkpoints/final.ckpt",
        "--data", f"{name}.csv", "--out", f"evaluation-{name}.json"]
-      for name in ("two-blocks", "label-first")],
+      for name in ("whole-blocks", "label-first")],
     quote_last,
     ["evaluate", "--checkpoint", "prune-ballot/checkpoints/final.ckpt",
      "--data", "quoted-last.csv", "--out", "evaluation-quoted-last.json"],
@@ -219,7 +223,7 @@ def run_all(tree: Path, work: Path) -> None:
     for name, raw in (("default", {}), ("wide", WIDE), ("padded", PADDED),
                       ("sparsest", SPARSEST),
                       ("every-key", EVERY_KEY), ("csv", CSV), ("long", LONG),
-                      ("two-blocks", TWO_BLOCKS), ("odd", ODD), ("rewind0", REWIND0),
+                      ("whole-blocks", WHOLE_BLOCKS), ("odd", ODD), ("rewind0", REWIND0),
                       ("hidden-zero", HIDDEN_ZERO)):
         (work / f"{name}.json").write_text(json.dumps(raw))
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
