@@ -100,29 +100,27 @@ def csv_blocks(path, label_column: str = "label"):
     one ``(x, y)`` pair per ``FORWARD_BLOCK_ROWS`` data rows, so that
     memory holds one block of the file at a time.
 
-    Each block of lines after the header is parsed in C by ``np.loadtxt``
-    and is yielded when no line is longer than ``csv.field_size_limit()``,
-    the block has one row of ``len(header)`` cells per line, every label
-    is an integer in 0..2**63-1 and every feature is finite.  From the
-    first block that fails this on, ``_row_blocks`` reads the file again,
-    through the same handle rewound, from that block's first line: it
-    raises the file's first error, which lies in that block or after it,
-    or it yields rows that only Python's ``float`` accepts (a quoted
-    number, ``1_0``).  So the blocks hold the same bits, and a bad file
-    fails with the same message, as the row-wise pass over the whole
-    file.  An input that cannot be rewound, such as a pipe, fails with
+    Each block of lines after the header is read once and parsed in C
+    by ``np.loadtxt``, and is yielded when its lines decode, no line is
+    longer than ``csv.field_size_limit()``, the block has one row of
+    ``len(header)`` cells per line, every label is an integer in
+    0..2**63-1 and every feature is finite.  From the first block that
+    fails this on, ``_row_blocks`` reads the file again, through the
+    same handle rewound, from that block's first line: it raises the
+    file's first error, which lies in that block or after it, or it
+    yields rows that only Python's ``float`` accepts (a quoted number,
+    ``1_0``).  So the blocks hold the same bits, and a bad file fails
+    with the same message, as the row-wise pass over the whole file.
+    An input that cannot be rewound, such as a pipe, fails with
     ``cannot read`` there instead.
     """
     rows = 0
     with reading(path, "", DataError, newline="") as fh:
         header, label_idx = _read_header(csv.reader(fh), path, label_column)
-        while True:
-            n_lines, block = _read_block(fh, len(header), label_idx)
-            if block is None:
-                break
+        while block := _read_block(fh, len(header), label_idx):
             yield block
-            rows += n_lines
-        if n_lines == 0 and rows:
+            rows += block[1].size
+        if block == () and rows:
             return  # every block of the file loaded
         # a file without data rows gets its message here too; rewound,
         # as a reopened pipe would wait for a new writer
@@ -131,41 +129,38 @@ def csv_blocks(path, label_column: str = "label"):
 
 
 def _read_block(fh, n_cells: int, label_idx: int):
-    """The next ``FORWARD_BLOCK_ROWS`` lines of ``fh`` through
-    ``np.loadtxt``: how many lines were read, and their features and
-    labels, or None in their place at the end of the file or when
-    loadtxt cannot take the lines exactly (see ``csv_blocks``)."""
-    n_lines = longest = 0
-
-    def lines():
-        # fed to loadtxt one by one, so no list of the lines is built
-        nonlocal n_lines, longest
-        for n_lines, line in enumerate(itertools.islice(fh, FORWARD_BLOCK_ROWS), start=1):
-            longest = max(longest, len(line))
-            yield line
-
+    """The next ``FORWARD_BLOCK_ROWS`` lines of ``fh``, read once, as
+    features and labels parsed by ``np.loadtxt``; ``()`` when there are
+    no more lines, and None when the lines cannot be decoded or loadtxt
+    cannot take them exactly (see ``csv_blocks``)."""
+    try:
+        lines = list(itertools.islice(fh, FORWARD_BLOCK_ROWS))
+    except UnicodeDecodeError:
+        return None
+    if not lines:
+        return ()
+    # a longer line may hold a cell over the csv module's field limit
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
     try:
         with warnings.catch_warnings():
-            # no lines (the end of the file), or blank ones only, which
-            # the row-wise pass reports
+            # blank lines only, which the row-wise pass reports
             warnings.simplefilter("ignore", UserWarning)
             # comments=None: '#' is a bad cell, not a comment; blank
             # lines, which loadtxt skips, show in the row count
-            table = np.loadtxt(lines(), delimiter=",", comments=None, ndmin=2,
+            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
                                dtype=np.float64)
     except ValueError:
-        return n_lines, None
-    # a longer line may hold a cell over the csv module's field limit
-    if n_lines == 0 or longest > csv.field_size_limit() \
-            or table.shape != (n_lines, n_cells):
-        return n_lines, None
+        return None
+    if table.shape != (len(lines), n_cells):
+        return None
     labels = table[:, label_idx]
     if not ((labels >= 0.0) & (labels < _LABEL_LIMIT) & (np.floor(labels) == labels)).all():
-        return n_lines, None
+        return None
     x = np.delete(table, label_idx, axis=1)
     if not np.isfinite(x).all():
-        return n_lines, None
-    return n_lines, (x, labels.astype(np.int64))
+        return None
+    return x, labels.astype(np.int64)
 
 
 def load_csv(path, label_column: str = "label") -> tuple[np.ndarray, np.ndarray]:
@@ -173,13 +168,6 @@ def load_csv(path, label_column: str = "label") -> tuple[np.ndarray, np.ndarray]
     ``csv_blocks`` joined, so every rule and message is theirs.  Which
     labels form the classes is the caller's rule."""
     xs, ys = zip(*csv_blocks(path, label_column))
-    return np.concatenate(xs), np.concatenate(ys)
-
-
-def _load_csv_rows(path, label_column: str = "label") -> tuple[np.ndarray, np.ndarray]:
-    """``load_csv`` of the whole file row by row: the reference parser."""
-    with reading(path, "", DataError, newline="") as fh:
-        xs, ys = zip(*_row_blocks(fh, path, label_column))
     return np.concatenate(xs), np.concatenate(ys)
 
 

@@ -1,10 +1,21 @@
 """Shared fixtures and oracles for the test suite."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from ballot import data
 from ballot.data import DatasetSpec, SyntheticSpec, make_dataset
-from ballot.model import NetworkParams, block_buffers, forward_block, init_network
+from ballot.errors import DataError
+from ballot.fileio import reading
+from ballot.model import (
+    FORWARD_BLOCK_ROWS,
+    NetworkParams,
+    block_buffers,
+    forward_block,
+    init_network,
+)
 from ballot.pipeline import TrainConfig
 
 # one verdict line per acceptance criterion, echoed after the run
@@ -37,6 +48,30 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def load_csv_rows(path, label_column: str = "label") -> tuple[np.ndarray, np.ndarray]:
+    """``load_csv`` of the whole file row by row: the reference parser."""
+    with reading(path, "", DataError, newline="") as fh:
+        xs, ys = zip(*data._row_blocks(fh, path, label_column))
+    return np.concatenate(xs), np.concatenate(ys)
+
+
+# the bytes a text file's decoder takes at a time (``io.TextIOWrapper``)
+DECODE_CHUNK = 8192
+
+
+def write_undecodable_at_block_edge(path, blocks: int) -> None:
+    """A CSV ``f0,label`` whose header and first ``blocks`` blocks of
+    class-0 rows make exactly ``blocks`` decoder chunks, then a data row
+    that starts with the byte 0xff, then 299 class-1 rows.  So the bad
+    byte is the first of both a block of lines and a decoder chunk."""
+    head, n_rows = "f0,label\n", blocks * FORWARD_BLOCK_ROWS
+    width, extra = divmod(blocks * DECODE_CHUNK - len(head), n_rows)
+    rows = "".join("0." + "5" * (width - 5 + (i < extra)) + ",0\n" for i in range(n_rows))
+    good = (head + rows).encode()
+    assert len(good) == blocks * DECODE_CHUNK
+    Path(path).write_bytes(good + b"\xff0.5,1\n" + b"0.25,1\n" * 299)
 
 
 def random_dims(rng, max_hidden_layers=2, max_units=8, n_classes=None):

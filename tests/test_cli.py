@@ -34,6 +34,8 @@ from ballot.model import (
 )
 from ballot.reporting import CSV_HEADER, load_report
 
+from conftest import write_undecodable_at_block_edge
+
 WALL_TIME = re.compile(rb'(?<="wall_time_s": )[^,\n]+')
 # every JSON value of a key ending in _s, as the benchmark's digest
 # (perfbench/checks.py) blanks it
@@ -110,6 +112,16 @@ class TestTrain:
         assert code == 1
         assert err.startswith("ballot: configuration error:")
         assert "'train.lr0' must be finite" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_undecodable_csv_block_start_is_data_error(self, tmp_path, capsys, blocks):
+        bad = tmp_path / "bad.csv"
+        write_undecodable_at_block_edge(bad, blocks)
+        raw = {**SMALL, "data": {"csv_path": str(bad)}}
+        code = main(["train", "--config", write_config(tmp_path, raw),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"data error: cannot read {bad}: " in capsys.readouterr().err
 
     def test_checkpoint_dir_that_is_a_file_is_data_error(self, tmp_path,
                                                            config_path, capsys):
@@ -347,6 +359,19 @@ class TestEvaluate:
                      "--data", str(bad), "--out", str(tmp_path / "e.json")])
         assert code == 2
         assert "data error: malformed CSV at line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_undecodable_block_start_is_data_error(self, tmp_path, capsys, blocks):
+        # the file matches the checkpoint, so only the bad byte can fail
+        bad, out = tmp_path / "bad.csv", tmp_path / "e.json"
+        write_undecodable_at_block_edge(bad, blocks)
+        checkpoint = tmp_path / "one-feature.ckpt"
+        save_checkpoint(init_network((1, 4, 2), 0), checkpoint)
+        code = main(["evaluate", "--checkpoint", str(checkpoint),
+                     "--data", str(bad), "--out", str(out)])
+        assert code == 2
+        assert f"data error: cannot read {bad}: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_oversized_manifest_layer_is_data_error(self, tmp_path, config_path,
                                                     capsys):

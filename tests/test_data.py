@@ -21,6 +21,8 @@ from ballot.errors import ConfigurationError, DataError
 from ballot.model import FORWARD_BLOCK_ROWS
 from ballot.pipeline import TrainConfig, train_dense
 
+from conftest import load_csv_rows, write_undecodable_at_block_edge
+
 
 def synth(**overrides):
     base = dict(classes=3, counts=(30, 12, 12), dim=4, std=0.8, seed=1)
@@ -223,7 +225,7 @@ def same_outcome(path):
     """load_csv and the row-wise reference agree: equal bits, or the
     same DataError message."""
     outcomes = []
-    for loader in (load_csv, data._load_csv_rows):
+    for loader in (load_csv, load_csv_rows):
         try:
             x, y = loader(path)
             outcomes.append(("ok", x.shape, x.dtype, x.tobytes(), y.dtype, y.tobytes(),
@@ -255,7 +257,7 @@ class TestCsvFastPath:
         assert got[1].tobytes() == last.tobytes()
         # the label column anywhere but last
         got = load_csv(path, label_column=f"f{at}")
-        ref = data._load_csv_rows(path, label_column=f"f{at}")
+        ref = load_csv_rows(path, label_column=f"f{at}")
         want = np.column_stack([x, last.astype(np.float64)])
         assert got[0].tobytes() == ref[0].tobytes() == want.tobytes()
         assert got[1].tobytes() == ref[1].tobytes() == first.tobytes()
@@ -311,7 +313,7 @@ class TestCsvFastPath:
         *lines, last = path.read_text().splitlines(keepends=True)
         first, rest = last.split(",", 1)
         path.write_text("".join(lines) + f'"{first}",{rest}')
-        ref = data._load_csv_rows(path)
+        ref = load_csv_rows(path)
         real_parse, starts = data._parse_rows, []
 
         def counted_parse(reader, header, label_idx, first_line):
@@ -375,6 +377,18 @@ class TestCsvFastPath:
         path.write_bytes(b"a,label\n1,0\n\xff,1\n")
         with pytest.raises(DataError, match="cannot read"):
             load_csv(path)
+
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_undecodable_block_start_is_not_the_end_of_the_file(self, tmp_path, blocks):
+        # the bad byte opens a block and a decoder chunk: no line of that
+        # block is read, which must not pass for an empty read
+        path = tmp_path / "d.csv"
+        write_undecodable_at_block_edge(path, blocks)
+        outcome = same_outcome(path)
+        assert outcome[0] == "error" and outcome[1].startswith(f"cannot read {path}: ")
+        with pytest.raises(DataError) as raised:
+            list(data.csv_blocks(path))
+        assert str(raised.value) == outcome[1]
 
 
 class TestSplit:

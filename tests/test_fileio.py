@@ -7,13 +7,15 @@ import json
 import numpy as np
 import pytest
 
-from ballot import data, fileio
+from ballot import fileio
 from ballot.config import load_config
 from ballot.data import csv_blocks, save_csv
 from ballot.errors import ConfigurationError, DataError, PersistenceError
 from ballot.masks import build_random_mask, load_mask, save_mask
 from ballot.model import init_network, load_checkpoint, save_checkpoint
 from ballot.reporting import load_report, write_aggregate_csv, write_report
+
+from conftest import load_csv_rows
 
 DIMS = (3, 4, 2)
 
@@ -39,7 +41,7 @@ READERS = {
     "report": (load_report, PersistenceError, "report "),
     "config": (load_config, ConfigurationError, "config "),
     "csv_blocks": (lambda path: list(csv_blocks(path)), DataError, ""),
-    "csv_rows": (data._load_csv_rows, DataError, ""),
+    "csv_rows": (load_csv_rows, DataError, ""),
 }
 TEXT_READERS = ("report", "config", "csv_blocks", "csv_rows")
 JSON_READERS = ("report", "config")

@@ -62,10 +62,11 @@ without ReLU, an output layer with one), ``train`` with
 ``model.hidden=[0]``, and the file errors: ``train`` with a missing
 ``--config`` and with a config holding a byte that is not UTF-8,
 ``evaluate`` of a missing checkpoint and of a missing ``--data`` CSV,
-``train --out`` where ``checkpoints`` is a regular file, and
-``gen-data --out`` under that file.  Its exit code and stderr are
-written to ``failures/NAME.txt``, so a change that moves a check is
-compared by the message and exit code it gives.
+``evaluate`` of a CSV whose byte 0xff opens both a block of lines and
+a text-decoder chunk, ``train --out`` where ``checkpoints`` is a
+regular file, and ``gen-data --out`` under that file.  Its exit code
+and stderr are written to ``failures/NAME.txt``, so a change that
+moves a check is compared by the message and exit code it gives.
 
 Seconds fields (JSON keys and CSV columns ending in ``_s``) are blanked
 as the benchmark's digest blanks them (``perfbench/checks.py``).  The
@@ -157,6 +158,21 @@ def quote_last(work: Path) -> None:
     (work / "quoted-last.csv").write_text("".join(lines) + f'"{first}",{rest}')
 
 
+def undecodable_csv(work: Path) -> None:
+    """Write ``undecodable.txt``: a CSV of 20 features, as the default
+    config's checkpoints take, whose header and first 256 rows
+    (``model.FORWARD_BLOCK_ROWS``, class 0) make exactly two 8,192-byte
+    text-decoder chunks, then a row that starts with the byte 0xff, then
+    299 rows of classes 1-3.  It is not named ``.csv``, so that
+    ``strip_timing`` compares its bytes instead of decoding them."""
+    head = ",".join([f"f{i}" for i in range(20)] + ["label"]) + "\n"
+    width, extra = divmod(2 * 8192 - len(head), 256)
+    rows = "".join("0," * 19 + "0." + "5" * (width - 43 + (i < extra)) + ",0\n"
+                   for i in range(256))
+    tail = "".join("0," * 19 + f"0.25,{1 + i % 3}\n" for i in range(299))
+    (work / "undecodable.txt").write_bytes((head + rows).encode() + b"\xff" + tail.encode())
+
+
 COMMANDS = [
     ["train", "--out", "train"],
     *[["prune", "--method", m, "--out", f"prune-{m}"]
@@ -196,6 +212,7 @@ COMMANDS = [
       for m in METHODS],
     ["experiment", "--seeds", "3", "--config", "odd.json", "--out", "odd-experiment"],
     bad_manifests,
+    undecodable_csv,
 ]
 FAILING = [
     *[(f"bad-{name}", ["evaluate", "--checkpoint", f"bad-{name}.ckpt",
@@ -210,6 +227,8 @@ FAILING = [
                             "--out", "failures/missing-checkpoint.json"]),
     ("missing-csv", ["evaluate", "--checkpoint", "prune-ballot/checkpoints/final.ckpt",
                      "--data", "nope.csv", "--out", "failures/missing-csv.json"]),
+    ("undecodable-csv", ["evaluate", "--checkpoint", "prune-ballot/checkpoints/final.ckpt",
+                         "--data", "undecodable.txt", "--out", "failures/undecodable-csv.json"]),
     # ``blocked/checkpoints`` is a regular file
     ("checkpoints-is-a-file", ["train", "--out", "blocked"]),
     ("gen-data-under-a-file", ["gen-data", "--out", "blocked/checkpoints/data.csv"]),
