@@ -15,7 +15,6 @@ from ._version import __version__
 from .config import AppConfig, config_from_dict, load_config
 from .data import csv_blocks, gen_synthetic, make_dataset, save_csv, split_blocks
 from .errors import (
-    BallotError,
     ConfigurationError,
     DataError,
     NumericalFailure,
@@ -51,42 +50,26 @@ def _load(config_path) -> AppConfig:
     return load_config(config_path)
 
 
-def _write_checkpoints(out_dir: Path, artifacts, final=None) -> None:
-    ck_dir = out_dir / "checkpoints"
-    save_checkpoint(artifacts.theta0, ck_dir / "theta0.ckpt")
-    save_checkpoint(artifacts.theta_k, ck_dir / "theta_k.ckpt")
-    save_checkpoint(artifacts.theta_e, ck_dir / "theta_e.ckpt")
-    if final is not None:
-        save_checkpoint(final, ck_dir / "final.ckpt")
-
-
-def _cmd_train(args) -> int:
+def _cmd_run(args) -> int:
+    """``train`` and ``prune``: dense training, then for ``prune`` the
+    one method it names.  The report is written first, then the mask and
+    the checkpoints."""
     app = _load(args.config)
+    methods = [args.method or app.method] if args.command == "prune" else []
     data = make_dataset(app.dataset)
     (artifacts,) = train_dense(app.train, data, [app.train.seed])
+    results = [run_baseline(method, app.train, data, [artifacts])[0] for method in methods]
     out = Path(args.out)
     write_report(
         out / "report.json",
-        report_payload(app, app.train.seed, artifacts.dense_report, []),
+        report_payload(app, app.train.seed, artifacts.dense_report, results),
     )
-    _write_checkpoints(out, artifacts)
-    print(f"wrote {out / 'report.json'}")
-    return 0
-
-
-def _cmd_prune(args) -> int:
-    app = _load(args.config)
-    method = args.method or app.method
-    data = make_dataset(app.dataset)
-    (artifacts,) = train_dense(app.train, data, [app.train.seed])
-    (result,) = run_baseline(method, app.train, data, [artifacts])
-    out = Path(args.out)
-    write_report(
-        out / "report.json",
-        report_payload(app, app.train.seed, artifacts.dense_report, [result]),
-    )
-    save_mask(result.mask, out / "mask.bits")
-    _write_checkpoints(out, artifacts, final=result.params)
+    checkpoints = {name: getattr(artifacts, name) for name in ("theta0", "theta_k", "theta_e")}
+    for result in results:
+        save_mask(result.mask, out / "mask.bits")
+        checkpoints["final"] = result.params
+    for name, params in checkpoints.items():
+        save_checkpoint(params, out / "checkpoints" / f"{name}.ckpt")
     print(f"wrote {out / 'report.json'}")
     return 0
 
@@ -150,14 +133,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="dense training only")
     p.add_argument("--config", help="JSON config path (defaults apply if omitted)")
     p.add_argument("--out", default="out", help="output directory")
-    p.set_defaults(func=_cmd_train)
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("prune", help="train, mask, and retrain with one method")
     p.add_argument("--method", choices=METHODS,
                    help="pruning method (default: prune.method from config)")
     p.add_argument("--config")
     p.add_argument("--out", default="out")
-    p.set_defaults(func=_cmd_prune)
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("evaluate", help="report metrics for a checkpoint")
     p.add_argument("--checkpoint", required=True)
@@ -206,9 +189,6 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"ballot: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except BallotError as exc:
-        print(f"ballot: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -88,6 +88,8 @@ def _read_header(reader, path, label_column: str) -> tuple[list[str], int]:
         raise DataError(f"malformed CSV at line {reader.line_num}: {exc}") from None
     if header is None:
         raise DataError(f"{path} is empty")
+    if reader.line_num > 1:
+        raise DataError("header at line 1 runs onto the next line")
     if label_column not in header:
         raise DataError(f"label column '{label_column}' not found in header")
     if len(header) < 2:
@@ -100,47 +102,49 @@ def csv_blocks(path, label_column: str = "label"):
     one ``(x, y)`` pair per ``FORWARD_BLOCK_ROWS`` data rows, so that
     memory holds one block of the file at a time.
 
-    Each block of lines after the header is read once and parsed in C
-    by ``np.loadtxt``, and is yielded when its lines decode, no line is
-    longer than ``csv.field_size_limit()``, the block has one row of
-    ``len(header)`` cells per line, every label is an integer in
-    0..2**63-1 and every feature is finite.  From the first block that
-    fails this on, ``_row_blocks`` reads the file again, through the
-    same handle rewound, from that block's first line: it raises the
-    file's first error, which lies in that block or after it, or it
-    yields rows that only Python's ``float`` accepts (a quoted number,
-    ``1_0``).  So the blocks hold the same bits, and a bad file fails
-    with the same message, as the row-wise pass over the whole file.
-    An input that cannot be rewound, such as a pipe, fails with
-    ``cannot read`` there instead.
+    Each line is read once, front to back, so a pipe loads as a file
+    does.  A block of lines is parsed in C by ``np.loadtxt`` and yielded
+    when its lines decode, no line is longer than
+    ``csv.field_size_limit()``, it has one row of ``len(header)`` cells
+    per line, every label is an integer in 0..2**63-1 and every feature
+    is finite.  From the first block that fails this on, ``_row_blocks``
+    parses its lines, then the rest of the input or the decode error
+    that stopped its read: it raises the first error, or yields rows
+    that only ``float`` accepts (a quoted number, ``1_0``).  So the
+    blocks hold the same bits, and a bad input fails with the same
+    message, as the row-wise pass over the whole input.
     """
     rows = 0
     with reading(path, "", DataError, newline="") as fh:
         header, label_idx = _read_header(csv.reader(fh), path, label_column)
-        while block := _read_block(fh, len(header), label_idx):
+        while True:
+            lines, rest = [], fh
+            try:
+                # extend keeps the lines decoded before a decode error
+                lines.extend(itertools.islice(fh, FORWARD_BLOCK_ROWS))
+            except UnicodeDecodeError as exc:
+                rest = _raising(exc)
+            if rest is fh and not lines and rows:
+                return  # every block of the input loaded
+            block = _parse_block(lines, len(header), label_idx) if rest is fh else None
+            if block is None:
+                break  # a block for the row-wise pass, or no data rows
             yield block
-            rows += block[1].size
-        if block == () and rows:
-            return  # every block of the file loaded
-        # a file without data rows gets its message here too; rewound,
-        # as a reopened pipe would wait for a new writer
-        fh.seek(0)
-        yield from _row_blocks(fh, path, label_column, rows)
+            rows += len(lines)
+        yield from _row_blocks(itertools.chain(lines, rest), path, header, label_idx, rows)
 
 
-def _read_block(fh, n_cells: int, label_idx: int):
-    """The next ``FORWARD_BLOCK_ROWS`` lines of ``fh``, read once, as
-    features and labels parsed by ``np.loadtxt``; ``()`` when there are
-    no more lines, and None when the lines cannot be decoded or loadtxt
-    cannot take them exactly (see ``csv_blocks``)."""
-    try:
-        lines = list(itertools.islice(fh, FORWARD_BLOCK_ROWS))
-    except UnicodeDecodeError:
-        return None
-    if not lines:
-        return ()
+def _raising(exc: Exception):
+    """An iterator that raises ``exc`` when it is first advanced."""
+    raise exc
+    yield
+
+
+def _parse_block(lines: list[str], n_cells: int, label_idx: int):
+    """``lines`` as features and labels parsed by ``np.loadtxt``; None
+    when there are none or loadtxt cannot take them exactly."""
     # a longer line may hold a cell over the csv module's field limit
-    if max(map(len, lines)) > csv.field_size_limit():
+    if not lines or max(map(len, lines)) > csv.field_size_limit():
         return None
     try:
         with warnings.catch_warnings():
@@ -172,10 +176,12 @@ def load_csv(path, label_column: str = "label") -> tuple[np.ndarray, np.ndarray]
 
 
 def _parse_rows(reader, header: list[str], label_idx: int, first_line: int):
-    """Each row of ``reader`` as its features and label, parsed with
-    ``float``; a bad row raises, naming its line counted from
-    ``first_line``."""
+    """Each row of ``reader``, a fresh reader, as its features and label,
+    parsed with ``float``; a bad row raises, naming its line counted from
+    ``first_line``.  A row is one line: a quoted line break is an error."""
     for line_no, row in enumerate(reader, start=first_line):
+        if first_line + reader.line_num - 1 > line_no:
+            raise DataError(f"row at line {line_no} runs onto the next line")
         if len(row) != len(header):
             raise DataError(f"row at line {line_no} has {len(row)} cells, "
                             f"expected {len(header)}")
@@ -184,12 +190,9 @@ def _parse_rows(reader, header: list[str], label_idx: int, first_line: int):
             feats = [float(v) for v in row]
         except ValueError:
             row.insert(label_idx, raw)
-            bad = next(i for i in range(len(row))
-                       if i != label_idx and not _is_float(row[i]))
-            raise DataError(
-                f"non-numeric value '{row[bad]}' in column "
-                f"'{header[bad]}' at line {line_no}"
-            ) from None
+            bad = next(i for i, v in enumerate(row) if i != label_idx and not _is_float(v))
+            raise DataError(f"non-numeric value '{row[bad]}' in column "
+                            f"'{header[bad]}' at line {line_no}") from None
         try:
             label = float(raw)
         except ValueError:
@@ -202,19 +205,15 @@ def _parse_rows(reader, header: list[str], label_idx: int, first_line: int):
         yield feats, int(label)
 
 
-def _row_blocks(fh, path, label_column: str = "label", skip: int = 0):
-    """The data rows of the CSV file ``path``, read from its start
-    through ``fh``, after its first ``skip``, parsed by ``csv`` and
-    ``float`` and yielded in ``FORWARD_BLOCK_ROWS`` blocks: the only
-    source of line-numbered messages.  The skipped rows are read as
-    lines, one each, and not parsed.  A bad row raises when it is
-    reached; a non-finite feature raises after the last row, and no
-    block is yielded from the one that holds it on."""
+def _row_blocks(lines, path, header: list[str], label_idx: int, skip: int = 0):
+    """The data rows in ``lines``, which follow the header and the first
+    ``skip`` data rows of the CSV file ``path``, parsed by ``csv`` and
+    ``float`` into ``FORWARD_BLOCK_ROWS`` blocks: the only source of
+    line-numbered messages.  A bad row raises when it is reached; a
+    non-finite feature raises after the last row, and stops the blocks."""
     finite, any_rows = True, False
-    reader = csv.reader(fh)
+    reader = csv.reader(lines)
     try:
-        header, label_idx = _read_header(reader, path, label_column)
-        next(itertools.islice(fh, skip, skip), None)  # reads ``skip`` lines
         parsed = _parse_rows(reader, header, label_idx, skip + 2)
         # a list of Python floats takes about ten times the bytes, so
         # one block of them at a time
@@ -227,7 +226,7 @@ def _row_blocks(fh, path, label_column: str = "label", skip: int = 0):
                 yield x, np.array(labels, dtype=np.int64)
     except csv.Error as exc:
         # for example a cell over the csv module's field size limit
-        raise DataError(f"malformed CSV at line {skip + reader.line_num}: {exc}") from None
+        raise DataError(f"malformed CSV at line {skip + 1 + reader.line_num}: {exc}") from None
     if not any_rows:
         raise DataError(f"{path} has no data rows")
     if not finite:

@@ -1,5 +1,6 @@
 """Shared fixtures and oracles for the test suite."""
 
+import csv
 from pathlib import Path
 
 import numpy as np
@@ -51,9 +52,11 @@ def small_config(**overrides):
 
 
 def load_csv_rows(path, label_column: str = "label") -> tuple[np.ndarray, np.ndarray]:
-    """``load_csv`` of the whole file row by row: the reference parser."""
+    """``load_csv`` of the whole file row by row: the reference parser.
+    The header is read first, and every other line by ``_row_blocks``."""
     with reading(path, "", DataError, newline="") as fh:
-        xs, ys = zip(*data._row_blocks(fh, path, label_column))
+        header, label_idx = data._read_header(csv.reader(fh), path, label_column)
+        xs, ys = zip(*data._row_blocks(fh, path, header, label_idx))
     return np.concatenate(xs), np.concatenate(ys)
 
 

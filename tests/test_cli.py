@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ballot import cli, metrics, pipeline, reporting
+from ballot import cli, errors, metrics, pipeline, reporting
 from ballot._version import __version__
 from ballot.cli import main
 from ballot.data import Split, require_labels_below, split_blocks
@@ -64,6 +64,11 @@ def write_config(tmp_path, raw, name="c.json"):
     path = tmp_path / name
     path.write_text(json.dumps(raw))
     return str(path)
+
+
+def checkpoint_bytes(manifest: bytes) -> bytes:
+    """A version-1 checkpoint of the raw ``manifest`` and no parameters."""
+    return b"BLTC" + struct.pack("<IQ", 1, len(manifest)) + manifest
 
 
 class TestTrain:
@@ -350,6 +355,19 @@ class TestEvaluate:
         assert code == 2
         assert "data error" in capsys.readouterr().err
 
+    def test_quoted_line_break_is_data_error(self, tmp_path, pruned, capsys):
+        # one record per line: the error names the record's first line,
+        # and a later bad cell is not reached
+        bad, out = tmp_path / "bad.csv", tmp_path / "e.json"
+        bad.write_text('f0,f1,f2,f3,label\n1,2,3,4,0\n1,"2\n",3,4,1\n1,2,3,x,0\n')
+        code = main(["evaluate",
+                     "--checkpoint", str(pruned / "checkpoints" / "final.ckpt"),
+                     "--data", str(bad), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "ballot: data error: row at line 3 runs onto the next line\n"
+        assert not out.exists()
+
     def test_oversized_csv_cell_is_data_error(self, tmp_path, pruned, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("f0,f1,f2,f3,label\n1,2,3,4,0\n1,2," + "9" * 200_000
@@ -388,6 +406,26 @@ class TestEvaluate:
         assert code == 2
         assert ("data error: truncated parameters: 0 bytes, expected "
                 f"{8 * (2**64 + 2**32)}") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"BLTC\x01\x00\x00\x00", "truncated header"),
+        (checkpoint_bytes(b"{x}"),
+         "unreadable manifest: Expecting property name enclosed in double quotes"),
+        (checkpoint_bytes(b"\xff}"), "unreadable manifest: 'utf-8' codec"),
+        (checkpoint_bytes(b"[]"), "manifest field 'layers' missing or not a list"),
+        (checkpoint_bytes(b'{"layers": {}}'), "manifest field 'layers' missing or not a list"),
+        (checkpoint_bytes(b'{"layers": [3], "seed": 0, "epoch": 0}'),
+         "manifest layer 0 is not an object"),
+    ], ids=["header", "json", "utf-8", "root-list", "layers-object", "layer-number"])
+    def test_unreadable_checkpoint_is_data_error(self, tmp_path, config_path, capsys,
+                                                 raw, message):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(raw)
+        code = main(["evaluate", "--checkpoint", str(path), "--data", config_path,
+                     "--out", str(tmp_path / "e.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"ballot: data error: {message}") and err.count("\n") == 1
 
     def test_missing_checkpoint_is_file_error(self, tmp_path, config_path,
                                               capsys):
@@ -519,16 +557,16 @@ class TestStreamedEvaluate:
         assert got == code and message in err
 
     @staticmethod
-    def evaluate_pipe(tmp_path, checkpoint, text):
+    def evaluate_pipe(tmp_path, checkpoint, data: bytes):
         """``ballot evaluate`` run in a subprocess on a named pipe that a
-        thread feeds ``text`` into once."""
+        thread feeds ``data`` into once."""
         pipe = tmp_path / "pipe.csv"
         os.mkfifo(pipe)
 
         def feed():
             try:
-                with open(pipe, "w") as fh:
-                    fh.write(text)
+                with open(pipe, "wb") as fh:
+                    fh.write(data)
             except BrokenPipeError:
                 pass  # the reader stopped early
 
@@ -546,11 +584,8 @@ class TestStreamedEvaluate:
             os.close(os.open(pipe, os.O_RDONLY | os.O_NONBLOCK))
             writer.join(timeout=10)
 
-    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
-    def test_named_pipe_that_parses_in_c_evaluates(self, tmp_path, checkpoint):
-        path = tmp_path / "d.csv"
-        write_cells(path, csv_cells(3500))
-        proc = self.evaluate_pipe(tmp_path, checkpoint, path.read_text())
+    def assert_pipe_evaluates_as_the_file(self, tmp_path, checkpoint, path):
+        proc = self.evaluate_pipe(tmp_path, checkpoint, path.read_bytes())
         assert proc.returncode == 0, proc.stderr
         assert main(["evaluate", "--checkpoint", checkpoint, "--data", str(path),
                      "--out", str(tmp_path / "file.json")]) == 0
@@ -558,18 +593,36 @@ class TestStreamedEvaluate:
             (tmp_path / "file.json").read_bytes()
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
-    def test_named_pipe_needing_the_row_wise_pass_fails(self, tmp_path,
-                                                        checkpoint):
-        # the quoted cell sends its block to the row-wise pass, which
-        # would rewind the input; a pipe cannot be rewound
+    def test_named_pipe_that_parses_in_c_evaluates(self, tmp_path, checkpoint):
+        path = tmp_path / "d.csv"
+        write_cells(path, csv_cells(3500))
+        self.assert_pipe_evaluates_as_the_file(tmp_path, checkpoint, path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_named_pipe_needing_the_row_wise_pass_evaluates(self, tmp_path,
+                                                            checkpoint):
+        # the quoted cell, past the pipe's fifth block, sends its block to
+        # the row-wise pass, which goes on from the lines already read
         rows = csv_cells(3500)
         rows[1500][2] = '"3"'
         path = tmp_path / "d.csv"
         write_cells(path, rows)
-        proc = self.evaluate_pipe(tmp_path, checkpoint, path.read_text())
+        self.assert_pipe_evaluates_as_the_file(tmp_path, checkpoint, path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_named_pipe_with_undecodable_byte_fails_as_a_file(self, tmp_path, blocks):
+        path, checkpoint = tmp_path / "d.csv", tmp_path / "one-feature.ckpt"
+        write_undecodable_at_block_edge(path, blocks)
+        save_checkpoint(init_network((1, 4, 2), 0), checkpoint)
+        proc = self.evaluate_pipe(tmp_path, str(checkpoint), path.read_bytes())
         assert proc.returncode == 2
-        assert (f"data error: cannot read {tmp_path / 'pipe.csv'}: underlying "
-                "stream is not seekable") in proc.stderr
+        # a pipe's reads may split the input elsewhere than a file's, so
+        # the byte's position in the decoder's chunk is not pinned
+        assert proc.stderr.startswith(f"ballot: data error: cannot read {tmp_path / 'pipe.csv'}: "
+                                      "'utf-8' codec can't decode byte 0xff in position ")
+        assert proc.stderr.count("\n") == 1
+        assert not (tmp_path / "pipe.json").exists()
 
     def test_no_block_exceeds_forward_block_rows(self, tmp_path, monkeypatch,
                                                  checkpoint):
@@ -716,6 +769,31 @@ class TestTopLevel:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
         assert "usage" in capsys.readouterr().err
+
+    EXITS = {
+        errors.ConfigurationError: (1, "configuration error"),
+        errors.InfeasibleMaskError: (1, "configuration error"),
+        errors.UsageError: (1, "configuration error"),
+        errors.DataError: (2, "data error"),
+        errors.PersistenceError: (2, "data error"),
+        errors.NumericalFailure: (3, "numerical failure"),
+    }
+
+    def test_every_error_class_has_an_exit(self):
+        def subclasses(cls):
+            return {c for sub in cls.__subclasses__() for c in {sub, *subclasses(sub)}}
+        assert subclasses(errors.BallotError) == set(self.EXITS)
+
+    @pytest.mark.parametrize("error", list(EXITS), ids=lambda cls: cls.__name__)
+    def test_error_exits_with_its_code_and_prefix(self, monkeypatch, capsys, error):
+        def failing(args):
+            raise (error("boom", 0.5) if error is errors.InfeasibleMaskError
+                   else error("boom"))
+
+        monkeypatch.setattr(cli, "_cmd_gen_data", failing)
+        code, prefix = self.EXITS[error]
+        assert main(["gen-data", "--out", "unused.csv"]) == code
+        assert capsys.readouterr().err == f"ballot: {prefix}: boom\n"
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

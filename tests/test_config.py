@@ -56,6 +56,12 @@ class TestDefaults:
         app = parse(data={"synthetic": {"counts": [10, 10, 10]}})
         assert app.dataset.synthetic.classes == 3
 
+    @pytest.mark.parametrize("data", [{}, {"csv_path": "d.csv"}],
+                             ids=["synthetic", "csv"])
+    def test_null_synthetic_section_equals_an_omitted_one(self, data):
+        # null selects no generator: the defaults without csv_path, none with it
+        assert parse(data={**data, "synthetic": None}) == parse(data=data)
+
 
 class TestRejections:
     def test_unknown_top_level_key(self):

@@ -1,5 +1,7 @@
 """Synthetic generation, CSV round trips, and the stratified split."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -334,7 +336,8 @@ class TestCsvFastPath:
         line = 2 * FORWARD_BLOCK_ROWS + 7
         path = tmp_path / "d.csv"
         for bad, message in (("x" * 200_000 + ",1\n", f"malformed CSV at line {line}: "),
-                             ('"1",0\n2,0.5\n', f"label '0.5' at line {line + 1} is not")):
+                             ('"1",0\n2,0.5\n', f"label '0.5' at line {line + 1} is not"),
+                             ('1,"0\n"\n2,x\n', f"row at line {line} runs onto the next")):
             path.write_text("a,label\n" + good + bad)
             assert same_outcome(path)[1].startswith(message)
 
@@ -351,6 +354,11 @@ class TestCsvFastPath:
         ("a,label\n1,1e300\n", "label '1e300' at line 2 is too large"),
         ("a,label\n1,9223372036854775808\n",
          "label '9223372036854775808' at line 2 is too large"),
+        # a record is one line: a quoted line break is named at its first line
+        ('a,label\n"1\n",0\n2,0\nx,1\n', "row at line 2 runs onto the next line"),
+        ('a,label\n1,0\n2,"0\r\n"\n', "row at line 3 runs onto the next line"),
+        ('"a\n",label\n1,0\n', "header at line 1 runs onto the next line"),
+        ("label\n0\n1\n", "no feature columns besides the label"),
     ])
     def test_error_messages(self, tmp_path, text, message):
         path = tmp_path / "d.csv"
@@ -389,6 +397,44 @@ class TestCsvFastPath:
         with pytest.raises(DataError) as raised:
             list(data.csv_blocks(path))
         assert str(raised.value) == outcome[1]
+
+    @pytest.mark.parametrize("before", [0, 3, 100])
+    def test_bad_row_ahead_of_an_undecodable_byte_wins(self, tmp_path, before):
+        # the block after two loaded ones holds, ``before`` rows in, a bad
+        # row, then 100 rows of 105 bytes, then the bad byte: the block's
+        # read stops at that byte, more than a decoder chunk past the row
+        path = tmp_path / "d.csv"
+        head = "a,label\n" + "0.5,1\n" * (2 * FORWARD_BLOCK_ROWS + before)
+        long = ("0." + "2" * 100 + ",0\n") * 100
+        path.write_bytes((head + "2,x\n" + long).encode() + b"\xff,1\n" + b"1,1\n" * 9)
+        line = 2 * FORWARD_BLOCK_ROWS + before + 2
+        assert same_outcome(path) == ("error", f"non-numeric label 'x' at line {line}")
+        # a bad row after the bad byte is never reached
+        path.write_bytes((head + long).encode() + b"\xff,1\n2,x\n")
+        assert same_outcome(path)[1].startswith(f"cannot read {path}: 'utf-8' codec")
+
+    def test_each_line_is_read_once(self, tmp_path, monkeypatch):
+        # the quoted cell sends the third block to the row-wise pass,
+        # which goes on from the lines in hand: no line is read again
+        done = 2 * FORWARD_BLOCK_ROWS
+        path = tmp_path / "d.csv"
+        path.write_text("a,label\n" + "0.5,1\n" * (done + 3) + '"2",0\n' + "1,1\n" * 9)
+        real_reading, seen = data.reading, []
+
+        def noted(fh):
+            for line in fh:
+                seen.append(line)
+                yield line
+
+        @contextlib.contextmanager
+        def counted_reading(*args, **kwargs):
+            with real_reading(*args, **kwargs) as fh:
+                yield noted(fh)
+
+        monkeypatch.setattr(data, "reading", counted_reading)
+        x, y = load_csv(path)
+        assert seen == path.read_text().splitlines(keepends=True)
+        assert y.size == done + 13 and x[done + 3].tolist() == [2.0]
 
 
 class TestSplit:

@@ -41,7 +41,10 @@ temporary directory, through one fixed command set:
   block edges and the label column's position are compared;
 - a copy of the 3,500-row CSV with its last line's first cell quoted,
   evaluated the same way, so the row-wise parse of a file's last block
-  after blocks parsed in C is compared;
+  after blocks parsed in C is compared, and that copy piped into
+  ``evaluate --data /dev/stdin``, so a pipe that needs the row-wise
+  parse is compared too: its exit code and stderr go to
+  ``piped-quoted-last.txt``;
 - ``train`` on a config that sets every key but ``data.csv_path`` to a
   non-default value, with integral numbers for float keys and ``4.0``
   for ``train.epochs``, so the config echo is compared key by key;
@@ -63,8 +66,9 @@ without ReLU, an output layer with one), ``train`` with
 ``--config`` and with a config holding a byte that is not UTF-8,
 ``evaluate`` of a missing checkpoint and of a missing ``--data`` CSV,
 ``evaluate`` of a CSV whose byte 0xff opens both a block of lines and
-a text-decoder chunk, ``train --out`` where ``checkpoints`` is a
-regular file, and ``gen-data --out`` under that file.  Its exit code
+a text-decoder chunk and of a CSV with a line break in a quoted cell,
+``train --out`` where ``checkpoints`` is a regular file, and
+``gen-data --out`` under that file.  Its exit code
 and stderr are written to ``failures/NAME.txt``, so a change that
 moves a check is compared by the message and exit code it gives.
 
@@ -158,6 +162,15 @@ def quote_last(work: Path) -> None:
     (work / "quoted-last.csv").write_text("".join(lines) + f'"{first}",{rest}')
 
 
+def multi_line(work: Path) -> None:
+    """Copy ``data.csv`` with a line break inside the quoted first cell
+    of its third line, a cell that ``float`` takes: one record on two
+    lines."""
+    head, second, third, *rest = (work / "data.csv").read_text().splitlines(keepends=True)
+    first, tail = third.split(",", 1)
+    (work / "multi-line.csv").write_text(head + second + f'"{first}\n",{tail}' + "".join(rest))
+
+
 def undecodable_csv(work: Path) -> None:
     """Write ``undecodable.txt``: a CSV of 20 features, as the default
     config's checkpoints take, whose header and first 256 rows
@@ -213,6 +226,7 @@ COMMANDS = [
     ["experiment", "--seeds", "3", "--config", "odd.json", "--out", "odd-experiment"],
     bad_manifests,
     undecodable_csv,
+    multi_line,
 ]
 FAILING = [
     *[(f"bad-{name}", ["evaluate", "--checkpoint", f"bad-{name}.ckpt",
@@ -229,6 +243,8 @@ FAILING = [
                      "--data", "nope.csv", "--out", "failures/missing-csv.json"]),
     ("undecodable-csv", ["evaluate", "--checkpoint", "prune-ballot/checkpoints/final.ckpt",
                          "--data", "undecodable.txt", "--out", "failures/undecodable-csv.json"]),
+    ("multi-line-csv", ["evaluate", "--checkpoint", "prune-ballot/checkpoints/final.ckpt",
+                        "--data", "multi-line.csv", "--out", "failures/multi-line-csv.json"]),
     # ``blocked/checkpoints`` is a regular file
     ("checkpoints-is-a-file", ["train", "--out", "blocked"]),
     ("gen-data-under-a-file", ["gen-data", "--out", "blocked/checkpoints/data.csv"]),
@@ -238,7 +254,8 @@ FAILING = [
 def run_all(tree: Path, work: Path) -> None:
     """Run the command set with ``tree``'s sources inside ``work``; a
     callable in it is a step of this script, given ``work``.  Then run
-    the failing commands and record each one's exit code and stderr."""
+    the piped command and the failing ones and record each one's exit
+    code and stderr."""
     for name, raw in (("default", {}), ("wide", WIDE), ("padded", PADDED),
                       ("sparsest", SPARSEST),
                       ("every-key", EVERY_KEY), ("csv", CSV), ("long", LONG),
@@ -252,16 +269,25 @@ def run_all(tree: Path, work: Path) -> None:
             continue
         subprocess.run([sys.executable, "-m", "ballot.cli", *args], cwd=work,
                        env=env, check=True, stdout=subprocess.DEVNULL)
+    record(work, env, "piped-quoted-last",
+           ["evaluate", "--checkpoint", "prune-ballot/checkpoints/final.ckpt",
+            "--data", "/dev/stdin", "--out", "evaluation-quoted-last-piped.json"],
+           (work / "quoted-last.csv").read_text())
     (work / "failures").mkdir()
     (work / "not-utf8.json").write_bytes(b'{"seed": "\xff"}')
     (work / "blocked").mkdir()
     (work / "blocked" / "checkpoints").write_text("")
     for name, args in FAILING:
-        done = subprocess.run([sys.executable, "-m", "ballot.cli", *args], cwd=work,
-                              env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.PIPE, text=True)
-        (work / "failures" / f"{name}.txt").write_text(
-            f"exit {done.returncode}\n{done.stderr}")
+        record(work, env, f"failures/{name}", args)
+
+
+def record(work: Path, env: dict, name: str, args: list[str], stdin: str = "") -> None:
+    """Run one command inside ``work``, fed ``stdin``, and write its exit
+    code and stderr to ``NAME.txt``."""
+    done = subprocess.run([sys.executable, "-m", "ballot.cli", *args], cwd=work,
+                          env=env, input=stdin, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True)
+    (work / f"{name}.txt").write_text(f"exit {done.returncode}\n{done.stderr}")
 
 
 def checkpoint_payload(raw: bytes) -> tuple[bytes, np.ndarray]:
