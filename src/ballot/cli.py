@@ -60,10 +60,7 @@ def _cmd_run(args) -> int:
     (artifacts,) = train_dense(app.train, data, [app.train.seed])
     results = [run_baseline(method, app.train, data, [artifacts])[0] for method in methods]
     out = Path(args.out)
-    write_report(
-        out / "report.json",
-        report_payload(app, app.train.seed, artifacts.dense_report, results),
-    )
+    write_report(out / "report.json", report_payload(app, artifacts, results))
     checkpoints = {name: getattr(artifacts, name) for name in ("theta0", "theta_k", "theta_e")}
     for result in results:
         save_mask(result.mask, out / "mask.bits")

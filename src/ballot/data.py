@@ -85,7 +85,7 @@ def _read_header(reader, path, label_column: str) -> tuple[list[str], int]:
     try:
         header = next(reader, None)
     except csv.Error as exc:
-        raise DataError(f"malformed CSV at line {reader.line_num}: {exc}") from None
+        raise DataError(f"malformed CSV at line 1: {exc}") from None
     if header is None:
         raise DataError(f"{path} is empty")
     if reader.line_num > 1:
@@ -178,8 +178,17 @@ def load_csv(path, label_column: str = "label") -> tuple[np.ndarray, np.ndarray]
 def _parse_rows(reader, header: list[str], label_idx: int, first_line: int):
     """Each row of ``reader``, a fresh reader, as its features and label,
     parsed with ``float``; a bad row raises, naming its line counted from
-    ``first_line``.  A row is one line: a quoted line break is an error."""
-    for line_no, row in enumerate(reader, start=first_line):
+    ``first_line``.  A row is one line: a quoted line break is an error,
+    and a record that ``csv`` cannot read (an unclosed quote, a cell over
+    its field limit) is named by the line where it begins."""
+    for line_no in itertools.count(first_line):
+        try:
+            row = next(reader, None)
+        except csv.Error as exc:
+            # each row before it was one line, so the record begins here
+            raise DataError(f"malformed CSV at line {line_no}: {exc}") from None
+        if row is None:
+            return
         if first_line + reader.line_num - 1 > line_no:
             raise DataError(f"row at line {line_no} runs onto the next line")
         if len(row) != len(header):
@@ -212,21 +221,16 @@ def _row_blocks(lines, path, header: list[str], label_idx: int, skip: int = 0):
     line-numbered messages.  A bad row raises when it is reached; a
     non-finite feature raises after the last row, and stops the blocks."""
     finite, any_rows = True, False
-    reader = csv.reader(lines)
-    try:
-        parsed = _parse_rows(reader, header, label_idx, skip + 2)
-        # a list of Python floats takes about ten times the bytes, so
-        # one block of them at a time
-        while chunk := list(itertools.islice(parsed, FORWARD_BLOCK_ROWS)):
-            feats, labels = zip(*chunk)
-            x = np.array(feats, dtype=np.float64)
-            finite = finite and bool(np.isfinite(x).all())
-            any_rows = True
-            if finite:
-                yield x, np.array(labels, dtype=np.int64)
-    except csv.Error as exc:
-        # for example a cell over the csv module's field size limit
-        raise DataError(f"malformed CSV at line {skip + 1 + reader.line_num}: {exc}") from None
+    parsed = _parse_rows(csv.reader(lines), header, label_idx, skip + 2)
+    # a list of Python floats takes about ten times the bytes, so one
+    # block of them at a time
+    while chunk := list(itertools.islice(parsed, FORWARD_BLOCK_ROWS)):
+        feats, labels = zip(*chunk)
+        x = np.array(feats, dtype=np.float64)
+        finite = finite and bool(np.isfinite(x).all())
+        any_rows = True
+        if finite:
+            yield x, np.array(labels, dtype=np.int64)
     if not any_rows:
         raise DataError(f"{path} has no data rows")
     if not finite:

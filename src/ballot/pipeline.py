@@ -23,7 +23,9 @@ Every phase takes a list of seeds and trains one network per seed in
 lockstep: the networks are stacked on a leading seed axis and stepped
 together, one epoch and one batch at a time, each seed with its own
 batch order, ledger, class weights and refinement decisions; a single
-run is a list of one.
+run is a list of one.  ``_epoch`` is the one epoch loop of dense
+training and of every retraining; its step size follows the epoch it
+is given.
 
 Each network is held once, at the shape where it is used.  Dense
 training keeps no copy of the initial weights: rewinding rebuilds them
@@ -134,17 +136,26 @@ class PruneResult:
     wall_time_s: float
 
 
-def _shuffle(stream_seeds: list[int], epoch: int, n: int) -> np.ndarray:
-    """One batch order per stream seed, stacked: [R, n]."""
-    return np.stack([
-        np.random.default_rng((int(s), 0, int(epoch))).permutation(n)
-        for s in stream_seeds
-    ])
-
-
-def _batches(orders: np.ndarray, batch_size: int):
-    for start in range(0, orders.shape[1], batch_size):
-        yield orders[:, start : start + batch_size]
+def _epoch(stack: ParamStack, streams: list[int], epoch: int, config: TrainConfig,
+           data: Dataset, fair: np.ndarray | None = None) -> np.ndarray | None:
+    """One lockstep epoch of the networks in ``stack``: network r's batch
+    order is keyed by (streams[r], 0, epoch), and every step runs at
+    ``lr_at(epoch)``, an epoch past the budget at the last epoch's rate.
+    With ``fair``, the [2, R, H] pre-activation means of ``train_step``,
+    summed over the epoch's batches in order; without, None."""
+    x, onehot = data.train.X, data.train_onehot
+    n = x.shape[0]
+    orders = np.stack([np.random.default_rng((int(s), 0, int(epoch))).permutation(n)
+                       for s in streams])
+    lr = lr_at(min(epoch, config.epochs - 1), config)
+    acc = None if fair is None else np.zeros((2, len(streams), sum(config.hidden)))
+    for start in range(0, n, config.batch_size):
+        idx = orders[:, start : start + config.batch_size]
+        means = train_step(stack, x[idx], onehot[idx], fair)
+        if acc is not None:
+            acc += means
+        sgd_step(stack, lr)
+    return acc
 
 
 def _failure(phase: str, epoch: int, seed: int, exc: NumericalFailure):
@@ -178,23 +189,17 @@ def train_dense(
     nets = [init_network(dims, s) for s in seeds]
     flat = stack_params(nets).flat  # each network's arrays view its row
 
-    x, onehot = data.train.X, data.train_onehot
     fair = np.ones((len(seeds), data.n_classes))
     ledgers = [ConflictLedger(config.hidden) for _ in seeds]
 
     for epoch in range(config.epochs):
         if epoch == config.rewind_epoch:
             theta_k = [p.copy() for p in nets]
-        lr = lr_at(epoch, config)
-        acc = np.zeros((2, len(seeds), sum(config.hidden)))
-        stack = ParamStack(flat, dims)
         try:
-            for idx in _batches(_shuffle(seeds, epoch, x.shape[0]), config.batch_size):
-                acc += train_step(stack, x[idx], onehot[idx], fair)
-                sgd_step(stack, lr)
+            # a stack per epoch: its gradient buffer dies with the call
+            acc = _epoch(ParamStack(flat, dims), seeds, epoch, config, data, fair)
         except NumericalFailure as exc:
             raise _failure("dense training", epoch, seeds[exc.index], exc) from exc
-        del stack  # its gradient buffer is idle until the next epoch
 
         fair_rows = []
         for r, (params, ledger) in enumerate(zip(nets, ledgers)):
@@ -228,14 +233,14 @@ def _retrain(
     data: Dataset,
     seeds: list[int],
     epochs: int,
-    lr_fn,
     stream_offset: int = 0,
     epoch_offset: int = 0,
 ) -> Iterator[NetworkParams]:
     """Masked training of one network per mask on the accuracy loss
     only; network i starts from ``start(i)``, a full-shape network that
     need not hold the mask's zeros and is left unchanged, and its batch
-    order comes from (seeds[i] + stream_offset, epoch_offset + epoch).
+    order and step size at each epoch are those ``_epoch`` gives the
+    stream seeds[i] + stream_offset at epoch epoch_offset + epoch.
     Training runs in the call, which returns an iterator of the results
     in mask order.
 
@@ -255,14 +260,9 @@ def _retrain(
     smalls, keeps = zip(*(compact_network(start(i), m, widths) for i, m in enumerate(masks)))
     stack = stack_params(list(smalls), keeps)
     streams = [s + stream_offset for s in seeds]
-    x, onehot = data.train.X, data.train_onehot
     for epoch in range(epochs):
-        lr = lr_fn(epoch)
-        orders = _shuffle(streams, epoch_offset + epoch, x.shape[0])
         try:
-            for idx in _batches(orders, config.batch_size):
-                train_step(stack, x[idx], onehot[idx])
-                sgd_step(stack, lr)
+            _epoch(stack, streams, epoch_offset + epoch, config, data)
         except NumericalFailure as exc:
             raise _failure("retraining", epoch, seeds[exc.index], exc) from exc
     del stack  # the smalls still view the stacked weights
@@ -322,12 +322,8 @@ def refine(
     reading, the call's start by default), so round 0's share includes
     the mask building of a caller that passes its start."""
     seeds = [a.seed for a in artifacts]
-    if method == "magnitude":
-        final_lr = lr_at(config.epochs - 1, config)
-        epochs, schedule = finetune_epochs(config.epochs), lambda e: final_lr
-        offset = config.epochs
-    else:
-        epochs, schedule, offset = config.epochs, lambda e: lr_at(e, config), 0
+    epochs, offset = ((finetune_epochs(config.epochs), config.epochs)
+                      if method == "magnitude" else (config.epochs, 0))
     spent = [0.0] * len(artifacts)
     clock = time.perf_counter() if since is None else since
 
@@ -343,7 +339,7 @@ def refine(
         nets = _retrain(
             lambda i: getattr(artifacts[refining[i]], snapshot),
             [masks[r] for r in refining], config, data,
-            [seeds[r] for r in refining], epochs, schedule,
+            [seeds[r] for r in refining], epochs,
             stream_offset=r_index, epoch_offset=offset,
         )
         still = []

@@ -19,7 +19,7 @@ from .fileio import read_json, writing
 from .masks import save_mask
 from .metrics import EvalReport
 from .model import live_units
-from .pipeline import METHODS, PruneResult, run_baseline, train_dense
+from .pipeline import METHODS, PruneResult, RunArtifacts, run_baseline, train_dense
 
 CSV_HEADER = "method,seed,accuracy,precision,recall,cwv,mcd,retention,rounds,wall_time_s"
 
@@ -60,17 +60,15 @@ def result_dict(result: PruneResult) -> dict:
     return out
 
 
-def report_payload(
-    app: AppConfig,
-    seed: int,
-    dense_report: EvalReport,
-    results: list[PruneResult],
-) -> dict:
+def report_payload(app: AppConfig, artifacts: RunArtifacts,
+                   results: list[PruneResult]) -> dict:
+    """One run's report: its seed and dense test report, taken from dense
+    training's ``artifacts``, and one entry per pruned result."""
     return {
         "version": __version__,
-        "seed": seed,
+        "seed": artifacts.seed,
         "config": effective_dict(app),
-        "dense": eval_report_dict(dense_report),
+        "dense": eval_report_dict(artifacts.dense_report),
         "results": [result_dict(r) for r in results],
     }
 
@@ -115,7 +113,7 @@ def _phase_runs(apps: list[AppConfig], artifacts, results: list[PruneResult]) ->
     keep it alive into the next phase."""
     runs = []
     for app_seed, a, res in zip(apps, artifacts, results):
-        payload = report_payload(app_seed, a.seed, a.dense_report, [res])
+        payload = report_payload(app_seed, a, [res])
         runs.append((f"{res.method}-seed{a.seed}", payload, res.mask,
                      _summary_row(a.seed, payload["results"][0])))
     return runs
@@ -141,7 +139,7 @@ def run_experiment(app: AppConfig, n_seeds: int, out_dir) -> Path:
     apps = [replace(app, train=replace(app.train, seed=seed)) for seed in seeds]
     runs = [
         (f"dense-seed{a.seed}",
-         report_payload(app_seed, a.seed, a.dense_report, []),
+         report_payload(app_seed, a, []),
          None,
          _summary_row(a.seed, {**asdict(a.dense_report), "method": "dense",
                                "retention": 1.0, "rounds": 0,

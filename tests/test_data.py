@@ -365,6 +365,17 @@ class TestCsvFastPath:
         path.write_text(text)
         assert same_outcome(path) == ("error", message)
 
+    @pytest.mark.parametrize("head, line", [('a,label\n1,0\n"2,0\n', 3),
+                                            ('"a,label\n1,0\n', 1)],
+                             ids=["data-row", "header"])
+    def test_unclosed_quote_names_the_line_where_it_opens(self, tmp_path, head, line):
+        # the open quote joins every later line into one cell, until the
+        # cell crosses the csv module's field limit many lines further on
+        path = tmp_path / "d.csv"
+        path.write_text(head + "3,1\n" * 40_000)
+        assert same_outcome(path) == (
+            "error", f"malformed CSV at line {line}: field larger than field limit (131072)")
+
     @pytest.mark.parametrize("text, x, y", [
         ('a,label\n"1",0\n2,"1"\n', [[1.0], [2.0]], [0, 1]),
         ("a,label\n1_0,0\n2,1\n", [[10.0], [2.0]], [0, 1]),

@@ -219,8 +219,7 @@ def round_oracle(arts, mask, cfg, data, r_index):
     own by ``_retrain``."""
     start = arts.theta0 if r_index == 0 else arts.theta_k
     (net,) = _retrain([apply_mask(start, mask)].__getitem__, [mask], cfg, data,
-                      [arts.seed], cfg.epochs, lambda e: lr_at(e, cfg),
-                      stream_offset=r_index)
+                      [arts.seed], cfg.epochs, stream_offset=r_index)
     return net
 
 
@@ -301,10 +300,8 @@ class TestRefine:
             return out
 
         monkeypatch.setattr(pipeline, "sgd_step", checked_step)
-        nets = _retrain(
-            starts.__getitem__, masks, cfg, data, [cfg.seed, cfg.seed + 1],
-            cfg.epochs, lambda e: lr_at(e, cfg),
-        )
+        nets = _retrain(starts.__getitem__, masks, cfg, data,
+                        [cfg.seed, cfg.seed + 1], cfg.epochs)
         batches = math.ceil(data.train.X.shape[0] / cfg.batch_size)
         assert len(steps) == cfg.epochs * batches
         for params, m in zip(nets, masks):
@@ -509,6 +506,29 @@ class TestBaselines:
         assert result.params.epoch_tag == expected_tag
         assert len(result.round_reports) == 1
 
+    @pytest.mark.parametrize("method", ["lth", "magnitude"])
+    def test_retraining_steps_follow_the_epoch_schedule(
+            self, data, artifacts, monkeypatch, method):
+        # lth retrains the budget at each epoch's rate; magnitude's
+        # fine-tune epochs follow the budget at its last epoch's rate
+        cfg = small_config()
+        batches = math.ceil(data.train.X.shape[0] / cfg.batch_size)
+        real_step, rates = pipeline.sgd_step, []
+
+        def recording_step(stack, lr):
+            rates.append(lr)
+            return real_step(stack, lr)
+
+        monkeypatch.setattr(pipeline, "sgd_step", recording_step)
+        run_baseline(method, cfg, data, [artifacts])
+        if method == "magnitude":
+            want = [lr_at(cfg.epochs - 1, cfg)] * (finetune_epochs(cfg.epochs) * batches)
+            assert want[0] < cfg.lr0
+        else:
+            want = [lr_at(e, cfg) for e in range(cfg.epochs) for _ in range(batches)]
+            assert len(set(want)) > 1
+        assert rates == want
+
     def test_random_trains_from_theta0(self, data, artifacts):
         cfg = small_config()
         (result,) = run_baseline("random", cfg, data, [artifacts])
@@ -550,7 +570,7 @@ class TestLockstep:
             with pytest.raises(NumericalFailure,
                                match="retraining epoch 0, seed 7: "):
                 _retrain([good, bad].__getitem__, [mask, mask], cfg, data, [4, 7],
-                         cfg.epochs, lambda e: lr_at(e, cfg))
+                         cfg.epochs)
 
     def test_divergence_in_second_shape_group_names_seed_and_epoch(
             self, data, artifacts, monkeypatch):
@@ -576,8 +596,7 @@ class TestLockstep:
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericalFailure,
                                match="retraining epoch 2, seed 7: "):
-                _retrain(nets.__getitem__, masks, cfg, data, [4, 7], cfg.epochs,
-                         lambda e: lr_at(e, cfg))
+                _retrain(nets.__getitem__, masks, cfg, data, [4, 7], cfg.epochs)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, 1e308])
     def test_poisoned_hidden_weight_names_phase_epoch_and_seed(
@@ -608,8 +627,7 @@ class TestLockstep:
             steps.clear()
             with pytest.raises(NumericalFailure,
                                match="retraining epoch 2, seed 7: "):
-                _retrain(nets.__getitem__, masks, cfg, data, [4, 7, 9], cfg.epochs,
-                         lambda e: lr_at(e, cfg))
+                _retrain(nets.__getitem__, masks, cfg, data, [4, 7, 9], cfg.epochs)
 
     @staticmethod
     def _poison_after_step(monkeypatch, last_step):
@@ -688,10 +706,10 @@ class TestLockstep:
             starts = [apply_mask(init_network(dims, 10 * trial + r), m)
                       for r, m in enumerate(masks)]
             together = _retrain([p.copy() for p in starts].__getitem__, masks, cfg, data,
-                                [0, 1, 2], cfg.epochs, lambda e: lr_at(e, cfg))
+                                [0, 1, 2], cfg.epochs)
             for seed, (start, mask, got) in enumerate(zip(starts, masks, together)):
                 (alone,) = _retrain([start.copy()].__getitem__, [mask], cfg, data, [seed],
-                                    cfg.epochs, lambda e: lr_at(e, cfg))
+                                    cfg.epochs)
                 ends = [np.arange(dims[0]), *live_units(mask),
                         np.arange(dims[-1])]
                 for i, (rows, cols) in enumerate(zip(ends, ends[1:])):
@@ -715,12 +733,10 @@ class TestLockstep:
         shapes = {tuple(compact_network(p, m)[0].dims) for p, m in zip(starts, masks)}
         assert len(shapes) == 2
         together = _retrain([p.copy() for p in starts].__getitem__, masks, cfg, data,
-                            [0, 1, 2], cfg.epochs, lambda e: lr_at(e, cfg),
-                            stream_offset=1)
+                            [0, 1, 2], cfg.epochs, stream_offset=1)
         for seed, (start, mask, got) in enumerate(zip(starts, masks, together)):
             (alone,) = _retrain([start.copy()].__getitem__, [mask], cfg, data, [seed],
-                                cfg.epochs, lambda e: lr_at(e, cfg),
-                                stream_offset=1)
+                                cfg.epochs, stream_offset=1)
             assert got.epoch_tag == alone.epoch_tag
             for a, b in zip(got.weights + got.biases, alone.weights + alone.biases):
                 assert a.tobytes() == b.tobytes()
@@ -738,7 +754,7 @@ class TestLockstep:
         start = apply_mask(init_network(dims, 3), mask)
         assert start.weights[0][:, u].any() and start.weights[2][v, :].any()
         (net,) = _retrain([start.copy()].__getitem__, [mask], cfg, data, [0],
-                          cfg.epochs, lambda e: lr_at(e, cfg))
+                          cfg.epochs)
 
         def dead_entries(p):
             return [p.weights[0][:, u], p.biases[0][u:u + 1], p.weights[1][u, :],

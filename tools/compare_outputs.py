@@ -66,7 +66,8 @@ without ReLU, an output layer with one), ``train`` with
 ``--config`` and with a config holding a byte that is not UTF-8,
 ``evaluate`` of a missing checkpoint and of a missing ``--data`` CSV,
 ``evaluate`` of a CSV whose byte 0xff opens both a block of lines and
-a text-decoder chunk and of a CSV with a line break in a quoted cell,
+a text-decoder chunk, of a CSV with a line break in a quoted cell and
+of a CSV whose third line opens a quote that no line closes,
 ``train --out`` where ``checkpoints`` is a regular file, and
 ``gen-data --out`` under that file.  Its exit code
 and stderr are written to ``failures/NAME.txt``, so a change that
@@ -186,6 +187,14 @@ def undecodable_csv(work: Path) -> None:
     (work / "undecodable.txt").write_bytes((head + rows).encode() + b"\xff" + tail.encode())
 
 
+def unclosed_quote(work: Path) -> None:
+    """Write ``unclosed-quote.txt``: a CSV ``a,label`` whose third line
+    opens a quote that none of the 40,000 lines after it closes, so the
+    ``csv`` module joins them into one cell until its field limit stops
+    it.  Not named ``.csv``, as ``undecodable.txt`` is not."""
+    (work / "unclosed-quote.txt").write_text('a,label\n1,0\n"2,0\n' + "3,1\n" * 40_000)
+
+
 COMMANDS = [
     ["train", "--out", "train"],
     *[["prune", "--method", m, "--out", f"prune-{m}"]
@@ -227,6 +236,7 @@ COMMANDS = [
     bad_manifests,
     undecodable_csv,
     multi_line,
+    unclosed_quote,
 ]
 FAILING = [
     *[(f"bad-{name}", ["evaluate", "--checkpoint", f"bad-{name}.ckpt",
@@ -245,6 +255,8 @@ FAILING = [
                          "--data", "undecodable.txt", "--out", "failures/undecodable-csv.json"]),
     ("multi-line-csv", ["evaluate", "--checkpoint", "prune-ballot/checkpoints/final.ckpt",
                         "--data", "multi-line.csv", "--out", "failures/multi-line-csv.json"]),
+    ("unclosed-quote", ["evaluate", "--checkpoint", "prune-ballot/checkpoints/final.ckpt",
+                        "--data", "unclosed-quote.txt", "--out", "failures/unclosed-quote.json"]),
     # ``blocked/checkpoints`` is a regular file
     ("checkpoints-is-a-file", ["train", "--out", "blocked"]),
     ("gen-data-under-a-file", ["gen-data", "--out", "blocked/checkpoints/data.csv"]),
